@@ -11,7 +11,6 @@ setup(
             "pytest",
             "hypothesis",
             "pytest-benchmark",
-            "numpy",
             "ruff",
         ],
     },

@@ -80,7 +80,7 @@ from .sim import (
     scenario_names,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "KiB",
@@ -112,7 +112,6 @@ __all__ = [
     "get_scenario",
     "register_scenario",
     "scenario_names",
-    "simulate_scenario",
     "MultiTenantEngine",
     "SimulationResult",
     "EngineSnapshot",
@@ -182,32 +181,6 @@ def simulate(
     return run_scenario(
         spec, soc, make_scheduler(policy, **policy_kwargs)
     )
-
-
-def simulate_scenario(
-    policy: str,
-    scenario: "ScenarioSpec | str",
-    soc: Optional[SoCConfig] = None,
-    **policy_kwargs,
-) -> SimulationResult:
-    """Run one declarative scenario end to end.
-
-    Args:
-        policy: scheduler name (see :func:`simulate`).
-        scenario: a :class:`ScenarioSpec` or a registered scenario name
-            (see :func:`scenario_names`).
-        soc: hardware configuration (defaults to paper Table II).
-        **policy_kwargs: forwarded to the scheduler constructor.
-
-    Returns:
-        The :class:`~repro.sim.engine.SimulationResult` with metrics,
-        including the scenario-level ``summary()`` keys
-        (``avg_queue_delay_ms``, ``offered_load_ratio``,
-        ``cancelled_inferences``).
-    """
-    from .experiments.common import run_scenario
-
-    return run_scenario(scenario, soc, policy, **policy_kwargs)
 
 
 def run(

@@ -45,10 +45,11 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..config import SoCConfig
@@ -369,6 +370,32 @@ def _warm_worker(solve_memo) -> None:
     SubspaceSolver.install_solve_memo(solve_memo)
 
 
+def _submit_all(pool: ProcessPoolExecutor, fn: Callable,
+                args: Iterable) -> List[Future]:
+    """One future per ``fn(arg)``, in order; never raises.
+
+    A worker that dies while the parent is still submitting breaks the
+    pool, and ``submit`` then raises ``BrokenProcessPool``.  That cell
+    and every one after it get an already-failed future instead, so the
+    caller's per-cell error handling and serial retry take them like any
+    other failed cell.  ``args`` is consumed lazily, one item per
+    submission.
+    """
+    futures: List[Future] = []
+    error: Optional[BrokenProcessPool] = None
+    for arg in args:
+        if error is None:
+            try:
+                futures.append(pool.submit(fn, arg))
+                continue
+            except BrokenProcessPool as exc:
+                error = exc
+        failed: Future = Future()
+        failed.set_exception(error)
+        futures.append(failed)
+    return futures
+
+
 def _attempt_cell(item: tuple
                   ) -> Tuple[Optional[SimulationResult], Optional[str]]:
     """Run one cell in-process, capturing any exception as a string."""
@@ -457,13 +484,10 @@ def run_sweep(
                     # retry below then isolates the real culprit.
                     shards = [work[k:k + shard_size]
                               for k in range(0, len(work), shard_size)]
-                    futures = [
-                        pool.submit(
-                            _run_cell_shard,
-                            ([c for c, _, _ in shard], soc, None),
-                        )
+                    futures = _submit_all(pool, _run_cell_shard, [
+                        ([c for c, _, _ in shard], soc, None)
                         for shard in shards
-                    ]
+                    ])
                     fresh, errors = [], []
                     for shard, future in zip(shards, futures):
                         try:
@@ -481,8 +505,7 @@ def run_sweep(
                     # cell — or a worker death breaking the pool —
                     # surfaces as that cell's failure instead of
                     # aborting the whole sweep.
-                    futures = [pool.submit(_run_cell, item)
-                               for item in work]
+                    futures = _submit_all(pool, _run_cell, work)
                     fresh, errors = [], []
                     for future in futures:
                         try:
@@ -876,13 +899,17 @@ def _drive_campaign(
                 initializer=_warm_worker,
                 initargs=(SubspaceSolver.export_solve_memo(),),
             ) as pool:
-                futures = {}
-                for i in pending:
+                def started():
                     # The start record hits the disk before the attempt
                     # is submitted: a crash during the cell leaves it
                     # visibly in flight, so resume re-runs it.
-                    journal.record_start(i, 0)
-                    futures[pool.submit(_run_cell, work[i])] = i
+                    for i in pending:
+                        journal.record_start(i, 0)
+                        yield work[i]
+
+                futures = dict(zip(
+                    _submit_all(pool, _run_cell, started()), pending
+                ))
                 for future in as_completed(futures):
                     i = futures[future]
                     try:

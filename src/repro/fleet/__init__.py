@@ -9,8 +9,9 @@ simulates one SoC.  This package closes the gap in three layers:
   axis) that expands deterministically into campaign cells.
 * :mod:`repro.fleet.digest` / :mod:`repro.fleet.aggregate` — the
   mergeable :class:`QuantileDigest` and :class:`FleetAccumulator`
-  folding per-device summaries into population percentiles in O(bins)
-  memory.
+  folding per-device summaries into population percentiles with an
+  O(bins) accumulator (the run still holds every cell's result; see
+  :mod:`repro.fleet.aggregate`).
 * :mod:`repro.fleet.runner` — :func:`run_fleet` / :func:`resume_fleet`
   over the journaled, crash-safe campaign machinery, plus the sharded
   ephemeral path.

@@ -1,11 +1,16 @@
-"""Streaming fleet aggregation: shard summaries into population stats.
+"""Fleet aggregation: shard summaries into population stats.
 
-The fleet runner never holds a fleet's worth of raw inference records.
 Each device-run reduces to its deterministic summary dict (the
 engine's :meth:`~repro.sim.engine.SimulationResult.summary` minus the
 wall-clock keys), and :class:`FleetAccumulator` folds those into a
 handful of :class:`~repro.fleet.digest.QuantileDigest` sketches plus
-exact counters — memory O(digest bins), independent of fleet size.
+exact counters — the accumulator is O(digest bins), independent of
+fleet size.  The run as a whole is not:
+:func:`~repro.fleet.runner.run_fleet` collects every cell's
+:class:`~repro.sim.engine.SimulationResult` (raw inference records
+included) before folding and returns them in ``FleetResult.results``,
+so its memory grows with the population until the fold streams cells
+as they land.
 
 Accumulators merge, so shard-level partial accumulators fold into the
 fleet total; folding in canonical cell order makes the resulting

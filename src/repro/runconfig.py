@@ -12,11 +12,6 @@ reusable value object::
     config = RunConfig(faults="degraded-soc", max_wall_s=120.0)
     result = run("poisson-eight", policy="camdn-full", config=config)
 
-The old keywords keep working through a thin shim in ``run_scenario``
-that lowers them into a :class:`RunConfig` and emits a
-:class:`DeprecationWarning`; both forms produce byte-identical
-``metric_summary()`` dictionaries.
-
 This module is a leaf (it imports only the error hierarchy), so the
 package root, the experiment layer and the fleet subsystem can all
 share the class without import cycles.
@@ -29,15 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .errors import WorkloadError
-
-#: The ``run_scenario`` keyword names subsumed by :class:`RunConfig`
-#: (the legacy shim recognises exactly these).
-RUN_CONFIG_KEYS = frozenset((
-    "qos_mode", "trace", "kernel_backend", "capture_trace", "faults",
-    "max_events", "max_wall_s", "checkpoint_every_s", "checkpoint_dir",
-    "snapshot_at_events",
-))
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -65,9 +51,13 @@ class RunConfig:
             (execution-timeline capture; excluded from equality so
             configs differing only in an attached recorder compare
             equal).
-        kernel_backend: force the engine kernel backend (``"numpy"`` /
-            ``"list"``); also disables the native fused stepper, which
-            is how tests pin the step arithmetic to one implementation.
+        kernel_backend: ``"list"`` pins the engine to the split step
+            path (policy rates plus the pure-Python list kernel),
+            standing down the native and Python fused steppers; tests
+            use it to cross-check the paths.  ``None`` (the default)
+            lets the engine choose its fastest path.  Any other value
+            is rejected with :class:`ValueError` when the engine is
+            built.
         max_events: engine watchdog event budget (see
             :meth:`~repro.sim.engine.MultiTenantEngine.run`).
         max_wall_s: engine watchdog wall-clock budget in seconds; the

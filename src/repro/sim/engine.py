@@ -124,7 +124,7 @@ class SimulationResult:
     #: closed-loop scenarios; > 1 when open-loop load outruns service
     #: (queues grow and the drain stretches past the window).
     offered_load_ratio: float = 1.0
-    #: Event capture of the run (``run_scenario(capture_trace=True)``);
+    #: Event capture of the run (``RunConfig(capture_trace=True)``);
     #: excluded from serialization — traces persist via their own format.
     event_trace: Optional["EventTrace"] = field(
         default=None, repr=False, compare=False
@@ -243,11 +243,15 @@ class MultiTenantEngine:
         self._total_bw = float(soc.dram.total_bandwidth_bytes_per_s)
         self._freq = float(soc.npu.frequency_hz)
         self._uniform_eff: Dict[int, Optional[float]] = {}
+        # kernel_backend="list" pins the step arithmetic to the split
+        # path (policy rates + RunningKernel.step), so the fused paths —
+        # native and Python — stand down; cross-path tests rely on it.
+        if kernel_backend not in (None, "list"):
+            raise ValueError(f"unknown kernel backend {kernel_backend!r}")
+        self._kernel_backend = kernel_backend
         # SoA kernel over the RUNNING set.
-        self._kernel = RunningKernel(force_backend=kernel_backend)
-        # Native fused stepper (None: pure-Python paths).  An explicit
-        # kernel backend means a test is pinning the step arithmetic to
-        # one implementation, so the fused path stands down.
+        self._kernel = RunningKernel()
+        # Native fused stepper (None: pure-Python paths).
         self._native = None
         if use_native is not False and kernel_backend is None:
             self._native = native.fused_step()
@@ -519,6 +523,7 @@ class MultiTenantEngine:
                 "wait_seq": dict(self._wait_seq),
                 "next_seq": self._next_seq,
                 "rates_valid": self._rates_valid,
+                "kernel_backend": self._kernel_backend,
                 "kernel": self._kernel.export_state(),
             },
         }
@@ -664,9 +669,9 @@ class MultiTenantEngine:
         self._fused_mode = 0
         self._mode_floor = 0.0
         self._mode_urgency = 0.0
-        if kernel._force_backend is not None:
-            # A pinned kernel backend means the test wants that exact
-            # step implementation: keep the split path.
+        if self._kernel_backend is not None:
+            # A pinned kernel backend means the test wants the split
+            # step implementation.
             kernel.configure_slack(False)
             return
         spec = scheduler.rate_kernel()
@@ -768,8 +773,6 @@ class MultiTenantEngine:
                         self._fused_mode = fused_mode = 0
                     n_eff = n
                 if fused_mode and n:
-                    if kernel._use_np:
-                        kernel._materialize()
                     if fused_mode == 1:
                         if native_step is not None:
                             res = native_step(
@@ -794,8 +797,7 @@ class MultiTenantEngine:
                             wait_dt, freq, total_bw, eff, floor,
                             urgency, self.now, fused_mode == 3,
                         )
-            elif native_step is not None and self._rates_valid \
-                    and not kernel._use_np:
+            elif native_step is not None and self._rates_valid:
                 res = native_step(
                     kernel.rem_c, kernel.rem_d,
                     kernel.rate_c, kernel.rate_d,
@@ -855,7 +857,7 @@ class MultiTenantEngine:
             self._rates_valid = True
             return
         scheduler = self.scheduler
-        rem_c, rem_d = kernel.rem_views()
+        rem_c, rem_d = kernel.rem_c, kernel.rem_d
         shares = self._shares_fn(insts, rem_c, rem_d, self.now)
         if shares is None:
             # Dict-path fallback: sync fluid state so the policy sees

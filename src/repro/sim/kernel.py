@@ -9,23 +9,19 @@ several attribute lookups per instance per event.
 
 :class:`RunningKernel` hoists the per-instance fluid state
 (``rem_compute_cycles`` / ``rem_dram_bytes`` and the applied rates) into
-flat parallel arrays ordered by running-set insertion order, so the three
-hot operations become batch kernels.  Two backends produce bit-identical
-results:
+flat parallel Python lists ordered by running-set insertion order, so
+the three hot operations become tight loops.  The running set never
+outgrows the SoC's NPU core count (16 on the paper's Table II SoC) — an
+instance runs only while it holds a core — so plain list loops are the
+right tool; the native C stepper (:mod:`repro.sim.native`) reads and
+writes these same lists.
 
-* a **numpy** backend (element-wise float64 ops and an exact min
-  reduction) used for wide running sets, where vectorization wins;
-* a **pure-Python list** backend used for narrow running sets (and
-  whenever numpy is unavailable), where per-call numpy overhead would
-  exceed the loop it replaces.
-
-Bit-identity between the backends — and with the scalar reference
-semantics on :class:`~repro.sim.task.TaskInstance` — holds because every
-operation is element-wise IEEE-754 double arithmetic in the same
-expression shape, and the only reduction is a ``min``, which is exact in
-any order.  Order-sensitive reductions (the bandwidth-share
-normalizations) stay in policy code and always see values in insertion
-order.
+Bit-identity with the scalar reference semantics on
+:class:`~repro.sim.task.TaskInstance` holds because every operation is
+element-wise IEEE-754 double arithmetic in the same expression shape,
+and the only reduction is a ``min``, which is exact in any order.
+Order-sensitive reductions (the bandwidth-share normalizations) stay in
+policy code and always see values in insertion order.
 
 Insertion order is load-bearing: completion processing and bandwidth-share
 normalization must observe instances in insertion order (the frozen
@@ -40,17 +36,8 @@ from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import SimulationError
 
-try:  # numpy is optional; the list backend is always available.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via force_backend tests
-    _np = None
-
 if TYPE_CHECKING:
     from .task import TaskInstance
-
-#: Running-set width at which the numpy backend starts to win over the
-#: tight list loops (numpy's per-call overhead dominates below this).
-NUMPY_MIN_WIDTH = 24
 
 #: Completion threshold shared with :meth:`TaskInstance.layer_finished`.
 _FINISH_EPS = 1e-9
@@ -61,31 +48,20 @@ class RunningKernel:
 
     __slots__ = (
         "insts", "pos", "rem_c", "rem_d", "rate_c", "rate_d",
-        "_force_backend", "_np_always", "_np_enabled", "_use_np",
-        "_arr_c", "_arr_d", "_arr_rc", "_arr_rd",
         "sl_arrival", "sl_qos", "sl_est", "sl_progress",
         "_slack_on", "_est_fn",
     )
 
-    def __init__(self, force_backend: Optional[str] = None) -> None:
-        if force_backend not in (None, "numpy", "list"):
-            raise ValueError(f"unknown kernel backend {force_backend!r}")
-        if force_backend == "numpy" and _np is None:
-            raise ValueError("numpy backend requested but numpy missing")
+    def __init__(self) -> None:
         #: Running instances in insertion order.
         self.insts: List["TaskInstance"] = []
         #: instance_id -> position in :attr:`insts`.
         self.pos: Dict[str, int] = {}
-        # Parallel per-position state (authoritative python lists).
+        # Parallel per-position state.
         self.rem_c: List[float] = []
         self.rem_d: List[float] = []
         self.rate_c: List[float] = []
         self.rate_d: List[float] = []
-        self._force_backend = force_backend
-        self._np_always = force_backend == "numpy"
-        self._np_enabled = _np is not None and force_backend != "list"
-        self._use_np = False
-        self._arr_c = self._arr_d = self._arr_rc = self._arr_rd = None
         # Slack-input SoA arrays for the fused slack-weighted rate
         # kernels (see configure_slack).  Maintained alongside the fluid
         # arrays only while a slack-aware fused mode is active, so
@@ -107,7 +83,6 @@ class RunningKernel:
 
     def add(self, inst: "TaskInstance") -> None:
         """Append a newly RUNNING instance (rates pending recompute)."""
-        self._materialize()
         self.pos[inst.instance_id] = len(self.insts)
         self.insts.append(inst)
         self.rem_c.append(inst.rem_compute_cycles)
@@ -119,7 +94,6 @@ class RunningKernel:
 
     def remove(self, inst: "TaskInstance") -> None:
         """Drop an instance, writing its fluid state back to it."""
-        self._materialize()
         i = self.pos.pop(inst.instance_id)
         inst.rem_compute_cycles = self.rem_c[i]
         inst.rem_dram_bytes = self.rem_d[i]
@@ -149,20 +123,11 @@ class RunningKernel:
             self.sl_progress[i] = (
                 inst.layer_index / max(inst.num_layers, 1)
             )
-        if self._use_np:
-            self._arr_c[i] = self.rem_c[i]
-            self._arr_d[i] = self.rem_d[i]
 
     def set_rates(self, rate_c: List[float], rate_d: List[float]) -> None:
         """Install per-position rates (aligned with :attr:`insts`)."""
         self.rate_c = rate_c
         self.rate_d = rate_d
-        if self._np_always or (
-            self._np_enabled and len(self.insts) >= NUMPY_MIN_WIDTH
-        ):
-            self._select_backend()
-        else:
-            self._use_np = False
 
     # ------------------------------------------------------------------
     # Slack-input maintenance (fused slack-weighted rate kernels)
@@ -219,14 +184,6 @@ class RunningKernel:
         insts = self.insts
         out = []
         append = out.append
-        if self._use_np:
-            arr_c, arr_d = self._arr_c, self._arr_d
-            for i in positions:
-                inst = insts[i]
-                inst.rem_compute_cycles = float(arr_c[i])
-                inst.rem_dram_bytes = float(arr_d[i])
-                append(inst)
-            return out
         rem_c, rem_d = self.rem_c, self.rem_d
         for i in positions:
             inst = insts[i]
@@ -238,13 +195,6 @@ class RunningKernel:
     def sync_positions(self, positions: List[int]) -> None:
         """Write the given positions' fluid state back to their
         instances (positions must be current, i.e. pre-mutation)."""
-        if self._use_np:
-            arr_c, arr_d = self._arr_c, self._arr_d
-            for i in positions:
-                inst = self.insts[i]
-                inst.rem_compute_cycles = float(arr_c[i])
-                inst.rem_dram_bytes = float(arr_d[i])
-            return
         rem_c, rem_d = self.rem_c, self.rem_d
         for i in positions:
             inst = self.insts[i]
@@ -253,15 +203,9 @@ class RunningKernel:
 
     def sync_all(self) -> None:
         """Write every instance's fluid state back to its attributes."""
-        self._pull_np()
         for inst, c, d in zip(self.insts, self.rem_c, self.rem_d):
             inst.rem_compute_cycles = c
             inst.rem_dram_bytes = d
-
-    def rem_views(self):
-        """``(rem_c, rem_d)`` lists in insertion order (exact floats)."""
-        self._pull_np()
-        return self.rem_c, self.rem_d
 
     # ------------------------------------------------------------------
     # Hot kernels
@@ -280,20 +224,10 @@ class RunningKernel:
         :meth:`TaskInstance.time_to_finish_layer` — per instance
         ``max(rem_c / rate_c, rem_d / rate_d)`` (a zero remainder divides
         to exactly ``+0.0``), reduced with an exact min and clamped by
-        ``wait_dt`` — fused with :meth:`advance` so each array is touched
-        once per event.
+        ``wait_dt``.  The drain is :meth:`TaskInstance.advance` followed
+        by :meth:`TaskInstance.layer_finished`, per instance; finished
+        positions come back in insertion order.
         """
-        if self._use_np:
-            t = self._arr_c / self._arr_rc
-            _np.maximum(t, self._arr_d / self._arr_rd, out=t)
-            dt = float(t.min()) if t.size else float("inf")
-            if wait_dt < dt:
-                dt = wait_dt
-            if dt == float("inf"):
-                return dt, []
-            if dt < 0:
-                raise SimulationError(f"negative time step {dt}")
-            return dt, self.advance(dt)
         dt = float("inf")
         rem_c, rem_d = self.rem_c, self.rem_d
         rate_c, rate_d = self.rate_c, self.rate_d
@@ -348,8 +282,6 @@ class RunningKernel:
         negative (corrupt state) — both are returned untouched, state
         unmodified, for the caller to report.
         """
-        if self._use_np:
-            self._materialize()
         rem_c, rem_d = self.rem_c, self.rem_d
         n = len(rem_c)
         demands = [
@@ -424,8 +356,6 @@ class RunningKernel:
         list paths, so results are bit-identical to the split path.
         Return protocol matches :meth:`fused_step_demand`.
         """
-        if self._use_np:
-            self._materialize()
         rem_c, rem_d = self.rem_c, self.rem_d
         arrival, qos = self.sl_arrival, self.sl_qos
         est, progress = self.sl_est, self.sl_progress
@@ -505,67 +435,20 @@ class RunningKernel:
                     finished.append(i)
         return dt, finished
 
-    def advance(self, dt: float) -> List[int]:
-        """Drain ``dt`` seconds of fluid work; return finished positions.
-
-        Identical arithmetic to :meth:`TaskInstance.advance` followed by
-        :meth:`TaskInstance.layer_finished`; finished positions come back
-        in insertion order.
-        """
-        if self._use_np:
-            c, d = self._arr_c, self._arr_d
-            c -= dt * self._arr_rc
-            _np.maximum(c, 0.0, out=c)
-            d -= dt * self._arr_rd
-            _np.maximum(d, 0.0, out=d)
-            done = _np.nonzero((c <= _FINISH_EPS) & (d <= _FINISH_EPS))[0]
-            return done.tolist()
-        finished: List[int] = []
-        rem_c, rem_d = self.rem_c, self.rem_d
-        rate_c, rate_d = self.rate_c, self.rate_d
-        for i in range(len(rem_c)):
-            c = rem_c[i] - dt * rate_c[i]
-            if c < 0.0:
-                c = 0.0
-            rem_c[i] = c
-            d = rem_d[i] - dt * rate_d[i]
-            if d < 0.0:
-                d = 0.0
-            rem_d[i] = d
-            if c <= _FINISH_EPS and d <= _FINISH_EPS:
-                finished.append(i)
-        return finished
-
     # ------------------------------------------------------------------
     # Checkpoint support (see repro.sim.snapshot)
     # ------------------------------------------------------------------
 
     def export_state(self) -> dict:
         """Picklable logical state, read-only (the live kernel is not
-        touched — safe to call mid-run at a batch boundary).
-
-        Lists are exported as the authoritative fluid state even when
-        the numpy backend is active, so the payload never contains
-        ndarray objects and loads in numpy-free processes.
-        """
-        if self._use_np:
-            rem_c = self._arr_c.tolist()
-            rem_d = self._arr_d.tolist()
-        else:
-            rem_c = list(self.rem_c)
-            rem_d = list(self.rem_d)
+        touched — safe to call mid-run at a batch boundary)."""
         return {
             "insts": list(self.insts),
             "pos": dict(self.pos),
-            "rem_c": rem_c,
-            "rem_d": rem_d,
+            "rem_c": list(self.rem_c),
+            "rem_d": list(self.rem_d),
             "rate_c": list(self.rate_c),
             "rate_d": list(self.rate_d),
-            "use_np": self._use_np,
-            # Pinned backend, if any, so a resume reconstructs the same
-            # step implementation (restore_state itself ignores this —
-            # the receiving kernel's own pin wins).
-            "force_backend": self._force_backend,
             # Slack-input SoA state for the fused slack modes; the
             # est_fn binding is not picklable and is re-installed by the
             # engine's rate-mode resolution on resume.
@@ -577,22 +460,15 @@ class RunningKernel:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Install :meth:`export_state` output.
-
-        The numpy backend is re-snapshotted from the restored lists when
-        the capture was using it and numpy is available here; otherwise
-        the list backend runs — bit-identical either way (the module
-        invariant), so a snapshot taken with numpy resumes exactly on a
-        numpy-free host.
-        """
+        """Install :meth:`export_state` output (keys it does not write,
+        such as the retired ``use_np`` / ``force_backend``, are
+        ignored)."""
         self.insts = list(state["insts"])
         self.pos = dict(state["pos"])
         self.rem_c = list(state["rem_c"])
         self.rem_d = list(state["rem_d"])
         self.rate_c = list(state["rate_c"])
         self.rate_d = list(state["rate_d"])
-        self._use_np = False
-        self._arr_c = self._arr_d = self._arr_rc = self._arr_rd = None
         # Pre-slack snapshots (no "slack_on" key) restore with tracking
         # off; the engine's rate-mode resolution rebuilds the arrays
         # from the running set if the policy needs them.
@@ -608,42 +484,3 @@ class RunningKernel:
             self.sl_qos = []
             self.sl_est = []
             self.sl_progress = []
-        if state["use_np"] and self._np_enabled:
-            self._use_np = True
-            self._arr_c = _np.array(self.rem_c, dtype=_np.float64)
-            self._arr_d = _np.array(self.rem_d, dtype=_np.float64)
-            self._arr_rc = _np.array(self.rate_c, dtype=_np.float64)
-            self._arr_rd = _np.array(self.rate_d, dtype=_np.float64)
-
-    # ------------------------------------------------------------------
-    # Backend management
-    # ------------------------------------------------------------------
-
-    def _select_backend(self) -> None:
-        """Pick the backend for the current width (after rate install)."""
-        self._pull_np()  # lists must be current before re-snapshotting
-        if self._force_backend == "numpy":
-            use_np = True
-        elif self._force_backend == "list":
-            use_np = False
-        else:
-            use_np = _np is not None and len(self.insts) >= NUMPY_MIN_WIDTH
-        self._use_np = use_np
-        if use_np:
-            self._arr_c = _np.array(self.rem_c, dtype=_np.float64)
-            self._arr_d = _np.array(self.rem_d, dtype=_np.float64)
-            self._arr_rc = _np.array(self.rate_c, dtype=_np.float64)
-            self._arr_rd = _np.array(self.rate_d, dtype=_np.float64)
-
-    def _materialize(self) -> None:
-        """Fold numpy state back into the lists before a membership edit."""
-        if self._use_np:
-            self.rem_c = self._arr_c.tolist()
-            self.rem_d = self._arr_d.tolist()
-            self._use_np = False
-
-    def _pull_np(self) -> None:
-        """Refresh the list views from numpy state without leaving it."""
-        if self._use_np:
-            self.rem_c = self._arr_c.tolist()
-            self.rem_d = self._arr_d.tolist()

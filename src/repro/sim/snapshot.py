@@ -252,8 +252,8 @@ class EngineSnapshot:
         ``run()``, which would re-attach the scheduler and wipe the
         restored state).
 
-        ``kernel_backend`` defaults to the backend pinned at capture
-        time (usually ``None`` — auto selection); ``use_native``
+        ``kernel_backend`` defaults to the pin at capture time (usually
+        ``None``; ``"list"`` forces the split path); ``use_native``
         defaults to auto.  Both only select among bit-identical
         implementations, so they never change results.
 
@@ -280,7 +280,7 @@ class EngineSnapshot:
         scheduler.attach(soc)
         scheduler.restore_state(sched_state)
         if kernel_backend is None:
-            kernel_backend = eng_state["kernel"]["force_backend"]
+            kernel_backend = eng_state.get("kernel_backend")
         engine = MultiTenantEngine(
             soc,
             scheduler,

@@ -48,11 +48,12 @@ class TestRunScenarioEntryPoint:
     def test_policy_instance_rejects_qos_mode(self):
         """qos_mode silently configuring nothing on a pre-built policy
         instance would fake a Figure 9 run; it must raise instead."""
+        from repro.runconfig import RunConfig
         from repro.schedulers.camdn_full import CaMDNFullScheduler
 
         with pytest.raises(ValueError):
             run_scenario("steady-quad", policy=CaMDNFullScheduler(),
-                         qos_mode=True)
+                         config=RunConfig(qos_mode=True))
 
 
 @pytest.mark.slow

@@ -1,27 +1,21 @@
 """RunConfig: the consolidated run-control surface of run_scenario.
 
-PR 10 collapsed run_scenario's dozen run-control keywords into one
-frozen :class:`RunConfig`.  The contract, stated as tests: the new
-``config=`` form is byte-identical to the legacy keyword form, legacy
-keywords still work but warn :class:`DeprecationWarning`, invalid
-combinations fail at construction (not mid-simulation), and mixing
-both forms is an error.
+Every run-control axis of ``run_scenario`` lives on one frozen
+:class:`RunConfig`.  The contract, stated as tests: invalid
+combinations fail at construction (not mid-simulation), each field
+reaches the run, and none of the fields is accepted as a bare
+``run_scenario`` keyword any more.
 """
 
 import dataclasses
-import json
 
 import pytest
 
 from repro.errors import WorkloadError
 from repro.experiments.common import run_scenario
-from repro.runconfig import RUN_CONFIG_KEYS, RunConfig
+from repro.runconfig import RunConfig
 
 SCENARIO = "steady-quad"
-
-
-def summary_bytes(result) -> str:
-    return json.dumps(result.metric_summary(), sort_keys=True)
 
 
 class TestConstruction:
@@ -34,12 +28,6 @@ class TestConstruction:
         config = RunConfig().replace(qos_mode=True)
         assert config.qos_mode is True
         assert RunConfig().qos_mode is False
-
-    def test_keys_match_fields(self):
-        """The legacy-shim key set and the dataclass fields must never
-        drift apart."""
-        fields = {f.name for f in dataclasses.fields(RunConfig)}
-        assert fields == set(RUN_CONFIG_KEYS)
 
     def test_checkpoint_cadence_requires_dir(self):
         """The satellite fix: a checkpoint cadence with nowhere to
@@ -68,19 +56,16 @@ class TestConstruction:
             RunConfig().replace(checkpoint_every_s=1.0)
 
 
-class TestShim:
-    def test_config_form_matches_legacy_byte_identically(self):
-        reference = run_scenario(SCENARIO, policy="camdn-full",
-                                 config=RunConfig(qos_mode=True))
-        with pytest.warns(DeprecationWarning, match="qos_mode"):
-            legacy = run_scenario(SCENARIO, policy="camdn-full",
-                                  qos_mode=True)
-        assert summary_bytes(legacy) == summary_bytes(reference)
-
-    def test_legacy_keywords_warn(self):
-        with pytest.warns(DeprecationWarning,
-                          match="config=RunConfig"):
-            run_scenario(SCENARIO, policy="baseline", max_wall_s=600.0)
+class TestConfigForm:
+    @pytest.mark.parametrize(
+        "keyword", [f.name for f in dataclasses.fields(RunConfig)]
+    )
+    def test_former_keyword_raises_type_error(self, keyword):
+        """The run-control keywords ``run_scenario`` used to accept
+        (one per RunConfig field) now reach the scheduler constructor
+        as unknown policy keywords."""
+        with pytest.raises(TypeError, match=keyword):
+            run_scenario(SCENARIO, policy="baseline", **{keyword: None})
 
     def test_config_form_does_not_warn(self, recwarn):
         run_scenario(SCENARIO, policy="baseline",
@@ -88,24 +73,9 @@ class TestShim:
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_mixing_forms_rejected(self):
-        with pytest.raises(ValueError, match="not both"), \
-                pytest.warns(DeprecationWarning):
-            run_scenario(SCENARIO, policy="baseline",
-                         config=RunConfig(), max_events=50)
-
-    def test_legacy_checkpoint_validation_still_fires(self):
-        """The lowered legacy keywords go through RunConfig validation
-        too."""
-        with pytest.raises(WorkloadError, match="checkpoint_dir"), \
-                pytest.warns(DeprecationWarning):
-            run_scenario(SCENARIO, policy="baseline",
-                         checkpoint_every_s=1.0)
-
     def test_config_qos_mode_reaches_the_scheduler(self):
-        """``config.qos_mode`` selects the QoS integration exactly like
-        the legacy keyword did (the scheduler reports its own row
-        name)."""
+        """``config.qos_mode`` selects the QoS integration (the
+        scheduler reports its own row name)."""
         result = run_scenario(SCENARIO, policy="camdn-full",
                               config=RunConfig(qos_mode=True))
         assert result.scheduler_name == "camdn-qos"

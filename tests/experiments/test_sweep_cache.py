@@ -82,6 +82,7 @@ class TestCacheKey:
         arrival instants while the source re-derives them, so sharing a
         cache slot would silently serve one for the other."""
         from repro.experiments.common import run_scenario
+        from repro.runconfig import RunConfig
         from repro.sim.scenario import (
             ArrivalProcess,
             ScenarioSpec,
@@ -97,7 +98,7 @@ class TestCacheKey:
             duration_s=0.05,
         )
         result = run_scenario(source_spec, soc, "baseline",
-                              capture_trace=True)
+                              config=RunConfig(capture_trace=True))
         replay_spec = result.event_trace.replay_scenario()
         source = SweepCell.from_scenario("baseline", source_spec)
         replay = SweepCell.from_scenario("baseline", replay_spec)

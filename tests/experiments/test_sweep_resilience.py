@@ -11,6 +11,8 @@ entry are detected, logged, invalidated and rebuilt transparently.
 import json
 import logging
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.experiments.sweep import (
     SweepCell,
     last_sweep_failures,
     last_sweep_stats,
+    run_campaign,
     run_sweep,
 )
 
@@ -69,6 +72,39 @@ class _DieOnceInWorker:
         return _REAL_RUN_CELL(item)
 
 
+class _BreaksOnSecondSubmit:
+    """``ProcessPoolExecutor`` stand-in whose worker dies while the
+    parent is still submitting.
+
+    The first submission runs in-process; the second and every later
+    one raise ``BrokenProcessPool``, as a real pool's ``submit`` does
+    once a worker has died.  Deterministic, unlike racing a real
+    worker death against the submit loop.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.submits = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> bool:
+        return False
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.submits > 1:
+            raise BrokenProcessPool("a worker died during submission")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _summaries(results):
+    return [json.dumps(r.metric_summary(), sort_keys=True)
+            for r in results]
+
+
 class TestSweepFaultTolerance:
     def test_transient_failure_recovers_via_serial_retry(
         self, tmp_path, monkeypatch
@@ -116,6 +152,51 @@ class TestSweepFaultTolerance:
                             use_cache=False)
         assert all(r is not None for r in results)
         assert last_sweep_failures() == []
+
+
+class TestSubmitTimePoolBreak:
+    """A pool that breaks while cells are still being submitted must not
+    escape the sweep: the cell whose submit failed and every cell after
+    it recover through the serial retry, on all three dispatch paths."""
+
+    CELLS = [_cell(), _cell("moca"), _cell("camdn-full")]
+
+    @pytest.fixture
+    def serial(self):
+        return _summaries(
+            run_sweep(self.CELLS, max_workers=1, use_cache=False)
+        )
+
+    @pytest.fixture(autouse=True)
+    def broken_pool(self, monkeypatch):
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor",
+                            _BreaksOnSecondSubmit)
+
+    @pytest.mark.parametrize("shard_size", [None, 2],
+                             ids=["per-cell", "sharded"])
+    def test_sweep_recovers_every_cell(self, serial, shard_size):
+        results = run_sweep(self.CELLS, max_workers=2, use_cache=False,
+                            shard_size=shard_size)
+        assert _summaries(results) == serial
+        assert last_sweep_failures() == []
+        assert last_sweep_stats()["failed_cells"] == 0.0
+
+    def test_campaign_recovers_every_cell(self, serial, tmp_path):
+        journal = tmp_path / "campaign.journal"
+        results = run_campaign(self.CELLS, journal, max_workers=2,
+                               use_cache=False)
+        assert _summaries(results) == serial
+        assert last_sweep_failures() == []
+        records = [json.loads(line)
+                   for line in journal.read_text().splitlines()[1:]]
+        # Every cell was journaled as started before its submission and
+        # committed once the retry succeeded.
+        assert {r["index"] for r in records
+                if r["kind"] == "start" and r["attempt"] == 0} == \
+            {0, 1, 2}
+        assert {r["index"] for r in records if r["kind"] == "done"} == \
+            {0, 1, 2}
+        assert not [r for r in records if r["kind"] == "failed"]
 
 
 class TestCorruptSweepCache:

@@ -35,6 +35,7 @@ from fuzz_faults import dump_falsifying_fault_case, fault_specs
 from fuzz_scenarios import scenario_specs
 from repro.config import SoCConfig
 from repro.experiments.common import run_scenario
+from repro.runconfig import RunConfig
 from repro.schedulers import make_scheduler
 from repro.schedulers.camdn_full import CaMDNFullScheduler
 from repro.sim.engine import MultiTenantEngine
@@ -185,12 +186,13 @@ class TestChaosSnapshotResume:
                                                    cut, policy):
         from repro.sim.snapshot import EngineSnapshot
 
-        clean = run_scenario(spec, SoCConfig(), policy, faults=faults,
-                             max_events=MAX_FUZZ_EVENTS)
+        config = RunConfig(faults=faults, max_events=MAX_FUZZ_EVENTS)
+        clean = run_scenario(spec, SoCConfig(), policy, config=config)
         at = int(clean.events_processed * cut)
-        snapped = run_scenario(spec, SoCConfig(), policy, faults=faults,
-                               max_events=MAX_FUZZ_EVENTS,
-                               snapshot_at_events=at)
+        snapped = run_scenario(
+            spec, SoCConfig(), policy,
+            config=config.replace(snapshot_at_events=at),
+        )
         snap = snapped.last_snapshot
         if snap is None:
             # Threshold fell past the last batch boundary — no moment
@@ -241,7 +243,7 @@ class TestChaosFaultFreeIdentity:
 
         clean = run_scenario(spec, SoCConfig(), "camdn-full")
         empty = run_scenario(spec, SoCConfig(), "camdn-full",
-                             faults=FaultSpec())
+                             config=RunConfig(faults=FaultSpec()))
         assert clean.events_processed == empty.events_processed
         if clean.metrics.records:
             a = json.dumps(clean.metric_summary(), sort_keys=True)

@@ -10,6 +10,7 @@ import pytest
 from repro.config import SoCConfig
 from repro.errors import SimulationError, WorkloadError
 from repro.experiments.common import run_scenario
+from repro.runconfig import RunConfig
 from repro.schedulers import make_scheduler
 from repro.schedulers.camdn_full import CaMDNFullScheduler
 from repro.sim.engine import MultiTenantEngine
@@ -176,8 +177,10 @@ class TestEmptySpecByteIdentity:
     def test_empty_spec_metric_summary_identical(self, policy, scenario):
         spec = get_scenario(scenario).scaled(0.15)
         clean = run_scenario(spec, policy=policy)
-        empty = run_scenario(spec, policy=policy, faults=FaultSpec())
-        named = run_scenario(spec, policy=policy, faults="none")
+        empty = run_scenario(spec, policy=policy,
+                             config=RunConfig(faults=FaultSpec()))
+        named = run_scenario(spec, policy=policy,
+                             config=RunConfig(faults="none"))
         a = json.dumps(clean.metric_summary(), sort_keys=True)
         b = json.dumps(empty.metric_summary(), sort_keys=True)
         c = json.dumps(named.metric_summary(), sort_keys=True)
@@ -218,7 +221,8 @@ class TestFaultSemantics:
             FaultEvent(kind=TENANT_STALL, t_s=0.05, duration_s=0.08),
         ))
         clean = run_scenario(spec, policy="baseline")
-        stalled = run_scenario(spec, policy="baseline", faults=stall)
+        stalled = run_scenario(spec, policy="baseline",
+                               config=RunConfig(faults=stall))
         assert stalled.offered_inferences < clean.offered_inferences
         assert _conserved(stalled)
 
@@ -230,7 +234,8 @@ class TestFaultSemantics:
                        cores=soc.num_npu_cores - 1),
         ))
         probe = _InvariantProbe()
-        result = run_scenario(spec, soc, probe, faults=outage)
+        result = run_scenario(spec, soc, probe,
+                              config=RunConfig(faults=outage))
         # 4 streams, 1 core left: 3 in-flight inferences preempted.
         assert result.cancelled_inferences == 3
         assert _conserved(result)
@@ -249,7 +254,8 @@ class TestFaultSemantics:
                        bw_factor=0.25),
         ))
         clean = run_scenario(spec, policy="baseline")
-        hot = run_scenario(spec, policy="baseline", faults=throttle)
+        hot = run_scenario(spec, policy="baseline",
+                           config=RunConfig(faults=throttle))
         assert hot.completed_inferences < clean.completed_inferences
         assert _conserved(hot)
 
@@ -260,7 +266,8 @@ class TestFaultSemantics:
             FaultEvent(kind=PAGE_RETIRE, t_s=0.06, pages=8),
         ))
         probe = _InvariantProbe()
-        result = run_scenario(spec, SoCConfig(), probe, faults=storm)
+        result = run_scenario(spec, SoCConfig(), probe,
+                              config=RunConfig(faults=storm))
         assert result.scheduler_stats["pages_retired"] == 24.0
         allocator = probe.system.regions.allocator
         assert allocator.retired_pages == 24
@@ -269,8 +276,9 @@ class TestFaultSemantics:
     def test_fault_events_recorded_in_trace(self):
         spec = get_scenario("steady-quad").scaled(0.25)
         result = run_scenario(
-            spec, policy="baseline", faults="thermal-throttle",
-            capture_trace=True,
+            spec, policy="baseline",
+            config=RunConfig(faults="thermal-throttle",
+                             capture_trace=True),
         )
         faults = result.event_trace.events_of("fault")
         # Two windows -> two onsets + two expiries, in time order.

@@ -144,7 +144,7 @@ class TestFusedStepBitIdentity:
     """The C step against its documented pure-Python twin."""
 
     def _kernel_with(self, rem_c, rem_d):
-        kernel = RunningKernel(force_backend="list")
+        kernel = RunningKernel()
         # Install the fluid state directly: fused_step_demand only reads
         # the rem arrays (compute rate == freq by contract).
         kernel.rem_c = list(rem_c)
@@ -196,7 +196,7 @@ class TestFusedStepBitIdentity:
             c_rem_c, c_rem_d = list(rem_c), list(rem_d)
             res_c = NATIVE(c_rem_c, c_rem_d, rate_c, rate_d, wait_dt,
                            0, 1e9, 102.4e9, 1.0, 0.0)
-            kernel = RunningKernel(force_backend="list")
+            kernel = RunningKernel()
             kernel.rem_c = list(rem_c)
             kernel.rem_d = list(rem_d)
             kernel.rate_c = list(rate_c)
@@ -231,7 +231,7 @@ class TestFusedSlackBitIdentity:
     MODES = ((2, False), (3, True))
 
     def _kernel_with(self, rem_c, rem_d, arrival, qos, est, progress):
-        kernel = RunningKernel(force_backend="list")
+        kernel = RunningKernel()
         kernel.rem_c = list(rem_c)
         kernel.rem_d = list(rem_d)
         kernel.sl_arrival = list(arrival)

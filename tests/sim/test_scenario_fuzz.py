@@ -34,6 +34,7 @@ from fuzz_scenarios import (
 )
 from repro.config import SoCConfig
 from repro.experiments.common import run_scenario
+from repro.runconfig import RunConfig
 from repro.schedulers import make_scheduler
 from repro.schedulers.camdn_full import CaMDNFullScheduler
 from repro.sim.engine import MultiTenantEngine
@@ -169,7 +170,7 @@ class TestFuzzedSnapshotResume:
         clean = run_scenario(spec, SoCConfig(), policy)
         at = int(clean.events_processed * cut)
         snapped = run_scenario(spec, SoCConfig(), policy,
-                               snapshot_at_events=at)
+                               config=RunConfig(snapshot_at_events=at))
         snap = snapped.last_snapshot
         if snap is None:
             # The threshold fell inside the final batch, past the last
@@ -208,7 +209,7 @@ class TestFuzzedCaptureReplay:
     def test_capture_replay_byte_identity(self, spec, policy):
         try:
             source = run_scenario(spec, SoCConfig(), policy,
-                                  capture_trace=True)
+                                  config=RunConfig(capture_trace=True))
             trace = source.event_trace
             replayed = run_scenario(
                 trace.replay_scenario(), SoCConfig(), policy

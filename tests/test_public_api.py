@@ -1,5 +1,11 @@
 """Tests for the package-level public API."""
 
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -14,6 +20,19 @@ class TestPackageSurface:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_import_does_not_load_numpy(self):
+        """``import repro`` pulls in no third-party packages: the
+        engine kernel is plain Python lists (plus the optional native
+        stepper), so a fresh process never pays for numpy."""
+        src = Path(repro.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('numpy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "False"
 
     def test_error_hierarchy(self):
         from repro.errors import (
@@ -166,3 +185,22 @@ class TestRunnerCLI:
             "allocator frames missing from the profile"
         assert any(f.endswith("engine.py") for f in files)
         assert "profile written to" in capsys.readouterr().out
+
+
+EXAMPLES = sorted(
+    (Path(__file__).resolve().parents[1] / "examples").glob("*.py")
+)
+
+
+class TestExamples:
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+    def test_example_imports(self, path):
+        """Every example imports cleanly (``main()`` sits behind a
+        ``__main__`` guard), so removing a public name an example still
+        uses fails here rather than in a user's hands."""
+        spec = importlib.util.spec_from_file_location(
+            f"example_{path.stem}", path
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert callable(module.main)
