@@ -262,17 +262,19 @@ def _run_campaign_cli(journal_path: str, resume: bool,
 
     from ..sim.faults import get_fault_schedule
     from ..sim.scenario import get_scenario, scenario_names
-    from .sweep import SweepCell, resume_campaign, run_campaign
+    from .sweep import (
+        CampaignJournal,
+        SweepCell,
+        resume_campaign,
+        run_campaign,
+    )
 
     reset_sweep_stats()
     if resume:
+        cells, _soc = CampaignJournal(journal_path).header()
         results = resume_campaign(journal_path, max_workers=jobs,
                                   use_cache=use_cache,
                                   deadline_s=deadline_s)
-        from .sweep import CampaignJournal
-
-        cells, _soc, _done, _failed, _started = \
-            CampaignJournal(journal_path).read()
     else:
         scenario_list = (
             scenarios.split(",") if scenarios else scenario_names()
@@ -306,10 +308,11 @@ def _run_campaign_cli(journal_path: str, resume: bool,
     return 1 if last_sweep_failures() else 0
 
 
-def _run_fleet_cli(spec_path: str, journal_path: Optional[str],
+def _run_fleet_cli(spec_path: Optional[str], journal_path: Optional[str],
                    jobs: Optional[int], use_cache: bool,
                    deadline_s: Optional[float]) -> int:
-    """Run a fleet described by a JSON spec file.
+    """Run a fleet described by a JSON spec file, or resume a journaled
+    one from its journal + sidecar when ``spec_path`` is ``None``.
 
     With ``journal_path`` the fleet runs under the crash-safe campaign
     journal (plus the ``.fleet.json`` sidecar) so ``--resume`` can pick
@@ -321,33 +324,18 @@ def _run_fleet_cli(spec_path: str, journal_path: Optional[str],
     import json
 
     from ..core.serialize import fleet_spec_from_dict
-    from ..fleet.runner import run_fleet
+    from ..fleet.runner import resume_fleet, run_fleet
 
     reset_sweep_stats()
-    with open(spec_path, encoding="utf-8") as fh:
-        spec = fleet_spec_from_dict(json.load(fh))
-    result = run_fleet(spec, journal_path=journal_path,
-                       max_workers=jobs, use_cache=use_cache,
-                       deadline_s=deadline_s)
-    print(json.dumps({"fleet": result.fleet_summary()},
-                     sort_keys=True))
-    stats_line = _engine_stats_line()
-    if stats_line:
-        print(stats_line)
-    return 1 if result.failures else 0
-
-
-def _resume_fleet_cli(journal_path: str, jobs: Optional[int],
-                      use_cache: bool,
-                      deadline_s: Optional[float]) -> int:
-    """Resume a journaled fleet from its journal + sidecar."""
-    import json
-
-    from ..fleet.runner import resume_fleet
-
-    reset_sweep_stats()
-    result = resume_fleet(journal_path, max_workers=jobs,
-                          use_cache=use_cache, deadline_s=deadline_s)
+    if spec_path is None:
+        result = resume_fleet(journal_path, max_workers=jobs,
+                              use_cache=use_cache, deadline_s=deadline_s)
+    else:
+        with open(spec_path, encoding="utf-8") as fh:
+            spec = fleet_spec_from_dict(json.load(fh))
+        result = run_fleet(spec, journal_path=journal_path,
+                           max_workers=jobs, use_cache=use_cache,
+                           deadline_s=deadline_s)
     print(json.dumps({"fleet": result.fleet_summary()},
                      sort_keys=True))
     stats_line = _engine_stats_line()
@@ -557,34 +545,27 @@ def main(argv=None) -> int:
             code = _run_replay(args.replay_trace, args.policy)
         _dump_profile(profiler, args.profile)
         return code
-    if args.fleet is not None:
-        if args.resume is not None:
-            parser.error("--fleet starts a new fleet; use --resume "
-                         "FILE alone to pick one back up")
+    from ..fleet.runner import fleet_sidecar_path
+
+    if args.fleet is not None and args.resume is not None:
+        parser.error("--fleet starts a new fleet; use --resume "
+                     "FILE alone to pick one back up")
+    if args.resume is not None and args.campaign is not None:
+        parser.error("--campaign and --resume are mutually exclusive")
+    if args.fleet is not None or (
+        args.resume is not None
+        and fleet_sidecar_path(args.resume).exists()
+    ):
         with _profiled(profiler):
             code = _run_fleet_cli(
                 args.fleet,
-                journal_path=args.campaign,
+                journal_path=args.campaign or args.resume,
                 jobs=jobs,
                 use_cache=use_cache,
                 deadline_s=args.deadline_s,
             )
         _dump_profile(profiler, args.profile)
         return 0 if args.keep_going else code
-    if args.resume is not None:
-        from ..fleet.runner import fleet_sidecar_path
-
-        if args.campaign is not None:
-            parser.error("--campaign and --resume are mutually "
-                         "exclusive")
-        if fleet_sidecar_path(args.resume).exists():
-            with _profiled(profiler):
-                code = _resume_fleet_cli(
-                    args.resume, jobs=jobs, use_cache=use_cache,
-                    deadline_s=args.deadline_s,
-                )
-            _dump_profile(profiler, args.profile)
-            return 0 if args.keep_going else code
     if args.campaign is not None or args.resume is not None:
         with _profiled(profiler):
             code = _run_campaign_cli(

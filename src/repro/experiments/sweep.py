@@ -11,7 +11,8 @@ across processes.
 :func:`run_sweep` executes a list of :class:`SweepCell` descriptions and
 returns one :class:`~repro.sim.engine.SimulationResult` per cell, in cell
 order regardless of completion order, so results are deterministic under
-any worker count.
+any worker count.  :func:`run_campaign` does the same under a crash-safe
+journal; both share one executor, and only sweeps batch cells in shards.
 
 Two cache layers remove redundant work:
 
@@ -238,9 +239,9 @@ def cell_cache_key(cell: SweepCell, soc: SoCConfig) -> str:
     })
 
 
-def clear_sweep_cache(cache_dir: Optional[Path] = None) -> int:
+def clear_sweep_cache() -> int:
     """Delete all cached cell results; returns the number removed."""
-    cache_dir = cache_dir or default_cache_dir()
+    cache_dir = default_cache_dir()
     if cache_dir is None or not cache_dir.is_dir():
         return 0
     removed = 0
@@ -296,30 +297,34 @@ def _store_cached(path: Path, result: SimulationResult) -> None:
 # Execution
 # ----------------------------------------------------------------------
 
-#: Statistics of the most recent run_sweep call in this process (the
+#: Statistics of the most recent sweep or campaign in this process (the
 #: runner surfaces these as its events/sec observability line).
 _LAST_STATS: Dict[str, float] = {}
 
-#: Per-cell failure records of the most recent run_sweep call: cells
-#: whose simulation raised twice (initial attempt plus the serial
-#: retry).  Each entry: ``{"index", "policy", "error"}``.
+#: Per-cell failure records of the most recent sweep or campaign, in
+#: cell order: cells whose simulation raised on every attempt.  Each
+#: entry: ``{"index", "policy", "error"}``.
 _LAST_FAILURES: List[Dict[str, object]] = []
 
-#: Pause before retrying a failed cell serially in the parent, giving
-#: transient conditions (a dying worker, memory pressure) time to clear.
+#: Base pause before a serial retry in the parent, giving transient
+#: conditions (a dying worker, memory pressure) time to clear.
 RETRY_BACKOFF_S = 0.05
+
+#: Serial retry attempts per cell after its first failure.
+DEFAULT_CELL_RETRIES = 1
 
 
 def last_sweep_stats() -> Dict[str, float]:
-    """``{cells, cached_cells, events, sim_wall_s, events_per_s,
-    failed_cells}`` of the latest :func:`run_sweep` call (empty before
-    the first sweep)."""
+    """``{cells, cached_cells, recovered_cells, events, sim_wall_s,
+    events_per_s, failed_cells}`` of the latest sweep or campaign (empty
+    before the first).  ``recovered_cells`` counts cells a resumed
+    campaign reloaded from its journal; it is 0 for sweeps."""
     return dict(_LAST_STATS)
 
 
 def last_sweep_failures() -> List[Dict[str, object]]:
-    """Cells of the latest sweep that failed both their initial run and
-    the serial retry (empty on a fully successful sweep)."""
+    """Cells of the latest sweep or campaign that failed every attempt,
+    in cell order (empty on a fully successful run)."""
     return [dict(f) for f in _LAST_FAILURES]
 
 
@@ -338,7 +343,7 @@ def _run_cell(args: tuple) -> SimulationResult:
     on any pool worker.  ``deadline_s`` arms the engine's wall-clock
     watchdog: a cell that hangs is killed by a diagnostic
     :class:`~repro.errors.SimulationError` instead of stalling the
-    sweep (the campaign runner retries it with backoff).
+    campaign (which retries it with backoff).
     """
     cell, soc, deadline_s = args
     if cell.cache_bytes is not None:
@@ -396,13 +401,150 @@ def _submit_all(pool: ProcessPoolExecutor, fn: Callable,
     return futures
 
 
-def _attempt_cell(item: tuple
-                  ) -> Tuple[Optional[SimulationResult], Optional[str]]:
-    """Run one cell in-process, capturing any exception as a string."""
-    try:
-        return _run_cell(item), None
-    except Exception as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+def _retry_backoff_s(index: int, attempt: int) -> float:
+    """Jittered, deterministic backoff before retrying one cell.
+
+    Seeded by (cell, attempt) so concurrent campaigns de-synchronize
+    their retries without making any run irreproducible.
+    """
+    rng = random.Random(f"retry:{index}:{attempt}")
+    return RETRY_BACKOFF_S * attempt * rng.uniform(0.5, 1.5)
+
+
+def _execute(
+    cells: List[SweepCell],
+    soc: SoCConfig,
+    journal: Optional[CampaignJournal],
+    done: Dict[int, SimulationResult],
+    max_workers: Optional[int],
+    use_cache: bool,
+    deadline_s: Optional[float],
+    shard_size: Optional[int],
+) -> List[Optional[SimulationResult]]:
+    """Run every cell not already in ``done``; results in cell order.
+
+    The one executor behind :func:`run_sweep` (``journal=None``) and the
+    campaign runners.  Each cell settles the moment its attempt ends: a
+    failure is retried serially in the parent, a success is cached and,
+    under a journal, committed, so a crash loses at most the cells in
+    flight.  The stats and failure globals are written once, at the end.
+    """
+    results: List[Optional[SimulationResult]] = [
+        done.get(i) for i in range(len(cells))
+    ]
+    cache_dir = default_cache_dir() if use_cache else None
+    keys: Dict[int, str] = {}
+    if cache_dir is not None:
+        for i, cell in enumerate(cells):
+            if results[i] is not None:
+                continue
+            keys[i] = cell_cache_key(cell, soc)
+            results[i] = _load_cached(cache_dir / f"{keys[i]}.json")
+            if results[i] is not None and journal is not None:
+                # Hits are journaled like computed results, so the
+                # journal alone always describes the full grid.
+                journal.record_start(i, 0)
+                journal.record_done(i, results[i])
+    pending = [i for i, r in enumerate(results) if r is None]
+    failures: List[Dict[str, object]] = []
+
+    def attempt(i: int, n: int
+                ) -> Tuple[Optional[SimulationResult], Optional[str]]:
+        """Journal and run attempt ``n`` of cell ``i`` in-process."""
+        if journal is not None:
+            journal.record_start(i, n)
+        try:
+            return _run_cell((cells[i], soc, deadline_s)), None
+        except Exception as exc:
+            return None, f"{type(exc).__name__}: {exc}"
+
+    def settle(i: int, result: Optional[SimulationResult],
+               error: Optional[str]) -> None:
+        for n in range(1, DEFAULT_CELL_RETRIES + 1):
+            if result is not None:
+                break
+            _LOG.warning("cell %d (%s) failed: %s; retry %d/%d", i,
+                         cells[i].policy, error, n, DEFAULT_CELL_RETRIES)
+            time.sleep(_retry_backoff_s(i, n))
+            result, error = attempt(i, n)
+        if result is None:
+            if journal is not None:
+                journal.record_failed(i, error)
+            failures.append({"index": i, "policy": cells[i].policy,
+                             "error": error})
+            return
+        if journal is not None:
+            journal.record_done(i, result)
+        results[i] = result
+        if i in keys:
+            _store_cached(cache_dir / f"{keys[i]}.json", result)
+
+    workers = max_workers
+    if workers is None:
+        workers = min(len(pending), os.cpu_count() or 1)
+    if workers <= 1 or len(pending) <= 1:
+        for i in pending:
+            settle(i, *attempt(i, 0))
+    else:
+        sharded = shard_size is not None and shard_size > 1
+        step = shard_size if sharded else 1
+        batches = [pending[k:k + step]
+                   for k in range(0, len(pending), step)]
+
+        def submissions():
+            # The start record hits the disk before the attempt is
+            # submitted: a crash during the cell leaves it visibly in
+            # flight, so resume re-runs it.
+            for batch in batches:
+                for i in batch:
+                    if journal is not None:
+                        journal.record_start(i, 0)
+                shard = [cells[i] for i in batch]
+                yield (shard if sharded else shard[0]), soc, deadline_s
+
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_warm_worker,
+            initargs=(SubspaceSolver.export_solve_memo(),),
+        ) as pool:
+            # One future per cell or shard (not pool.map), so a raising
+            # cell or a worker death fails only its own future.
+            futures = dict(zip(_submit_all(
+                pool, _run_cell_shard if sharded else _run_cell,
+                submissions(),
+            ), batches))
+            for future in as_completed(futures):
+                batch = futures[future]
+                try:
+                    out = future.result()
+                except Exception as exc:
+                    # A failed shard fails all its cells; the per-cell
+                    # retry then isolates the real culprit.
+                    for i in batch:
+                        settle(i, None, f"{type(exc).__name__}: {exc}")
+                    continue
+                for i, result in zip(batch, out if sharded else [out]):
+                    settle(i, result, None)
+
+    final = [r for r in results if r is not None]
+    fresh = [results[i] for i in pending if results[i] is not None]
+    fresh_wall = sum(r.wall_time_s for r in fresh)
+    fresh_events = sum(r.events_processed for r in fresh)
+    # Completion order is nondeterministic under a pool; report
+    # failures in cell order.
+    _LAST_FAILURES[:] = sorted(failures, key=lambda f: f["index"])
+    _LAST_STATS.clear()
+    _LAST_STATS.update({
+        "cells": len(final),
+        "cached_cells": len(cells) - len(pending) - len(done),
+        "recovered_cells": float(len(done)),
+        "events": sum(r.events_processed for r in final),
+        "sim_wall_s": fresh_wall,
+        "events_per_s":
+            fresh_events / fresh_wall if fresh_wall > 0 else 0.0,
+        "failed_cells": float(len(failures)),
+    })
+    return results
 
 
 def run_sweep(
@@ -410,7 +552,6 @@ def run_sweep(
     soc: Optional[SoCConfig] = None,
     max_workers: Optional[int] = None,
     use_cache: bool = True,
-    cache_dir: Optional[Path] = None,
     shard_size: Optional[int] = None,
 ) -> List[Optional[SimulationResult]]:
     """Run every cell and return results in cell order.
@@ -422,142 +563,31 @@ def run_sweep(
         max_workers: process count.  ``None`` picks
             ``min(len(cells), cpu_count)``; values <= 1 (or a single cell,
             or a single-core host) run serially in-process.
-        use_cache: consult/populate the persistent cell cache.
-        cache_dir: cache location override (default: see
+        use_cache: consult/populate the persistent cell cache (see
             :func:`default_cache_dir` / ``REPRO_SWEEP_CACHE_DIR``).
         shard_size: batch this many cells per worker dispatch (fleet
             grids of thousands of tiny cells amortize pickling/IPC this
             way).  ``None`` or 1 keeps per-cell dispatch.  Results are
             byte-identical either way; a failing shard falls back to
-            per-cell execution so one bad cell cannot take down its
-            shard-mates.
+            per-cell retries so one bad cell cannot take down its
+            shard-mates.  Only ephemeral sweeps shard: campaigns
+            journal and dispatch every cell on its own.
 
     Each cell is simulated by a deterministic closed-loop engine run, so
     the results are identical whichever worker executes them — or whether
     they come from the cache at all.
 
     The sweep is fault tolerant: a cell whose simulation raises — or
-    whose pool worker dies — does not abort the sweep.  The failure is
-    captured, the cell is retried once serially in the parent after a
-    short backoff, and a cell that fails twice is reported through
+    whose pool worker dies — does not abort the sweep.  As soon as its
+    attempt fails, the cell is retried serially in the parent after a
+    short jittered backoff (:data:`DEFAULT_CELL_RETRIES` times), and a
+    cell that fails every attempt is reported through
     :func:`last_sweep_failures` (and the ``failed_cells`` stat) with a
     ``None`` placeholder at its position in the returned list.  Fully
     successful sweeps (the normal case) contain no ``None`` entries.
     """
-    soc = soc or SoCConfig()
-    cells = list(cells)
-    results: List[Optional[SimulationResult]] = [None] * len(cells)
-
-    cache_path: Optional[Path] = None
-    keys: List[Optional[str]] = [None] * len(cells)
-    if use_cache:
-        cache_path = cache_dir or default_cache_dir()
-    if cache_path is not None:
-        for i, cell in enumerate(cells):
-            keys[i] = cell_cache_key(cell, soc)
-            results[i] = _load_cached(cache_path / f"{keys[i]}.json")
-
-    misses = [i for i, r in enumerate(results) if r is None]
-    _LAST_FAILURES.clear()
-    if misses:
-        work = [(cells[i], soc, None) for i in misses]
-        if max_workers is None:
-            max_workers = min(len(work), os.cpu_count() or 1)
-        fresh: List[Optional[SimulationResult]]
-        errors: List[Optional[str]]
-        if max_workers <= 1 or len(work) <= 1:
-            fresh, errors = [], []
-            for item in work:
-                result, error = _attempt_cell(item)
-                fresh.append(result)
-                errors.append(error)
-        else:
-            with ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=_warm_worker,
-                initargs=(SubspaceSolver.export_solve_memo(),),
-            ) as pool:
-                if shard_size is not None and shard_size > 1:
-                    # Batched dispatch: one future per shard.  A shard
-                    # that raises (one bad cell, a dying worker) marks
-                    # all its cells failed here; the per-cell serial
-                    # retry below then isolates the real culprit.
-                    shards = [work[k:k + shard_size]
-                              for k in range(0, len(work), shard_size)]
-                    futures = _submit_all(pool, _run_cell_shard, [
-                        ([c for c, _, _ in shard], soc, None)
-                        for shard in shards
-                    ])
-                    fresh, errors = [], []
-                    for shard, future in zip(shards, futures):
-                        try:
-                            batch = future.result()
-                            fresh.extend(batch)
-                            errors.extend([None] * len(batch))
-                        except Exception as exc:
-                            fresh.extend([None] * len(shard))
-                            errors.extend(
-                                [f"{type(exc).__name__}: {exc}"]
-                                * len(shard)
-                            )
-                else:
-                    # Per-cell futures (not pool.map) so one raising
-                    # cell — or a worker death breaking the pool —
-                    # surfaces as that cell's failure instead of
-                    # aborting the whole sweep.
-                    futures = _submit_all(pool, _run_cell, work)
-                    fresh, errors = [], []
-                    for future in futures:
-                        try:
-                            fresh.append(future.result())
-                            errors.append(None)
-                        except Exception as exc:
-                            fresh.append(None)
-                            errors.append(f"{type(exc).__name__}: {exc}")
-        # One serial retry in the parent: transient failures (a worker
-        # OOM-killed, a flaky filesystem) recover; deterministic ones
-        # fail again and are reported instead of raised.
-        for j, i in enumerate(misses):
-            if fresh[j] is not None:
-                continue
-            _LOG.warning(
-                "sweep cell %d (%s) failed: %s; retrying serially",
-                i, cells[i].policy, errors[j],
-            )
-            time.sleep(RETRY_BACKOFF_S)
-            result, error = _attempt_cell(work[j])
-            if result is not None:
-                fresh[j] = result
-                continue
-            _LOG.warning("sweep cell %d (%s) failed twice: %s",
-                         i, cells[i].policy, error)
-            _LAST_FAILURES.append({
-                "index": i,
-                "policy": cells[i].policy,
-                "error": error,
-            })
-        for i, result in zip(misses, fresh):
-            if result is None:
-                continue
-            results[i] = result
-            if cache_path is not None:
-                _store_cached(cache_path / f"{keys[i]}.json", result)
-
-    final = [r for r in results if r is not None]
-    done = [results[i] for i in misses if results[i] is not None]
-    fresh_wall = sum(r.wall_time_s for r in done)
-    fresh_events = sum(r.events_processed for r in done)
-    _LAST_STATS.clear()
-    _LAST_STATS.update({
-        "cells": len(final),
-        "cached_cells": len(cells) - len(misses),
-        "events": sum(r.events_processed for r in final),
-        "sim_wall_s": fresh_wall,
-        "events_per_s":
-            fresh_events / fresh_wall if fresh_wall > 0 else 0.0,
-        "failed_cells": float(len(_LAST_FAILURES)),
-    })
-    return results
+    return _execute(list(cells), soc or SoCConfig(), None, {},
+                    max_workers, use_cache, None, shard_size)
 
 
 # ----------------------------------------------------------------------
@@ -566,19 +596,6 @@ def run_sweep(
 
 #: Journal format version; bump on any record-shape change.
 CAMPAIGN_SCHEMA_VERSION = 1
-
-#: Cap on serial retry attempts per cell after its first failure.
-DEFAULT_CELL_RETRIES = 1
-
-
-def _retry_backoff_s(index: int, attempt: int) -> float:
-    """Jittered, deterministic backoff before retrying one cell.
-
-    Seeded by (cell, attempt) so concurrent campaigns de-synchronize
-    their retries without making any run irreproducible.
-    """
-    rng = random.Random(f"retry:{index}:{attempt}")
-    return RETRY_BACKOFF_S * attempt * rng.uniform(0.5, 1.5)
 
 
 def _cell_to_journal(cell: SweepCell) -> dict:
@@ -647,17 +664,21 @@ class CampaignJournal:
             fh.flush()
             os.fsync(fh.fileno())
 
+    def _open(self):
+        try:
+            return open(self.path, encoding="utf-8", errors="replace")
+        except OSError as exc:
+            raise WorkloadError(
+                f"cannot read campaign journal {self.path}: {exc}"
+            ) from exc
+
     @classmethod
     def create(cls, path, cells: Sequence[SweepCell],
                soc: SoCConfig) -> "CampaignJournal":
         """Start a new journal (refusing to clobber an existing one)."""
         journal = cls(path)
+        journal.refuse_existing()
         journal.path.parent.mkdir(parents=True, exist_ok=True)
-        if journal.path.exists():
-            raise WorkloadError(
-                f"campaign journal {journal.path} already exists; "
-                f"resume it (--resume) or remove it first"
-            )
         journal._append({
             "kind": "header",
             "campaign_schema_version": CAMPAIGN_SCHEMA_VERSION,
@@ -666,6 +687,15 @@ class CampaignJournal:
             "cells": [_cell_to_journal(cell) for cell in cells],
         })
         return journal
+
+    def refuse_existing(self) -> None:
+        """Raise :class:`WorkloadError` if the journal exists: a new
+        campaign never clobbers one that can still be resumed."""
+        if self.path.exists():
+            raise WorkloadError(
+                f"campaign journal {self.path} already exists; "
+                f"resume it (--resume) or remove it first"
+            )
 
     def record_start(self, index: int, attempt: int) -> None:
         self._append({"kind": "start", "index": index,
@@ -696,53 +726,60 @@ class CampaignJournal:
         """The committed result of one cell, or ``None``."""
         return _load_cached(self.result_dir / f"{index}.json")
 
-    def read(self) -> tuple:
-        """Parse the journal: ``(cells, soc, done, failed, started)``.
+    def header(self) -> Tuple[List[SweepCell], SoCConfig]:
+        """The cell grid and SoC recorded in the journal's header.
 
-        ``done`` maps cell index to its reloaded result; ``failed`` maps
-        index to the last error string; ``started`` is every index with
-        at least one attempt on record.  A torn final line (crash
-        mid-append) ends the readable prefix and is ignored.
+        Reads the first line only and loads no result, so checking what
+        a journal holds costs one header decode, not a replay.
 
         Raises:
             WorkloadError: the file is unreadable, not a campaign
                 journal, or an unsupported schema version.
         """
+        with self._open() as fh:
+            first = fh.readline()
         try:
-            raw = self.path.read_text(encoding="utf-8",
-                                      errors="replace")
-        except OSError as exc:
-            raise WorkloadError(
-                f"cannot read campaign journal {self.path}: {exc}"
-            ) from exc
-        records = []
-        for line in raw.splitlines():
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                # Append-only file: everything before the torn tail is
-                # intact; the interrupted attempt simply re-runs.
-                break
-        if not records or not isinstance(records[0], dict) \
-                or records[0].get("kind") != "header":
-            raise WorkloadError(
-                f"{self.path} is not a campaign journal"
-            )
-        header = records[0]
+            header = json.loads(first)
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("kind") != "header":
+            raise WorkloadError(f"{self.path} is not a campaign journal")
         version = header.get("campaign_schema_version")
         if version != CAMPAIGN_SCHEMA_VERSION:
             raise WorkloadError(
                 f"unsupported campaign journal schema {version!r} "
                 f"(expected {CAMPAIGN_SCHEMA_VERSION})"
             )
-        cells = [_cell_from_journal(d) for d in header["cells"]]
-        soc = soc_config_from_dict(header["soc"])
+        return ([_cell_from_journal(d) for d in header["cells"]],
+                soc_config_from_dict(header["soc"]))
+
+    def read(self) -> tuple:
+        """Parse the journal: ``(cells, soc, done, failed, started)``.
+
+        ``cells`` and ``soc`` come from :meth:`header`.  ``done`` maps
+        cell index to its reloaded result; ``failed`` maps index to the
+        last error string; ``started`` is every index with at least one
+        attempt on record.  A torn final line (crash mid-append) ends
+        the readable prefix and is ignored.
+
+        Raises:
+            WorkloadError: as :meth:`header`.
+        """
+        cells, soc = self.header()
+        with self._open() as fh:
+            lines = fh.read().splitlines()[1:]
         done: Dict[int, SimulationResult] = {}
         failed: Dict[int, str] = {}
         started = set()
-        for rec in records[1:]:
+        for line in lines:
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                # Append-only file: everything before the torn tail is
+                # intact; the interrupted attempt simply re-runs.
+                break
             kind = rec.get("kind")
             index = rec.get("index")
             if not isinstance(index, int) or not 0 <= index < len(cells):
@@ -771,7 +808,6 @@ def run_campaign(
     max_workers: Optional[int] = None,
     use_cache: bool = True,
     deadline_s: Optional[float] = None,
-    retries: int = DEFAULT_CELL_RETRIES,
 ) -> List[Optional[SimulationResult]]:
     """Run a cell grid under a crash-safe write-ahead journal.
 
@@ -780,7 +816,8 @@ def run_campaign(
     is committed atomically as it lands, and a campaign killed at any
     instant resumes from the journal with :func:`resume_campaign`,
     skipping completed cells and re-running in-flight ones — producing a
-    result grid byte-identical to an uninterrupted campaign.
+    result grid byte-identical to an uninterrupted campaign.  Failed
+    cells are retried and reported as in :func:`run_sweep`.
 
     Args:
         cells: the grid points to simulate.
@@ -793,13 +830,12 @@ def run_campaign(
         deadline_s: per-cell wall-clock watchdog — a cell exceeding it
             is killed (diagnostic engine error) and retried with
             jittered backoff like any other failure.
-        retries: serial retry attempts per failed cell.
     """
     soc = soc or SoCConfig()
     cells = list(cells)
     journal = CampaignJournal.create(journal_path, cells, soc)
-    return _drive_campaign(journal, cells, soc, {}, max_workers,
-                           use_cache, deadline_s, retries)
+    return _execute(cells, soc, journal, {}, max_workers, use_cache,
+                    deadline_s, None)
 
 
 def resume_campaign(
@@ -807,7 +843,6 @@ def resume_campaign(
     max_workers: Optional[int] = None,
     use_cache: bool = True,
     deadline_s: Optional[float] = None,
-    retries: int = DEFAULT_CELL_RETRIES,
 ) -> List[Optional[SimulationResult]]:
     """Resume a crashed (or previously failed) campaign from its journal.
 
@@ -821,121 +856,5 @@ def resume_campaign(
     """
     journal = CampaignJournal(journal_path)
     cells, soc, done, _failed, _started = journal.read()
-    return _drive_campaign(journal, cells, soc, done, max_workers,
-                           use_cache, deadline_s, retries)
-
-
-def _drive_campaign(
-    journal: CampaignJournal,
-    cells: List[SweepCell],
-    soc: SoCConfig,
-    done: Dict[int, SimulationResult],
-    max_workers: Optional[int],
-    use_cache: bool,
-    deadline_s: Optional[float],
-    retries: int,
-) -> List[Optional[SimulationResult]]:
-    results: List[Optional[SimulationResult]] = [
-        done.get(i) for i in range(len(cells))
-    ]
-    recovered = sum(1 for r in results if r is not None)
-
-    cache_path = default_cache_dir() if use_cache else None
-    keys: List[Optional[str]] = [None] * len(cells)
-    if cache_path is not None:
-        for i, cell in enumerate(cells):
-            if results[i] is not None:
-                continue
-            keys[i] = cell_cache_key(cell, soc)
-            cached = _load_cached(cache_path / f"{keys[i]}.json")
-            if cached is not None:
-                journal.record_start(i, 0)
-                journal.record_done(i, cached)
-                results[i] = cached
-
-    pending = [i for i, r in enumerate(results) if r is None]
-    _LAST_FAILURES.clear()
-    if pending:
-        work = {i: (cells[i], soc, deadline_s) for i in pending}
-
-        def settle(i: int, result, error) -> None:
-            # Commit (or retry) one cell the moment its attempt ends —
-            # a crash loses at most the cells literally in flight.
-            for attempt in range(1, retries + 1):
-                if result is not None:
-                    break
-                _LOG.warning(
-                    "campaign cell %d (%s) failed: %s; retry %d/%d",
-                    i, cells[i].policy, error, attempt, retries,
-                )
-                time.sleep(_retry_backoff_s(i, attempt))
-                journal.record_start(i, attempt)
-                result, error = _attempt_cell(work[i])
-            if result is not None:
-                journal.record_done(i, result)
-                results[i] = result
-                if cache_path is not None and keys[i] is not None:
-                    _store_cached(cache_path / f"{keys[i]}.json",
-                                  result)
-            else:
-                journal.record_failed(i, error)
-                _LAST_FAILURES.append({
-                    "index": i,
-                    "policy": cells[i].policy,
-                    "error": error,
-                })
-
-        workers = max_workers
-        if workers is None:
-            workers = min(len(pending), os.cpu_count() or 1)
-        if workers <= 1 or len(pending) <= 1:
-            for i in pending:
-                journal.record_start(i, 0)
-                result, error = _attempt_cell(work[i])
-                settle(i, result, error)
-        else:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_warm_worker,
-                initargs=(SubspaceSolver.export_solve_memo(),),
-            ) as pool:
-                def started():
-                    # The start record hits the disk before the attempt
-                    # is submitted: a crash during the cell leaves it
-                    # visibly in flight, so resume re-runs it.
-                    for i in pending:
-                        journal.record_start(i, 0)
-                        yield work[i]
-
-                futures = dict(zip(
-                    _submit_all(pool, _run_cell, started()), pending
-                ))
-                for future in as_completed(futures):
-                    i = futures[future]
-                    try:
-                        result, error = future.result(), None
-                    except Exception as exc:
-                        result, error = (
-                            None, f"{type(exc).__name__}: {exc}"
-                        )
-                    settle(i, result, error)
-        # Completion order is nondeterministic under a pool; report
-        # failures in cell order.
-        _LAST_FAILURES.sort(key=lambda f: f["index"])
-
-    final = [r for r in results if r is not None]
-    fresh = [results[i] for i in pending if results[i] is not None]
-    fresh_wall = sum(r.wall_time_s for r in fresh)
-    fresh_events = sum(r.events_processed for r in fresh)
-    _LAST_STATS.clear()
-    _LAST_STATS.update({
-        "cells": len(final),
-        "cached_cells": len(cells) - len(pending) - recovered,
-        "recovered_cells": float(recovered),
-        "events": sum(r.events_processed for r in final),
-        "sim_wall_s": fresh_wall,
-        "events_per_s":
-            fresh_events / fresh_wall if fresh_wall > 0 else 0.0,
-        "failed_cells": float(len(_LAST_FAILURES)),
-    })
-    return results
+    return _execute(cells, soc, journal, done, max_workers, use_cache,
+                    deadline_s, None)

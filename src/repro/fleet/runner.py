@@ -5,13 +5,14 @@ campaign cells and runs them through the existing sweep machinery:
 
 * **Ephemeral fleets** (``journal_path=None``) go through
   :func:`~repro.experiments.sweep.run_sweep` with shard batching, so
-  thousands of tiny device cells amortize worker dispatch.
+  thousands of tiny device cells amortize worker dispatch.  Shards
+  apply only here.
 * **Journaled fleets** go through the crash-safe campaign runner
-  (:func:`~repro.experiments.sweep.run_campaign`); a ``.fleet.json``
-  sidecar written next to the journal records the spec (plus its
-  content hash), so :func:`resume_fleet` — or ``--resume`` on the CLI —
-  picks a SIGKILLed fleet back up and produces the byte-identical
-  population summary.
+  (:func:`~repro.experiments.sweep.run_campaign`), which journals and
+  dispatches every cell on its own; a ``.fleet.json`` sidecar written
+  next to the journal records the spec (plus its content hash), so
+  :func:`resume_fleet` — or ``--resume`` on the CLI — picks a SIGKILLed
+  fleet back up and produces the byte-identical population summary.
 
 Aggregation always folds per-device summaries in canonical cell order
 (the order :meth:`FleetSpec.expand` emits), which is what makes fleet
@@ -34,6 +35,7 @@ from ..core.serialize import (
 )
 from ..errors import WorkloadError
 from ..experiments.sweep import (
+    CampaignJournal,
     last_sweep_failures,
     resume_campaign,
     run_campaign,
@@ -161,7 +163,8 @@ def run_fleet(
             cell count; ``1`` forces serial in-process execution).
         use_cache: consult/populate the persistent cell cache.
         deadline_s: per-cell wall-clock watchdog (journaled fleets).
-        shard_size: cells per worker dispatch on the ephemeral path.
+        shard_size: cells per worker dispatch on the ephemeral path
+            (journaled fleets dispatch per cell).
         max_bins: accuracy/memory budget of the population digests.
 
     Returns:
@@ -170,6 +173,9 @@ def run_fleet(
     """
     cells = spec.expand()
     if journal_path is not None:
+        # Refuse before writing the sidecar, so a refused run leaves
+        # the existing fleet's sidecar, and its resume, intact.
+        CampaignJournal(journal_path).refuse_existing()
         write_fleet_sidecar(journal_path, spec)
         results = run_campaign(
             cells, journal_path, soc=soc, max_workers=max_workers,
@@ -198,18 +204,20 @@ def resume_fleet(
     run.
 
     Raises:
-        WorkloadError: the journal or its fleet sidecar is unreadable.
+        WorkloadError: the journal or its fleet sidecar is unreadable,
+            or the journal's cells are not the ones the sidecar's spec
+            expands to (checked before any cell runs).
     """
     spec = read_fleet_sidecar(journal_path)
+    cells, _soc = CampaignJournal(journal_path).header()
+    if cells != spec.expand():
+        raise WorkloadError(
+            f"fleet journal {journal_path} does not hold the cells its "
+            f"sidecar spec expands to ({len(cells)} in the journal, "
+            f"{spec.num_cells} in the spec); journal and sidecar disagree"
+        )
     results = resume_campaign(
         journal_path, max_workers=max_workers, use_cache=use_cache,
         deadline_s=deadline_s,
     )
-    expected = spec.num_cells
-    if len(results) != expected:
-        raise WorkloadError(
-            f"fleet journal {journal_path} holds {len(results)} cells "
-            f"but the sidecar spec expands to {expected}; journal and "
-            f"sidecar disagree"
-        )
     return _aggregate(spec, results, max_bins)

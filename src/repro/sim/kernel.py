@@ -179,8 +179,7 @@ class RunningKernel:
 
     def take_finished(self, positions: List[int]) -> List["TaskInstance"]:
         """Write the given positions' fluid state back and return their
-        instances (fused :meth:`sync_positions` + snapshot; positions
-        must be current, i.e. pre-mutation)."""
+        instances (positions must be current, i.e. pre-mutation)."""
         insts = self.insts
         out = []
         append = out.append
@@ -191,15 +190,6 @@ class RunningKernel:
             inst.rem_dram_bytes = rem_d[i]
             append(inst)
         return out
-
-    def sync_positions(self, positions: List[int]) -> None:
-        """Write the given positions' fluid state back to their
-        instances (positions must be current, i.e. pre-mutation)."""
-        rem_c, rem_d = self.rem_c, self.rem_d
-        for i in positions:
-            inst = self.insts[i]
-            inst.rem_compute_cycles = rem_c[i]
-            inst.rem_dram_bytes = rem_d[i]
 
     def sync_all(self) -> None:
         """Write every instance's fluid state back to its attributes."""

@@ -204,7 +204,7 @@ class TestCampaignRun:
         reference = run_sweep(cells, max_workers=1, use_cache=False)
         monkeypatch.setattr(sweep, "_run_cell", _always_fail)
         results = run_campaign(cells, tmp_path / "j", max_workers=1,
-                               use_cache=False, retries=0)
+                               use_cache=False)
         assert results == [None, None]
         assert last_sweep_stats()["failed_cells"] == 2.0
         _c, _s, _done, failed, _started = \

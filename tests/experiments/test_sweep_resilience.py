@@ -1,16 +1,19 @@
 """Sweep fault tolerance and corrupt-cache recovery.
 
-A sweep must survive its workers: a cell whose simulation raises — or
-whose pool worker dies outright — is retried once serially in the
-parent, and a deterministic failure is *reported* (``None`` placeholder
-plus :func:`last_sweep_failures`) instead of aborting the grid.  The
-persistent result cache must survive its disk: garbage bytes in an
-entry are detected, logged, invalidated and rebuilt transparently.
+A sweep or campaign must survive its workers: a cell whose simulation
+raises — or whose pool worker dies outright — is retried serially in
+the parent, and a deterministic failure is *reported* (``None``
+placeholder plus :func:`last_sweep_failures`, in cell order) instead of
+aborting the grid.  The persistent result cache must survive its disk:
+garbage bytes in an entry are detected, logged, invalidated and rebuilt
+transparently.
 """
 
+import functools
 import json
 import logging
 import os
+import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -72,6 +75,19 @@ class _DieOnceInWorker:
         return _REAL_RUN_CELL(item)
 
 
+class _FailAfter:
+    """Raise for every cell after a per-policy delay, so a later cell
+    can fail before an earlier one."""
+
+    def __init__(self, delays) -> None:
+        self.delays = delays
+
+    def __call__(self, item):
+        policy = item[0].policy
+        time.sleep(self.delays[policy])
+        raise RuntimeError(f"injected failure ({policy})")
+
+
 class _BreaksOnSecondSubmit:
     """``ProcessPoolExecutor`` stand-in whose worker dies while the
     parent is still submitting.
@@ -105,23 +121,33 @@ def _summaries(results):
             for r in results]
 
 
+@pytest.fixture(params=["sweep", "campaign"])
+def run_grid(request, tmp_path):
+    """The executor entry point under test: an ephemeral sweep, or a
+    campaign journaled under ``tmp_path``."""
+    if request.param == "sweep":
+        return run_sweep
+    return functools.partial(run_campaign,
+                             journal_path=tmp_path / "campaign.journal")
+
+
 class TestSweepFaultTolerance:
     def test_transient_failure_recovers_via_serial_retry(
-        self, tmp_path, monkeypatch
+        self, run_grid, tmp_path, monkeypatch
     ):
         sentinel = tmp_path / "raised-once"
         monkeypatch.setattr(sweep, "_run_cell",
                             _FailOnce(str(sentinel)))
-        (result,) = run_sweep([_cell()], max_workers=1, use_cache=False)
+        (result,) = run_grid([_cell()], max_workers=1, use_cache=False)
         assert result is not None
         assert result.metrics.num_inferences > 0
         assert last_sweep_failures() == []
         assert last_sweep_stats()["failed_cells"] == 0.0
         assert sentinel.exists()
 
-    def test_deterministic_failure_reported_not_raised(self):
+    def test_deterministic_failure_reported_not_raised(self, run_grid):
         cells = [_cell(), _cell("no-such-policy"), _cell("camdn-full")]
-        results = run_sweep(cells, max_workers=1, use_cache=False)
+        results = run_grid(cells, max_workers=1, use_cache=False)
         assert results[0] is not None
         assert results[1] is None
         assert results[2] is not None
@@ -134,7 +160,7 @@ class TestSweepFaultTolerance:
         assert stats["cells"] == 2.0
 
     def test_dead_pool_worker_recovers_via_serial_retry(
-        self, tmp_path, monkeypatch
+        self, run_grid, tmp_path, monkeypatch
     ):
         """A worker death breaks the pool mid-sweep; every affected cell
         recovers through the parent's serial retry."""
@@ -142,14 +168,27 @@ class TestSweepFaultTolerance:
         monkeypatch.setattr(sweep, "_run_cell",
                             _DieOnceInWorker(str(sentinel)))
         cells = [_cell(), _cell("moca")]
-        results = run_sweep(cells, max_workers=2, use_cache=False)
+        results = run_grid(cells, max_workers=2, use_cache=False)
         assert all(r is not None for r in results)
         assert last_sweep_failures() == []
         assert last_sweep_stats()["failed_cells"] == 0.0
 
-    def test_successful_sweep_has_no_none_entries(self):
-        results = run_sweep([_cell(), _cell("moca")], max_workers=1,
-                            use_cache=False)
+    def test_pool_failures_reported_in_cell_order(self, run_grid,
+                                                  monkeypatch):
+        """Cells settle in completion order on a pool; the later cell
+        fails first here, yet failures come back in cell order."""
+        monkeypatch.setattr(sweep, "_run_cell",
+                            _FailAfter({"moca": 0.3, "camdn-full": 0.0}))
+        cells = [_cell("moca"), _cell("camdn-full")]
+        results = run_grid(cells, max_workers=2, use_cache=False)
+        assert results == [None, None]
+        assert [(f["index"], f["policy"]) for f in last_sweep_failures()] \
+            == [(0, "moca"), (1, "camdn-full")]
+        assert last_sweep_stats()["failed_cells"] == 2.0
+
+    def test_successful_sweep_has_no_none_entries(self, run_grid):
+        results = run_grid([_cell(), _cell("moca")], max_workers=1,
+                           use_cache=False)
         assert all(r is not None for r in results)
         assert last_sweep_failures() == []
 

@@ -9,6 +9,7 @@ bloated the journal gets (a long crash-resume-crash history appends
 hundreds of redundant records).
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -21,6 +22,7 @@ import pytest
 
 from repro.config import SoCConfig
 from repro.errors import WorkloadError
+from repro.experiments import sweep
 from repro.experiments.sweep import CampaignJournal
 from repro.fleet import FleetSpec, ScenarioDraw
 from repro.fleet.runner import (
@@ -246,6 +248,42 @@ class TestResumeValidation:
         write_fleet_sidecar(journal, tiny_fleet(devices=3))
         with pytest.raises(WorkloadError, match="disagree"):
             resume_fleet(journal, max_workers=1, use_cache=False)
+
+    @pytest.mark.parametrize("sidecar", [
+        tiny_fleet(devices=3),
+        dataclasses.replace(tiny_fleet(devices=2), seed=4),
+    ], ids=["device-count", "seed"])
+    def test_mismatched_sidecar_refused_before_any_cell_runs(
+        self, tmp_path, monkeypatch, sidecar
+    ):
+        """The sidecar is checked against the journal's cells before a
+        single cell simulates, and a validly re-hashed sidecar whose
+        grid differs only in content is refused too."""
+        journal = tmp_path / "f.journal"
+        CampaignJournal.create(journal, tiny_fleet(devices=2).expand(),
+                               SoCConfig())
+        write_fleet_sidecar(journal, sidecar)
+        calls = []
+        monkeypatch.setattr(sweep, "_run_cell", calls.append)
+        with pytest.raises(WorkloadError, match="disagree"):
+            resume_fleet(journal, max_workers=1, use_cache=False)
+        assert calls == []
+
+    def test_refused_run_keeps_the_existing_sidecar(self, tmp_path):
+        """Starting a second fleet on a taken journal is refused before
+        it overwrites the first fleet's sidecar, so the first fleet
+        still resumes as itself."""
+        first = tiny_fleet(devices=2)
+        journal = tmp_path / "f.journal"
+        run_fleet(first, journal_path=journal, max_workers=1,
+                  use_cache=False)
+        with pytest.raises(WorkloadError, match="already exists"):
+            run_fleet(dataclasses.replace(first, seed=4),
+                      journal_path=journal, max_workers=1,
+                      use_cache=False)
+        assert read_fleet_sidecar(journal) == first
+        assert resume_fleet(journal, max_workers=1,
+                            use_cache=False).spec == first
 
     def test_soc_passthrough(self, tmp_path):
         """A non-default base SoC flows into journaled cells and back
