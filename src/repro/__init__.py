@@ -80,7 +80,7 @@ from .sim import (
     scenario_names,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "KiB",

@@ -67,28 +67,18 @@ class HeuristicRules:
         self._stats["tile_space_total"] = total
         self._stats["tile_space_kept"] = kept
 
-    def subspaces(self, shape: GEMMShape,
-                  usage_limit_bytes: int) -> List[Subspace]:
+    def subspaces(self) -> List[Subspace]:
         """Disjoint (pinning, innermost) subspaces worth solving.
 
-        Rules applied:
-
-        * a pinned subset must fit ``usage_limit_bytes`` outright;
-        * with a zero limit, only the empty pin set survives;
-        * pinning a tensor that no feasible tiling refetches is dominated
-          and dropped (checked against the most refetch-prone tiling).
+        Pinning a tensor that the innermost loop never refetches is
+        dominated, so such subspaces are dropped.  Whether a pin set fits
+        a cache-usage limit is the solver's check, against the
+        subspace's whole footprint.
         """
-        sizes = {
-            "weight": shape.weight_elems * self.dtype_bytes,
-            "input": shape.input_elems * self.dtype_bytes,
-            "output": shape.output_elems * self.dtype_bytes,
-        }
         subspaces: List[Subspace] = []
         for r in range(len(PINNABLE) + 1):
             for combo in itertools.combinations(PINNABLE, r):
                 pinned = frozenset(combo)
-                if sum(sizes[t] for t in pinned) > usage_limit_bytes:
-                    continue
                 for innermost in ("m", "n", "k"):
                     if self._pin_dominated(pinned, innermost):
                         continue

@@ -6,22 +6,42 @@ optimization objective", solves each, and keeps the best result.  After the
 heuristic pruning the per-subspace problem is small enough for exact
 enumeration, which plays the role of the paper's off-the-shelf solver while
 staying dependency-free.
+
+Each GEMM shape is solved once per pair of LBM flags, and every cache-usage
+level is then answered from a small table.  The table gives the same answer
+as searching every (subspace, tiling) pair at that level, ties included,
+because a subspace's cache footprint is fixed by its pin set and the LBM
+flags and never depends on the tiling
+(:func:`~repro.core.mapper.dram_model.pinned_cache_bytes`):
+
+* a subspace fits a usage limit as a whole or not at all, so its best
+  tiling (least DRAM traffic, then least scratchpad, the first in tile
+  order winning ties) is the same at every limit it fits;
+* the answer at a limit is the best winner among the subspaces that fit it,
+  by (DRAM, cache, scratchpad) with the first in subspace order winning
+  ties.  Only the set of fitting subspaces depends on the limit, and that
+  set changes only where the limit crosses a subspace footprint.
+
+So the table holds one answer per distinct footprint, in ascending order,
+and a limit reads the answer of the largest footprint at or under it.  A
+limit below every footprint has no feasible mapping.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from ...config import NPUConfig
 from ...errors import MappingError
 from .dram_model import (
     TilingChoice,
-    dram_traffic_bytes,
     pinned_cache_bytes,
+    refetch_factors,
     scratchpad_bytes,
 )
-from .heuristics import HeuristicRules, Subspace
+from .heuristics import HeuristicRules
 from .loopnest import GEMMShape
 
 
@@ -35,76 +55,27 @@ class SolvedMapping:
     scratchpad_bytes: int
 
 
+#: Answers of one (shape, LBM flags) pair: the distinct subspace footprints
+#: in ascending order, and the answer for limits from each footprint up to
+#: the next.
+FootprintTable = Tuple[Tuple[int, ...], Tuple[SolvedMapping, ...]]
+
+
 class SubspaceSolver:
     """Exact solver over heuristic-pruned tiling subspaces."""
 
-    #: Process-wide memo of :meth:`solve` results.  A solve is a pure
-    #: function of ``(npu, dtype, shape, usage limit, lbm flags)``, and the
-    #: same GEMM shapes recur heavily — transformer encoders repeat one
-    #: block shape 12 times, and experiment sweeps re-map the same models
-    #: under many SoC variants whose usage levels largely overlap.
-    _SOLVE_CACHE: ClassVar[Dict[tuple, SolvedMapping]] = {}
-
-    @classmethod
-    def export_solve_memo(cls) -> Dict[tuple, SolvedMapping]:
-        """Snapshot of the process-wide solve memo.
-
-        Entries are pure ``(inputs) -> result`` pairs of picklable frozen
-        dataclasses, so the snapshot can be shipped to sweep worker
-        processes (via the executor initializer) to spare each worker the
-        cold-start re-solve.
-        """
-        return dict(cls._SOLVE_CACHE)
-
-    @classmethod
-    def install_solve_memo(cls,
-                           entries: Dict[tuple, SolvedMapping]) -> None:
-        """Merge a memo snapshot (worker-side warm-up)."""
-        cls._SOLVE_CACHE.update(entries)
+    #: Process-wide memo of footprint tables, keyed by
+    #: ``(npu, dtype, shape, lbm_input, lbm_output)``.  The same GEMM
+    #: shapes recur heavily: transformer encoders repeat one block shape
+    #: 12 times, and experiment sweeps re-map the same models under many
+    #: SoC variants whose usage levels differ.
+    _TABLES: ClassVar[Dict[tuple, FootprintTable]] = {}
 
     def __init__(self, npu: NPUConfig, dtype_bytes: int = 1) -> None:
         self.npu = npu
         self.dtype_bytes = dtype_bytes
         self.rules = HeuristicRules(npu=npu, dtype_bytes=dtype_bytes)
         self._memo_prefix: Tuple = (npu, dtype_bytes)
-
-    def solve_subspace(
-        self,
-        shape: GEMMShape,
-        subspace: Subspace,
-        usage_limit_bytes: int,
-        lbm_input: bool = False,
-        lbm_output: bool = False,
-    ) -> Optional[SolvedMapping]:
-        """Best tiling within one (pinning, innermost) subspace.
-
-        Returns ``None`` when no tiling satisfies the scratchpad and
-        cache-usage constraints.
-        """
-        best: Optional[SolvedMapping] = None
-        for tm, tn, tk in self.rules.tile_space(shape):
-            choice = TilingChoice(
-                tm=tm, tn=tn, tk=tk,
-                innermost=subspace.innermost,
-                pinned=subspace.pinned,
-                lbm_input=lbm_input,
-                lbm_output=lbm_output,
-            )
-            cache_bytes = pinned_cache_bytes(shape, choice,
-                                             self.dtype_bytes)
-            if cache_bytes > usage_limit_bytes:
-                continue
-            dram = dram_traffic_bytes(shape, choice, self.dtype_bytes)
-            spad = scratchpad_bytes(choice, self.dtype_bytes)
-            candidate = SolvedMapping(
-                choice=choice,
-                dram_bytes=dram,
-                cache_bytes=cache_bytes,
-                scratchpad_bytes=spad,
-            )
-            if best is None or self._better(candidate, best):
-                best = candidate
-        return best
 
     def solve(
         self,
@@ -116,33 +87,92 @@ class SubspaceSolver:
         """Best tiling across all subspaces at one cache-usage level.
 
         Raises:
-            MappingError: no feasible mapping exists (cannot happen for
-                positive scratchpad capacity, since minimal PE-sized tiles
-                always fit; guarded for safety).
+            MappingError: no subspace fits the limit (an LBM operand larger
+                than the limit), or no tiling fits the scratchpad.
         """
-        key = self._memo_prefix + (
-            shape, usage_limit_bytes, lbm_input, lbm_output
-        )
-        cached = self._SOLVE_CACHE.get(key)
-        if cached is not None:
-            return cached
-        best: Optional[SolvedMapping] = None
-        for subspace in self.rules.subspaces(shape, usage_limit_bytes):
-            solved = self.solve_subspace(
-                shape, subspace, usage_limit_bytes,
-                lbm_input=lbm_input, lbm_output=lbm_output,
-            )
-            if solved is None:
-                continue
-            if best is None or self._better(solved, best):
-                best = solved
-        if best is None:
+        key = self._memo_prefix + (shape, lbm_input, lbm_output)
+        table = self._TABLES.get(key)
+        if table is None:
+            table = self._footprint_table(shape, lbm_input, lbm_output)
+            self._TABLES[key] = table
+        footprints, answers = table
+        fitting = bisect_right(footprints, usage_limit_bytes)
+        if fitting == 0:
             raise MappingError(
                 f"no feasible mapping for GEMM {shape} at "
                 f"{usage_limit_bytes} B cache"
             )
-        self._SOLVE_CACHE[key] = best
-        return best
+        return answers[fitting - 1]
+
+    def _footprint_table(self, shape: GEMMShape, lbm_input: bool,
+                         lbm_output: bool) -> FootprintTable:
+        """Solve every subspace of ``shape`` once and tabulate the answers
+        by footprint (see the module docstring)."""
+        dtype = self.dtype_bytes
+        sizes = {
+            "weight": shape.weight_elems * dtype,
+            "input": shape.input_elems * dtype,
+            "output": shape.output_elems * dtype,
+        }
+        tiles = []
+        for tm, tn, tk in self.rules.tile_space(shape):
+            factors = {
+                innermost: refetch_factors(
+                    shape, TilingChoice(tm=tm, tn=tn, tk=tk,
+                                        innermost=innermost))
+                for innermost in ("m", "n", "k")
+            }
+            spad = scratchpad_bytes(
+                TilingChoice(tm=tm, tn=tn, tk=tk, innermost="m"), dtype)
+            tiles.append((tm, tn, tk, spad, factors))
+
+        winners: List[SolvedMapping] = []
+        for subspace in self.rules.subspaces():
+            # dram_traffic_bytes' terms, summed in its order from the
+            # precomputed factors: LBM operands move no DRAM bytes, pinned
+            # tensors move once.  The reference-solver tests hold the two
+            # equal, float for float.
+            terms = [
+                (tensor, size, tensor in subspace.pinned)
+                for tensor, size in sizes.items()
+                if not (tensor == "input" and lbm_input)
+                and not (tensor == "output" and lbm_output)
+            ]
+            best: Optional[tuple] = None
+            for tm, tn, tk, spad, factors in tiles:
+                refetch = factors[subspace.innermost]
+                dram = 0.0
+                for tensor, size, pinned in terms:
+                    dram += size if pinned else size * refetch[tensor]
+                if best is None or (dram, spad) < best[:2]:
+                    best = (dram, spad, tm, tn, tk)
+            if best is None:
+                continue
+            dram, spad, tm, tn, tk = best
+            choice = TilingChoice(
+                tm=tm, tn=tn, tk=tk,
+                innermost=subspace.innermost,
+                pinned=subspace.pinned,
+                lbm_input=lbm_input,
+                lbm_output=lbm_output,
+            )
+            winners.append(SolvedMapping(
+                choice=choice,
+                dram_bytes=dram,
+                cache_bytes=pinned_cache_bytes(shape, choice, dtype),
+                scratchpad_bytes=spad,
+            ))
+
+        footprints = sorted({w.cache_bytes for w in winners})
+        answers = []
+        for limit in footprints:
+            answer: Optional[SolvedMapping] = None
+            for winner in winners:
+                if winner.cache_bytes <= limit and (
+                        answer is None or self._better(winner, answer)):
+                    answer = winner
+            answers.append(answer)
+        return tuple(footprints), tuple(answers)
 
     @staticmethod
     def _better(a: SolvedMapping, b: SolvedMapping) -> bool:

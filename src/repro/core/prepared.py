@@ -209,8 +209,9 @@ def prepared_cache_info() -> Dict[str, CacheInfo]:
 def clear_prepared_caches() -> None:
     """Drop all prepared objects and reset counters (for tests).
 
-    Also clears the underlying in-process mapping memos (solved loop
-    nests and model mapping files) so a subsequent run re-derives them.
+    Also clears the underlying in-process mapping memos (the solver's
+    footprint tables and model mapping files) so a subsequent run
+    re-derives them.
     The on-disk mapping-file store is left intact (point
     ``REPRO_MAPPING_CACHE_DIR`` at an empty dir — or set it empty to
     disable — for a fully cold run).
@@ -220,6 +221,6 @@ def clear_prepared_caches() -> None:
     _MODEL_CACHE.clear()
     _WORKLOAD_CACHE.clear()
     LayerMapper._SHARED_CACHE.clear()
-    SubspaceSolver._SOLVE_CACHE.clear()
+    SubspaceSolver._TABLES.clear()
     for stat in _STATS:
         _STATS[stat] = 0

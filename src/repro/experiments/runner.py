@@ -319,7 +319,8 @@ def _run_fleet_cli(spec_path: Optional[str], journal_path: Optional[str],
     it up; without, it runs as an ephemeral sharded sweep.  Prints one
     ``{"fleet": <population summary>}`` JSON line — byte-identical
     across worker counts and resume cycles — then the stats footer.
-    Returns 1 when any device cell failed after retries.
+    Returns 1 when any device cell failed after retries or measured no
+    inference.
     """
     import json
 

@@ -14,24 +14,18 @@ order regardless of completion order, so results are deterministic under
 any worker count.  :func:`run_campaign` does the same under a crash-safe
 journal; both share one executor, and only sweeps batch cells in shards.
 
-Two cache layers remove redundant work:
-
-* **Persistent result cache** — every cell is keyed by a stable content
-  hash of its :class:`SweepCell` fields, the full
-  :class:`~repro.config.SoCConfig`, and the package version (via
-  :mod:`repro.core.serialize`).  Results are stored as JSON under
-  ``$REPRO_SWEEP_CACHE_DIR`` (default
-  ``$XDG_CACHE_HOME/camdn-repro/sweeps``); a re-run of a figure harness,
-  benchmark or slow test with identical cells skips the simulation
-  entirely and deserializes byte-identical results.  Disable with
-  ``use_cache=False`` (the runner's ``--no-cache``) or by setting
-  ``REPRO_SWEEP_CACHE_DIR`` to an empty string.  The engine is
-  deterministic, so a cache hit and a fresh run are interchangeable;
-  the version salt invalidates entries across releases.
-* **Worker warm-up** — the parent ships its loop-nest solve memo
-  (:meth:`~repro.core.mapper.solver.SubspaceSolver.export_solve_memo`)
-  to every pool worker through the executor initializer, so workers skip
-  the cold-start mapping re-solve for shapes the parent already solved.
+A persistent result cache removes redundant work: every cell is keyed
+by a stable content hash of its :class:`SweepCell` fields, the full
+:class:`~repro.config.SoCConfig`, and the package version (via
+:mod:`repro.core.serialize`).  Results are stored as JSON under
+``$REPRO_SWEEP_CACHE_DIR`` (default
+``$XDG_CACHE_HOME/camdn-repro/sweeps``); a re-run of a figure harness,
+benchmark or slow test with identical cells skips the simulation
+entirely and deserializes byte-identical results.  Disable with
+``use_cache=False`` (the runner's ``--no-cache``) or by setting
+``REPRO_SWEEP_CACHE_DIR`` to an empty string.  The engine is
+deterministic, so a cache hit and a fresh run are interchangeable; the
+version salt invalidates entries across releases.
 
 On single-core hosts (or ``max_workers=1``) the sweep runs serially
 in-process, which reuses the warm prepared-workload and solver caches
@@ -54,7 +48,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..config import SoCConfig
-from ..core.mapper.solver import SubspaceSolver
 from ..core.serialize import (
     _write_text_durable,
     atomic_write_text,
@@ -370,11 +363,6 @@ def _run_cell_shard(args: tuple) -> List[SimulationResult]:
     return [_run_cell((cell, soc, deadline_s)) for cell in shard]
 
 
-def _warm_worker(solve_memo) -> None:
-    """Pool-worker initializer: install the parent's solve memo."""
-    SubspaceSolver.install_solve_memo(solve_memo)
-
-
 def _submit_all(pool: ProcessPoolExecutor, fn: Callable,
                 args: Iterable) -> List[Future]:
     """One future per ``fn(arg)``, in order; never raises.
@@ -502,11 +490,7 @@ def _execute(
                 shard = [cells[i] for i in batch]
                 yield (shard if sharded else shard[0]), soc, deadline_s
 
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_warm_worker,
-            initargs=(SubspaceSolver.export_solve_memo(),),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # One future per cell or shard (not pool.map), so a raising
             # cell or a worker death fails only its own future.
             futures = dict(zip(_submit_all(

@@ -36,6 +36,7 @@ from ..core.serialize import (
 from ..errors import WorkloadError
 from ..experiments.sweep import (
     CampaignJournal,
+    SweepCell,
     last_sweep_failures,
     resume_campaign,
     run_campaign,
@@ -105,10 +106,12 @@ class FleetResult:
         spec: the fleet that ran.
         results: per-cell results in canonical ``(device, replica)``
             order (``None`` placeholders mark cells that failed all
-            retries).
-        accumulator: the streaming aggregation over all completed cells.
-        failures: per-cell failure records from the underlying sweep
-            (empty on a clean fleet).
+            retries or measured no inference).
+        accumulator: the streaming aggregation over all measured cells.
+        failures: per-cell failure records in cell order: those of the
+            underlying sweep, plus ``"no measured inferences"`` for a
+            device whose every completion fell in warm-up (empty on a
+            clean fleet).
     """
 
     spec: FleetSpec
@@ -126,15 +129,28 @@ class FleetResult:
         return self.accumulator.fleet_summary()
 
 
-def _aggregate(spec: FleetSpec, results: List,
+def _aggregate(spec: FleetSpec, cells: List[SweepCell], results: List,
                max_bins: int) -> FleetResult:
+    """Fold the measured cells of a finished fleet.
+
+    A device that measured no inference has no summary to fold, so it
+    becomes a ``None`` placeholder and a failure record, like a failed
+    cell; the fleet, and every resume of its journal, still aggregates.
+    """
+    failures = last_sweep_failures()
+    for i, result in enumerate(results):
+        if result is not None and result.metrics.num_inferences == 0:
+            results[i] = None
+            failures.append({"index": i, "policy": cells[i].policy,
+                             "error": "no measured inferences"})
+    failures.sort(key=lambda f: f["index"])
     accumulator = FleetAccumulator(max_bins=max_bins)
     accumulator.fold_results(results)
     return FleetResult(
         spec=spec,
         results=results,
         accumulator=accumulator,
-        failures=last_sweep_failures(),
+        failures=failures,
     )
 
 
@@ -186,7 +202,7 @@ def run_fleet(
             cells, soc=soc, max_workers=max_workers,
             use_cache=use_cache, shard_size=shard_size,
         )
-    return _aggregate(spec, results, max_bins)
+    return _aggregate(spec, cells, results, max_bins)
 
 
 def resume_fleet(
@@ -220,4 +236,4 @@ def resume_fleet(
         journal_path, max_workers=max_workers, use_cache=use_cache,
         deadline_s=deadline_s,
     )
-    return _aggregate(spec, results, max_bins)
+    return _aggregate(spec, cells, results, max_bins)

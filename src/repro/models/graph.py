@@ -200,39 +200,50 @@ def segment_into_blocks(
     if max_intermediate_bytes <= 0:
         raise ModelGraphError("max_intermediate_bytes must be positive")
 
+    n = len(graph.layers)
+    outputs = [layer.output_elems for layer in graph.layers]
+    last_use = [graph.last_use(j) for j in range(n)]
     blocks: List[LayerBlock] = []
     start = 0
-    n = len(graph.layers)
     for i in range(n):
-        peak = _block_peak(graph, start, i + 1, dtype_bytes)
+        peak = _block_peak(outputs, last_use, start, i + 1, dtype_bytes)
         block_len = i - start + 1
         if peak > max_intermediate_bytes and block_len > 1:
             # Close the block before this layer and restart.
-            prev_peak = _block_peak(graph, start, i, dtype_bytes)
+            prev_peak = _block_peak(outputs, last_use, start, i,
+                                    dtype_bytes)
             blocks.append(LayerBlock(start, i, prev_peak // dtype_bytes))
             start = i
     blocks.append(
-        LayerBlock(start, n, _block_peak(graph, start, n, dtype_bytes)
+        LayerBlock(start, n,
+                   _block_peak(outputs, last_use, start, n, dtype_bytes)
                    // dtype_bytes)
     )
     return blocks
 
 
 def _block_peak(
-    graph: ModelGraph, start: int, end: int, dtype_bytes: int
+    outputs: Sequence[int],
+    last_use: Sequence[int],
+    start: int,
+    end: int,
+    dtype_bytes: int,
 ) -> int:
     """Peak live intermediate footprint (bytes) of layers [start, end).
 
-    Measured *during* each layer's execution: the outputs of earlier
-    in-block layers still needed at or after layer ``i`` (which includes
-    layer ``i``'s direct input) plus layer ``i``'s own output if it stays
-    in-block (the tail layer's output streams to DRAM under LBM).
+    ``outputs[j]`` is layer ``j``'s output size in elements and
+    ``last_use[j]`` its :meth:`ModelGraph.last_use`, computed once per
+    graph by the caller.  The footprint is measured *during* each
+    layer's execution: the outputs of earlier in-block layers still
+    needed at or after layer ``i`` (which includes layer ``i``'s direct
+    input) plus layer ``i``'s own output if it stays in-block (the tail
+    layer's output streams to DRAM under LBM).
     """
     peak = 0
     for i in range(start, end):
-        live = graph.layers[i].output_elems if i < end - 1 else 0
+        live = outputs[i] if i < end - 1 else 0
         for j in range(start, i):
-            if graph.last_use(j) >= i and graph.layers[j].output_elems:
-                live += graph.layers[j].output_elems
+            if last_use[j] >= i:
+                live += outputs[j]
         peak = max(peak, live * dtype_bytes)
     return peak

@@ -24,7 +24,7 @@ from repro.config import SoCConfig
 from repro.errors import WorkloadError
 from repro.experiments import sweep
 from repro.experiments.sweep import CampaignJournal
-from repro.fleet import FleetSpec, ScenarioDraw
+from repro.fleet import DeviceClass, FleetSpec, ScenarioDraw
 from repro.fleet.runner import (
     fleet_sidecar_path,
     read_fleet_sidecar,
@@ -294,4 +294,40 @@ class TestResumeValidation:
         first = run_fleet(spec, soc=soc, journal_path=journal,
                           max_workers=1, use_cache=False)
         resumed = resume_fleet(journal, max_workers=1, use_cache=False)
+        assert summary_bytes(resumed) == summary_bytes(first)
+
+
+class TestUnmeasuredDevice:
+    """A device whose every completion fell in warm-up has no summary
+    (``metric_summary()`` raises on it)."""
+
+    SPEC = FleetSpec(
+        devices=4,
+        policy="camdn-full",
+        device_classes=(
+            DeviceClass(name="large", cache_bytes=16 * (1 << 20)),
+            DeviceClass(name="small", cache_bytes=4 * (1 << 20)),
+        ),
+        scenario_draws=(ScenarioDraw(scenario="mmpp-quad"),),
+        seed=3,
+        scale=0.05,
+    )
+
+    def test_fleet_and_its_resume_aggregate_the_other_devices(
+        self, tmp_path
+    ):
+        """Cell 2 offers two inferences and completes both in warm-up;
+        it is reported as a failure instead of failing the fleet, and
+        of every resume of its finished journal."""
+        journal = tmp_path / "f.journal"
+        first = run_fleet(self.SPEC, journal_path=journal, max_workers=1,
+                          use_cache=False)
+        resumed = resume_fleet(journal, max_workers=1, use_cache=False)
+        for result in (first, resumed):
+            assert result.failures == [{
+                "index": 2, "policy": "camdn-full",
+                "error": "no measured inferences",
+            }]
+            assert result.results[2] is None
+            assert result.completed_devices == 3
         assert summary_bytes(resumed) == summary_bytes(first)

@@ -3,10 +3,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.config import MiB
+from repro.config import KiB, MiB
 from repro.errors import ModelGraphError
-from repro.models.graph import ModelGraph, SkipEdge, segment_into_blocks
+from repro.models.graph import (
+    LayerBlock,
+    ModelGraph,
+    SkipEdge,
+    segment_into_blocks,
+)
 from repro.models.layers import elementwise, matmul
+from repro.models.zoo import BENCHMARK_MODELS, build_model
 
 
 def _chain(n_layers: int, elems: int = 1000) -> ModelGraph:
@@ -119,6 +125,52 @@ class TestBlockSegmentation:
         assert blocks[-1].end == n_layers
         for prev, cur in zip(blocks, blocks[1:]):
             assert prev.end == cur.start
+
+
+def reference_segment_into_blocks(graph, max_intermediate_bytes,
+                                  dtype_bytes=1):
+    """Block segmentation as of version 1.7.0, verbatim: the equivalence
+    oracle for :func:`segment_into_blocks`, which computes each layer's
+    last use once per graph instead of once per layer pair."""
+    blocks = []
+    start = 0
+    n = len(graph.layers)
+    for i in range(n):
+        peak = _reference_block_peak(graph, start, i + 1, dtype_bytes)
+        block_len = i - start + 1
+        if peak > max_intermediate_bytes and block_len > 1:
+            prev_peak = _reference_block_peak(graph, start, i, dtype_bytes)
+            blocks.append(LayerBlock(start, i, prev_peak // dtype_bytes))
+            start = i
+    blocks.append(
+        LayerBlock(start, n, _reference_block_peak(graph, start, n,
+                                                   dtype_bytes)
+                   // dtype_bytes)
+    )
+    return blocks
+
+
+def _reference_block_peak(graph, start, end, dtype_bytes):
+    peak = 0
+    for i in range(start, end):
+        live = graph.layers[i].output_elems if i < end - 1 else 0
+        for j in range(start, i):
+            if graph.last_use(j) >= i and graph.layers[j].output_elems:
+                live += graph.layers[j].output_elems
+        peak = max(peak, live * dtype_bytes)
+    return peak
+
+
+class TestSegmentationMatchesReference:
+    @pytest.mark.parametrize("key", BENCHMARK_MODELS)
+    def test_zoo_model(self, key):
+        # Budgets from one block per layer to one block per model.
+        graph = build_model(key)
+        for budget in (32 * KiB, 256 * KiB, MiB, 4 * MiB):
+            assert segment_into_blocks(graph, budget) == \
+                reference_segment_into_blocks(graph, budget), budget
+        assert segment_into_blocks(graph, 256 * KiB, dtype_bytes=2) == \
+            reference_segment_into_blocks(graph, 256 * KiB, dtype_bytes=2)
 
 
 class TestBenchmarkGraphs:
