@@ -46,7 +46,8 @@ from repro.schedulers.base import SchedulerPolicy
 from repro.sim import native
 from repro.sim.engine import MultiTenantEngine
 from repro.sim.task import LayerWork
-from repro.sim.workload import ClosedLoopWorkload, WorkloadSpec
+from repro.sim.scenario import ScenarioSpec
+from repro.sim.workload import ScenarioWorkload
 
 #: Streams in the synthetic workload (all NPU cores half busy).
 NUM_STREAMS = 8
@@ -142,20 +143,17 @@ class DynamicSynthetic(StaticSynthetic):
 
 
 def _build_workload(graph: Optional[ModelGraph],
-                    qos_scale: float = float("inf")) -> ClosedLoopWorkload:
+                    qos_scale: float = float("inf")) -> ScenarioWorkload:
     if graph is None:
-        spec = WorkloadSpec(model_keys=list(REAL_KEYS),
-                            duration_s=REAL_DURATION_S, warmup_s=0.0,
-                            qos_scale=qos_scale)
-        return ClosedLoopWorkload(spec)
+        spec = ScenarioSpec.closed_loop(REAL_KEYS,
+                                        duration_s=REAL_DURATION_S,
+                                        warmup_s=0.0, qos_scale=qos_scale)
+        return ScenarioWorkload(spec)
     # Build over a zoo placeholder key, then swap in the synthetic graph
-    # (the spec validates keys against the zoo at construction).
-    spec = WorkloadSpec(
-        model_keys=["MB."] * NUM_STREAMS,
-        inferences_per_stream=SYNTH_INFERENCES,
-        warmup_inferences=0,
-    )
-    workload = ClosedLoopWorkload(spec)
+    # (the workload builds each stream's graph from the zoo).
+    spec = ScenarioSpec.closed_loop(["MB."] * NUM_STREAMS,
+                                    inferences=SYNTH_INFERENCES)
+    workload = ScenarioWorkload(spec)
     for stream_id in workload.streams:
         workload._graphs[stream_id] = graph
         workload._rt[stream_id].graph = graph

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import MiB, SoCConfig, simulate
+from repro import MiB, ScenarioSpec, SoCConfig, run
 from repro.sim.workload import random_model_mix
 
 
@@ -41,13 +41,10 @@ def main() -> None:
     solo_latency = None
     counts = [n for n in (1, 2, 4, 8, 16, 32) if n <= args.max_dnns]
     for num_dnns in counts:
-        result = simulate(
-            "baseline",
-            random_model_mix(num_dnns),
-            duration_s=0.1,
-            warmup_s=0.02,
-            soc=soc,
+        spec = ScenarioSpec.closed_loop(
+            random_model_mix(num_dnns), duration_s=0.1, warmup_s=0.02
         )
+        result = run(spec, soc=soc, policy="baseline")
         summary = result.summary()
         if solo_latency is None:
             solo_latency = summary["avg_latency_ms"]

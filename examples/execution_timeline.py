@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Visualize a multi-tenant execution timeline with the trace recorder.
 
-Attaches a :class:`~repro.sim.trace.TraceRecorder` to the engine, runs a
-short contended CaMDN workload and prints an ASCII Gantt chart ('#' =
-executing a layer, '.' = waiting for cache pages) plus per-stream busy/wait
-accounting — handy for spotting allocation stalls.
+Attaches a :class:`~repro.sim.trace.TraceRecorder` to a run through
+``RunConfig(trace=...)``, runs a short contended CaMDN workload and prints
+an ASCII Gantt chart ('#' = executing a layer, '.' = waiting for cache
+pages) plus per-stream busy/wait accounting — handy for spotting
+allocation stalls.
 
 Usage::
 
@@ -15,11 +16,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro import SoCConfig
-from repro.schedulers import make_scheduler
-from repro.sim.engine import MultiTenantEngine
+from repro import RunConfig, ScenarioSpec, run
 from repro.sim.trace import TraceRecorder
-from repro.sim.workload import ClosedLoopWorkload, WorkloadSpec
 
 TENANTS = ["RS.", "MB.", "EF.", "BE."] * 2
 
@@ -33,14 +31,8 @@ def main() -> None:
     args = parser.parse_args()
 
     trace = TraceRecorder()
-    spec = WorkloadSpec(
-        model_keys=TENANTS, inferences_per_stream=2, warmup_inferences=0
-    )
-    engine = MultiTenantEngine(
-        SoCConfig(), make_scheduler(args.policy),
-        ClosedLoopWorkload(spec), trace=trace,
-    )
-    result = engine.run()
+    result = run(ScenarioSpec.closed_loop(TENANTS, inferences=2),
+                 policy=args.policy, config=RunConfig(trace=trace))
 
     print(f"policy={args.policy}, {len(TENANTS)} streams, "
           f"{result.metrics.num_inferences} inferences, "

@@ -16,7 +16,13 @@ from __future__ import annotations
 
 import argparse
 
-from repro import SoCConfig, isolated_latencies, simulate
+from repro import (
+    RunConfig,
+    ScenarioSpec,
+    SoCConfig,
+    isolated_latencies,
+    run,
+)
 from repro.models.zoo import BENCHMARK_MODELS
 from repro.sim.qos import fairness, sla_rate, system_throughput
 
@@ -39,16 +45,16 @@ def main() -> None:
     print("Measuring single-tenant latencies for STP/fairness baselines...")
     isolated = isolated_latencies(tenants, soc)
 
+    spec = ScenarioSpec.closed_loop(tenants, duration_s=0.15,
+                                    warmup_s=0.03, qos_scale=qos_scale)
+    # The QoS integration applies to the CaMDN policies only.
+    config = RunConfig(qos_mode=True)
     header = f"{'policy':<14}{'SLA':>8}{'STP':>8}{'fairness':>10}"
     print()
     print(header)
     print("-" * len(header))
     for policy in ("moca", "aurora", "camdn-full"):
-        kwargs = {"qos_mode": True} if policy.startswith("camdn") else {}
-        result = simulate(
-            policy, tenants, duration_s=0.15, warmup_s=0.03,
-            qos_scale=qos_scale, soc=soc, **kwargs,
-        )
+        result = run(spec, soc=soc, policy=policy, config=config)
         print(
             f"{policy:<14}"
             f"{sla_rate(result.metrics):>8.1%}"

@@ -13,7 +13,7 @@ Usage::
 
 from __future__ import annotations
 
-from repro import simulate
+from repro import ScenarioSpec, run
 
 MODELS = ["RS.", "MB.", "BE."]
 
@@ -27,11 +27,11 @@ def main() -> None:
           f"{', '.join(MODELS)}")
     print("Simulating 0.2 s of steady-state execution per policy...\n")
 
-    results = {}
-    for policy in ("aurora", "camdn-full"):
-        results[policy] = simulate(
-            policy, TENANTS, duration_s=0.2, warmup_s=0.04
-        )
+    spec = ScenarioSpec.closed_loop(TENANTS, duration_s=0.2, warmup_s=0.04)
+    results = {
+        policy: run(spec, policy=policy)
+        for policy in ("aurora", "camdn-full")
+    }
 
     header = (
         f"{'model':<8}{'AuRORA ms':>12}{'CaMDN ms':>12}{'speedup':>9}"

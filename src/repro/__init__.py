@@ -18,15 +18,21 @@ Efficiency for Multi-tenant DNNs on Integrated NPUs* (Cai et al., DAC
 
 Quickstart::
 
-    from repro import simulate
+    import repro
+    from repro import ScenarioSpec
 
-    result = simulate("camdn-full", ["RS.", "MB.", "BE."], duration_s=0.2)
+    spec = ScenarioSpec.closed_loop(["RS.", "MB.", "BE."], duration_s=0.2)
+    result = repro.run(spec, policy="camdn-full")
     print(result.summary())
+
+:func:`run` is the one entry point for a single scenario, closed-loop
+(:meth:`ScenarioSpec.closed_loop`, the paper's workload) or otherwise;
+:func:`run_fleet` simulates a device population.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .config import (
     CACHE_LINE_BYTES,
@@ -60,7 +66,6 @@ from .runconfig import RunConfig
 from .schedulers import make_scheduler
 from .sim import (
     ArrivalProcess,
-    ClosedLoopWorkload,
     EngineSnapshot,
     EventTrace,
     EventTraceRecorder,
@@ -71,7 +76,6 @@ from .sim import (
     ScenarioWorkload,
     SimulationResult,
     StreamSpec,
-    WorkloadSpec,
     fault_schedule_names,
     get_fault_schedule,
     get_scenario,
@@ -80,7 +84,7 @@ from .sim import (
     scenario_names,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "KiB",
@@ -96,8 +100,6 @@ __all__ = [
     "build_model",
     "load_benchmark_suite",
     "make_scheduler",
-    "WorkloadSpec",
-    "ClosedLoopWorkload",
     "ArrivalProcess",
     "StreamSpec",
     "ScenarioSpec",
@@ -121,7 +123,6 @@ __all__ = [
     "prepare_workload",
     "prepared_cache_info",
     "clear_prepared_caches",
-    "simulate",
     # Stable public facade (PR 10): one import surface for running
     # scenarios and fleets without reaching into experiment internals.
     "run",
@@ -136,51 +137,6 @@ __all__ = [
     "QuantileDigest",
     "isolated_latencies",
 ]
-
-
-def simulate(
-    policy: str,
-    model_keys: Sequence[str],
-    duration_s: Optional[float] = None,
-    warmup_s: float = 0.0,
-    inferences_per_stream: int = 3,
-    qos_scale: float = float("inf"),
-    soc: Optional[SoCConfig] = None,
-    **policy_kwargs,
-) -> SimulationResult:
-    """Run one multi-tenant simulation end to end.
-
-    Args:
-        policy: scheduler name (``"baseline"``, ``"moca"``, ``"aurora"``,
-            ``"camdn-hw"``, ``"camdn-full"``).
-        model_keys: one Table I abbreviation per co-located stream.
-        duration_s: steady-state window (``None`` selects count mode with
-            ``inferences_per_stream`` measured inferences per stream).
-        warmup_s: measurement start inside the steady-state window.
-        inferences_per_stream: count-mode measured inferences.
-        qos_scale: latency-target multiplier (0.8 / 1.0 / 1.2 for the
-            paper's QoS-H/M/L levels; ``inf`` disables deadlines).
-        soc: hardware configuration (defaults to paper Table II).
-        **policy_kwargs: forwarded to the scheduler constructor.
-
-    Returns:
-        The :class:`~repro.sim.engine.SimulationResult` with metrics.
-    """
-    # Route through the unified run_scenario pipeline (lazy import: the
-    # experiments package imports this module for __version__).
-    from .experiments.common import run_scenario
-
-    spec = WorkloadSpec(
-        model_keys=list(model_keys),
-        inferences_per_stream=inferences_per_stream,
-        warmup_inferences=1 if duration_s is None else 0,
-        qos_scale=qos_scale,
-        duration_s=duration_s,
-        warmup_s=warmup_s,
-    ).to_scenario()
-    return run_scenario(
-        spec, soc, make_scheduler(policy, **policy_kwargs)
-    )
 
 
 def run(

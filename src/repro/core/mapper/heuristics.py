@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Iterator, List, Tuple
 
 from ...config import NPUConfig
-from .dram_model import PINNABLE, TilingChoice, refetch_factors, \
-    scratchpad_bytes
+from .dram_model import PINNABLE, TilingChoice, scratchpad_bytes
 from .loopnest import GEMMShape, tile_candidates
 
 
@@ -96,19 +95,3 @@ class HeuristicRules:
     def stats(self) -> dict:
         """Pruning statistics from the last :meth:`tile_space` call."""
         return dict(self._stats)
-
-
-def most_refetched_tensor(shape: GEMMShape,
-                          choice: TilingChoice) -> str:
-    """The tensor with the largest refetch traffic under ``choice`` —
-    the best pinning target per byte (used by greedy fallbacks)."""
-    factors = refetch_factors(shape, choice)
-    sizes = {
-        "weight": shape.weight_elems,
-        "input": shape.input_elems,
-        "output": shape.output_elems,
-    }
-    return max(
-        PINNABLE,
-        key=lambda t: (factors[t] - 1) * sizes[t],
-    )

@@ -10,8 +10,7 @@ inside the block lives purely in the model's exclusive cache region.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ...config import SoCConfig
 from ...models.graph import LayerBlock, ModelGraph, segment_into_blocks
@@ -142,11 +141,3 @@ def _layer_lbm_candidate(
         loop_table=(),
         cache_map=cache_map,
     )
-
-
-def lbm_pages_needed(candidate: Optional[MappingCandidate],
-                     page_bytes: int) -> Optional[int]:
-    """Convenience: ``Pneed`` of an LBM candidate (None-safe)."""
-    if candidate is None:
-        return None
-    return math.ceil(candidate.cache_bytes / page_bytes)

@@ -1,6 +1,6 @@
 """Memoized prepared-workload layer (the simulation fast path).
 
-Every ``simulate()`` call used to re-derive the same pure, deterministic
+Every simulation run used to re-derive the same pure, deterministic
 per-model artifacts — systolic layer cycles, the offline mapping file,
 transparent-cache access segments and the isolated-latency estimate —
 before the engine could start.  Worse, slack-aware policies recomputed the
@@ -15,9 +15,10 @@ This module factors that work into two cacheable objects:
 * :class:`PreparedWorkload` — a policy-tagged bundle of prepared models for
   one multi-tenant scenario, keyed by ``(policy, model_keys, SoCConfig)``.
 
-Both caches are process-wide: repeated ``simulate()`` calls across tests,
-benchmarks and experiment sweeps reuse them instead of re-solving.  Cache
-hit/miss counters are exposed so tests can assert the fast path is taken.
+Both caches are process-wide: repeated :func:`repro.run` calls across
+tests, benchmarks and experiment sweeps reuse them instead of
+re-solving.  Cache hit/miss counters are exposed so tests can assert the
+fast path is taken.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 scaling knobs and isolated-latency probes.
 
 Every experiment harness — the fig2/7/8/9 sweeps, the ablations, the
-churn harness, benchmarks and the ``simulate()`` convenience API — funnels
-through :func:`run_scenario`: one place that prepares the workload
-bundle, builds the scheduler and drives the engine over a declarative
-:class:`~repro.sim.scenario.ScenarioSpec`.
+churn harness, benchmarks and the public :func:`repro.run` facade —
+funnels through :func:`run_scenario`: one place that prepares the
+workload bundle, builds the scheduler and drives the engine over a
+declarative :class:`~repro.sim.scenario.ScenarioSpec` (the paper's
+closed-loop workload is :meth:`~repro.sim.scenario.ScenarioSpec.closed_loop`).
 """
 
 from __future__ import annotations

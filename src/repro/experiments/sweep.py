@@ -68,7 +68,7 @@ from ..runconfig import RunConfig
 from ..sim.engine import SimulationResult
 from ..sim.faults import FaultSpec
 from ..sim.scenario import ScenarioSpec
-from ..sim.workload import WorkloadSpec, random_model_mix
+from ..sim.workload import random_model_mix
 from .common import ExperimentScale, run_scenario
 
 _LOG = logging.getLogger(__name__)
@@ -167,12 +167,12 @@ class SweepCell:
         if self.scenario is not None:
             return self.scenario.scaled(self.scale)
         scale = ExperimentScale(scale=self.scale)
-        return WorkloadSpec(
-            model_keys=list(self.model_keys),
+        return ScenarioSpec.closed_loop(
+            self.model_keys,
             duration_s=scale.duration_s,
             warmup_s=scale.warmup_s,
             qos_scale=self.qos_scale,
-        ).to_scenario()
+        )
 
     def resolve_faults(self) -> Optional[FaultSpec]:
         """The cell's fault schedule at the cell's scale (or ``None``)."""

@@ -19,7 +19,7 @@ percentiles byte-identical under any ``--jobs`` setting.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List
 
 from ..errors import WorkloadError
 from .digest import DEFAULT_MAX_BINS, QuantileDigest
@@ -85,16 +85,24 @@ class FleetAccumulator:
         for axis, key in FLEET_AXES:
             self._digests[axis].add(float(summary[key]))
 
-    def fold_results(self, results: Iterable) -> int:
-        """Fold an iterable of :class:`SimulationResult` (skipping
-        ``None`` placeholders of failed cells); returns folds done."""
-        folded = 0
-        for result in results:
+    def fold_results(self, results: Iterable) -> List[int]:
+        """Fold an iterable of :class:`SimulationResult`, skipping
+        ``None`` placeholders of failed cells.
+
+        A device that measured no inference (every completion fell in
+        warm-up) has no summary to fold: it is skipped too, and its
+        position in ``results`` is returned, so every caller aggregates
+        such a fleet instead of raising.
+        """
+        unmeasured: List[int] = []
+        for i, result in enumerate(results):
             if result is None:
                 continue
+            if result.metrics.num_inferences == 0:
+                unmeasured.append(i)
+                continue
             self.fold(result.summary())
-            folded += 1
-        return folded
+        return unmeasured
 
     def merge(self, other: "FleetAccumulator") -> None:
         """Fold another accumulator in (shard-level reduction)."""

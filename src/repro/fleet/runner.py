@@ -138,14 +138,12 @@ def _aggregate(spec: FleetSpec, cells: List[SweepCell], results: List,
     cell; the fleet, and every resume of its journal, still aggregates.
     """
     failures = last_sweep_failures()
-    for i, result in enumerate(results):
-        if result is not None and result.metrics.num_inferences == 0:
-            results[i] = None
-            failures.append({"index": i, "policy": cells[i].policy,
-                             "error": "no measured inferences"})
-    failures.sort(key=lambda f: f["index"])
     accumulator = FleetAccumulator(max_bins=max_bins)
-    accumulator.fold_results(results)
+    for i in accumulator.fold_results(results):
+        results[i] = None
+        failures.append({"index": i, "policy": cells[i].policy,
+                         "error": "no measured inferences"})
+    failures.sort(key=lambda f: f["index"])
     return FleetResult(
         spec=spec,
         results=results,

@@ -26,15 +26,10 @@ from .trace import (
     TraceEvent,
     TraceRecorder,
 )
-from .workload import (
-    ClosedLoopWorkload,
-    ScenarioWorkload,
-    WorkloadSpec,
-    random_model_mix,
-)
+from .workload import ScenarioWorkload, random_model_mix
 from .snapshot import SNAPSHOT_SCHEMA_VERSION, EngineSnapshot
 from .metrics import InstanceRecord, MetricsCollector, ModelSummary
-from .qos import QoSReport, fairness, sla_rate, system_throughput
+from .qos import fairness, sla_rate, system_throughput
 
 __all__ = [
     "InstanceState",
@@ -60,16 +55,13 @@ __all__ = [
     "EventTraceRecorder",
     "TraceEvent",
     "TraceRecorder",
-    "ClosedLoopWorkload",
     "ScenarioWorkload",
-    "WorkloadSpec",
     "random_model_mix",
     "SNAPSHOT_SCHEMA_VERSION",
     "EngineSnapshot",
     "InstanceRecord",
     "MetricsCollector",
     "ModelSummary",
-    "QoSReport",
     "sla_rate",
     "system_throughput",
     "fairness",

@@ -12,22 +12,10 @@ Definitions follow AuRORA (Kim et al., MICRO 2023), as the paper does:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from ..errors import SimulationError
 from .metrics import MetricsCollector
-
-
-@dataclass(frozen=True)
-class QoSReport:
-    """Figure 9 metrics for one (scheduler, QoS level) cell."""
-
-    scheduler: str
-    qos_scale: float
-    sla_rate: float
-    stp: float
-    fairness: float
 
 
 def sla_rate(metrics: MetricsCollector) -> float:
@@ -78,19 +66,3 @@ def fairness(
         raise SimulationError("no streams to compare")
     values = list(progress.values())
     return min(values) / max(values)
-
-
-def qos_report(
-    scheduler: str,
-    qos_scale: float,
-    metrics: MetricsCollector,
-    isolated_latency_s: Mapping[str, float],
-) -> QoSReport:
-    """Bundle all three Figure 9 metrics."""
-    return QoSReport(
-        scheduler=scheduler,
-        qos_scale=qos_scale,
-        sla_rate=sla_rate(metrics),
-        stp=system_throughput(metrics, isolated_latency_s),
-        fairness=fairness(metrics, isolated_latency_s),
-    )

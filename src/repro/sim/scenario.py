@@ -734,7 +734,14 @@ class ScenarioSpec:
                     warmup_inferences: int = 0,
                     qos_scale: float = math.inf) -> "ScenarioSpec":
         """The paper's workload shape as a scenario (one closed-loop
-        stream per model key, all present from t=0)."""
+        stream per model key, all present from t=0).
+
+        In count mode (``duration_s is None``) every stream runs
+        ``warmup_inferences + inferences`` inferences.  A steady-state
+        window drops both counts: a fixed quota would let short models
+        drain early and hand their bandwidth to the stragglers,
+        biasing tail latencies down.
+        """
         if duration_s is not None:
             inferences = None
             warmup_inferences = 0

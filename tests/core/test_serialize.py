@@ -106,13 +106,14 @@ class TestSoCConfigRoundTrip:
 
 class TestSimulationResultRoundTrip:
     def test_metrics_survive_exactly(self):
-        from repro import simulate
+        from repro import ScenarioSpec, run
         from repro.core.serialize import (
             simulation_result_from_dict,
             simulation_result_to_dict,
         )
 
-        result = simulate("baseline", ("MB.",), inferences_per_stream=1)
+        result = run(ScenarioSpec.closed_loop(("MB.",), inferences=1,
+                                              warmup_inferences=1))
         blob = json.dumps(simulation_result_to_dict(result))
         restored = simulation_result_from_dict(json.loads(blob))
         assert restored.metric_summary() == result.metric_summary()

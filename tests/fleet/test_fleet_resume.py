@@ -24,7 +24,12 @@ from repro.config import SoCConfig
 from repro.errors import WorkloadError
 from repro.experiments import sweep
 from repro.experiments.sweep import CampaignJournal
-from repro.fleet import DeviceClass, FleetSpec, ScenarioDraw
+from repro.fleet import (
+    DeviceClass,
+    FleetAccumulator,
+    FleetSpec,
+    ScenarioDraw,
+)
 from repro.fleet.runner import (
     fleet_sidecar_path,
     read_fleet_sidecar,
@@ -331,3 +336,14 @@ class TestUnmeasuredDevice:
             assert result.results[2] is None
             assert result.completed_devices == 3
         assert summary_bytes(resumed) == summary_bytes(first)
+
+    def test_fold_results_skips_and_reports_the_device(self):
+        """The rule lives in the fold itself, so every caller of
+        ``fold_results`` (the fleet runner and the fleet-capacity
+        experiment) aggregates such a fleet; ``None`` placeholders of
+        failed cells are skipped without being reported."""
+        results = sweep.run_sweep(self.SPEC.expand(), max_workers=1,
+                                  use_cache=False)
+        accumulator = FleetAccumulator()
+        assert accumulator.fold_results([None] + results) == [3]
+        assert accumulator.devices == 3

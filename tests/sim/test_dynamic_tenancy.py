@@ -260,26 +260,6 @@ class TestChurn:
         assert result.offered_inferences == \
             len(result.metrics.records) + result.cancelled_inferences
 
-    def test_initial_instances_then_run_still_simulates(self):
-        """Peeking at initial_instances() before engine.run() (the
-        pre-scenario inspection pattern) must not drain the t=0 batch
-        away from the engine."""
-        from repro.schedulers import make_scheduler
-        from repro.sim.engine import MultiTenantEngine
-        from repro.sim.workload import ClosedLoopWorkload, WorkloadSpec
-
-        spec = WorkloadSpec(model_keys=["MB.", "RS."],
-                            inferences_per_stream=1,
-                            warmup_inferences=0)
-        workload = ClosedLoopWorkload(spec)
-        peeked = workload.initial_instances()
-        assert len(peeked) == 2
-        result = MultiTenantEngine(
-            SoCConfig(), make_scheduler("baseline"), workload
-        ).run()
-        assert result.metrics.num_inferences == 2
-        assert result.sim_time_s > 0
-
     def test_late_join_streams_start_at_join_time(self):
         spec = ScenarioSpec(
             streams=(

@@ -7,7 +7,8 @@ from repro.schedulers import make_scheduler
 from repro.schedulers.base import SchedulerPolicy
 from repro.sim.engine import MultiTenantEngine
 from repro.sim.task import LayerWork
-from repro.sim.workload import ClosedLoopWorkload, WorkloadSpec
+from repro.sim.scenario import ScenarioSpec
+from repro.sim.workload import ScenarioWorkload
 
 
 class FixedWorkScheduler(SchedulerPolicy):
@@ -30,14 +31,9 @@ def _run(scheduler, model_keys=("MB.",), inferences=1, cores=None,
     soc = SoCConfig()
     if cores is not None:
         soc = SoCConfig(num_npu_cores=cores)
-    spec = WorkloadSpec(
-        model_keys=list(model_keys),
-        inferences_per_stream=inferences,
-        warmup_inferences=0,
-        qos_scale=qos_scale,
-    )
-    workload = ClosedLoopWorkload(spec)
-    return MultiTenantEngine(soc, scheduler, workload).run()
+    spec = ScenarioSpec.closed_loop(model_keys, inferences=inferences,
+                                    qos_scale=qos_scale)
+    return MultiTenantEngine(soc, scheduler, ScenarioWorkload(spec)).run()
 
 
 class TestDeterministicTiming:

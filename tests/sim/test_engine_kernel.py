@@ -15,14 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from repro import simulate
+from repro import ScenarioSpec, run
 from repro.config import SoCConfig
 from repro.schedulers import make_scheduler
 from repro.schedulers.base import SchedulerPolicy
 from repro.sim.engine import MultiTenantEngine
 from repro.sim.kernel import RunningKernel
 from repro.sim.task import LayerWork
-from repro.sim.workload import ClosedLoopWorkload, WorkloadSpec
+from repro.sim.workload import ScenarioWorkload
 
 POLICIES = ["baseline", "moca", "aurora", "camdn-hw", "camdn-full"]
 
@@ -37,16 +37,12 @@ REFERENCE_PATH = (
 
 def _run(policy_name, *, backend=None, keys=KEYS,
          qos_scale=float("inf"), inferences=2):
-    spec = WorkloadSpec(
-        model_keys=list(keys),
-        inferences_per_stream=inferences,
-        warmup_inferences=0,
-        qos_scale=qos_scale,
-    )
+    spec = ScenarioSpec.closed_loop(keys, inferences=inferences,
+                                    qos_scale=qos_scale)
     engine = MultiTenantEngine(
         SoCConfig(),
         make_scheduler(policy_name),
-        ClosedLoopWorkload(spec),
+        ScenarioWorkload(spec),
         kernel_backend=backend,
     )
     return engine.run()
@@ -64,15 +60,18 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_pair_scenario_matches_reference(self, policy):
         reference = json.loads(REFERENCE_PATH.read_text())
-        fresh = simulate(policy, ["RS.", "MB."], inferences_per_stream=2)
+        spec = ScenarioSpec.closed_loop(["RS.", "MB."], inferences=2,
+                                        warmup_inferences=1)
+        fresh = run(spec, policy=policy)
         assert _metrics_json(fresh) == json.dumps(
             reference["pair-rs-mb"][policy], sort_keys=True
         )
 
     def test_steady_state_matches_reference(self):
         reference = json.loads(REFERENCE_PATH.read_text())
-        fresh = simulate("camdn-full", ["RS.", "MB.", "EF.", "VT."],
-                         duration_s=0.03)
+        spec = ScenarioSpec.closed_loop(["RS.", "MB.", "EF.", "VT."],
+                                        duration_s=0.03)
+        fresh = run(spec, policy="camdn-full")
         assert _metrics_json(fresh) == json.dumps(
             reference["steady-quad"]["camdn-full"], sort_keys=True
         )
@@ -141,12 +140,11 @@ class TestRateClampConsistency:
     """
 
     def test_near_zero_share_completes_consistently(self):
-        spec = WorkloadSpec(model_keys=["MB."], inferences_per_stream=1,
-                            warmup_inferences=0)
+        spec = ScenarioSpec.closed_loop(["MB."], inferences=1)
         engine = MultiTenantEngine(
             SoCConfig(),
             FixedShareScheduler(share=1e-30, dram=1e-3),
-            ClosedLoopWorkload(spec),
+            ScenarioWorkload(spec),
         )
         result = engine.run()
         # One event per layer (plus bounded residual events): progress

@@ -30,11 +30,7 @@ from repro.sim import native
 from repro.sim.engine import MultiTenantEngine
 from repro.sim.kernel import RunningKernel
 from repro.sim.scenario import ArrivalProcess, ScenarioSpec, StreamSpec
-from repro.sim.workload import (
-    ClosedLoopWorkload,
-    ScenarioWorkload,
-    WorkloadSpec,
-)
+from repro.sim.workload import ScenarioWorkload
 
 POLICIES = ("baseline", "moca", "aurora", "camdn-hw", "camdn-full",
             "camdn-qos")
@@ -61,16 +57,12 @@ def _metrics_json(result) -> str:
 def _run(policy_name, *, use_native=None, backend=None,
          keys=("RS.", "MB.", "EF.", "BE."), qos_scale=float("inf"),
          inferences=2):
-    spec = WorkloadSpec(
-        model_keys=list(keys),
-        inferences_per_stream=inferences,
-        warmup_inferences=0,
-        qos_scale=qos_scale,
-    )
+    spec = ScenarioSpec.closed_loop(keys, inferences=inferences,
+                                    qos_scale=qos_scale)
     engine = MultiTenantEngine(
         SoCConfig(),
         make_scheduler(policy_name),
-        ClosedLoopWorkload(spec),
+        ScenarioWorkload(spec),
         kernel_backend=backend,
         use_native=use_native,
     )

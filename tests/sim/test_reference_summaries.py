@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import simulate
+from repro import ScenarioSpec, run
 
 REFERENCE_PATH = (
     Path(__file__).parent.parent / "data" / "metric_summary_reference.json"
@@ -31,35 +31,32 @@ REFERENCE_PATH = (
 
 POLICIES = ("baseline", "moca", "aurora", "camdn-hw", "camdn-full")
 
-#: The 20 reference scenarios: (name, model mix, simulate() kwargs).
+#: Count-mode window: two measured inferences after one warm-up.
+COUNT = {"inferences": 2, "warmup_inferences": 1}
+
+#: The 20 reference scenarios: (name, model mix,
+#: ``ScenarioSpec.closed_loop`` keywords).
 SCENARIOS = (
-    ("pair-rs-mb", ("RS.", "MB."), {"inferences_per_stream": 2}),
-    ("pair-ef-vt", ("EF.", "VT."), {"inferences_per_stream": 2}),
-    ("pair-be-gn", ("BE.", "GN."), {"inferences_per_stream": 2}),
-    ("pair-wv-pp", ("WV.", "PP."), {"inferences_per_stream": 2}),
-    ("pair-rs-be", ("RS.", "BE."), {"inferences_per_stream": 2}),
-    ("pair-mb-gn", ("MB.", "GN."), {"inferences_per_stream": 2}),
-    ("pair-ef-pp", ("EF.", "PP."), {"inferences_per_stream": 2}),
-    ("pair-vt-wv", ("VT.", "WV."), {"inferences_per_stream": 2}),
-    ("quad-vision", ("RS.", "MB.", "EF.", "VT."),
-     {"inferences_per_stream": 2}),
-    ("quad-nlp", ("BE.", "GN.", "WV.", "PP."),
-     {"inferences_per_stream": 2}),
-    ("quad-mixed-a", ("RS.", "EF.", "BE.", "WV."),
-     {"inferences_per_stream": 2}),
-    ("quad-mixed-b", ("MB.", "VT.", "GN.", "PP."),
-     {"inferences_per_stream": 2}),
-    ("quad-dup-rs-mb", ("RS.", "RS.", "MB.", "MB."),
-     {"inferences_per_stream": 2}),
-    ("quad-dup-be-vt", ("BE.", "BE.", "VT.", "VT."),
-     {"inferences_per_stream": 2}),
+    ("pair-rs-mb", ("RS.", "MB."), COUNT),
+    ("pair-ef-vt", ("EF.", "VT."), COUNT),
+    ("pair-be-gn", ("BE.", "GN."), COUNT),
+    ("pair-wv-pp", ("WV.", "PP."), COUNT),
+    ("pair-rs-be", ("RS.", "BE."), COUNT),
+    ("pair-mb-gn", ("MB.", "GN."), COUNT),
+    ("pair-ef-pp", ("EF.", "PP."), COUNT),
+    ("pair-vt-wv", ("VT.", "WV."), COUNT),
+    ("quad-vision", ("RS.", "MB.", "EF.", "VT."), COUNT),
+    ("quad-nlp", ("BE.", "GN.", "WV.", "PP."), COUNT),
+    ("quad-mixed-a", ("RS.", "EF.", "BE.", "WV."), COUNT),
+    ("quad-mixed-b", ("MB.", "VT.", "GN.", "PP."), COUNT),
+    ("quad-dup-rs-mb", ("RS.", "RS.", "MB.", "MB."), COUNT),
+    ("quad-dup-be-vt", ("BE.", "BE.", "VT.", "VT."), COUNT),
     ("eight-all", ("RS.", "MB.", "EF.", "VT.", "BE.", "GN.", "WV.", "PP."),
-     {"inferences_per_stream": 2}),
+     COUNT),
     ("eight-all-rev", ("PP.", "WV.", "GN.", "BE.", "VT.", "EF.", "MB.",
-                       "RS."), {"inferences_per_stream": 2}),
-    ("eight-dup-pairs", ("RS.", "MB.") * 4, {"inferences_per_stream": 2}),
-    ("eight-dup-quads", ("BE.", "GN.", "WV.", "PP.") * 2,
-     {"inferences_per_stream": 2}),
+                       "RS."), COUNT),
+    ("eight-dup-pairs", ("RS.", "MB.") * 4, COUNT),
+    ("eight-dup-quads", ("BE.", "GN.", "WV.", "PP.") * 2, COUNT),
     ("steady-quad", ("RS.", "MB.", "EF.", "VT."), {"duration_s": 0.03}),
     ("steady-eight", ("RS.", "MB.", "EF.", "VT.", "BE.", "GN.", "WV.",
                       "PP."), {"duration_s": 0.02}),
@@ -67,7 +64,8 @@ SCENARIOS = (
 
 
 def _summary(policy: str, models, kwargs) -> dict:
-    return simulate(policy, list(models), **kwargs).metric_summary()
+    spec = ScenarioSpec.closed_loop(models, **kwargs)
+    return run(spec, policy=policy).metric_summary()
 
 
 def _capture() -> dict:

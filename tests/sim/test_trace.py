@@ -5,8 +5,9 @@ import pytest
 from repro.config import SoCConfig
 from repro.schedulers import make_scheduler
 from repro.sim.engine import MultiTenantEngine
+from repro.sim.scenario import ScenarioSpec
 from repro.sim.trace import SpanKind, TraceRecorder, TraceSpan
-from repro.sim.workload import ClosedLoopWorkload, WorkloadSpec
+from repro.sim.workload import ScenarioWorkload
 
 
 class TestTraceRecorder:
@@ -60,11 +61,10 @@ class TestTraceRecorder:
 class TestEngineIntegration:
     def test_engine_emits_layer_spans(self):
         trace = TraceRecorder()
-        spec = WorkloadSpec(model_keys=["MB."], inferences_per_stream=1,
-                            warmup_inferences=0)
+        spec = ScenarioSpec.closed_loop(["MB."], inferences=1)
         engine = MultiTenantEngine(
             SoCConfig(), make_scheduler("camdn-full"),
-            ClosedLoopWorkload(spec), trace=trace,
+            ScenarioWorkload(spec), trace=trace,
         )
         result = engine.run()
         layer_spans = [s for s in trace.spans
@@ -73,11 +73,10 @@ class TestEngineIntegration:
 
     def test_span_times_cover_latency(self):
         trace = TraceRecorder()
-        spec = WorkloadSpec(model_keys=["MB."], inferences_per_stream=1,
-                            warmup_inferences=0)
+        spec = ScenarioSpec.closed_loop(["MB."], inferences=1)
         engine = MultiTenantEngine(
             SoCConfig(), make_scheduler("baseline"),
-            ClosedLoopWorkload(spec), trace=trace,
+            ScenarioWorkload(spec), trace=trace,
         )
         result = engine.run()
         busy = trace.busy_time_s(trace.spans[0].instance_id)
@@ -86,11 +85,10 @@ class TestEngineIntegration:
 
     def test_traced_dram_matches_metrics(self):
         trace = TraceRecorder()
-        spec = WorkloadSpec(model_keys=["EF."], inferences_per_stream=1,
-                            warmup_inferences=0)
+        spec = ScenarioSpec.closed_loop(["EF."], inferences=1)
         engine = MultiTenantEngine(
             SoCConfig(), make_scheduler("camdn-full"),
-            ClosedLoopWorkload(spec), trace=trace,
+            ScenarioWorkload(spec), trace=trace,
         )
         result = engine.run()
         traced = sum(s.dram_bytes for s in trace.spans)

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import SoCConfig, simulate
+from repro import ScenarioSpec, SoCConfig, run
 from repro.errors import ReproError
+from repro.experiments import runner
 
 
 class TestPackageSurface:
@@ -112,55 +113,68 @@ class TestStableFacade:
             repro.no_such_name
 
 
-class TestSimulateHelper:
+class TestRunClosedLoop:
+    """The paper's closed-loop workload through the one run entry
+    point: ``run(ScenarioSpec.closed_loop(...), policy=...)``."""
+
     def test_count_mode(self):
-        result = simulate("camdn-full", ["MB."], inferences_per_stream=2)
+        result = run(ScenarioSpec.closed_loop(["MB."], inferences=2,
+                                              warmup_inferences=1),
+                     policy="camdn-full")
         assert result.metrics.num_inferences == 2
 
     def test_steady_state_mode(self):
-        result = simulate("baseline", ["MB.", "EF."], duration_s=0.02,
-                          warmup_s=0.005)
-        assert result.metrics.num_inferences > 0
+        spec = ScenarioSpec.closed_loop(["MB.", "EF."], duration_s=0.02,
+                                        warmup_s=0.005)
+        assert run(spec, policy="baseline").metrics.num_inferences > 0
 
     def test_custom_soc(self):
         from repro import MiB
 
         soc = SoCConfig().with_cache_bytes(4 * MiB)
-        result = simulate("baseline", ["MB."], inferences_per_stream=1,
-                          soc=soc)
+        result = run(ScenarioSpec.closed_loop(["MB."], inferences=1),
+                     soc=soc)
         assert result.metrics.num_inferences == 1
 
     def test_policy_kwargs_forwarded(self):
-        result = simulate("camdn-full", ["MB."], inferences_per_stream=1,
-                          qos_mode=True)
+        result = run(ScenarioSpec.closed_loop(["MB."], inferences=1),
+                     policy="camdn-full", qos_mode=True)
         # The QoS integration reports its own row name — proof the
         # kwarg reached the scheduler.
         assert result.scheduler_name == "camdn-qos"
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            simulate("magic", ["MB."])
+            run(ScenarioSpec.closed_loop(["MB."]), policy="magic")
 
     def test_qos_scale_sets_deadlines(self):
-        result = simulate("camdn-full", ["MB."], inferences_per_stream=1,
-                          qos_scale=1.0)
-        record = result.metrics.records[0]
+        spec = ScenarioSpec.closed_loop(["MB."], inferences=1,
+                                        qos_scale=1.0)
+        record = run(spec, policy="camdn-full").metrics.records[0]
         assert record.qos_target_s == pytest.approx(2.8e-3)
+
+    def test_simulate_is_gone(self):
+        """``run`` is the one entry point; the old ``simulate`` helper
+        beside it was removed in 1.9.0."""
+        with pytest.raises(AttributeError):
+            repro.simulate
+
+
+#: Output every runner experiment must print, beyond exiting 0.
+RUNNER_OUTPUT = {"table3": "Table III", "fig3": "reuse"}
 
 
 class TestRunnerCLI:
-    def test_table3_via_cli(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["table3"]) == 0
+    @pytest.mark.parametrize("name", sorted(runner.EXPERIMENTS))
+    def test_experiment_smoke(self, name, capsys):
+        """Every runner experiment completes at a tiny scale on the
+        serial path with the sweep cache bypassed."""
+        assert runner.main(
+            [name, "--scale", "0.02", "--jobs", "1", "--no-cache"]
+        ) == 0
         out = capsys.readouterr().out
-        assert "Table III" in out
-
-    def test_fig3_via_cli(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["fig3"]) == 0
-        assert "reuse" in capsys.readouterr().out
+        assert f"[{name} regenerated in" in out
+        assert RUNNER_OUTPUT.get(name, "") in out
 
     def test_profile_reaches_allocator_frames(self, tmp_path, capsys):
         """``--profile`` on a ``--scenario`` run profiles through
@@ -187,9 +201,13 @@ class TestRunnerCLI:
         assert "profile written to" in capsys.readouterr().out
 
 
-EXAMPLES = sorted(
-    (Path(__file__).resolve().parents[1] / "examples").glob("*.py")
-)
+EXAMPLES_DIR = Path(__file__).resolve().parents[1] / "examples"
+EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+
+#: Examples that run the closed-loop workload through ``repro.run``;
+#: each takes about a second with a warm mapping cache.
+RUN_EXAMPLES = ("quickstart", "qos_deadlines", "cache_contention_study",
+                "execution_timeline")
 
 
 class TestExamples:
@@ -204,3 +222,16 @@ class TestExamples:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         assert callable(module.main)
+
+    @pytest.mark.parametrize("name", RUN_EXAMPLES)
+    def test_example_runs(self, name):
+        """The example runs end to end with its default arguments, so a
+        call that breaks only at run time fails here too."""
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(EXAMPLES_DIR / f"{name}.py")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip()
