@@ -53,11 +53,12 @@ class RunConfig:
             equal).
         kernel_backend: ``"list"`` pins the engine to the split step
             path (policy rates plus the pure-Python list kernel),
-            standing down the native and Python fused steppers; tests
-            use it to cross-check the paths.  ``None`` (the default)
-            lets the engine choose its fastest path.  Any other value
-            is rejected with :class:`ValueError` when the engine is
-            built.
+            standing down the native and Python fused steppers, and
+            runs no native code at all: CaMDN completions take the
+            Python chain too.  Tests use it to cross-check the paths.
+            ``None`` (the default) lets the engine choose its fastest
+            path.  Any other value is rejected with
+            :class:`ValueError` when the engine is built.
         max_events: engine watchdog event budget (see
             :meth:`~repro.sim.engine.MultiTenantEngine.run`).
         max_wall_s: engine watchdog wall-clock budget in seconds; the

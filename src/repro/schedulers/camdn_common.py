@@ -17,7 +17,6 @@ from ..core.allocator import LOOKAHEAD_FRACTION, AllocationDecision
 from ..core.camdn import CaMDNSystem, LayerGrant
 from ..errors import SimulationError
 from ..memory.bwalloc import DemandProportionalPolicy, SlackWeightedPolicy
-from ..sim import native as _native
 from ..sim.task import LayerWork, TaskInstance
 from .base import SchedulerPolicy
 
@@ -66,6 +65,8 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         #: id(mapping_file) -> (mapping_file, rows, pairs) tables for
         #: the native completion handler (see _build_fast_file).
         self._fast_files: Dict[int, tuple] = {}
+        #: The native completion handler, installed by the engine
+        #: (bind_native); None keeps advance_layer in Python.
         self._advance_native = None
         self._alloc = None
 
@@ -105,7 +106,14 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         )
         self._alloc = self.system.allocator
         self._fast_files = {}
-        self._advance_native = _native.camdn_advance()
+        self._advance_native = None
+
+    def bind_native(self, advance) -> None:
+        """Install the engine's native completion handler
+        (``_batchstep.camdn_advance``), or ``None`` for the pure-Python
+        chain.  The engine calls this after every attach or restore, so
+        a run without native code never reaches it."""
+        self._advance_native = advance
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -162,7 +170,7 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         )
         self._alloc = self.system.allocator
         self._fast_files = {}
-        self._advance_native = _native.camdn_advance()
+        self._advance_native = None
 
     # ------------------------------------------------------------------
     # Core allocation (AuRORA-compatible in QoS mode)
@@ -368,6 +376,24 @@ class CaMDNSchedulerBase(SchedulerPolicy):
     # ------------------------------------------------------------------
     # Native completion-handler support tables
     # ------------------------------------------------------------------
+
+    def native_batch_args(self) -> tuple:
+        """The scheduler side of one ``_batchstep.camdn_batch`` call:
+        the allocator's predictor lists and page totals, the HW-only
+        static share, the HW-only flag and the :meth:`_build_fast_file`
+        tables.  The totals change only between calls, so the engine
+        fetches this tuple per call."""
+        alloc = self._alloc
+        return (
+            alloc._tnext, alloc._pnext, alloc._palloc, alloc.total_pages,
+            alloc._palloc_sum, self.system._share,
+            0 if self._sys_hw is None else 1, self._fast_files,
+        )
+
+    def add_lbm_layers(self, count: int) -> None:
+        """Count LBM layers whose completions the native batch loop
+        handled (the ``is_lbm`` flags of the memo entries it took)."""
+        self._lbm_layers += count
 
     def _build_fast_file(self, mf) -> tuple:
         """Precompute the per-layer geometry rows the C completion

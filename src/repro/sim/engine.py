@@ -36,7 +36,12 @@ compiled on demand) when the policy declares a fusable rate rule
 (:meth:`~repro.schedulers.base.SchedulerPolicy.rate_kernel`), and
 through :meth:`RunningKernel.step` otherwise.  Static-rate policies ride
 the same batch loop (the former special-cased fast-forward); their rates
-are simply not recomputed until invalidated.  Each piecewise-constant
+are simply not recomputed until invalidated.  For the CaMDN policies
+with native code, one C call (``_batchstep.camdn_batch``) runs whole
+stretches of that loop, including each non-final layer completion's
+accounting, Algorithm 1 selection and memoized grant, and hands the
+completions it cannot take (last layers, resizes, denials, memo misses,
+pending waiters) back to the Python chain.  Each piecewise-constant
 interval is still stepped individually — exactness requires draining
 every interval with the same arithmetic — so batching elides
 bookkeeping, never events, and every fused path is bit-identical to the
@@ -251,10 +256,13 @@ class MultiTenantEngine:
         self._kernel_backend = kernel_backend
         # SoA kernel over the RUNNING set.
         self._kernel = RunningKernel()
-        # Native fused stepper (None: pure-Python paths).
+        # Native fused stepper (None: pure-Python paths).  It gates
+        # every native entry point of the run (see _bind_native).
         self._native = None
         if use_native is not False and kernel_backend is None:
             self._native = native.fused_step()
+        # Native CaMDN batch loop (see _bind_native).
+        self._camdn_batch = None
         # Fused rate mode, resolved from the policy's rate_kernel() per
         # rate epoch (see _resolve_rate_mode): 0 = split path,
         # 1 = demand_prop, 2 = slack_weighted, 3 = slack_throttled.
@@ -349,6 +357,7 @@ class MultiTenantEngine:
         self._setup_checkpoints(checkpoint_every_s, checkpoint_dir,
                                 snapshot_at_events, start)
         self.scheduler.attach(self.soc)
+        self._bind_native()
         self._dynamic_rates = self.scheduler.dynamic_rates
         self._resolve_rate_mode()
         self._process_timeline(initial=True)
@@ -377,8 +386,29 @@ class MultiTenantEngine:
         self._apply_budgets(max_events, max_wall_s, start)
         self._setup_checkpoints(checkpoint_every_s, checkpoint_dir,
                                 snapshot_at_events, start)
+        self._bind_native()
         self._resolve_rate_mode()
         return self._finish_run(start)
+
+    def _bind_native(self) -> None:
+        """Share this engine's native code with a CaMDN scheduler.
+
+        The scheduler gets the C completion handler only when the
+        engine runs native code, so ``use_native=False``, the
+        ``kernel_backend`` pin and ``REPRO_NATIVE=0`` keep the whole
+        run in Python.  With native code and no live
+        :class:`~repro.sim.trace.TraceRecorder` (whose spans the C loop
+        would skip), the batch loop also hands its CaMDN layer
+        completions to ``_batchstep.camdn_batch``.
+        """
+        self._camdn_batch = None
+        bind = getattr(self.scheduler, "bind_native", None)
+        if bind is None:
+            return
+        on = self._native is not None
+        bind(native.camdn_advance() if on else None)
+        if on and self.trace is None:
+            self._camdn_batch = native.camdn_batch()
 
     def _apply_budgets(self, max_events: Optional[int],
                        max_wall_s: Optional[float],
@@ -705,7 +735,10 @@ class MultiTenantEngine:
         caller.  When the policy declares a fusable rate rule, the
         rates-recompute and the kernel step collapse into one fused call
         per event (native C when available); otherwise the split Python
-        pair runs inside the same loop.  All paths are bit-identical.
+        pair runs inside the same loop.  For CaMDN policies with native
+        code, one ``camdn_batch`` call runs whole stretches of those
+        iterations, layer completions included, and hands back only the
+        completions it declines.  All paths are bit-identical.
         """
         kernel = self._kernel
         insts = kernel.insts
@@ -729,6 +762,9 @@ class MultiTenantEngine:
         floor = self._mode_floor
         urgency = self._mode_urgency
         max_events = self._max_events
+        batch = self._camdn_batch if fused_mode in (1, 2) else None
+        if batch is not None:
+            batch_args = scheduler.native_batch_args
         # The next fault instant is constant inside a batch: actions are
         # only consumed by _process_faults, which runs between batches.
         fault_next = math.inf
@@ -738,12 +774,14 @@ class MultiTenantEngine:
         eff = 0.0
         while True:
             wait_dt = math.inf
+            wake = math.inf
             if wait_heap:
                 wake = self._peek_wake_time()
                 if not math.isinf(wake):
                     wait_dt = wake - self.now
                     if wait_dt < 0.0:
                         wait_dt = 0.0
+            timeline_s = math.inf
             if not self._timeline_done:
                 timeline_s = workload.next_timeline_s()
                 if math.isinf(timeline_s):
@@ -758,7 +796,7 @@ class MultiTenantEngine:
                 wait_dt = fault_next - self.now
                 if wait_dt < 0.0:
                     wait_dt = 0.0
-            res = None
+            res = out = None
             if fused_mode:
                 n = len(insts)
                 if n != n_eff:
@@ -771,8 +809,18 @@ class MultiTenantEngine:
                         # Per-instance efficiencies: not fusable after
                         # all; drop to the split path for this run.
                         self._fused_mode = fused_mode = 0
+                        batch = None
                     n_eff = n
-                if fused_mode and n:
+                if batch is not None and n:
+                    out = batch(
+                        insts, kernel.rem_c, kernel.rem_d,
+                        kernel.sl_arrival, kernel.sl_qos, kernel.sl_est,
+                        kernel.sl_progress, fused_mode, freq, total_bw,
+                        eff, floor, urgency, self.now, wake, timeline_s,
+                        fault_next, self.events_processed, max_events,
+                        self._queued, self._waiting_set, batch_args(),
+                    )
+                if out is None and fused_mode and n:
                     if fused_mode == 1:
                         if native_step is not None:
                             res = native_step(
@@ -803,25 +851,38 @@ class MultiTenantEngine:
                     kernel.rate_c, kernel.rate_d,
                     wait_dt, 0, freq, total_bw, 1.0, 0.0,
                 )
-            if res is None:
-                # Split path: the exact pre-batch per-event machinery
-                # (also the fallback for inputs outside the fused
-                # fast-path shape).
-                if not self._rates_valid:
-                    self._recompute_rates()
-                dt, finished = step(wait_dt)
+            if out is not None:
+                # ``handled`` events ran in C; ``finished`` is None when
+                # the last one ended the batch, else the completions it
+                # declined (empty: the next event needs this loop).
+                handled, self.now, lbm, finished = out
+                self.events_processed += handled
+                if lbm:
+                    scheduler.add_lbm_layers(lbm)
+                if dynamic:
+                    self._rates_valid = False
+                if finished is None:
+                    return
             else:
-                dt, finished = res
-            if math.isinf(dt):
-                raise SimulationError(
-                    "deadlock: active instances but no future event"
-                )
-            if dt < 0:
-                raise SimulationError(f"negative time step {dt}")
-            self.now += dt
-            if dynamic and insts:
-                self._rates_valid = False
-            self.events_processed += 1
+                if res is None:
+                    # Split path: the exact pre-batch per-event
+                    # machinery (also the fallback for inputs outside
+                    # the fused fast-path shape).
+                    if not self._rates_valid:
+                        self._recompute_rates()
+                    dt, finished = step(wait_dt)
+                else:
+                    dt, finished = res
+                if math.isinf(dt):
+                    raise SimulationError(
+                        "deadlock: active instances but no future event"
+                    )
+                if dt < 0:
+                    raise SimulationError(f"negative time step {dt}")
+                self.now += dt
+                if dynamic and insts:
+                    self._rates_valid = False
+                self.events_processed += 1
             if finished:
                 self._process_completions(finished)
                 if scheduler.rate_epoch != epoch:

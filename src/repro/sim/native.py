@@ -1,9 +1,11 @@
-"""Build-on-demand loader for the native fused-step kernel.
+"""Build-on-demand loader for the native batch-loop kernels.
 
 The engine's batch loop calls one C function per event
 (:mod:`repro.sim._batchstep`) instead of the Python
-recompute-rates/step pair.  The extension is compiled from the shipped
-``_batchstep.c`` the first time a process asks for it, cached under
+recompute-rates/step pair, and for the CaMDN policies one C function
+per run of events, layer completions included.  The extension is
+compiled from the shipped ``_batchstep.c`` the first time a process
+asks for it, cached under
 ``$XDG_CACHE_HOME/camdn-repro/native/`` keyed by source digest and
 Python ABI, and loaded from the cache on every later run — so the repo
 stays a plain ``PYTHONPATH=src`` checkout with no build step.
@@ -39,6 +41,7 @@ _ABI_TAG = 2
 _loaded = False
 _fused_step: Optional[Callable] = None
 _camdn_advance: Optional[Callable] = None
+_camdn_batch: Optional[Callable] = None
 _status = "not loaded"
 
 
@@ -110,7 +113,7 @@ def fused_step() -> Optional[Callable]:
     First call per process compiles (or reuses) the cached extension;
     later calls return the memoized result.
     """
-    global _loaded, _fused_step, _camdn_advance, _status
+    global _loaded, _fused_step, _camdn_advance, _camdn_batch, _status
     if _loaded:
         return _fused_step
     _loaded = True
@@ -145,10 +148,12 @@ def fused_step() -> Optional[Callable]:
                 module = _load_from(so_path)
         _fused_step = module.fused_step
         _camdn_advance = module.camdn_advance
+        _camdn_batch = module.camdn_batch
         _status = f"loaded ({so_path.name})"
     except Exception as exc:  # noqa: BLE001 - any failure means fallback
         _fused_step = None
         _camdn_advance = None
+        _camdn_batch = None
         _status = f"unavailable: {type(exc).__name__}: {exc}"
     return _fused_step
 
@@ -157,11 +162,19 @@ def camdn_advance() -> Optional[Callable]:
     """The native CaMDN per-completion handler, or ``None``.
 
     Shares the load attempt with :func:`fused_step` (one extension
-    module carries both entry points).
+    module carries every entry point).
     """
     if not _loaded:
         fused_step()
     return _camdn_advance
+
+
+def camdn_batch() -> Optional[Callable]:
+    """The native CaMDN batch loop (events plus layer completions), or
+    ``None``; shares the load attempt with :func:`fused_step`."""
+    if not _loaded:
+        fused_step()
+    return _camdn_batch
 
 
 def native_status() -> str:
@@ -171,8 +184,9 @@ def native_status() -> str:
 
 def reset_for_tests() -> None:
     """Forget the memoized load so tests can exercise both paths."""
-    global _loaded, _fused_step, _camdn_advance, _status
+    global _loaded, _fused_step, _camdn_advance, _camdn_batch, _status
     _loaded = False
     _fused_step = None
     _camdn_advance = None
+    _camdn_batch = None
     _status = "not loaded"

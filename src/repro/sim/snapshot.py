@@ -254,7 +254,8 @@ class EngineSnapshot:
 
         ``kernel_backend`` defaults to the pin at capture time (usually
         ``None``; ``"list"`` forces the split path); ``use_native``
-        defaults to auto.  Both only select among bit-identical
+        defaults to auto, and ``False`` (like the list pin) resumes
+        without any native code.  Both only select among bit-identical
         implementations, so they never change results.
 
         Raises:

@@ -8,12 +8,18 @@ across every rate-kernel mode (demand-proportional, slack-weighted,
 slack-throttled); the committed reference suite pins the default path
 and these tests pin the cross-path agreement, including MoCA's mid-run
 rate epoch transitions, QoS tenant churn and fuzzed fault schedules.
+For the CaMDN policies the native path is the C batch loop, which also
+handles layer completions (``_batchstep.camdn_batch``); it must leave
+results, scheduler stats and mid-run snapshots exactly as the Python
+completion chain does, stay off whenever the engine runs without
+native code, and actually take most completions.
 """
 
 import json
 import math
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,12 +34,49 @@ from repro.config import SoCConfig
 from repro.schedulers import make_scheduler
 from repro.sim import native
 from repro.sim.engine import MultiTenantEngine
+from repro.sim.faults import get_fault_schedule
 from repro.sim.kernel import RunningKernel
-from repro.sim.scenario import ArrivalProcess, ScenarioSpec, StreamSpec
+from repro.sim.scenario import (
+    ArrivalProcess,
+    ScenarioSpec,
+    StreamSpec,
+    get_scenario,
+)
+from repro.sim.snapshot import _dumps, _loads
 from repro.sim.workload import ScenarioWorkload
 
 POLICIES = ("baseline", "moca", "aurora", "camdn-hw", "camdn-full",
             "camdn-qos")
+
+CAMDN_POLICIES = ("camdn-hw", "camdn-full", "camdn-qos")
+
+#: Python 3.12 made float ``sum()`` compensated, while the C kernel (and
+#: ``sum()`` up to 3.11) adds left to right, so from 3.12 on the Python
+#: share totals can round differently in the last place: mid-run fluid
+#: state, and with it snapshot bytes, then differ across paths even
+#: where every summary, count and stat agrees.
+LEFT_TO_RIGHT_SUM = sys.version_info < (3, 12)
+
+#: CaMDN cross-path cases: (scenario, fault schedule).  ``churn-ecc``
+#: retires pages mid-run, so region resizes make the batch loop decline
+#: completions between handled ones; ``qos-2core`` gives camdn-qos
+#: deadlines tight enough for 2-core grants (memo keys with cores=2).
+CAMDN_CASES = {
+    "closed-loop": (
+        ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "BE."),
+                                 inferences=4),
+        None,
+    ),
+    "churn-ecc": (
+        get_scenario("churn-heavy").scaled(0.2),
+        get_fault_schedule("ecc-storm"),
+    ),
+    "qos-2core": (
+        ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "BE."),
+                                 inferences=3, qos_scale=0.5),
+        None,
+    ),
+}
 
 _fuzz_settings = settings(
     max_examples=int(os.environ.get("REPRO_FUZZ_EXAMPLES", "10")),
@@ -52,6 +95,21 @@ needs_native = pytest.mark.skipif(
 
 def _metrics_json(result) -> str:
     return json.dumps(result.metric_summary(), sort_keys=True)
+
+
+def _fused_view(snapshot) -> bytes:
+    """Snapshot payload bytes without the kernel state that differs
+    by step path by design: the split path's ``kernel_backend`` pin
+    and applied rates (the fused paths derive rates inside each step
+    and never store them), and the slack inputs only the fused slack
+    modes track."""
+    payload = _loads(snapshot.payload)
+    payload["engine"]["kernel_backend"] = None
+    kernel = payload["engine"]["kernel"]
+    for key in ("rate_c", "rate_d", "slack_on", "sl_arrival", "sl_qos",
+                "sl_est", "sl_progress"):
+        kernel[key] = None
+    return _dumps(payload)
 
 
 def _run(policy_name, *, use_native=None, backend=None,
@@ -129,6 +187,106 @@ class TestLoader:
         assert status().startswith("loaded")
         # The cache entry was rebuilt into a loadable binary.
         assert so_path.read_bytes()[:4] != b"this"
+
+
+class TestNativeSwitch:
+    """``use_native=False``, the ``kernel_backend="list"`` pin and a
+    resume without native code run no native completion handler."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"advance": 0, "batch": 0}
+
+        def counting(name, getter):
+            def get():
+                fn = getter()
+                if fn is None:
+                    return None
+
+                def wrapper(*args):
+                    counts[name] += 1
+                    return fn(*args)
+
+                return wrapper
+
+            return get
+
+        monkeypatch.setattr(native, "camdn_advance",
+                            counting("advance", native.camdn_advance))
+        monkeypatch.setattr(
+            native, "camdn_batch",
+            counting("batch", getattr(native, "camdn_batch",
+                                      lambda: None)),
+            raising=False,
+        )
+        return counts
+
+    @pytest.mark.parametrize("policy", CAMDN_POLICIES)
+    def test_use_native_false(self, calls, policy):
+        _run(policy, use_native=False)
+        assert calls == {"advance": 0, "batch": 0}
+
+    @pytest.mark.parametrize("policy", CAMDN_POLICIES)
+    def test_list_pin(self, calls, policy):
+        _run(policy, backend="list")
+        assert calls == {"advance": 0, "batch": 0}
+
+    def test_resume_without_native(self, calls):
+        spec = ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "BE."),
+                                        inferences=2)
+        engine = MultiTenantEngine(SoCConfig(),
+                                   make_scheduler("camdn-full"),
+                                   ScenarioWorkload(spec))
+        snapshot = engine.run(snapshot_at_events=200).last_snapshot
+        calls.update(advance=0, batch=0)
+        MultiTenantEngine.resume(snapshot, use_native=False).resume_run()
+        assert calls == {"advance": 0, "batch": 0}
+
+    @needs_native
+    @pytest.mark.parametrize("policy", CAMDN_POLICIES)
+    def test_default_path_is_native(self, calls, policy):
+        _run(policy)
+        assert calls["batch"] > 0
+        # Memo misses reach advance_layer's native branch.
+        assert calls["advance"] > 0
+
+
+@needs_native
+class TestCompletionFastPath:
+    """Most CaMDN layer completions never reach the Python
+    ``advance_layer``.
+
+    The identity tests stay green when the batch loop silently declines
+    everything (a type bail on every completion, a changed table
+    layout); this test does not.  Declines are last layers, resizes,
+    denials, waiters and memo misses: 11.7 % of completions in
+    fleet cells and 4.5 % in Figure 8 cells at seed 2025.  Here the first inference of
+    each stream builds the memo, so 1 in 8 completions (12.5 %) reaches
+    Python; a silent fall-back sends all of them.
+    """
+
+    def test_most_completions_skip_python(self):
+        spec = ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "VT.") * 2,
+                                        inferences=8)
+
+        def python_advances(use_native):
+            scheduler = make_scheduler("camdn-full")
+            advance = scheduler.advance_layer
+            count = [0]
+
+            def counting(inst, now):
+                count[0] += 1
+                return advance(inst, now)
+
+            scheduler.advance_layer = counting
+            MultiTenantEngine(SoCConfig(), scheduler,
+                              ScenarioWorkload(spec),
+                              use_native=use_native).run()
+            return count[0]
+
+        # Without native code every non-final completion calls it.
+        total = python_advances(False)
+        assert python_advances(None) < 0.25 * total
 
 
 @needs_native
@@ -372,6 +530,42 @@ class TestEngineCrossPathIdentity:
         assert _metrics_json(with_native) == _metrics_json(without)
         assert _metrics_json(without) == _metrics_json(split)
         assert with_native.events_processed == split.events_processed
+
+    @pytest.mark.parametrize("case", sorted(CAMDN_CASES))
+    @pytest.mark.parametrize("policy", CAMDN_POLICIES)
+    def test_camdn_paths_agree(self, policy, case):
+        """Native batch loop, pure-Python completion chain and split
+        step: same summary, events, stats and mid-run snapshot."""
+        spec, faults = CAMDN_CASES[case]
+
+        def run(at=None, **paths):
+            engine = MultiTenantEngine(
+                SoCConfig(), make_scheduler(policy),
+                ScenarioWorkload(spec), faults=faults, **paths,
+            )
+            return engine.run(snapshot_at_events=at)
+
+        # The first run fills the process-wide decision caches that
+        # snapshots carry, so the three runs below capture equal ones.
+        at = run().events_processed // 2
+        results = {
+            "native": run(at),
+            "python": run(at, use_native=False),
+            "split": run(at, kernel_backend="list"),
+        }
+        first = results["native"]
+        assert first.last_snapshot is not None
+        for result in results.values():
+            assert _metrics_json(result) == _metrics_json(first)
+            assert result.events_processed == first.events_processed
+            assert result.scheduler_stats == first.scheduler_stats
+            assert result.last_snapshot.events_processed == \
+                first.last_snapshot.events_processed
+        if LEFT_TO_RIGHT_SUM:
+            assert results["python"].last_snapshot.payload == \
+                first.last_snapshot.payload
+            assert _fused_view(results["split"].last_snapshot) == \
+                _fused_view(first.last_snapshot)
 
     def test_moca_mid_run_epoch_transition(self):
         # One deadline-carrying stream finishes early, flipping MoCA's
