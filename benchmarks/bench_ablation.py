@@ -1,4 +1,5 @@
-"""Benchmarks: ablations of CaMDN's design choices (see DESIGN.md)."""
+"""Benchmarks: ablations of CaMDN's design choices (see
+:mod:`repro.experiments.ablation`)."""
 
 from __future__ import annotations
 

@@ -25,7 +25,7 @@ Emits ``BENCH_engine.json``::
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine.py [--out BENCH_engine.json]
-    python benchmarks/check_engine_regression.py  # CI guard (>30% drop)
+    python benchmarks/check_regression.py engine  # CI guard (>30% drop)
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.config import SoCConfig
 from repro.core.prepared import prepare_workload
 from repro.models.graph import ModelGraph
 from repro.models.layers import LayerKind, LayerSpec
+from repro.numeric import left_sum
 from repro.schedulers import make_scheduler
 from repro.schedulers.base import SchedulerPolicy
 from repro.sim import native
@@ -133,13 +134,10 @@ class DynamicSynthetic(StaticSynthetic):
     name = "synthetic-dynamic"
     dynamic_rates = True
 
-    def bandwidth_shares(self, running, now):
-        demands = {
-            iid: max(inst.rem_dram_bytes, 1.0)
-            for iid, inst in running.items()
-        }
-        total = sum(demands.values())
-        return {iid: d / total for iid, d in demands.items()}
+    def bandwidth_shares(self, insts, rem_compute, rem_dram, now):
+        demands = [max(d, 1.0) for d in rem_dram]
+        total = left_sum(demands)
+        return [d / total for d in demands]
 
 
 def _build_workload(graph: Optional[ModelGraph],

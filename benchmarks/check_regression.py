@@ -5,7 +5,11 @@ One manifest-driven checker replaces the former per-bench
 manifest entry names the fresh output file a bench writes, the committed
 baseline it is compared against, and where the throughput number lives
 in the JSON; a row fails when its rate drops more than the tolerance
-(default 30 %) below the baseline.
+(default 30 %) below the baseline.  A row that records how many engine
+events it simulated (``kernel.events``) also fails when that count
+differs from the baseline's: a rate over different work compares
+nothing, and a faster row that silently simulated less would pass the
+rate check.
 
 Absolute rates vary across runner hardware, so the committed baselines
 should be refreshed when the fleet changes; tune with ``--tolerance`` or
@@ -105,6 +109,12 @@ def _rate(entry: dict, path: Tuple[str, ...]) -> float:
     return float(value)
 
 
+def _events(entry: dict):
+    """The row's simulated event count, or None when it records none."""
+    kernel = entry.get("kernel") if isinstance(entry, dict) else None
+    return kernel.get("events") if isinstance(kernel, dict) else None
+
+
 def _load(path: Path, role: str) -> dict:
     if not path.exists():
         raise SystemExit(f"{role} file missing: {path}")
@@ -155,7 +165,13 @@ def check_bench(name: str, tolerance: float,
             failures.append(f"{name}/{row}: malformed rate entry")
             continue
         floor = (1.0 - tolerance) * base_rate
+        base_events = _events(base_entry)
+        cur_events = _events(cur_entry)
+        events_differ = base_events is not None and \
+            cur_events != base_events
         status = "ok" if cur_rate >= floor else "REGRESSED"
+        if events_differ:
+            status = "EVENTS DIFFER"
         print(
             f"{row:<{width}} baseline {base_rate:>12,.0f} {spec.unit}   "
             f"current {cur_rate:>12,.0f} {spec.unit}   floor "
@@ -165,6 +181,11 @@ def check_bench(name: str, tolerance: float,
             failures.append(
                 f"{name}/{row}: {cur_rate:,.0f} {spec.unit} < floor "
                 f"{floor:,.0f} (baseline {base_rate:,.0f})"
+            )
+        if events_differ:
+            failures.append(
+                f"{name}/{row}: simulated {cur_events} events, "
+                f"baseline {base_events}"
             )
     return failures
 

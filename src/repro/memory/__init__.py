@@ -1,18 +1,11 @@
 """DRAM substrate: functional backing store and bandwidth models."""
 
 from .dram import DRAMTimingModel, MainMemory
-from .bwalloc import (
-    BandwidthAllocation,
-    DemandProportionalPolicy,
-    EqualSharePolicy,
-    SlackWeightedPolicy,
-)
+from .bwalloc import DemandProportionalPolicy, SlackWeightedPolicy
 
 __all__ = [
     "MainMemory",
     "DRAMTimingModel",
-    "BandwidthAllocation",
-    "EqualSharePolicy",
     "DemandProportionalPolicy",
     "SlackWeightedPolicy",
 ]

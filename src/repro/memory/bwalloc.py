@@ -7,60 +7,20 @@ The baselines the paper compares against are bandwidth-centric schedulers:
 * AuRORA co-allocates bandwidth and NPU cores toward latency targets
   (slack-weighted).
 
-These policies are pure functions from per-task demand/slack snapshots to
-fractional shares summing to at most 1, so both the fluid simulator and the
-unit tests can exercise them directly.
+These policies are pure functions from per-task demand/slack lists to
+fractional shares in the same order, summing to at most 1, so both the
+fluid simulator and the unit tests can exercise them directly.  Every
+total accumulates left to right (:func:`~repro.numeric.left_sum`), the
+order the engine's fused steppers transcribe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Sequence
 
 from ..errors import SimulationError
-
-
-@dataclass(frozen=True)
-class BandwidthAllocation:
-    """Result of one allocation round: task id -> share in (0, 1]."""
-
-    shares: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        total = sum(self.shares.values())
-        if total > 1.0 + 1e-9:
-            raise SimulationError(f"shares sum to {total} > 1")
-        for task, share in self.shares.items():
-            if share <= 0:
-                raise SimulationError(f"{task}: non-positive share {share}")
-
-    def share_of(self, task_id: str) -> float:
-        return self.shares.get(task_id, 0.0)
-
-
-class EqualSharePolicy:
-    """Even split among active tasks (the unmanaged baseline)."""
-
-    def allocate(self, demands: Mapping[str, float],
-                 slacks: Mapping[str, float] | None = None
-                 ) -> BandwidthAllocation:
-        """``demands`` maps task id -> bytes/s it could consume."""
-        if not demands:
-            return BandwidthAllocation(shares={})
-        share = 1.0 / len(demands)
-        return BandwidthAllocation(
-            shares={task: share for task in demands}
-        )
-
-    def allocate_list(self, demands: Sequence[float],
-                      slacks: Optional[Sequence[float]] = None
-                      ) -> List[float]:
-        """Positional twin of :meth:`allocate` (same floats, no dicts)."""
-        if not demands:
-            return []
-        share = 1.0 / len(demands)
-        return [share] * len(demands)
+from ..numeric import left_sum
 
 
 class DemandProportionalPolicy:
@@ -75,34 +35,9 @@ class DemandProportionalPolicy:
             raise SimulationError("floor must be in [0, 1)")
         self.floor = floor
 
-    def allocate(self, demands: Mapping[str, float],
-                 slacks: Mapping[str, float] | None = None
-                 ) -> BandwidthAllocation:
-        if not demands:
-            return BandwidthAllocation(shares={})
-        n = len(demands)
-        total_demand = sum(max(d, 0.0) for d in demands.values())
-        shares: Dict[str, float] = {}
-        floor_total = self.floor * n if self.floor * n < 1 else 0.0
-        remaining = 1.0 - floor_total
-        for task, demand in demands.items():
-            proportional = (
-                max(demand, 0.0) / total_demand if total_demand > 0
-                else 1.0 / n
-            )
-            base = self.floor if floor_total else 0.0
-            shares[task] = base + remaining * proportional
-        return BandwidthAllocation(shares=shares)
-
-    def allocate_list(self, demands: Sequence[float],
-                      slacks: Optional[Sequence[float]] = None
-                      ) -> List[float]:
-        """Positional twin of :meth:`allocate`.
-
-        Bit-identical to the dict path when ``demands`` is given in the
-        dict's iteration order: the demand total accumulates in the same
-        order and every per-task expression keeps its shape.
-        """
+    def allocate(self, demands: Sequence[float]) -> List[float]:
+        """Shares aligned with ``demands`` (bytes/s each task could
+        consume); an all-zero demand set splits equally."""
         if not demands:
             return []
         n = len(demands)
@@ -112,13 +47,13 @@ class DemandProportionalPolicy:
         if min(demands) >= 0:
             # All-non-negative fast path: max(d, 0.0) is the identity, so
             # the clamped and unclamped totals/ratios are the same floats.
-            total_demand = sum(demands)
+            total_demand = left_sum(demands)
             if total_demand > 0:
                 return [
                     base + remaining * (d / total_demand)
                     for d in demands
                 ]
-        total_demand = sum([max(d, 0.0) for d in demands])
+        total_demand = left_sum([max(d, 0.0) for d in demands])
         return [
             base + remaining * (
                 max(d, 0.0) / total_demand if total_demand > 0
@@ -146,48 +81,22 @@ class SlackWeightedPolicy:
         self.urgency = urgency
         self.floor = floor
 
-    def allocate(self, demands: Mapping[str, float],
-                 slacks: Mapping[str, float] | None = None
-                 ) -> BandwidthAllocation:
-        if not demands:
-            return BandwidthAllocation(shares={})
-        slacks = slacks or {}
-        weights: Dict[str, float] = {}
-        for task, demand in demands.items():
-            # Clamp: a hopelessly late task should dominate but not
-            # overflow the exponential.
-            slack = min(max(slacks.get(task, 0.0), -20.0), 20.0)
-            # slack <= 0 -> weight >= 1; generous slack -> weight ~ 0+.
-            weight = math.exp(-self.urgency * slack)
-            weights[task] = max(demand, 1.0) * weight
-        total = sum(weights.values())
-        n = len(weights)
-        floor_total = self.floor * n if self.floor * n < 1 else 0.0
-        remaining = 1.0 - floor_total
-        shares = {
-            task: (self.floor if floor_total else 0.0)
-            + remaining * weight / total
-            for task, weight in weights.items()
-        }
-        return BandwidthAllocation(shares=shares)
-
-    def allocate_list(self, demands: Sequence[float],
-                      slacks: Optional[Sequence[float]] = None
-                      ) -> List[float]:
-        """Positional twin of :meth:`allocate` (see
-        :meth:`DemandProportionalPolicy.allocate_list` for the
-        bit-identity contract)."""
+    def allocate(self, demands: Sequence[float],
+                 slacks: Sequence[float]) -> List[float]:
+        """Shares aligned with ``demands``; ``slacks`` (same order) sets
+        each task's exponential boost."""
         if not demands:
             return []
-        if slacks is None:
-            slacks = [0.0] * len(demands)
+        # Clamp slack to ±20: a hopelessly late task should dominate but
+        # not overflow the exponential (slack <= 0 -> weight >= 1;
+        # generous slack -> weight ~ 0+).
         weights = [
             max(d, 1.0) * math.exp(
                 -self.urgency * min(max(s, -20.0), 20.0)
             )
             for d, s in zip(demands, slacks)
         ]
-        total = sum(weights)
+        total = left_sum(weights)
         n = len(weights)
         floor_total = self.floor * n if self.floor * n < 1 else 0.0
         remaining = 1.0 - floor_total

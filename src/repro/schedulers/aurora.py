@@ -18,7 +18,7 @@ attacks.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..memory.bwalloc import SlackWeightedPolicy
 from ..sim.task import TaskInstance
@@ -81,27 +81,16 @@ class AuRORAScheduler(MoCAScheduler):
             self._bw_policy.floor,
         )
 
-    def bandwidth_shares(self, running: Dict[str, TaskInstance],
-                         now: float) -> Dict[str, float]:
-        if not running:
-            return {}
-        demands = {
-            iid: self._demand(inst) for iid, inst in running.items()
-        }
-        slacks = {
-            iid: self._slack(inst, now) for iid, inst in running.items()
-        }
-        allocation = self._bw_policy.allocate(demands, slacks)
-        return dict(allocation.shares)
-
-    def bandwidth_shares_list(
+    def bandwidth_shares(
         self,
         insts: Sequence[TaskInstance],
         rem_compute: Sequence[float],
         rem_dram: Sequence[float],
         now: float,
-    ) -> Optional[List[float]]:
-        """Positional fast path mirroring the slack-weighted dict path."""
+    ) -> List[float]:
+        """Slack-weighted shares over MoCA's demands (without the
+        throttle): tasks behind their deadline get exponentially
+        boosted shares."""
         if not insts:
             return []
         freq = self.soc.npu.frequency_hz
@@ -116,4 +105,4 @@ class AuRORAScheduler(MoCAScheduler):
                 slacks.append(1.0)
             else:
                 slacks.append(slack_of(inst, now, est_of(inst)))
-        return self._bw_policy.allocate_list(demands, slacks)
+        return self._bw_policy.allocate(demands, slacks)

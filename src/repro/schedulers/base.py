@@ -6,7 +6,9 @@ A policy answers four questions for the fluid engine:
 2. what executing one layer costs (``begin_layer`` — compute cycles and
    DRAM bytes, possibly after waiting for cache pages);
 3. how the DRAM bandwidth splits across running tasks
-   (``bandwidth_shares``);
+   (``bandwidth_shares``: one share per running instance, in the
+   engine's insertion order) and how much of it the DRAM sustains
+   (``dram_efficiency``);
 4. what bookkeeping happens at layer/inference boundaries
    (``on_layer_end`` / ``on_task_end``).
 
@@ -14,6 +16,11 @@ A policy answers four questions for the fluid engine:
 for cache pages; the engine then calls ``poll_layer`` whenever pages might
 have been freed and ``timeout_layer`` when the wait budget expires
 (the downgrade path of Figure 6).
+
+A policy may also declare its share rule as a fusable spec
+(``rate_kernel``); the engine then computes the same shares inside its
+fused steppers (Python and C), which the cross-path tests pin against
+``bandwidth_shares``.
 """
 
 from __future__ import annotations
@@ -48,12 +55,6 @@ class SchedulerPolicy(abc.ABC):
     #: membership-change notifications, which is what enables the
     #: steady-interval fast-forward.
     dynamic_rates = True
-
-    #: The policy's bandwidth shares are strictly positive by
-    #: construction (e.g. a proportional split with a positive floor).
-    #: The engine then skips its per-event zero-bandwidth audit — purely
-    #: a dropped assertion, never a behavior change.
-    positive_shares = False
 
     #: Monotone counter bumped (via :meth:`bump_rate_epoch`) whenever
     #: the *rule* that produces this policy's shares changes shape —
@@ -194,9 +195,9 @@ class SchedulerPolicy(abc.ABC):
     # Bandwidth
     # ------------------------------------------------------------------
 
-    def dram_efficiency(self, instance: TaskInstance,
-                        num_running: int) -> float:
-        """Fraction of the allocated DRAM bandwidth actually sustained.
+    def dram_efficiency(self, num_running: int) -> float:
+        """Fraction of the allocated DRAM bandwidth actually sustained
+        while ``num_running`` tasks share the memory system.
 
         Real DRAM delivers its peak only to row-buffer-friendly streams.
         A transparent cache turns tenant traffic into scattered 64 B demand
@@ -204,33 +205,35 @@ class SchedulerPolicy(abc.ABC):
         the latency amplification the paper's DRAMsim3 backend exhibits and
         the reason latency reductions in Figure 8 (34-42 %) exceed traffic
         reductions (16-38 %).  Policies override this with their achievable
-        efficiency; the default is ideal (1.0).
+        efficiency; the default is ideal (1.0).  The engine applies one
+        value to the whole running set and memoizes it per width, so the
+        result must depend on ``num_running`` alone.
         """
         return 1.0
 
-    def uniform_dram_efficiency(self, num_running: int
-                                ) -> Optional[float]:
-        """Shared efficiency when it does not vary across instances.
-
-        Every shipped policy's :meth:`dram_efficiency` depends only on the
-        running-set width, so the engine can apply one value to the whole
-        set instead of N method calls per event.  Returning ``None`` (the
-        default) keeps the per-instance calls.  A policy overriding
-        :meth:`dram_efficiency` with per-instance behaviour must leave
-        this returning ``None``.
-        """
-        return None
-
-    def bandwidth_shares(self, running: Dict[str, TaskInstance],
-                         now: float) -> Dict[str, float]:
+    def bandwidth_shares(
+        self,
+        insts: Sequence[TaskInstance],
+        rem_compute: Sequence[float],
+        rem_dram: Sequence[float],
+        now: float,
+    ) -> List[float]:
         """Fractional DRAM bandwidth per running instance (sums <= 1).
+
+        The engine passes the running instances in insertion order with
+        their remaining layer work (compute cycles, DRAM bytes) read
+        from its kernel arrays; the returned list is aligned with
+        ``insts``.  Every order-sensitive reduction (demand totals,
+        weight normalizations) must accumulate in that order.  This is
+        the hand-written reference the fused steppers declared by
+        :meth:`rate_kernel` are tested against.
 
         Default: equal split.
         """
-        if not running:
-            return {}
-        share = 1.0 / len(running)
-        return {instance_id: share for instance_id in running}
+        if not insts:
+            return []
+        share = 1.0 / len(insts)
+        return [share] * len(insts)
 
     def bump_rate_epoch(self) -> None:
         """Advance :attr:`rate_epoch` (the share rule changed shape)."""
@@ -239,13 +242,12 @@ class SchedulerPolicy(abc.ABC):
     def rate_kernel(self) -> Optional[tuple]:
         """Declarative description of the share rule, when expressible.
 
-        A policy whose :meth:`bandwidth_shares_list` currently reduces
-        to a closed form the engine can fuse with the kernel step may
-        return a spec tuple; ``None`` (the default) keeps the split
+        A policy whose :meth:`bandwidth_shares` currently reduces to a
+        closed form the engine can fuse with the kernel step may return
+        a spec tuple; ``None`` (the default) keeps the split
         recompute/step path.  Every spec implies ``demand =
-        max(rem_dram, 1) / max(rem_compute / freq, 1e-9)`` and a
-        uniform DRAM efficiency (:meth:`uniform_dram_efficiency` must
-        not return ``None``).  Supported specs:
+        max(rem_dram, 1) / max(rem_compute / freq, 1e-9)`` and the
+        policy's :meth:`dram_efficiency`.  Supported specs:
 
         * ``("demand_prop", floor)`` — demand-proportional shares with
           a starvation floor, per
@@ -264,34 +266,10 @@ class SchedulerPolicy(abc.ABC):
         stay a pure function of those inputs and ``now``.
 
         The returned spec must hold until the policy bumps
-        :attr:`rate_epoch`; the fused implementations are bit-identical
-        to the split path, so the spec is purely a speedup contract.
-        """
-        return None
-
-    def bandwidth_shares_list(
-        self,
-        insts: Sequence[TaskInstance],
-        rem_compute: Sequence[float],
-        rem_dram: Sequence[float],
-        now: float,
-    ) -> Optional[List[float]]:
-        """Kernel fast path for :meth:`bandwidth_shares`.
-
-        The engine's SoA kernel calls this with the running instances and
-        their remaining work in insertion order; a policy that can compute
-        its shares positionally returns a list aligned with ``insts`` and
-        skips the per-event dict round-trip.  Returning ``None`` (the
-        default) falls back to the dict path.
-
-        Contract: the returned floats must be bit-identical to what
-        :meth:`bandwidth_shares` would produce for the same running set —
-        element-wise arithmetic may be reshaped, but every order-sensitive
-        reduction (demand totals, weight normalizations) must accumulate
-        in insertion order.  A subclass that overrides
-        :meth:`bandwidth_shares` with new semantics MUST override this
-        method as well (or return ``None``), otherwise the engine would
-        keep using the parent's fast path.
+        :attr:`rate_epoch`.  The fused implementations are
+        bit-identical to :meth:`bandwidth_shares` (the cross-path tests
+        compare them), so the spec is purely a speedup contract; it is
+        never a substitute for writing :meth:`bandwidth_shares`.
         """
         return None
 

@@ -35,9 +35,6 @@ class CaMDNSchedulerBase(SchedulerPolicy):
     #: CaMDN system mode; overridden by subclasses.
     mode = "full"
 
-    #: Both share policies floor every tenant's share above zero.
-    positive_shares = True
-
     def __init__(self, qos_mode: bool = False, urgency: float = 3.0,
                  floor: float = 0.02,
                  usage_levels: Optional[tuple] = None,
@@ -92,9 +89,6 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         self._timeouts = 0
         self._lbm_layers = 0
         self._freq_hz = soc.npu.frequency_hz
-        #: n -> (base, remaining) demand-share constants (exact floats
-        #: of DemandProportionalPolicy.allocate_list for that n).
-        self._share_consts: Dict[int, tuple] = {}
         # Bound hot-path methods: the per-layer chain runs twice per
         # simulated event, so the attribute walks are resolved once.
         self._alloc_end = self.system.allocator.end_layer_prepared
@@ -124,8 +118,8 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         CPT, page reverse maps, task contexts) rides the payload by
         reference — the ``_ctx`` tuples are the very objects pinned on
         the instances' ``sched_ctx``, and one shared pickle keeps those
-        identities.  The id-keyed work cache and the per-n share
-        constants are pure memos and stay behind."""
+        identities.  The id-keyed work cache is a pure memo and stays
+        behind."""
         state = super().snapshot_state()
         state.update(
             qos_mode=self.qos_mode,
@@ -158,7 +152,6 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         # id()-keyed memos never survive a process change; rebuilt
         # lazily with identical pure values.
         self._work_cache = {}
-        self._share_consts = {}
         # Re-bind the hot-path methods to the restored system (attach()
         # bound them to the fresh one it built, now discarded).
         self._alloc_end = self.system.allocator.end_layer_prepared
@@ -587,12 +580,7 @@ class CaMDNSchedulerBase(SchedulerPolicy):
 
     # ------------------------------------------------------------------
 
-    def dram_efficiency(self, instance: TaskInstance,
-                        num_running: int) -> float:
-        return CAMDN_DRAM_EFFICIENCY
-
-    def uniform_dram_efficiency(self, num_running: int
-                                ) -> Optional[float]:
+    def dram_efficiency(self, num_running: int) -> float:
         return CAMDN_DRAM_EFFICIENCY
 
     def rate_kernel(self) -> Optional[tuple]:
@@ -607,44 +595,16 @@ class CaMDNSchedulerBase(SchedulerPolicy):
             )
         return ("demand_prop", self._demand_policy.floor)
 
-    def bandwidth_shares(self, running: Dict[str, TaskInstance],
-                         now: float) -> Dict[str, float]:
-        """Demand-proportional shares by default (bandwidth allocation is
-        orthogonal to CaMDN and the baselines also manage it); AuRORA's
-        slack-weighted allocation in QoS mode (the Figure 9 integration).
-        """
-        if not running:
-            return {}
-        demands = {}
-        for iid, inst in running.items():
-            compute_s = max(
-                inst.rem_compute_cycles / self.soc.npu.frequency_hz, 1e-9
-            )
-            demands[iid] = max(inst.rem_dram_bytes, 1.0) / compute_s
-        if not self.qos_mode:
-            return dict(self._demand_policy.allocate(demands).shares)
-        slacks = {}
-        for iid, inst in running.items():
-            est = self.est_isolated_latency_s(inst)
-            slacks[iid] = self.slack_of(inst, now, est)
-        allocation = self._bw_policy.allocate(demands, slacks)
-        return dict(allocation.shares)
-
-    def bandwidth_shares_list(
+    def bandwidth_shares(
         self,
         insts: Sequence[TaskInstance],
         rem_compute: Sequence[float],
         rem_dram: Sequence[float],
         now: float,
-    ) -> Optional[List[float]]:
-        """Positional fast path mirroring :meth:`bandwidth_shares`.
-
-        The non-QoS branch inlines
-        :meth:`~repro.memory.bwalloc.DemandProportionalPolicy.allocate_list`
-        with the exact same expressions in the exact same order (demands
-        are always positive here, so its non-negative fast path is the
-        only reachable one), fusing the demand and share computations
-        that run once per simulated event.
+    ) -> List[float]:
+        """Demand-proportional shares by default (bandwidth allocation is
+        orthogonal to CaMDN and the baselines also manage it); AuRORA's
+        slack-weighted allocation in QoS mode (the Figure 9 integration).
         """
         if not insts:
             return []
@@ -655,29 +615,13 @@ class CaMDNSchedulerBase(SchedulerPolicy):
             for rem_c, rem_d in zip(rem_compute, rem_dram)
         ]
         if not self.qos_mode:
-            n = len(demands)
-            consts = self._share_consts.get(n)
-            if consts is None:
-                floor = self._demand_policy.floor
-                floor_total = floor * n if floor * n < 1 else 0.0
-                consts = (
-                    floor if floor_total else 0.0,
-                    1.0 - floor_total,
-                )
-                self._share_consts[n] = consts
-            base, remaining = consts
-            total = sum(demands)
-            if total > 0:
-                return [
-                    base + remaining * (d / total) for d in demands
-                ]
-            return self._demand_policy.allocate_list(demands)
+            return self._demand_policy.allocate(demands)
         slack_of = self.slack_of
         est_of = self.est_isolated_latency_s
         slacks = [
             slack_of(inst, now, est_of(inst)) for inst in insts
         ]
-        return self._bw_policy.allocate_list(demands, slacks)
+        return self._bw_policy.allocate(demands, slacks)
 
     def stats(self) -> Dict[str, float]:
         return {

@@ -12,7 +12,7 @@ their targets).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..memory.bwalloc import DemandProportionalPolicy
 from ..sim.task import TaskInstance
@@ -39,7 +39,7 @@ class MoCAScheduler(SharedCacheBaseline):
         self._policy = DemandProportionalPolicy(floor=floor)
         # Active tasks with a finite deadline; when zero, the slack
         # throttle degenerates to halving every demand, which cancels
-        # out of the proportional allocation (see bandwidth_shares_list).
+        # out of the proportional allocation (see bandwidth_shares).
         self._finite_qos_active = 0
         # Admitted tenants whose model carries a latency target.
         self._deadline_tenants = 0
@@ -104,14 +104,7 @@ class MoCAScheduler(SharedCacheBaseline):
             if self._finite_qos_active == 0:
                 self.bump_rate_epoch()
 
-    def dram_efficiency(self, instance: TaskInstance,
-                        num_running: int) -> float:
-        return _MOCA_EFF_FLOOR + _MOCA_EFF_LOCALITY_BONUS / max(
-            num_running, 1
-        )
-
-    def uniform_dram_efficiency(self, num_running: int
-                                ) -> Optional[float]:
+    def dram_efficiency(self, num_running: int) -> float:
         return _MOCA_EFF_FLOOR + _MOCA_EFF_LOCALITY_BONUS / max(
             num_running, 1
         )
@@ -121,7 +114,7 @@ class MoCAScheduler(SharedCacheBaseline):
     def rate_kernel(self):
         """With no finite-deadline task active, the slack throttle
         cancels out of the proportional allocation (see
-        :meth:`bandwidth_shares_list`) and the rule is plain
+        :meth:`bandwidth_shares`) and the rule is plain
         demand-proportional; with the throttle awake the rule is the
         slack-throttled spec (demands halved when slack > 0.5, then
         demand-proportional).  Both are fusable.  The epoch bumps in
@@ -130,45 +123,18 @@ class MoCAScheduler(SharedCacheBaseline):
             return ("slack_throttled", self._policy.floor)
         return ("demand_prop", self._policy.floor)
 
-    def _demand(self, instance: TaskInstance) -> float:
-        """Bytes/s the instance could consume: remaining layer DRAM work
-        over the layer's compute-bound time (memory-bound layers demand
-        more than their fair share)."""
-        compute_s = max(
-            instance.rem_compute_cycles / self.soc.npu.frequency_hz,
-            1e-9,
-        )
-        return max(instance.rem_dram_bytes, 1.0) / compute_s
-
-    def _slack(self, instance: TaskInstance, now: float) -> float:
-        est = self.est_isolated_latency_s(instance)
-        return self.slack_of(instance, now, est)
-
-    def bandwidth_shares(self, running: Dict[str, TaskInstance],
-                         now: float) -> Dict[str, float]:
-        if not running:
-            return {}
-        demands = {
-            iid: self._demand(inst) for iid, inst in running.items()
-        }
-        # MoCA throttles tenants with generous slack: halve the demand of
-        # tasks more than 50 % ahead of their deadline.
-        for iid, inst in running.items():
-            if self._slack(inst, now) > 0.5:
-                demands[iid] *= 0.5
-        allocation = self._policy.allocate(demands)
-        return dict(allocation.shares)
-
-    def bandwidth_shares_list(
+    def bandwidth_shares(
         self,
         insts: Sequence[TaskInstance],
         rem_compute: Sequence[float],
         rem_dram: Sequence[float],
         now: float,
-    ) -> Optional[List[float]]:
-        """Positional fast path: same demand/slack arithmetic as the dict
-        path, with remaining work read from the kernel arrays and the
-        demand total accumulated in insertion order."""
+    ) -> List[float]:
+        """Demand-proportional shares.  A task's demand is the bytes/s
+        it could consume: remaining layer DRAM work over the layer's
+        compute-bound time (memory-bound layers demand more than their
+        fair share), halved for tasks comfortably ahead of their
+        deadline."""
         if not insts:
             return []
         freq = self.soc.npu.frequency_hz
@@ -182,7 +148,7 @@ class MoCAScheduler(SharedCacheBaseline):
                 max(rem_d, 1.0) / max(rem_c / freq, 1e-9)
                 for rem_c, rem_d in zip(rem_compute, rem_dram)
             ]
-            return self._policy.allocate_list(demands)
+            return self._policy.allocate(demands)
         slack_of = self.slack_of
         est_of = self.est_isolated_latency_s
         demands = []
@@ -198,4 +164,4 @@ class MoCAScheduler(SharedCacheBaseline):
             if slack > 0.5:
                 demand *= 0.5
             demands.append(demand)
-        return self._policy.allocate_list(demands)
+        return self._policy.allocate(demands)

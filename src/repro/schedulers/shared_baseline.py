@@ -16,7 +16,7 @@ the mechanism behind Figure 2's memory-access growth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..cache.transparent import AccessSegment, TransparentCacheModel
 from ..config import SoCConfig
@@ -131,16 +131,9 @@ class SharedCacheBaseline(SchedulerPolicy):
     def on_task_end(self, instance: TaskInstance, now: float) -> None:
         self._active_ids.discard(instance.instance_id)
 
-    def dram_efficiency(self, instance: TaskInstance,
-                        num_running: int) -> float:
+    def dram_efficiency(self, num_running: int) -> float:
         """Scattered demand misses: row locality decays with tenant count.
         """
-        return DRAM_EFF_FLOOR + DRAM_EFF_LOCALITY_BONUS / max(
-            num_running, 1
-        )
-
-    def uniform_dram_efficiency(self, num_running: int
-                                ) -> Optional[float]:
         return DRAM_EFF_FLOOR + DRAM_EFF_LOCALITY_BONUS / max(
             num_running, 1
         )
@@ -171,18 +164,3 @@ class SharedCacheBaseline(SchedulerPolicy):
         )
         self._work_memo[key] = work
         return work, 0.0
-
-    # ------------------------------------------------------------------
-
-    def bandwidth_shares_list(
-        self,
-        insts: Sequence[TaskInstance],
-        rem_compute: Sequence[float],
-        rem_dram: Sequence[float],
-        now: float,
-    ) -> Optional[List[float]]:
-        """Equal split, positionally (same floats as the dict path)."""
-        if not insts:
-            return []
-        share = 1.0 / len(insts)
-        return [share] * len(insts)

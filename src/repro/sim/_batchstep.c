@@ -21,7 +21,7 @@
  *
  *   demand   = (rem_d if rem_d > 1.0 else 1.0)
  *              / (t if (t := rem_c / freq) > 1e-9 else 1e-9)
- *   total    = sum(demands)                    # left-to-right
+ *   total    = left_sum(demands)               # left-to-right
  *   share    = base + remaining * (demand / total)
  *   rate_d   = r if (r := total_bw * share * eff) > 1e-6 else 1e-6
  *   t_i      = max(rem_c / rate_c, rem_d / rate_d)
@@ -29,16 +29,16 @@
  *   rem'     = max(rem - dt * rate, 0.0)
  *   finished = rem_c' <= 1e-9 and rem_d' <= 1e-9
  *
- * (see CaMDNSchedulerBase.bandwidth_shares_list,
+ * (see CaMDNSchedulerBase.bandwidth_shares,
  * MultiTenantEngine._recompute_rates and RunningKernel.step).  All
  * operations are IEEE-754 binary64 with correctly-rounded results, so
  * compiling without FP contraction (-ffp-contract=off) and without
  * value-changing optimisations makes the C results identical to
  * CPython's on any conforming host.  The only reduction besides the
  * left-to-right demand total is the event-time min, which is exact in
- * any order.  (Python's float ``sum()`` adds left to right up to 3.11;
- * from 3.12 it compensates, so there the Python totals can differ in
- * the last place.)
+ * any order.  The Python paths take their totals with
+ * repro.numeric.left_sum rather than ``sum()`` (which compensates from
+ * Python 3.12 on), so the paths agree on every Python version.
  *
  * The functions are deliberately conservative: any input they are not
  * certain about (a non-float list item, a non-positive demand total)
@@ -141,15 +141,15 @@ step_buf_free(step_buf *b)
  * Python fallback owns.
  *
  * MODE_DEMAND_PROP weighs instances by demand alone
- * (CaMDNSchedulerBase.bandwidth_shares_list /
- * MoCAScheduler.bandwidth_shares_list, no-deadline branch).  The slack
+ * (CaMDNSchedulerBase.bandwidth_shares /
+ * MoCAScheduler.bandwidth_shares, no-deadline branch).  The slack
  * modes read the per-instance slack inputs (arrival time, QoS target,
  * estimated isolated latency, layer progress; slack transcribes
  * SchedulerPolicy.slack_of): MODE_SLACK_WEIGHTED is AuRORA's
- * exponential slack weighting (SlackWeightedPolicy.allocate_list),
+ * exponential slack weighting (SlackWeightedPolicy.allocate),
  * MODE_SLACK_THROTTLED is MoCA's halve-when-comfortable throttle
  * feeding the demand-proportional split
- * (MoCAScheduler.bandwidth_shares_list, deadline branch). */
+ * (MoCAScheduler.bandwidth_shares, deadline branch). */
 static int
 fused_rates(long mode, Py_ssize_t n, const double *c, const double *d,
             const double *sa, const double *sq, const double *se,
@@ -197,10 +197,10 @@ fused_rates(long mode, Py_ssize_t n, const double *c, const double *d,
     }
     if (n > 0 && !(total > 0.0)) {
         /* Unreachable with positive work, but the Python fallback
-         * (DemandProportionalPolicy.allocate_list) owns this case. */
+         * (DemandProportionalPolicy.allocate) owns this case. */
         return -1;
     }
-    /* Share constants (DemandProportionalPolicy.allocate_list:
+    /* Share constants (DemandProportionalPolicy.allocate:
      * floor_total, base, remaining — same floats for any n). */
     floor_total = fl * (double)n;
     if (!(floor_total < 1.0)) {
@@ -248,7 +248,7 @@ event_dt(Py_ssize_t n, const double *c, const double *d,
 }
 
 /* Drain dt of fluid work and list the finished positions in insertion
- * order (RunningKernel.advance); returns their count. */
+ * order (the drain half of RunningKernel.step); returns their count. */
 static Py_ssize_t
 drain(Py_ssize_t n, double *c, double *d, const double *rc,
       const double *rd, double dt, Py_ssize_t *fin)

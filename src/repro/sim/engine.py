@@ -56,11 +56,15 @@ and region (so CaMDN's region resizing is exercised by churn) before
 :meth:`~repro.schedulers.base.SchedulerPolicy.on_tenant_retire` fires.
 
 This substrate replaces the paper's in-house cycle-accurate simulator on
-DRAMsim3; see DESIGN.md for the substitution argument.  The pre-kernel
-per-instance scan loop that shipped one release behind (``legacy_loop``)
-has been removed; kernel-loop equivalence is pinned by the committed
-20-scenario reference summaries (``tests/data/
-metric_summary_reference.json``).
+DRAMsim3 with a fluid model: DRAM is one bandwidth pool that each policy
+splits into per-task rates, derated by the policy's sustained efficiency
+(:meth:`~repro.schedulers.base.SchedulerPolicy.dram_efficiency`, the
+stand-in for DRAMsim3's row-locality effects), so traffic volumes and
+bandwidth splits are modelled and DRAM command timing is not.  The
+pre-kernel per-instance scan loop that shipped one release behind
+(``legacy_loop``) has been removed; kernel-loop equivalence is pinned
+by the committed 20-scenario reference summaries
+(``tests/data/metric_summary_reference.json``).
 """
 
 from __future__ import annotations
@@ -232,22 +236,20 @@ class MultiTenantEngine:
         # Optional fused end+begin scheduler hook (see
         # _process_completions); policies without it use the split path.
         self._advance_layer = getattr(scheduler, "advance_layer", None)
-        self._shares_fn = scheduler.bandwidth_shares_list
-        self._positive_shares = getattr(scheduler, "positive_shares",
-                                        False)
+        self._shares_fn = scheduler.bandwidth_shares
         self._queued: List[TaskInstance] = []
         self._active: Dict[str, TaskInstance] = {}
         #: stream_id -> in-flight instance id (dynamic-tenancy lookups).
         self._stream_active: Dict[str, str] = {}
         self._free_cores = soc.num_npu_cores
         self._core_grant: Dict[str, int] = {}
-        # SoC constants and per-width uniform efficiencies, cached off
-        # the per-event rate path.  Coerced to float so the native fused
-        # step sees binary64 operands (int-valued configs divide to the
-        # same quotients either way).
+        # SoC constants and the policy's DRAM efficiency per running-set
+        # width, cached off the per-event rate path.  Coerced to float so
+        # the native fused step sees binary64 operands (int-valued
+        # configs divide to the same quotients either way).
         self._total_bw = float(soc.dram.total_bandwidth_bytes_per_s)
         self._freq = float(soc.npu.frequency_hz)
-        self._uniform_eff: Dict[int, Optional[float]] = {}
+        self._dram_eff: Dict[int, float] = {}
         # kernel_backend="list" pins the step arithmetic to the split
         # path (policy rates + RunningKernel.step), so the fused paths —
         # native and Python — stand down; cross-path tests rely on it.
@@ -515,9 +517,8 @@ class MultiTenantEngine:
         payload: instances reachable through the kernel, the active map,
         the wait heap and the queue are the same objects; the workload's
         event recorder is the engine's; the scheduler state's SoC is the
-        engine's.  Pure memos (uniform efficiencies, prepared models,
-        share constants) are excluded and rebuild lazily with identical
-        values.
+        engine's.  Pure memos (DRAM efficiencies, prepared models) are
+        excluded and rebuild lazily with identical values.
         """
         scheduler = self.scheduler
         return {
@@ -590,7 +591,7 @@ class MultiTenantEngine:
         self._rates_valid = eng["rates_valid"]
         self._kernel.restore_state(eng["kernel"])
         # Pure memo: rebuilt on demand with identical values.
-        self._uniform_eff = {}
+        self._dram_eff = {}
 
     def _offered_load_ratio(self) -> float:
         """Offered rate over the offer window vs completion rate over the
@@ -752,7 +753,7 @@ class MultiTenantEngine:
         native_step = self._native
         fused_py = kernel.fused_step_demand
         fused_slack_py = kernel.fused_step_slack
-        uniform_eff = self._uniform_eff
+        dram_eff = self._dram_eff
         freq = self._freq
         total_bw = self._total_bw
         dynamic = self._dynamic_rates
@@ -801,15 +802,10 @@ class MultiTenantEngine:
                 n = len(insts)
                 if n != n_eff:
                     try:
-                        eff = uniform_eff[n]
+                        eff = dram_eff[n]
                     except KeyError:
-                        eff = scheduler.uniform_dram_efficiency(n)
-                        uniform_eff[n] = eff
-                    if eff is None:
-                        # Per-instance efficiencies: not fusable after
-                        # all; drop to the split path for this run.
-                        self._fused_mode = fused_mode = 0
-                        batch = None
+                        eff = scheduler.dram_efficiency(n)
+                        dram_eff[n] = eff
                     n_eff = n
                 if batch is not None and n:
                     out = batch(
@@ -820,7 +816,7 @@ class MultiTenantEngine:
                         fault_next, self.events_processed, max_events,
                         self._queued, self._waiting_set, batch_args(),
                     )
-                if out is None and fused_mode and n:
+                if out is None and n:
                     if fused_mode == 1:
                         if native_step is not None:
                             res = native_step(
@@ -917,20 +913,11 @@ class MultiTenantEngine:
             kernel.set_rates([], [])
             self._rates_valid = True
             return
-        scheduler = self.scheduler
         rem_c, rem_d = kernel.rem_c, kernel.rem_d
         shares = self._shares_fn(insts, rem_c, rem_d, self.now)
-        if shares is None:
-            # Dict-path fallback: sync fluid state so the policy sees
-            # current remaining work, then look shares up by id.
-            kernel.sync_all()
-            running = {inst.instance_id: inst for inst in insts}
-            share_map = scheduler.bandwidth_shares(running, self.now)
-            shares = [share_map.get(inst.instance_id, 0.0)
-                      for inst in insts]
         total_bw = self._total_bw
         rate_c = [self._freq] * n
-        if not self._positive_shares and min(shares) <= 0:
+        if min(shares) <= 0:
             for i in range(n):
                 if shares[i] <= 0 and rem_d[i] > 0:
                     raise SimulationError(
@@ -938,21 +925,14 @@ class MultiTenantEngine:
                         f"but zero bandwidth"
                     )
         try:
-            efficiency = self._uniform_eff[n]
+            efficiency = self._dram_eff[n]
         except KeyError:
-            efficiency = scheduler.uniform_dram_efficiency(n)
-            self._uniform_eff[n] = efficiency
-        if efficiency is not None:
-            rate_d = [
-                r if (r := total_bw * s * efficiency) > 1e-6 else 1e-6
-                for s in shares
-            ]
-        else:
-            rate_d = [0.0] * n
-            for i in range(n):
-                rate = total_bw * shares[i] * \
-                    scheduler.dram_efficiency(insts[i], n)
-                rate_d[i] = rate if rate > 1e-6 else 1e-6
+            efficiency = self.scheduler.dram_efficiency(n)
+            self._dram_eff[n] = efficiency
+        rate_d = [
+            r if (r := total_bw * s * efficiency) > 1e-6 else 1e-6
+            for s in shares
+        ]
         kernel.set_rates(rate_c, rate_d)
         self._rates_valid = True
 

@@ -16,12 +16,15 @@ instance runs only while it holds a core — so plain list loops are the
 right tool; the native C stepper (:mod:`repro.sim.native`) reads and
 writes these same lists.
 
-Bit-identity with the scalar reference semantics on
-:class:`~repro.sim.task.TaskInstance` holds because every operation is
-element-wise IEEE-754 double arithmetic in the same expression shape,
-and the only reduction is a ``min``, which is exact in any order.
-Order-sensitive reductions (the bandwidth-share normalizations) stay in
-policy code and always see values in insertion order.
+The split step (:meth:`RunningKernel.step` over the rates the engine
+installs from the policy's
+:meth:`~repro.schedulers.base.SchedulerPolicy.bandwidth_shares`), the
+pure-Python fused twins (:meth:`RunningKernel.fused_step_demand` /
+:meth:`RunningKernel.fused_step_slack`) and the native fused step are
+bit-identical because every operation is element-wise IEEE-754 double
+arithmetic in the same expression shape, the event-time reduction is a
+``min`` (exact in any order), and every share total adds left to right
+in insertion order (:func:`~repro.numeric.left_sum`).
 
 Insertion order is load-bearing: completion processing and bandwidth-share
 normalization must observe instances in insertion order (the frozen
@@ -35,11 +38,12 @@ import math
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import SimulationError
+from ..numeric import left_sum
 
 if TYPE_CHECKING:
     from .task import TaskInstance
 
-#: Completion threshold shared with :meth:`TaskInstance.layer_finished`.
+#: A layer is finished once both remaining streams are at or below this.
 _FINISH_EPS = 1e-9
 
 
@@ -191,12 +195,6 @@ class RunningKernel:
             append(inst)
         return out
 
-    def sync_all(self) -> None:
-        """Write every instance's fluid state back to its attributes."""
-        for inst, c, d in zip(self.insts, self.rem_c, self.rem_d):
-            inst.rem_compute_cycles = c
-            inst.rem_dram_bytes = d
-
     # ------------------------------------------------------------------
     # Hot kernels
     # ------------------------------------------------------------------
@@ -210,13 +208,12 @@ class RunningKernel:
         and nobody waking) no state is touched and the caller reports the
         deadlock.
 
-        The event time is identical arithmetic to
-        :meth:`TaskInstance.time_to_finish_layer` — per instance
-        ``max(rem_c / rate_c, rem_d / rate_d)`` (a zero remainder divides
-        to exactly ``+0.0``), reduced with an exact min and clamped by
-        ``wait_dt``.  The drain is :meth:`TaskInstance.advance` followed
-        by :meth:`TaskInstance.layer_finished`, per instance; finished
-        positions come back in insertion order.
+        The event time is, per instance, ``max(rem_c / rate_c, rem_d /
+        rate_d)`` (a zero remainder divides to exactly ``+0.0``), reduced
+        with an exact min and clamped by ``wait_dt``.  The drain is
+        ``rem = max(rem - dt * rate, 0.0)`` on both streams, and an
+        instance finishes when both remainders are at or below
+        ``_FINISH_EPS``; finished positions come back in insertion order.
         """
         dt = float("inf")
         rem_c, rem_d = self.rem_c, self.rem_d
@@ -260,10 +257,11 @@ class RunningKernel:
         Recomputes the demand-proportional DRAM rates from the remaining
         work, finds the next event time and drains the fluid work, in
         one pass structure — every expression transcribes the exact
-        shape of ``CaMDNSchedulerBase.bandwidth_shares_list`` (non-QoS
-        branch), ``MultiTenantEngine._recompute_rates`` and
-        :meth:`step`, so the results are bit-identical to the split
-        path.  The compute rate of every instance is ``freq``.
+        shape of ``CaMDNSchedulerBase.bandwidth_shares`` (non-QoS
+        branch, through ``DemandProportionalPolicy.allocate``),
+        ``MultiTenantEngine._recompute_rates`` and :meth:`step`, so the
+        results are bit-identical to the split path.  The compute rate
+        of every instance is ``freq``.
 
         Returns ``(dt, finished_positions_or_None)``; ``None`` (the
         whole call) means the inputs fall outside the fast-path shape
@@ -279,7 +277,7 @@ class RunningKernel:
             / (t if (t := c / freq) > 1e-9 else 1e-9)
             for c, d in zip(rem_c, rem_d)
         ]
-        total = sum(demands)
+        total = left_sum(demands)
         if n and not total > 0.0:
             return None
         floor_total = floor * n if floor * n < 1 else 0.0
@@ -328,22 +326,21 @@ class RunningKernel:
         ``SLACK_THROTTLED``).
 
         ``throttled=False`` transcribes the slack-weighted share rule
-        (``AuRORAScheduler.bandwidth_shares_list`` →
-        ``SlackWeightedPolicy.allocate_list``, also the CaMDN QoS
-        branch): ``weight = max(demand, 1.0) * exp(-urgency *
-        clamp(slack, ±20))`` normalized as ``base + remaining * w /
-        total``.
+        (``AuRORAScheduler.bandwidth_shares`` →
+        ``SlackWeightedPolicy.allocate``, also the CaMDN QoS branch):
+        ``weight = max(demand, 1.0) * exp(-urgency * clamp(slack,
+        ±20))`` normalized as ``base + remaining * w / total``.
 
         ``throttled=True`` transcribes MoCA's finite-deadline branch
-        (``MoCAScheduler.bandwidth_shares_list`` →
-        ``DemandProportionalPolicy.allocate_list`` non-negative fast
-        path): demands halved when ``slack > 0.5``, normalized as
-        ``base + remaining * (d / total)``.
+        (``MoCAScheduler.bandwidth_shares`` →
+        ``DemandProportionalPolicy.allocate`` non-negative fast path):
+        demands halved when ``slack > 0.5``, normalized as ``base +
+        remaining * (d / total)``.
 
         Slack inputs come from the SoA arrays maintained under
         :meth:`configure_slack`; every expression keeps the exact
-        IEEE-754 shape of ``SchedulerPolicy.slack_of`` and the policy
-        list paths, so results are bit-identical to the split path.
+        IEEE-754 shape of ``SchedulerPolicy.slack_of`` and the policies'
+        share rules, so results are bit-identical to the split path.
         Return protocol matches :meth:`fused_step_demand`.
         """
         rem_c, rem_d = self.rem_c, self.rem_d
@@ -381,7 +378,7 @@ class RunningKernel:
                 append_w(
                     (demand if demand > 1.0 else 1.0) * exp(-urgency * s)
                 )
-        total = sum(weights)
+        total = left_sum(weights)
         if n and not total > 0.0:
             return None
         floor_total = floor * n if floor * n < 1 else 0.0

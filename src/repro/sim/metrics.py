@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import SimulationError
+from ..numeric import left_sum
 from .task import TaskInstance
 
 
@@ -86,21 +87,24 @@ class MetricsCollector:
         """Mean dispatch-to-finish latency over all measured inferences."""
         if not self.records:
             raise SimulationError("no measured inferences")
-        return sum(r.latency_s for r in self.records) / len(self.records)
+        return left_sum(r.latency_s for r in self.records) \
+            / len(self.records)
 
     def avg_dram_bytes_per_inference(self) -> float:
         """Mean memory access per model inference (Figure 2(b) metric)."""
         if not self.records:
             raise SimulationError("no measured inferences")
-        return sum(r.dram_bytes for r in self.records) / len(self.records)
+        return left_sum(r.dram_bytes for r in self.records) \
+            / len(self.records)
 
     def avg_queue_delay_s(self) -> float:
         """Mean dispatch-to-start delay (time an inference waited for a
         core or, open-loop, behind its stream's previous inference)."""
         if not self.records:
             raise SimulationError("no measured inferences")
-        return sum(r.start_time - r.arrival_time for r in self.records) \
-            / len(self.records)
+        return left_sum(
+            r.start_time - r.arrival_time for r in self.records
+        ) / len(self.records)
 
     def p99_latency_s(self) -> float:
         """99th-percentile dispatch-to-finish latency (tail metric).
@@ -121,10 +125,10 @@ class MetricsCollector:
     def overall_hit_rate(self) -> float:
         """Aggregate cache hit rate (Figure 2(a) metric); 0 when the
         policy performs no transparent lookups."""
-        accesses = sum(r.access_bytes for r in self.records)
+        accesses = left_sum(r.access_bytes for r in self.records)
         if accesses <= 0:
             return 0.0
-        return sum(r.hit_bytes for r in self.records) / accesses
+        return left_sum(r.hit_bytes for r in self.records) / accesses
 
     def by_model(self) -> Dict[str, ModelSummary]:
         """Per-model summaries keyed by abbreviation."""
@@ -133,14 +137,18 @@ class MetricsCollector:
             groups.setdefault(rec.model_abbr, []).append(rec)
         summaries: Dict[str, ModelSummary] = {}
         for abbr, recs in groups.items():
-            accesses = sum(r.access_bytes for r in recs)
+            accesses = left_sum(r.access_bytes for r in recs)
             summaries[abbr] = ModelSummary(
                 model_abbr=abbr,
                 inferences=len(recs),
-                avg_latency_s=sum(r.latency_s for r in recs) / len(recs),
-                avg_dram_bytes=sum(r.dram_bytes for r in recs) / len(recs),
+                avg_latency_s=(
+                    left_sum(r.latency_s for r in recs) / len(recs)
+                ),
+                avg_dram_bytes=(
+                    left_sum(r.dram_bytes for r in recs) / len(recs)
+                ),
                 hit_rate=(
-                    sum(r.hit_bytes for r in recs) / accesses
+                    left_sum(r.hit_bytes for r in recs) / accesses
                     if accesses > 0 else 0.0
                 ),
                 sla_rate=sum(r.met_deadline for r in recs) / len(recs),
@@ -162,7 +170,7 @@ class MetricsCollector:
         summaries = self.by_model()
         if not summaries:
             raise SimulationError("no measured inferences")
-        return sum(s.avg_latency_s for s in summaries.values()) / \
+        return left_sum(s.avg_latency_s for s in summaries.values()) / \
             len(summaries)
 
     def macro_avg_dram_bytes(self) -> float:
@@ -170,5 +178,5 @@ class MetricsCollector:
         summaries = self.by_model()
         if not summaries:
             raise SimulationError("no measured inferences")
-        return sum(s.avg_dram_bytes for s in summaries.values()) / \
+        return left_sum(s.avg_dram_bytes for s in summaries.values()) / \
             len(summaries)

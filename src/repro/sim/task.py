@@ -60,9 +60,8 @@ class TaskInstance:
     (:class:`~repro.sim.kernel.RunningKernel`); the attributes here are
     synchronized back before any scheduler hook observes the instance and
     when it leaves the running set, so policy code always reads current
-    values.  The methods below remain the scalar reference semantics
-    (used by the unit tests); the kernel's batch operations are
-    bit-identical to them.
+    values.  The fluid math itself (draining, event times, completion)
+    lives only in the kernel.
     """
 
     instance_id: str
@@ -105,41 +104,6 @@ class TaskInstance:
         self.rem_compute_cycles = work.compute_cycles
         self.rem_dram_bytes = work.dram_bytes
         self.state = InstanceState.RUNNING
-
-    def advance(self, dt: float, compute_rate: float,
-                dram_rate: float) -> None:
-        """Fluid progress over ``dt`` seconds at the given rates."""
-        if self.state is not InstanceState.RUNNING:
-            return
-        self.rem_compute_cycles = max(
-            0.0, self.rem_compute_cycles - dt * compute_rate
-        )
-        self.rem_dram_bytes = max(
-            0.0, self.rem_dram_bytes - dt * dram_rate
-        )
-
-    def layer_finished(self) -> bool:
-        """Both the compute and memory streams of the layer completed."""
-        return (
-            self.state is InstanceState.RUNNING
-            and self.rem_compute_cycles <= 1e-9
-            and self.rem_dram_bytes <= 1e-9
-        )
-
-    def time_to_finish_layer(self, compute_rate: float,
-                             dram_rate: float) -> float:
-        """Seconds until the current layer completes at constant rates."""
-        if self.state is not InstanceState.RUNNING:
-            return math.inf
-        t_compute = (
-            self.rem_compute_cycles / compute_rate
-            if self.rem_compute_cycles > 0 else 0.0
-        )
-        t_dram = (
-            self.rem_dram_bytes / dram_rate
-            if self.rem_dram_bytes > 0 else 0.0
-        )
-        return max(t_compute, t_dram)
 
     def account_layer(self) -> None:
         """Fold the finished layer's traffic into the instance totals."""

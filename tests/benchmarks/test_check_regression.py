@@ -17,12 +17,12 @@ check_regression = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_regression)
 
 
-def _engine_doc(rates):
+def _engine_doc(rates, events=1000):
     return {
         "meta": {"streams": 8},
         "policies": {
-            name: {"kernel": {"events_per_s": rate, "events": 1000,
-                              "wall_s": 1000 / rate}}
+            name: {"kernel": {"events_per_s": rate, "events": events,
+                              "wall_s": events / rate}}
             for name, rate in rates.items()
         },
     }
@@ -122,6 +122,35 @@ class TestCheckBench:
             "engine", 0.30, current_dir=current, baseline_dir=baseline
         )
         assert failures == ["engine/moca: missing from current run"]
+
+    def test_event_count_change_fails_fast_row(self, bench_dirs):
+        # A row that simulated different work (here: fewer events, at
+        # a higher rate) fails even though its rate clears the floor.
+        current, baseline = bench_dirs
+        _write(current / "BENCH_engine.json",
+               _engine_doc({"synthetic-dynamic": 150.0}, events=994))
+        _write(baseline / "BENCH_engine.baseline.json",
+               _engine_doc({"synthetic-dynamic": 100.0}, events=1000))
+        failures = check_regression.check_bench(
+            "engine", 0.30, current_dir=current, baseline_dir=baseline
+        )
+        assert failures == [
+            "engine/synthetic-dynamic: simulated 994 events, "
+            "baseline 1000"
+        ]
+
+    def test_rows_without_event_counts_check_rate_only(self, bench_dirs):
+        current, baseline = bench_dirs
+        for directory, name, ops in (
+            (current, "BENCH_allocator.json", 7),
+            (baseline, "BENCH_allocator.baseline.json", 9),
+        ):
+            _write(directory / name, {"scenarios": {
+                "full-2": {"ops": ops, "ops_per_s": 100.0, "wall_s": 1.0},
+            }})
+        assert check_regression.check_bench(
+            "allocator", 0.30, current_dir=current, baseline_dir=baseline
+        ) == []
 
     def test_extra_current_rows_are_ignored(self, bench_dirs):
         # A new policy without a committed baseline row must not fail

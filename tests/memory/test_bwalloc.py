@@ -5,82 +5,70 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.memory.bwalloc import (
-    BandwidthAllocation,
     DemandProportionalPolicy,
-    EqualSharePolicy,
     SlackWeightedPolicy,
 )
 
-
-class TestBandwidthAllocation:
-    def test_rejects_oversubscription(self):
-        with pytest.raises(SimulationError):
-            BandwidthAllocation(shares={"a": 0.7, "b": 0.7})
-
-    def test_rejects_non_positive_share(self):
-        with pytest.raises(SimulationError):
-            BandwidthAllocation(shares={"a": 0.0})
-
-    def test_share_of_missing_task(self):
-        allocation = BandwidthAllocation(shares={"a": 1.0})
-        assert allocation.share_of("ghost") == 0.0
-
-
-class TestEqualShare:
-    def test_even_split(self):
-        allocation = EqualSharePolicy().allocate({"a": 1, "b": 1, "c": 1})
-        for share in allocation.shares.values():
-            assert share == pytest.approx(1 / 3)
-
-    def test_empty(self):
-        assert EqualSharePolicy().allocate({}).shares == {}
+#: The runtime checks the engine relies on (shares sum to at most 1 and,
+#: with a floor, every share is positive) hold for running sets up to
+#: the SoC's 16 NPU cores: ``n * floor`` stays below 1 for every floor
+#: up to 1/16, so each task keeps its floor.
+_demand_lists = st.lists(st.floats(0.0, 1e12), min_size=1, max_size=16)
+_floors = st.floats(1e-6, 0.06)
 
 
 class TestDemandProportional:
     def test_proportionality(self):
         policy = DemandProportionalPolicy(floor=0.0)
-        allocation = policy.allocate({"a": 3e9, "b": 1e9})
-        assert allocation.share_of("a") == pytest.approx(0.75)
-        assert allocation.share_of("b") == pytest.approx(0.25)
+        shares = policy.allocate([3e9, 1e9])
+        assert shares == pytest.approx([0.75, 0.25])
 
     def test_floor_protects_light_tasks(self):
         policy = DemandProportionalPolicy(floor=0.05)
-        allocation = policy.allocate({"a": 1e12, "b": 1.0})
-        assert allocation.share_of("b") >= 0.05
+        _, light = policy.allocate([1e12, 1.0])
+        assert light >= 0.05
 
     def test_zero_demand_falls_back_to_equal(self):
         policy = DemandProportionalPolicy(floor=0.0)
-        allocation = policy.allocate({"a": 0.0, "b": 0.0})
-        assert allocation.share_of("a") == pytest.approx(0.5)
+        assert policy.allocate([0.0, 0.0]) == pytest.approx([0.5, 0.5])
 
-    @given(
-        demands=st.dictionaries(
-            st.sampled_from(list("abcdefgh")),
-            st.floats(0.0, 1e12),
-            min_size=1,
-        )
-    )
+    def test_negative_demand_counts_as_zero(self):
+        policy = DemandProportionalPolicy(floor=0.0)
+        assert policy.allocate([-1e9, 3e9]) == pytest.approx([0.0, 1.0])
+
+    def test_empty(self):
+        assert DemandProportionalPolicy().allocate([]) == []
+
+    def test_floor_must_be_below_one(self):
+        with pytest.raises(SimulationError):
+            DemandProportionalPolicy(floor=1.0)
+
+    @given(demands=_demand_lists)
     def test_shares_always_sum_to_one(self, demands):
-        allocation = DemandProportionalPolicy().allocate(demands)
-        assert sum(allocation.shares.values()) == pytest.approx(1.0)
+        shares = DemandProportionalPolicy().allocate(demands)
+        assert len(shares) == len(demands)
+        assert sum(shares) == pytest.approx(1.0)
+
+    @given(demands=_demand_lists, floor=_floors)
+    def test_shares_positive_and_within_budget(self, demands, floor):
+        shares = DemandProportionalPolicy(floor=floor).allocate(demands)
+        assert sum(shares) <= 1.0 + 1e-9
+        assert all(share > 0 for share in shares)
 
 
 class TestSlackWeighted:
     def test_behind_task_gets_boost(self):
         policy = SlackWeightedPolicy(floor=0.0)
-        allocation = policy.allocate(
-            demands={"late": 1e9, "early": 1e9},
-            slacks={"late": -0.5, "early": 0.5},
-        )
-        assert allocation.share_of("late") > allocation.share_of("early")
+        late, early = policy.allocate([1e9, 1e9], [-0.5, 0.5])
+        assert late > early
 
     def test_equal_slack_follows_demand(self):
         policy = SlackWeightedPolicy(floor=0.0)
-        allocation = policy.allocate(
-            demands={"a": 2e9, "b": 1e9},
-            slacks={"a": 0.0, "b": 0.0},
-        )
-        assert allocation.share_of("a") > allocation.share_of("b")
+        a, b = policy.allocate([2e9, 1e9], [0.0, 0.0])
+        assert a > b
+
+    def test_empty(self):
+        assert SlackWeightedPolicy().allocate([], []) == []
 
     def test_urgency_must_be_positive(self):
         with pytest.raises(SimulationError):
@@ -91,8 +79,14 @@ class TestSlackWeighted:
     )
     def test_shares_sum_to_one(self, slack):
         policy = SlackWeightedPolicy()
-        allocation = policy.allocate(
-            demands={"a": 1e9, "b": 1e9},
-            slacks={"a": slack, "b": 0.0},
-        )
-        assert sum(allocation.shares.values()) == pytest.approx(1.0)
+        shares = policy.allocate([1e9, 1e9], [slack, 0.0])
+        assert sum(shares) == pytest.approx(1.0)
+
+    @given(data=st.data(), demands=_demand_lists, floor=_floors)
+    def test_shares_positive_and_within_budget(self, data, demands, floor):
+        slacks = data.draw(st.lists(st.floats(-50.0, 50.0),
+                                    min_size=len(demands),
+                                    max_size=len(demands)))
+        shares = SlackWeightedPolicy(floor=floor).allocate(demands, slacks)
+        assert sum(shares) <= 1.0 + 1e-9
+        assert all(share > 0 for share in shares)

@@ -23,6 +23,17 @@ def _instance(key="MB.", serial=0, qos_s=float("inf")):
     )
 
 
+def _shares(policy, insts, now):
+    """The policy's shares for ``insts`` at their current layer work,
+    called the way the engine's kernel calls it."""
+    return policy.bandwidth_shares(
+        insts,
+        [inst.rem_compute_cycles for inst in insts],
+        [inst.rem_dram_bytes for inst in insts],
+        now,
+    )
+
+
 class TestFactory:
     @pytest.mark.parametrize(
         "name,cls",
@@ -67,9 +78,7 @@ class TestBaselineTrafficModel:
         assert timeout == 0.0
 
     def test_dram_efficiency_degrades_with_tenants(self, policy):
-        inst = _instance()
-        assert policy.dram_efficiency(inst, 1) > \
-            policy.dram_efficiency(inst, 16)
+        assert policy.dram_efficiency(1) > policy.dram_efficiency(16)
 
     def test_includes_refetch_traffic(self, policy):
         """Access volume must exceed the layer's compulsory footprint for
@@ -93,9 +102,8 @@ class TestMoCAAndAuRORA:
             policy.on_task_start(inst, 0.0)
             work, _ = policy.begin_layer(inst, 0.0)
             inst.begin_work(work)
-        running = {i.instance_id: i for i in (heavy, light)}
-        shares = policy.bandwidth_shares(running, 0.0)
-        assert shares[heavy.instance_id] > shares[light.instance_id]
+        heavy_share, light_share = _shares(policy, [heavy, light], 0.0)
+        assert heavy_share > light_share
 
     def test_aurora_boosts_core_count_for_tight_targets(self):
         policy = AuRORAScheduler()
@@ -118,9 +126,7 @@ class TestMoCAAndAuRORA:
         base = SharedCacheBaseline()
         aurora.attach(SoCConfig())
         base.attach(SoCConfig())
-        inst = _instance()
-        assert aurora.dram_efficiency(inst, 16) > \
-            base.dram_efficiency(inst, 16)
+        assert aurora.dram_efficiency(16) > base.dram_efficiency(16)
 
 
 class TestCaMDNPolicies:
@@ -174,9 +180,8 @@ class TestCaMDNPolicies:
             policy.on_task_start(inst, 0.0)
             work, _ = policy.begin_layer(inst, 0.0)
             inst.begin_work(work)
-        running = {i.instance_id: i for i in (late, ok)}
-        shares = policy.bandwidth_shares(running, now=0.01)
-        assert shares[late.instance_id] > shares[ok.instance_id]
+        late_share, ok_share = _shares(policy, [late, ok], 0.01)
+        assert late_share > ok_share
 
     def test_stats_track_lbm(self):
         policy = self._attach(CaMDNFullScheduler())

@@ -103,10 +103,13 @@ class TestKernelBackends:
         # Soonest completion: max(1000/1e9, 500/1e9) = 1 us.
         assert dt == pytest.approx(1e-6)
         assert finished == [0]
-        kernel.sync_all()
-        assert insts[0].rem_compute_cycles == 0.0
-        assert insts[2].rem_compute_cycles == pytest.approx(2000.0)
+        # Layer 0 drained both streams; the others drained dt's worth.
+        assert kernel.rem_c[2] == pytest.approx(2000.0)
+        assert kernel.rem_d[2] == 0.0
         kernel.remove(insts[0])
+        # Removal writes the fluid state back to the instance.
+        assert insts[0].rem_compute_cycles == 0.0
+        assert insts[0].rem_dram_bytes == 0.0
         assert [i.instance_id for i in kernel.insts] == ["t1", "t2"]
         assert kernel.pos == {"t1": 0, "t2": 1}
 
@@ -125,8 +128,25 @@ class FixedShareScheduler(SchedulerPolicy):
     def begin_layer(self, instance, now):
         return LayerWork(compute_cycles=10.0, dram_bytes=self.dram), 0.0
 
-    def bandwidth_shares(self, running, now):
-        return {iid: self.share for iid in running}
+    def bandwidth_shares(self, insts, rem_compute, rem_dram, now):
+        return [self.share] * len(insts)
+
+
+class TestShareSignature:
+    def test_dict_keyed_override_fails_loudly(self):
+        """``bandwidth_shares`` takes the kernel's positional arrays; an
+        override written for the old ``(running, now)`` signature must
+        raise instead of being skipped for a default split."""
+
+        class DictShares(FixedShareScheduler):
+            def bandwidth_shares(self, running, now):
+                return {iid: self.share for iid in running}
+
+        spec = ScenarioSpec.closed_loop(["MB."], inferences=1)
+        engine = MultiTenantEngine(SoCConfig(), DictShares(share=0.5),
+                                   ScenarioWorkload(spec))
+        with pytest.raises(TypeError):
+            engine.run()
 
 
 class TestRateClampConsistency:

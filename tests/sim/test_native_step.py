@@ -50,13 +50,6 @@ POLICIES = ("baseline", "moca", "aurora", "camdn-hw", "camdn-full",
 
 CAMDN_POLICIES = ("camdn-hw", "camdn-full", "camdn-qos")
 
-#: Python 3.12 made float ``sum()`` compensated, while the C kernel (and
-#: ``sum()`` up to 3.11) adds left to right, so from 3.12 on the Python
-#: share totals can round differently in the last place: mid-run fluid
-#: state, and with it snapshot bytes, then differ across paths even
-#: where every summary, count and stat agrees.
-LEFT_TO_RIGHT_SUM = sys.version_info < (3, 12)
-
 #: CaMDN cross-path cases: (scenario, fault schedule).  ``churn-ecc``
 #: retires pages mid-run, so region resizes make the batch loop decline
 #: completions between handled ones; ``qos-2core`` gives camdn-qos
@@ -561,11 +554,10 @@ class TestEngineCrossPathIdentity:
             assert result.scheduler_stats == first.scheduler_stats
             assert result.last_snapshot.events_processed == \
                 first.last_snapshot.events_processed
-        if LEFT_TO_RIGHT_SUM:
-            assert results["python"].last_snapshot.payload == \
-                first.last_snapshot.payload
-            assert _fused_view(results["split"].last_snapshot) == \
-                _fused_view(first.last_snapshot)
+        assert results["python"].last_snapshot.payload == \
+            first.last_snapshot.payload
+        assert _fused_view(results["split"].last_snapshot) == \
+            _fused_view(first.last_snapshot)
 
     def test_moca_mid_run_epoch_transition(self):
         # One deadline-carrying stream finishes early, flipping MoCA's

@@ -1,4 +1,4 @@
-"""Tests for task instances and fluid layer progress."""
+"""Tests for task instances: layer work, accounting and deadlines."""
 
 import math
 
@@ -25,39 +25,13 @@ class TestLayerWork:
             LayerWork(compute_cycles=-1, dram_bytes=0)
 
 
-class TestFluidProgress:
+class TestLayerProtocol:
     def test_begin_work(self):
         inst = _instance()
         inst.begin_work(LayerWork(compute_cycles=1000, dram_bytes=2000))
         assert inst.state is InstanceState.RUNNING
         assert inst.rem_compute_cycles == 1000
-
-    def test_advance_drains_both_streams(self):
-        inst = _instance()
-        inst.begin_work(LayerWork(compute_cycles=1000, dram_bytes=2000))
-        inst.advance(dt=0.5, compute_rate=1000, dram_rate=1000)
-        assert inst.rem_compute_cycles == pytest.approx(500)
-        assert inst.rem_dram_bytes == pytest.approx(1500)
-
-    def test_advance_clamps_at_zero(self):
-        inst = _instance()
-        inst.begin_work(LayerWork(compute_cycles=10, dram_bytes=10))
-        inst.advance(dt=100.0, compute_rate=1e9, dram_rate=1e9)
-        assert inst.rem_compute_cycles == 0.0
-        assert inst.layer_finished()
-
-    def test_time_to_finish_is_max_of_streams(self):
-        inst = _instance()
-        inst.begin_work(LayerWork(compute_cycles=1000, dram_bytes=4000))
-        t = inst.time_to_finish_layer(compute_rate=1000, dram_rate=1000)
-        assert t == pytest.approx(4.0)
-
-    def test_non_running_does_not_advance(self):
-        inst = _instance()
-        inst.begin_work(LayerWork(compute_cycles=100, dram_bytes=0))
-        inst.state = InstanceState.WAITING_PAGES
-        inst.advance(1.0, 1e9, 1e9)
-        assert inst.rem_compute_cycles == 100
+        assert inst.rem_dram_bytes == 2000
 
     def test_account_layer_accumulates(self):
         inst = _instance()
