@@ -235,6 +235,22 @@ class SchedulerPolicy(abc.ABC):
         share = 1.0 / len(insts)
         return [share] * len(insts)
 
+    def native_batch_args(self) -> Optional[tuple]:
+        """The completion table of one native batch-loop call, or
+        ``None`` (the default) to hand every layer completion back to
+        the Python chain.
+
+        A policy returns a table only when the C loop can take a
+        completion exactly as ``_process_completions`` would: the
+        table's first item is a ``repro.sim.native.TABLE_*`` kind, and
+        the C handler for that kind transcribes this policy's
+        ``on_layer_end`` / ``begin_layer`` (or ``advance_layer``) for
+        every completion it does not decline.  The engine fetches the
+        table once per call, so it may depend on state that only the
+        Python chain changes (task start and end, resizes).
+        """
+        return None
+
     def bump_rate_epoch(self) -> None:
         """Advance :attr:`rate_epoch` (the share rule changed shape)."""
         self.rate_epoch += 1

@@ -17,6 +17,7 @@ from ..core.allocator import LOOKAHEAD_FRACTION, AllocationDecision
 from ..core.camdn import CaMDNSystem, LayerGrant
 from ..errors import SimulationError
 from ..memory.bwalloc import DemandProportionalPolicy, SlackWeightedPolicy
+from ..sim.native import TABLE_CAMDN
 from ..sim.task import LayerWork, TaskInstance
 from .base import SchedulerPolicy
 
@@ -371,13 +372,14 @@ class CaMDNSchedulerBase(SchedulerPolicy):
     # ------------------------------------------------------------------
 
     def native_batch_args(self) -> tuple:
-        """The scheduler side of one ``_batchstep.camdn_batch`` call:
+        """The CaMDN completion table of one native batch-loop call:
         the allocator's predictor lists and page totals, the HW-only
         static share, the HW-only flag and the :meth:`_build_fast_file`
         tables.  The totals change only between calls, so the engine
         fetches this tuple per call."""
         alloc = self._alloc
         return (
+            TABLE_CAMDN,
             alloc._tnext, alloc._pnext, alloc._palloc, alloc.total_pages,
             alloc._palloc_sum, self.system._share,
             0 if self._sys_hw is None else 1, self._fast_files,

@@ -16,11 +16,12 @@ the mechanism behind Figure 2's memory-access growth.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cache.transparent import AccessSegment, TransparentCacheModel
 from ..config import SoCConfig
 from ..models.graph import ModelGraph
+from ..sim.native import TABLE_WORKS
 from ..sim.task import LayerWork, TaskInstance
 from .base import SchedulerPolicy
 
@@ -50,8 +51,11 @@ class SharedCacheBaseline(SchedulerPolicy):
         self._active_ids: set = set()
         # Layer cost is a pure function of (model, layer, contention
         # factor, core count); the same layers recur once per inference,
-        # so the engine's steady state is served from this memo.
-        self._work_memo: Dict[tuple, LayerWork] = {}
+        # so the engine's steady state is served from this memo: one
+        # list per (model name, factor, cores), indexed by layer, None
+        # until the layer is first costed.  The native batch loop reads
+        # it too (native_batch_args).
+        self._work_memo: Dict[tuple, List[Optional[LayerWork]]] = {}
         #: Tenants currently admitted (dynamic-tenancy bookkeeping).
         self._tenants: Dict[str, ModelGraph] = {}
         self._tenant_admits = 0
@@ -117,8 +121,9 @@ class SharedCacheBaseline(SchedulerPolicy):
 
     # ------------------------------------------------------------------
 
-    def contention_factor(self, instance: TaskInstance) -> float:
-        """Effective reuse-distance inflation for ``instance``.
+    def contention_factor(self) -> float:
+        """Effective reuse-distance inflation: the number of started
+        tasks.
 
         The engine does not pass the running set into ``begin_layer``, so
         the policy tracks it via task start/end hooks.
@@ -138,12 +143,24 @@ class SharedCacheBaseline(SchedulerPolicy):
             num_running, 1
         )
 
+    def native_batch_args(self) -> tuple:
+        """The layer-work memo and the current contention factor: the C
+        batch loop installs a non-final completion's next layer from
+        the memo list of its (model name, factor, cores), exactly as
+        :meth:`begin_layer` would (``on_layer_end`` is the base no-op),
+        and hands back empty slots and last layers.  Only task start
+        and end change the factor, and those run in Python."""
+        return (TABLE_WORKS, self._work_memo, self.contention_factor())
+
     def begin_layer(self, instance: TaskInstance, now: float
                     ) -> Tuple[Optional[LayerWork], float]:
-        factor = self.contention_factor(instance)
-        key = (instance.graph.name, instance.layer_index, factor,
-               instance.cores)
-        work = self._work_memo.get(key)
+        factor = self.contention_factor()
+        key = (instance.graph.name, factor, instance.cores)
+        works = self._work_memo.get(key)
+        if works is None:
+            works = [None] * len(instance.graph.layers)
+            self._work_memo[key] = works
+        work = works[instance.layer_index]
         if work is not None:
             return work, 0.0
         segments = self._model_segments(
@@ -162,5 +179,5 @@ class SharedCacheBaseline(SchedulerPolicy):
             hit_bytes=hits,
             access_bytes=accesses,
         )
-        self._work_memo[key] = work
+        works[instance.layer_index] = work
         return work, 0.0

@@ -2,17 +2,25 @@
  *
  * Three entry points share the code below:
  *
- * - fused_step: one engine event — recompute the bandwidth rates from
- *   the remaining-work arrays (the fused rate modes), find the next
- *   event time (min over per-instance completion times, clamped by the
- *   wakeup/timeline boundary), drain the fluid work, and report the
- *   finished positions;
+ * - batch_loop: the engine's batch loop for every policy.  Each event
+ *   is one step — recompute the bandwidth rates from the remaining-work
+ *   arrays (the fused rate modes 1-3) or keep the installed ones (mode
+ *   0, policies whose rates change with membership alone), find the
+ *   next event time (min over per-instance completion times, clamped
+ *   by the wakeup/timeline/fault boundary), drain the fluid work — and
+ *   each non-final layer completion is handled here when the policy's
+ *   completion table covers it: the transparent-cache policies
+ *   (baseline, MoCA, AuRORA) install the next layer's memoized
+ *   LayerWork, the CaMDN policies run the completion chain below.  It
+ *   hands back to Python every completion it cannot take: last layers,
+ *   memo misses, CaMDN resizes and denials, completions while waiters
+ *   are pending, and every completion of a policy with no table or of
+ *   a run with a TraceRecorder attached (the engine passes no table);
  * - camdn_advance: one CaMDN layer completion — Algorithm 1's
- *   end-of-layer predictor update plus the next layer's selection;
- * - camdn_batch: the batch loop itself for the CaMDN policies — the
- *   fused step of every event plus the completion chain of every
- *   non-final layer completion, until the loop must hand back to
- *   Python.
+ *   end-of-layer predictor update plus the next layer's selection —
+ *   for the completions the Python chain handles;
+ * - fused_step: one event of batch_loop's step, the harness of the
+ *   randomised C-vs-Python bit-identity tests.
  *
  * Bit-identity contract
  * ---------------------
@@ -44,7 +52,8 @@
  * certain about (a non-float list item, a non-positive demand total)
  * makes them return None, telling the engine to take the pure-Python
  * path for that event or completion.  The Python and C paths are
- * interchangeable mid-run.
+ * interchangeable mid-run.  The engine runs none of them under
+ * use_native=False, the kernel_backend="list" pin or REPRO_NATIVE=0.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -928,12 +937,12 @@ camdn_advance(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* ------------------------------------------------------------------ */
-/* CaMDN batch loop                                                    */
+/* Batch loop                                                          */
 /* ------------------------------------------------------------------ */
 
-/* Attribute names the completion chain reads and writes (interned at
+/* Attribute names the completion handlers read and write (interned at
  * module init). */
-static PyObject *s_layer_index, *s_graph, *s_layers, *s_sched_ctx;
+static PyObject *s_layer_index, *s_graph, *s_layers, *s_name, *s_sched_ctx;
 static PyObject *s_mapping_file, *s_lbm_block, *s_slot, *s_pcpns;
 static PyObject *s_cores, *s_work, *s_compute_cycles, *s_dram_bytes;
 static PyObject *s_hit_bytes, *s_access_bytes, *s_dram_bytes_total;
@@ -943,6 +952,11 @@ static PyObject *s_rem_compute_cycles, *s_rem_dram_bytes, *s_block_of;
 
 #define HANDLED 0
 #define DECLINE 1
+
+/* Completion-table kinds (repro.sim.native.TABLE_*). */
+#define TABLE_NONE 0
+#define TABLE_WORKS 1
+#define TABLE_CAMDN 2
 
 /* obj.name, new reference; NULL (error cleared) when missing. */
 static PyObject *
@@ -1012,13 +1026,23 @@ set_long(PyObject *obj, PyObject *name, long v)
     return rc;
 }
 
-/* The scheduler side of a batch (CaMDNSchedulerBase.native_batch_args):
- * the allocator's predictor lists and page totals, the HW-only share,
- * and the per-mapping-file tables of the completion handler. */
+/* The policy side of a batch (SchedulerPolicy.native_batch_args):
+ *
+ * - TABLE_NONE (the argument None): every completion goes back to
+ *   Python;
+ * - TABLE_WORKS, (kind, memo, factor): SharedCacheBaseline's layer-work
+ *   memo, {(model name, contention factor, cores): [LayerWork or None
+ *   per layer]}, and this call's contention factor;
+ * - TABLE_CAMDN, (kind, tnext, pnext, palloc, total_pages, palloc_sum,
+ *   share, hw_mode, fast_files): the CaMDN allocator's predictor lists
+ *   and page totals, the HW-only share and flag, and the
+ *   per-mapping-file tables of the completion handler. */
 typedef struct {
+    long kind;
+    PyObject *works, *factor;
     PyObject *tnext_l, *pnext_l, *palloc_l, *fast_files;
     long total_pages, palloc_sum, share, hw_mode;
-} camdn_sched;
+} batch_table;
 
 /* A layer's work as the chain reads it: the LayerWork, its compute
  * cycles and DRAM bytes (the very float objects _apply_grant copies
@@ -1028,18 +1052,19 @@ typedef struct {
     double dram_bytes, hit_bytes, access_bytes;
 } work_view;
 
-/* One running instance as the completion chain sees it.  Loaded from
+/* One running instance as the completion handlers see it.  Loaded from
  * its Python objects at its first completion of a call; handled
  * completions update the view, and flush_view writes the instance
- * fields back before the call returns.  Region size, task slot, core
- * count and tables cannot change inside a call: only the Python chain
- * resizes, registers or retires. */
+ * fields back before the call returns.  Core count, memo list, region
+ * size, task slot and tables cannot change inside a call: only the
+ * Python chain starts or ends tasks, resizes, registers or retires. */
 typedef struct {
     PyObject *inst;                    /* borrowed from insts */
-    PyObject *state, *mf, *rows, *pairs, *grant;   /* owned */
+    PyObject *works;                   /* TABLE_WORKS memo list, owned */
+    PyObject *state, *mf, *rows, *pairs, *grant;   /* TABLE_CAMDN, owned */
     work_view w;
-    long layer, n_layers, slot, cores, region_pages, lbm_s, lbm_e;
-    long executed;
+    long layer, n_layers, cores, executed;
+    long slot, region_pages, lbm_s, lbm_e;         /* TABLE_CAMDN */
     double dram_total, hit_total, access_total;
     int loaded, dirty;
 } inst_view;
@@ -1073,6 +1098,7 @@ load_work(PyObject *work, work_view *w)
 static void
 release_view(inst_view *v)
 {
+    Py_CLEAR(v->works);
     Py_CLEAR(v->state);
     Py_CLEAR(v->mf);
     Py_CLEAR(v->rows);
@@ -1082,34 +1108,55 @@ release_view(inst_view *v)
     v->loaded = 0;
 }
 
-/* Resolve ``inst`` the way advance_layer does (sched_ctx -> task
- * state and region, mapping file -> _fast_files tables): 0, DECLINE
- * when anything is missing or unexpectedly typed (nothing kept), -1 on
- * a Python error. */
+/* The instance's memo list under SharedCacheBaseline.begin_layer's key
+ * (graph name, contention factor, cores): 0, DECLINE when there is
+ * none yet, -1 on a Python error. */
 static int
-load_view(const camdn_sched *sc, PyObject *inst, inst_view *v)
+load_works(const batch_table *t, PyObject *graph, inst_view *v)
 {
-    PyObject *graph = NULL, *layers = NULL, *ctx = NULL, *key = NULL;
-    PyObject *block = NULL, *pcpns = NULL, *work = NULL, *ft;
+    PyObject *name = get_attr(graph, s_name);
+    PyObject *cores = get_attr(v->inst, s_cores);
+    PyObject *key, *works;
     int rc = DECLINE;
 
-    v->inst = inst;
-    if (attr_long(inst, s_layer_index, &v->layer) < 0 ||
-        attr_long(inst, s_cores, &v->cores) < 0 ||
-        attr_long(inst, s_layers_executed, &v->executed) < 0 ||
-        attr_double(inst, s_dram_bytes_total, &v->dram_total) < 0 ||
-        attr_double(inst, s_hit_bytes_total, &v->hit_total) < 0 ||
-        attr_double(inst, s_access_bytes_total, &v->access_total) < 0) {
+    if (name == NULL || cores == NULL) {
         goto out;
     }
-    graph = get_attr(inst, s_graph);
-    layers = graph ? get_attr(graph, s_layers) : NULL;
-    if (layers == NULL ||
-        !(PyTuple_CheckExact(layers) || PyList_CheckExact(layers))) {
+    key = PyTuple_Pack(3, name, t->factor, cores);
+    if (key == NULL) {
+        rc = -1;
         goto out;
     }
-    v->n_layers = (long)Py_SIZE(layers);
-    ctx = get_attr(inst, s_sched_ctx);
+    works = PyDict_GetItemWithError(t->works, key);
+    Py_DECREF(key);
+    if (works == NULL) {
+        if (PyErr_Occurred()) {
+            rc = -1;
+        }
+        goto out;
+    }
+    if (PyList_CheckExact(works)) {
+        v->works = Py_NewRef(works);
+        rc = 0;
+    }
+
+out:
+    Py_XDECREF(name);
+    Py_XDECREF(cores);
+    return rc;
+}
+
+/* Resolve the CaMDN side of ``v`` the way advance_layer does
+ * (sched_ctx -> task state and region, mapping file -> _fast_files
+ * tables): 0, DECLINE when anything is missing or unexpectedly typed,
+ * -1 on a Python error. */
+static int
+load_camdn(const batch_table *t, inst_view *v)
+{
+    PyObject *ctx = NULL, *key = NULL, *block = NULL, *pcpns = NULL, *ft;
+    int rc = DECLINE;
+
+    ctx = get_attr(v->inst, s_sched_ctx);
     if (ctx == NULL || !PyTuple_CheckExact(ctx) ||
         PyTuple_GET_SIZE(ctx) != 2) {
         goto out;
@@ -1142,7 +1189,7 @@ load_view(const camdn_sched *sc, PyObject *inst, inst_view *v)
         rc = -1;
         goto out;
     }
-    ft = PyDict_GetItemWithError(sc->fast_files, key);
+    ft = PyDict_GetItemWithError(t->fast_files, key);
     if (ft == NULL) {
         if (PyErr_Occurred()) {
             rc = -1;
@@ -1157,12 +1204,49 @@ load_view(const camdn_sched *sc, PyObject *inst, inst_view *v)
     }
     v->rows = Py_NewRef(PyTuple_GET_ITEM(ft, 1));
     v->pairs = Py_NewRef(PyTuple_GET_ITEM(ft, 2));
+    rc = 0;
+
+out:
+    Py_XDECREF(ctx);
+    Py_XDECREF(key);
+    Py_XDECREF(block);
+    Py_XDECREF(pcpns);
+    return rc;
+}
+
+/* Load ``inst`` into ``v``: the fields every completion reads, then
+ * the table's own.  0, DECLINE (nothing kept), or -1 on a Python
+ * error. */
+static int
+load_view(const batch_table *t, PyObject *inst, inst_view *v)
+{
+    PyObject *graph = NULL, *layers = NULL, *work = NULL;
+    int rc = DECLINE;
+
+    v->inst = inst;
+    if (attr_long(inst, s_layer_index, &v->layer) < 0 ||
+        attr_long(inst, s_cores, &v->cores) < 0 ||
+        attr_long(inst, s_layers_executed, &v->executed) < 0 ||
+        attr_double(inst, s_dram_bytes_total, &v->dram_total) < 0 ||
+        attr_double(inst, s_hit_bytes_total, &v->hit_total) < 0 ||
+        attr_double(inst, s_access_bytes_total, &v->access_total) < 0) {
+        goto out;
+    }
+    graph = get_attr(inst, s_graph);
+    layers = graph ? get_attr(graph, s_layers) : NULL;
+    if (layers == NULL ||
+        !(PyTuple_CheckExact(layers) || PyList_CheckExact(layers))) {
+        goto out;
+    }
+    v->n_layers = (long)Py_SIZE(layers);
     work = get_attr(inst, s_work);
     if (work == NULL || load_work(work, &v->w) < 0) {
         goto out;
     }
-    v->loaded = 1;
-    rc = 0;
+    rc = t->kind == TABLE_WORKS ? load_works(t, graph, v) : load_camdn(t, v);
+    if (rc == 0) {
+        v->loaded = 1;
+    }
 
 out:
     if (rc != 0) {
@@ -1170,17 +1254,13 @@ out:
     }
     Py_XDECREF(graph);
     Py_XDECREF(layers);
-    Py_XDECREF(ctx);
-    Py_XDECREF(key);
-    Py_XDECREF(block);
-    Py_XDECREF(pcpns);
     Py_XDECREF(work);
     return rc;
 }
 
 /* Write a view's handled completions back to its instance: the fields
- * account_layer, advance_layer and _apply_grant set (state and
- * wake_time already hold RUNNING and inf). */
+ * account_layer, the layer advance and _apply_grant set (state and
+ * wake_time already hold RUNNING and inf), plus the CaMDN grant. */
 static int
 flush_view(inst_view *v)
 {
@@ -1190,7 +1270,8 @@ flush_view(inst_view *v)
         set_double(inst, s_access_bytes_total, v->access_total) < 0 ||
         set_long(inst, s_layers_executed, v->executed) < 0 ||
         set_long(inst, s_layer_index, v->layer) < 0 ||
-        PyObject_SetAttr(inst, s_sched_scratch, v->grant) < 0 ||
+        (v->grant != NULL &&
+         PyObject_SetAttr(inst, s_sched_scratch, v->grant) < 0) ||
         PyObject_SetAttr(inst, s_work, v->w.work) < 0 ||
         PyObject_SetAttr(inst, s_rem_compute_cycles, v->w.cycles) < 0 ||
         PyObject_SetAttr(inst, s_rem_dram_bytes, v->w.dram) < 0) {
@@ -1200,20 +1281,66 @@ flush_view(inst_view *v)
     return 0;
 }
 
-/* One non-final layer completion of a loaded instance at ``now``,
- * handled exactly as MultiTenantEngine._process_completions ->
- * CaMDNSchedulerBase.advance_layer (native branch, memo hit) ->
- * MultiTenantEngine._apply_grant would: account the finished layer,
- * decide the next one (camdn_select), take the memoized
- * ``(grant, (work, 0.0), is_lbm)`` entry and install its work.
- *
- * Returns HANDLED with the new work in c_i and d_i and the new layer
- * progress in prog_i; DECLINE with nothing changed when the Python
- * chain must handle the completion (last layer, resize or denial, memo
- * miss, unexpected types); -1 on a Python error. */
+/* Move a view to its next layer with work ``nw`` (ownership taken):
+ * the inlined account_layer of the finished layer, then the layer
+ * advance and _apply_grant's work install, held in the view until
+ * flush_view.  The new work goes to c_i and d_i and the new layer
+ * progress to prog_i (RunningKernel.set_work: layer_index /
+ * max(num_layers, 1); int true division of values below 2**53 is the
+ * correctly-rounded double quotient). */
+static void
+advance_view(inst_view *v, work_view *nw, double *c_i, double *d_i,
+             double *prog_i)
+{
+    long nxt = v->layer + 1;
+    v->dram_total += v->w.dram_bytes;
+    v->hit_total += v->w.hit_bytes;
+    v->access_total += v->w.access_bytes;
+    v->executed += 1;
+    v->layer = nxt;
+    release_work(&v->w);
+    v->w = *nw;
+    v->dirty = 1;
+    *c_i = PyFloat_AS_DOUBLE(nw->cycles);
+    *d_i = nw->dram_bytes;
+    *prog_i = (double)nxt / (double)(v->n_layers > 1 ? v->n_layers : 1);
+}
+
+/* One non-final layer completion under TABLE_WORKS, handled exactly as
+ * MultiTenantEngine._process_completions -> on_layer_end (a no-op) ->
+ * SharedCacheBaseline.begin_layer (memo hit) -> _apply_grant would.
+ * HANDLED, or DECLINE with nothing changed (last layer, empty slot). */
 static int
-handle_completion(const camdn_sched *sc, inst_view *v, double now,
-                  double *c_i, double *d_i, double *prog_i, long *lbm)
+works_completion(inst_view *v, double *c_i, double *d_i, double *prog_i)
+{
+    long nxt = v->layer + 1;
+    PyObject *work;
+    work_view nw = {NULL, NULL, NULL, 0.0, 0.0, 0.0};
+
+    if (nxt >= v->n_layers || nxt >= PyList_GET_SIZE(v->works)) {
+        return DECLINE;  /* last layer: the task ends in Python */
+    }
+    work = PyList_GET_ITEM(v->works, nxt);
+    if (work == Py_None || load_work(work, &nw) < 0) {
+        return DECLINE;
+    }
+    advance_view(v, &nw, c_i, d_i, prog_i);
+    return HANDLED;
+}
+
+/* One non-final layer completion under TABLE_CAMDN at ``now``, handled
+ * exactly as MultiTenantEngine._process_completions ->
+ * CaMDNSchedulerBase.advance_layer (native branch, memo hit) ->
+ * MultiTenantEngine._apply_grant would: decide the next layer
+ * (camdn_select), take the memoized ``(grant, (work, 0.0), is_lbm)``
+ * entry and install its work.
+ *
+ * HANDLED; DECLINE with nothing changed when the Python chain must
+ * handle the completion (last layer, resize or denial, memo miss,
+ * unexpected types); -1 on a Python error. */
+static int
+camdn_completion(const batch_table *t, inst_view *v, double now,
+                 double *c_i, double *d_i, double *prog_i, long *lbm)
 {
     PyObject *memo, *key, *entry, *pair, *is_lbm, *grant;
     PyObject *new_block = NULL;
@@ -1233,19 +1360,19 @@ handle_completion(const camdn_sched *sc, inst_view *v, double now,
     if (!PyDict_CheckExact(memo)) {
         return DECLINE;
     }
-    q.tnext_l = sc->tnext_l;
-    q.pnext_l = sc->pnext_l;
-    q.palloc_l = sc->palloc_l;
+    q.tnext_l = t->tnext_l;
+    q.pnext_l = t->pnext_l;
+    q.palloc_l = t->palloc_l;
     q.row = PyList_GET_ITEM(v->rows, nxt);
     q.slot = v->slot;
-    q.total_pages = sc->total_pages;
-    q.palloc_sum = sc->palloc_sum;
+    q.total_pages = t->total_pages;
+    q.palloc_sum = t->palloc_sum;
     q.lbm_s = v->lbm_s;
     q.lbm_e = v->lbm_e;
     q.layer_index = v->layer;
     q.region_pages = v->region_pages;
-    q.hw_mode = sc->hw_mode;
-    q.share = sc->share;
+    q.hw_mode = t->hw_mode;
+    q.share = t->share;
     q.now = now;
     if (camdn_select(&q, &ch)) {
         return DECLINE;
@@ -1307,85 +1434,96 @@ handle_completion(const camdn_sched *sc, inst_view *v, double now,
     Py_XDECREF(new_block);
     v->lbm_s = ch.lbm_s;
     v->lbm_e = ch.lbm_e;
-    /* Inlined account_layer, then advance_layer's and _apply_grant's
-     * writes, held in the view until flush_view. */
-    v->dram_total += v->w.dram_bytes;
-    v->hit_total += v->w.hit_bytes;
-    v->access_total += v->w.access_bytes;
-    v->executed += 1;
-    v->layer = nxt;
     Py_XSETREF(v->grant, grant);
-    release_work(&v->w);
-    v->w = nw;
-    v->dirty = 1;
     if (is_lbm == Py_True) {
         (*lbm)++;
     }
-    *c_i = PyFloat_AS_DOUBLE(nw.cycles);
-    *d_i = nw.dram_bytes;
-    /* RunningKernel.set_work's slack progress:
-     * layer_index / max(num_layers, 1) (int true division of values
-     * below 2**53 is the correctly-rounded double quotient). */
-    *prog_i = (double)nxt / (double)(v->n_layers > 1 ? v->n_layers : 1);
+    advance_view(v, &nw, c_i, d_i, prog_i);
     return HANDLED;
 }
 
 static int
-parse_sched(PyObject *tup, camdn_sched *sc)
+parse_table(PyObject *obj, batch_table *t)
 {
-    if (!PyTuple_CheckExact(tup) || PyTuple_GET_SIZE(tup) != 8) {
-        PyErr_SetString(PyExc_TypeError,
-                        "camdn_batch expects an 8-tuple of scheduler "
-                        "arguments");
+    Py_ssize_t size;
+
+    memset(t, 0, sizeof(*t));
+    if (obj == Py_None) {
+        return 0;
+    }
+    if (!PyTuple_CheckExact(obj) || PyTuple_GET_SIZE(obj) < 1) {
+        goto bad;
+    }
+    size = PyTuple_GET_SIZE(obj);
+    t->kind = PyLong_AsLong(PyTuple_GET_ITEM(obj, 0));
+    if (t->kind == -1 && PyErr_Occurred()) {
         return -1;
     }
-    sc->tnext_l = PyTuple_GET_ITEM(tup, 0);
-    sc->pnext_l = PyTuple_GET_ITEM(tup, 1);
-    sc->palloc_l = PyTuple_GET_ITEM(tup, 2);
-    sc->total_pages = PyLong_AsLong(PyTuple_GET_ITEM(tup, 3));
-    sc->palloc_sum = PyLong_AsLong(PyTuple_GET_ITEM(tup, 4));
-    sc->share = PyLong_AsLong(PyTuple_GET_ITEM(tup, 5));
-    sc->hw_mode = PyLong_AsLong(PyTuple_GET_ITEM(tup, 6));
-    sc->fast_files = PyTuple_GET_ITEM(tup, 7);
-    if (PyErr_Occurred()) {
-        return -1;
+    if (t->kind == TABLE_WORKS && size == 3) {
+        t->works = PyTuple_GET_ITEM(obj, 1);
+        t->factor = PyTuple_GET_ITEM(obj, 2);
+        if (!PyDict_CheckExact(t->works) ||
+            !PyFloat_CheckExact(t->factor)) {
+            goto bad;
+        }
+        return 0;
     }
-    if (!PyDict_CheckExact(sc->fast_files)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "camdn_batch: fast-file tables must be a dict");
-        return -1;
+    if (t->kind == TABLE_CAMDN && size == 9) {
+        t->tnext_l = PyTuple_GET_ITEM(obj, 1);
+        t->pnext_l = PyTuple_GET_ITEM(obj, 2);
+        t->palloc_l = PyTuple_GET_ITEM(obj, 3);
+        t->total_pages = PyLong_AsLong(PyTuple_GET_ITEM(obj, 4));
+        t->palloc_sum = PyLong_AsLong(PyTuple_GET_ITEM(obj, 5));
+        t->share = PyLong_AsLong(PyTuple_GET_ITEM(obj, 6));
+        t->hw_mode = PyLong_AsLong(PyTuple_GET_ITEM(obj, 7));
+        t->fast_files = PyTuple_GET_ITEM(obj, 8);
+        if (PyErr_Occurred()) {
+            return -1;
+        }
+        if (!PyDict_CheckExact(t->fast_files)) {
+            goto bad;
+        }
+        return 0;
     }
-    return 0;
+
+bad:
+    PyErr_SetString(PyExc_TypeError,
+                    "batch_loop: malformed completion table");
+    return -1;
 }
 
-/* camdn_batch(insts, rem_c, rem_d, sl_arrival, sl_qos, sl_est,
- *             sl_progress, mode, freq, total_bw, eff, floor, urgency,
- *             now, wake_s, timeline_s, fault_s, events, max_events,
- *             queued, waiting, sched)
+/* batch_loop(insts, rem_c, rem_d, rate_c, rate_d, sl_arrival, sl_qos,
+ *            sl_est, sl_progress, mode, freq, total_bw, eff, floor,
+ *            urgency, now, wake_s, timeline_s, fault_s, events,
+ *            max_events, queued, waiting, table)
  *   -> (handled, now, lbm_layers, rest) | None
  *
- * The body of MultiTenantEngine._batch_run for a CaMDN policy in fused
- * mode 1 (demand_prop) or 2 (slack_weighted): every event is the fused
- * step, and every layer completion is handled here (handle_completion)
+ * The body of MultiTenantEngine._batch_run for every policy: each
+ * event is the fused step (MODE_STATIC with the installed rate_c /
+ * rate_d, which the engine only passes for policies whose rates change
+ * with membership alone; the fused modes recompute rates per event),
+ * and each layer completion is handled here while the policy's
+ * completion ``table`` allows (works_completion, camdn_completion),
  * until the loop must hand back.  ``wake_s``, ``timeline_s`` and
  * ``fault_s`` are the absolute next wakeup, timeline and fault instants
  * (inf when none); they stay fixed because only Python changes them.
  * ``queued``/``waiting`` are the engine's dispatch queue and waiting
  * set (truth-tested): with a queue the loop stops after any event with
  * completions, with waiters it declines every completion, since both
- * need the Python machinery.  ``sched`` is
- * CaMDNSchedulerBase.native_batch_args().
+ * need the Python machinery.  ``table`` is the policy's
+ * native_batch_args() (see batch_table), or None to decline every
+ * completion.
  *
  * ``handled`` events were stepped, and ``now`` is the time after the
- * last of them; ``lbm_layers`` counts the handled completions that ran
- * an LBM candidate.  ``rest`` says why the loop stopped:
+ * last of them; ``lbm_layers`` counts the handled CaMDN completions
+ * that ran an LBM candidate.  ``rest`` says why the loop stopped:
  *
  * - None: after the last event the engine's batch must end (a wakeup,
  *   timeline or fault instant is due, the event cap is reached, or the
  *   queue waits for a completion);
  * - a list: the last event's completions from the first declined one
  *   on, untouched, for the Python chain, in order;
- * - an empty list: the next event needs the per-event path (fused-step
+ * - an empty list: the next event needs the per-event path (fused-rate
  *   bail, idle or negative step).
  *
  * None (the whole call) means that happened before the first event:
@@ -1394,54 +1532,57 @@ parse_sched(PyObject *tup, camdn_sched *sc)
  * predictor lists exactly as the per-event Python loop would.
  */
 static PyObject *
-camdn_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+batch_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *insts, *rem_c_l, *rem_d_l, *sl_l[4];
+    PyObject *insts, *rem_c_l, *rem_d_l, *rate_c_l, *rate_d_l, *sl_l[4];
     PyObject *rest = NULL, *result = NULL;
-    camdn_sched sc;
+    batch_table table;
     long mode, lbm = 0;
     long long events, max_events;
     double freq, total_bw, eff, fl, urgency, now, wake, timeline, fault;
-    int queued, waiting, bailed = 0;
+    int queued, waiting, slack, bailed = 0;
     step_buf buf;
     inst_view *views = NULL;
     double *c, *d, *rc, *rd, *dem, *sl;
     Py_ssize_t n, k, handled = 0;
 
-    if (nargs != 22) {
+    if (nargs != 24) {
         PyErr_SetString(PyExc_TypeError,
-                        "camdn_batch expects exactly 22 arguments");
+                        "batch_loop expects exactly 24 arguments");
         return NULL;
     }
     insts = args[0];
     rem_c_l = args[1];
     rem_d_l = args[2];
+    rate_c_l = args[3];
+    rate_d_l = args[4];
     for (k = 0; k < 4; k++) {
-        sl_l[k] = args[3 + k];
+        sl_l[k] = args[5 + k];
     }
-    mode = PyLong_AsLong(args[7]);
-    freq = PyFloat_AsDouble(args[8]);
-    total_bw = PyFloat_AsDouble(args[9]);
-    eff = PyFloat_AsDouble(args[10]);
-    fl = PyFloat_AsDouble(args[11]);
-    urgency = PyFloat_AsDouble(args[12]);
-    now = PyFloat_AsDouble(args[13]);
-    wake = PyFloat_AsDouble(args[14]);
-    timeline = PyFloat_AsDouble(args[15]);
-    fault = PyFloat_AsDouble(args[16]);
-    events = PyLong_AsLongLong(args[17]);
-    max_events = PyLong_AsLongLong(args[18]);
+    mode = PyLong_AsLong(args[9]);
+    freq = PyFloat_AsDouble(args[10]);
+    total_bw = PyFloat_AsDouble(args[11]);
+    eff = PyFloat_AsDouble(args[12]);
+    fl = PyFloat_AsDouble(args[13]);
+    urgency = PyFloat_AsDouble(args[14]);
+    now = PyFloat_AsDouble(args[15]);
+    wake = PyFloat_AsDouble(args[16]);
+    timeline = PyFloat_AsDouble(args[17]);
+    fault = PyFloat_AsDouble(args[18]);
+    events = PyLong_AsLongLong(args[19]);
+    max_events = PyLong_AsLongLong(args[20]);
     if (PyErr_Occurred()) {
         return NULL;
     }
-    queued = PyObject_IsTrue(args[19]);
-    waiting = PyObject_IsTrue(args[20]);
-    if (queued < 0 || waiting < 0 || parse_sched(args[21], &sc) < 0) {
+    queued = PyObject_IsTrue(args[21]);
+    waiting = PyObject_IsTrue(args[22]);
+    if (queued < 0 || waiting < 0 || parse_table(args[23], &table) < 0) {
         return NULL;
     }
-    if (mode != MODE_DEMAND_PROP && mode != MODE_SLACK_WEIGHTED) {
+    if (mode < MODE_STATIC || mode > MODE_SLACK_THROTTLED) {
         Py_RETURN_NONE;
     }
+    slack = mode == MODE_SLACK_WEIGHTED || mode == MODE_SLACK_THROTTLED;
     if (!PyList_CheckExact(insts) || !PyList_CheckExact(rem_c_l) ||
         !PyList_CheckExact(rem_d_l)) {
         Py_RETURN_NONE;
@@ -1451,7 +1592,13 @@ camdn_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyList_GET_SIZE(rem_d_l) != n) {
         Py_RETURN_NONE;
     }
-    if (mode == MODE_SLACK_WEIGHTED) {
+    if (mode == MODE_STATIC &&
+        (!PyList_CheckExact(rate_c_l) || !PyList_CheckExact(rate_d_l) ||
+         PyList_GET_SIZE(rate_c_l) != n ||
+         PyList_GET_SIZE(rate_d_l) != n)) {
+        Py_RETURN_NONE;
+    }
+    if (slack) {
         for (k = 0; k < 4; k++) {
             if (!PyList_CheckExact(sl_l[k]) ||
                 PyList_GET_SIZE(sl_l[k]) != n) {
@@ -1472,17 +1619,24 @@ camdn_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         read_doubles(rem_d_l, d, n) < 0) {
         goto bail_none;
     }
-    if (mode == MODE_SLACK_WEIGHTED) {
+    if (mode == MODE_STATIC &&
+        (read_doubles(rate_c_l, rc, n) < 0 ||
+         read_doubles(rate_d_l, rd, n) < 0)) {
+        goto bail_none;
+    }
+    if (slack) {
         for (k = 0; k < 4; k++) {
             if (read_doubles(sl_l[k], sl + k * n, n) < 0) {
                 goto bail_none;
             }
         }
     }
-    views = PyMem_Calloc((size_t)n, sizeof(inst_view));
-    if (views == NULL) {
-        PyErr_NoMemory();
-        goto done;
+    if (table.kind != TABLE_NONE) {
+        views = PyMem_Calloc((size_t)n, sizeof(inst_view));
+        if (views == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
     }
 
     for (;;) {
@@ -1512,7 +1666,8 @@ camdn_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                 wait_dt = 0.0;
             }
         }
-        if (fused_rates(mode, n, c, d, sl, sl + n, sl + 2 * n, sl + 3 * n,
+        if (mode != MODE_STATIC &&
+            fused_rates(mode, n, c, d, sl, sl + n, sl + 2 * n, sl + 3 * n,
                         now, urgency, freq, total_bw, eff, fl, rc, rd,
                         dem) < 0) {
             bailed = 1;
@@ -1531,12 +1686,16 @@ camdn_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         for (k = 0; k < nfin; k++) {
             Py_ssize_t i = buf.fin[k];
             int r = DECLINE;
-            if (!waiting) {
+            if (views != NULL && !waiting) {
                 r = views[i].loaded ? 0
-                    : load_view(&sc, PyList_GET_ITEM(insts, i), &views[i]);
+                    : load_view(&table, PyList_GET_ITEM(insts, i),
+                                &views[i]);
                 if (r == 0) {
-                    r = handle_completion(&sc, &views[i], now, c + i, d + i,
-                                          sl + 3 * n + i, &lbm);
+                    r = table.kind == TABLE_WORKS
+                        ? works_completion(&views[i], c + i, d + i,
+                                           sl + 3 * n + i)
+                        : camdn_completion(&table, &views[i], now, c + i,
+                                           d + i, sl + 3 * n + i, &lbm);
                 }
                 if (r < 0) {
                     goto done;
@@ -1568,7 +1727,7 @@ camdn_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             goto done;
         }
     }
-    for (k = 0; k < n; k++) {
+    for (k = 0; views != NULL && k < n; k++) {
         if (views[k].dirty && flush_view(&views[k]) < 0) {
             goto done;
         }
@@ -1576,8 +1735,7 @@ camdn_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     /* Write the fluid state back (the lists stay authoritative). */
     if (write_doubles(rem_c_l, c, n) < 0 ||
         write_doubles(rem_d_l, d, n) < 0 ||
-        (mode == MODE_SLACK_WEIGHTED &&
-         write_doubles(sl_l[3], sl + 3 * n, n) < 0)) {
+        (slack && write_doubles(sl_l[3], sl + 3 * n, n) < 0)) {
         goto done;
     }
     result = Py_BuildValue("(ndlO)", handled, now, lbm,
@@ -1606,9 +1764,10 @@ static PyMethodDef batchstep_methods[] = {
     {"camdn_advance", (PyCFunction)(void (*)(void))camdn_advance,
      METH_FASTCALL,
      "Fused CaMDN end-of-layer update + next-layer selection + grant."},
-    {"camdn_batch", (PyCFunction)(void (*)(void))camdn_batch,
+    {"batch_loop", (PyCFunction)(void (*)(void))batch_loop,
      METH_FASTCALL,
-     "The engine batch loop for CaMDN policies, completions included."},
+     "The engine batch loop: fused steps plus the layer completions "
+     "the policy's table covers."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1630,6 +1789,7 @@ intern_names(void)
         {&s_layer_index, "layer_index"},
         {&s_graph, "graph"},
         {&s_layers, "layers"},
+        {&s_name, "name"},
         {&s_sched_ctx, "sched_ctx"},
         {&s_mapping_file, "mapping_file"},
         {&s_lbm_block, "lbm_block"},

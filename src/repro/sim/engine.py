@@ -28,24 +28,35 @@ The event loop is a **batched multi-event stepper**
 (:meth:`MultiTenantEngine._batch_run`): one Python-level entry processes
 a whole run of events in a tight loop, leaving only when the outer loop
 genuinely has work to do (a wakeup or timeline event is due, a task is
-queued for dispatch, or the policy's rate rule changed epoch).  Inside
-the batch, each event is one fused call — rate recomputation, min-dt
-search, fluid advance and completion scan in a single step — through
-the native kernel (:mod:`repro.sim.native`, a small C extension
-compiled on demand) when the policy declares a fusable rate rule
-(:meth:`~repro.schedulers.base.SchedulerPolicy.rate_kernel`), and
-through :meth:`RunningKernel.step` otherwise.  Static-rate policies ride
-the same batch loop (the former special-cased fast-forward); their rates
-are simply not recomputed until invalidated.  For the CaMDN policies
-with native code, one C call (``_batchstep.camdn_batch``) runs whole
-stretches of that loop, including each non-final layer completion's
-accounting, Algorithm 1 selection and memoized grant, and hands the
-completions it cannot take (last layers, resizes, denials, memo misses,
-pending waiters) back to the Python chain.  Each piecewise-constant
-interval is still stepped individually — exactness requires draining
-every interval with the same arithmetic — so batching elides
-bookkeeping, never events, and every fused path is bit-identical to the
-split Python path by construction.
+queued for dispatch, or the policy's rate rule changed epoch).  With
+native code (:mod:`repro.sim.native`, a small C extension compiled on
+demand), one C call (``_batchstep.batch_loop``) runs whole stretches of
+that loop for every policy: each event is a fused step — rate
+recomputation for a fusable rate rule
+(:meth:`~repro.schedulers.base.SchedulerPolicy.rate_kernel`), or the
+installed rates of a policy whose rates change with membership alone,
+then min-dt search, fluid advance and completion scan — and each
+non-final layer completion the policy's completion table covers
+(:meth:`~repro.schedulers.base.SchedulerPolicy.native_batch_args`) is
+handled in C too.  The transparent-cache policies (baseline, MoCA,
+AuRORA) install the next layer's memoized work; the CaMDN policies run
+the layer accounting, Algorithm 1 selection and memoized grant.  The
+loop hands back to the Python chain the completions it cannot take:
+first sights of a memo entry, last layers, CaMDN resizes and denials,
+completions while waiters are pending, every completion of a policy
+with no table, and every completion while a
+:class:`~repro.sim.trace.TraceRecorder` is attached (its spans stay in
+Python); after a completion while a task is queued for dispatch it
+returns.  ``use_native=False``, the ``kernel_backend="list"`` pin and
+``REPRO_NATIVE=0`` run no native code: a fusable rate rule then takes
+the pure-Python fused twin per event
+(:meth:`RunningKernel.fused_step_demand` /
+:meth:`RunningKernel.fused_step_slack`), anything else (and the list
+pin always) the split ``_recompute_rates`` + :meth:`RunningKernel.step`
+pair.  Each piecewise-constant interval is still stepped individually —
+exactness requires draining every interval with the same arithmetic —
+so batching elides bookkeeping, never events, and every path is
+bit-identical to the split Python path by construction.
 
 Dynamic tenancy: a tenant that joins mid-run is admitted through the
 scheduler's :meth:`~repro.schedulers.base.SchedulerPolicy.on_tenant_admit`
@@ -198,12 +209,13 @@ class SimulationResult:
         (queueing delay, offered load) live in :meth:`summary` so the
         frozen closed-loop references stay valid.
         """
+        latency_s, dram_bytes = self.metrics.macro_averages()
         return {
             "sim_time_s": self.sim_time_s,
             "inferences": self.metrics.num_inferences,
-            "avg_latency_ms": self.metrics.macro_avg_latency_s() * 1e3,
+            "avg_latency_ms": latency_s * 1e3,
             "p99_latency_ms": self.metrics.p99_latency_s() * 1e3,
-            "avg_dram_mb": self.metrics.macro_avg_dram_bytes() / 1e6,
+            "avg_dram_mb": dram_bytes / 1e6,
             "hit_rate": self.metrics.overall_hit_rate(),
             "qos_violations": self.metrics.qos_violation_count(),
         }
@@ -258,13 +270,11 @@ class MultiTenantEngine:
         self._kernel_backend = kernel_backend
         # SoA kernel over the RUNNING set.
         self._kernel = RunningKernel()
-        # Native fused stepper (None: pure-Python paths).  It gates
-        # every native entry point of the run (see _bind_native).
-        self._native = None
+        # Native batch loop (None: pure-Python paths).  It gates every
+        # native entry point of the run (see _bind_native).
+        self._batch = None
         if use_native is not False and kernel_backend is None:
-            self._native = native.fused_step()
-        # Native CaMDN batch loop (see _bind_native).
-        self._camdn_batch = None
+            self._batch = native.batch_loop()
         # Fused rate mode, resolved from the policy's rate_kernel() per
         # rate epoch (see _resolve_rate_mode): 0 = split path,
         # 1 = demand_prop, 2 = slack_weighted, 3 = slack_throttled.
@@ -396,21 +406,14 @@ class MultiTenantEngine:
         """Share this engine's native code with a CaMDN scheduler.
 
         The scheduler gets the C completion handler only when the
-        engine runs native code, so ``use_native=False``, the
+        engine runs the native batch loop, so ``use_native=False``, the
         ``kernel_backend`` pin and ``REPRO_NATIVE=0`` keep the whole
-        run in Python.  With native code and no live
-        :class:`~repro.sim.trace.TraceRecorder` (whose spans the C loop
-        would skip), the batch loop also hands its CaMDN layer
-        completions to ``_batchstep.camdn_batch``.
+        run in Python.
         """
-        self._camdn_batch = None
         bind = getattr(self.scheduler, "bind_native", None)
-        if bind is None:
-            return
-        on = self._native is not None
-        bind(native.camdn_advance() if on else None)
-        if on and self.trace is None:
-            self._camdn_batch = native.camdn_batch()
+        if bind is not None:
+            bind(native.camdn_advance() if self._batch is not None
+                 else None)
 
     def _apply_budgets(self, max_events: Optional[int],
                        max_wall_s: Optional[float],
@@ -733,13 +736,16 @@ class MultiTenantEngine:
         classic loop — rates, boundary clamp, step, completions — and
         returns as soon as any post-event phase (timeout, timeline,
         dispatch, epoch change) must run, leaving that work to the
-        caller.  When the policy declares a fusable rate rule, the
-        rates-recompute and the kernel step collapse into one fused call
-        per event (native C when available); otherwise the split Python
-        pair runs inside the same loop.  For CaMDN policies with native
-        code, one ``camdn_batch`` call runs whole stretches of those
-        iterations, layer completions included, and hands back only the
-        completions it declines.  All paths are bit-identical.
+        caller.  With native code, one ``batch_loop`` call runs whole
+        stretches of those iterations, including the layer completions
+        the policy's completion table covers
+        (:meth:`~repro.schedulers.base.SchedulerPolicy.native_batch_args`),
+        and hands back the completions it declines; with a
+        :class:`~repro.sim.trace.TraceRecorder` attached it hands back
+        every completion, so the trace spans stay in Python.  Without
+        native code, a fusable rate rule collapses the rates-recompute
+        and the kernel step into one Python fused call per event;
+        otherwise the split pair runs.  All paths are bit-identical.
         """
         kernel = self._kernel
         insts = kernel.insts
@@ -750,7 +756,6 @@ class MultiTenantEngine:
             # rule (e.g. MoCA's first finite-deadline task arrived).
             self._resolve_rate_mode()
         step = kernel.step
-        native_step = self._native
         fused_py = kernel.fused_step_demand
         fused_slack_py = kernel.fused_step_slack
         dram_eff = self._dram_eff
@@ -763,9 +768,14 @@ class MultiTenantEngine:
         floor = self._mode_floor
         urgency = self._mode_urgency
         max_events = self._max_events
-        batch = self._camdn_batch if fused_mode in (1, 2) else None
-        if batch is not None:
-            batch_args = scheduler.native_batch_args
+        # The C loop recomputes the fused modes' rates per event; in
+        # mode 0 it steps at the rates installed last, which only a
+        # policy whose rates change with membership alone may keep
+        # across completions.
+        batch = self._batch
+        if not fused_mode and dynamic:
+            batch = None
+        tables = scheduler.native_batch_args if self.trace is None else None
         # The next fault instant is constant inside a batch: actions are
         # only consumed by _process_faults, which runs between batches.
         fault_next = math.inf
@@ -797,55 +807,26 @@ class MultiTenantEngine:
                 wait_dt = fault_next - self.now
                 if wait_dt < 0.0:
                     wait_dt = 0.0
-            res = out = None
-            if fused_mode:
-                n = len(insts)
-                if n != n_eff:
-                    try:
-                        eff = dram_eff[n]
-                    except KeyError:
-                        eff = scheduler.dram_efficiency(n)
-                        dram_eff[n] = eff
-                    n_eff = n
-                if batch is not None and n:
-                    out = batch(
-                        insts, kernel.rem_c, kernel.rem_d,
-                        kernel.sl_arrival, kernel.sl_qos, kernel.sl_est,
-                        kernel.sl_progress, fused_mode, freq, total_bw,
-                        eff, floor, urgency, self.now, wake, timeline_s,
-                        fault_next, self.events_processed, max_events,
-                        self._queued, self._waiting_set, batch_args(),
-                    )
-                if out is None and n:
-                    if fused_mode == 1:
-                        if native_step is not None:
-                            res = native_step(
-                                kernel.rem_c, kernel.rem_d,
-                                kernel.rate_c, kernel.rate_d,
-                                wait_dt, 1, freq, total_bw, eff, floor,
-                            )
-                        else:
-                            res = fused_py(wait_dt, freq, total_bw, eff,
-                                           floor)
-                    elif native_step is not None:
-                        res = native_step(
-                            kernel.rem_c, kernel.rem_d,
-                            kernel.rate_c, kernel.rate_d,
-                            wait_dt, fused_mode, freq, total_bw, eff,
-                            floor, kernel.sl_arrival, kernel.sl_qos,
-                            kernel.sl_est, kernel.sl_progress,
-                            self.now, urgency,
-                        )
-                    else:
-                        res = fused_slack_py(
-                            wait_dt, freq, total_bw, eff, floor,
-                            urgency, self.now, fused_mode == 3,
-                        )
-            elif native_step is not None and self._rates_valid:
-                res = native_step(
-                    kernel.rem_c, kernel.rem_d,
-                    kernel.rate_c, kernel.rate_d,
-                    wait_dt, 0, freq, total_bw, 1.0, 0.0,
+            n = len(insts)
+            if fused_mode and n != n_eff:
+                try:
+                    eff = dram_eff[n]
+                except KeyError:
+                    eff = scheduler.dram_efficiency(n)
+                    dram_eff[n] = eff
+                n_eff = n
+            out = None
+            if batch is not None and n:
+                if not fused_mode and not self._rates_valid:
+                    self._recompute_rates()
+                out = batch(
+                    insts, kernel.rem_c, kernel.rem_d, kernel.rate_c,
+                    kernel.rate_d, kernel.sl_arrival, kernel.sl_qos,
+                    kernel.sl_est, kernel.sl_progress, fused_mode, freq,
+                    total_bw, eff, floor, urgency, self.now, wake,
+                    timeline_s, fault_next, self.events_processed,
+                    max_events, self._queued, self._waiting_set,
+                    None if tables is None else tables(),
                 )
             if out is not None:
                 # ``handled`` events ran in C; ``finished`` is None when
@@ -860,6 +841,15 @@ class MultiTenantEngine:
                 if finished is None:
                     return
             else:
+                res = None
+                if fused_mode and n:
+                    if fused_mode == 1:
+                        res = fused_py(wait_dt, freq, total_bw, eff, floor)
+                    else:
+                        res = fused_slack_py(
+                            wait_dt, freq, total_bw, eff, floor,
+                            urgency, self.now, fused_mode == 3,
+                        )
                 if res is None:
                     # Split path: the exact pre-batch per-event
                     # machinery (also the fallback for inputs outside

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..numeric import left_sum
@@ -165,18 +165,22 @@ class MetricsCollector:
     # dominate the suite average.
     # ------------------------------------------------------------------
 
-    def macro_avg_latency_s(self) -> float:
-        """Mean of per-model mean latencies."""
+    def macro_averages(self) -> Tuple[float, float]:
+        """Mean of per-model mean latencies and mean of per-model mean
+        DRAM traffic per inference, from one grouping of the records."""
         summaries = self.by_model()
         if not summaries:
             raise SimulationError("no measured inferences")
-        return left_sum(s.avg_latency_s for s in summaries.values()) / \
-            len(summaries)
+        models = summaries.values()
+        return (
+            left_sum(s.avg_latency_s for s in models) / len(summaries),
+            left_sum(s.avg_dram_bytes for s in models) / len(summaries),
+        )
+
+    def macro_avg_latency_s(self) -> float:
+        """Mean of per-model mean latencies."""
+        return self.macro_averages()[0]
 
     def macro_avg_dram_bytes(self) -> float:
         """Mean of per-model mean DRAM traffic per inference."""
-        summaries = self.by_model()
-        if not summaries:
-            raise SimulationError("no measured inferences")
-        return left_sum(s.avg_dram_bytes for s in summaries.values()) / \
-            len(summaries)
+        return self.macro_averages()[1]

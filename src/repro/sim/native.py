@@ -1,11 +1,16 @@
 """Build-on-demand loader for the native batch-loop kernels.
 
-The engine's batch loop calls one C function per event
-(:mod:`repro.sim._batchstep`) instead of the Python
-recompute-rates/step pair, and for the CaMDN policies one C function
-per run of events, layer completions included.  The extension is
-compiled from the shipped ``_batchstep.c`` the first time a process
-asks for it, cached under
+With native code, the engine's batch loop makes one C call
+(:mod:`repro.sim._batchstep`, ``batch_loop``) per run of events for
+every policy: the C loop steps each event with the same arithmetic as
+the Python fused twins and the split path, and takes the layer
+completions the policy's completion table covers (see
+:meth:`~repro.schedulers.base.SchedulerPolicy.native_batch_args`); the
+rest go back to the Python chain.  CaMDN's Python completion chain
+also calls ``camdn_advance``, and ``fused_step`` is kept as the
+one-event harness of the C-vs-Python bit-identity tests.  The
+extension is compiled from the shipped ``_batchstep.c`` the first time
+a process asks for it, cached under
 ``$XDG_CACHE_HOME/camdn-repro/native/`` keyed by source digest and
 Python ABI, and loaded from the cache on every later run — so the repo
 stays a plain ``PYTHONPATH=src`` checkout with no build step.
@@ -41,8 +46,15 @@ _ABI_TAG = 2
 _loaded = False
 _fused_step: Optional[Callable] = None
 _camdn_advance: Optional[Callable] = None
-_camdn_batch: Optional[Callable] = None
+_batch_loop: Optional[Callable] = None
 _status = "not loaded"
+
+#: Completion-table kinds of
+#: :meth:`~repro.schedulers.base.SchedulerPolicy.native_batch_args`
+#: (the first item of the table tuple; ``None`` hands every completion
+#: back to Python).
+TABLE_WORKS = 1
+TABLE_CAMDN = 2
 
 
 def _compiler() -> list:
@@ -108,12 +120,13 @@ def _load_from(so_path: Path):
 
 
 def fused_step() -> Optional[Callable]:
-    """The native ``fused_step`` callable, or ``None`` when unavailable.
+    """The native one-event ``fused_step``, or ``None`` when unavailable.
 
     First call per process compiles (or reuses) the cached extension;
-    later calls return the memoized result.
+    later calls return the memoized result.  Callers use it as the
+    loader; the engine itself calls :func:`batch_loop`.
     """
-    global _loaded, _fused_step, _camdn_advance, _camdn_batch, _status
+    global _loaded, _fused_step, _camdn_advance, _batch_loop, _status
     if _loaded:
         return _fused_step
     _loaded = True
@@ -148,12 +161,12 @@ def fused_step() -> Optional[Callable]:
                 module = _load_from(so_path)
         _fused_step = module.fused_step
         _camdn_advance = module.camdn_advance
-        _camdn_batch = module.camdn_batch
+        _batch_loop = module.batch_loop
         _status = f"loaded ({so_path.name})"
     except Exception as exc:  # noqa: BLE001 - any failure means fallback
         _fused_step = None
         _camdn_advance = None
-        _camdn_batch = None
+        _batch_loop = None
         _status = f"unavailable: {type(exc).__name__}: {exc}"
     return _fused_step
 
@@ -169,12 +182,13 @@ def camdn_advance() -> Optional[Callable]:
     return _camdn_advance
 
 
-def camdn_batch() -> Optional[Callable]:
-    """The native CaMDN batch loop (events plus layer completions), or
-    ``None``; shares the load attempt with :func:`fused_step`."""
+def batch_loop() -> Optional[Callable]:
+    """The native batch loop (events plus the layer completions of the
+    policy's table), or ``None``; shares the load attempt with
+    :func:`fused_step`."""
     if not _loaded:
         fused_step()
-    return _camdn_batch
+    return _batch_loop
 
 
 def native_status() -> str:
@@ -184,9 +198,9 @@ def native_status() -> str:
 
 def reset_for_tests() -> None:
     """Forget the memoized load so tests can exercise both paths."""
-    global _loaded, _fused_step, _camdn_advance, _camdn_batch, _status
+    global _loaded, _fused_step, _camdn_advance, _batch_loop, _status
     _loaded = False
     _fused_step = None
     _camdn_advance = None
-    _camdn_batch = None
+    _batch_loop = None
     _status = "not loaded"

@@ -53,6 +53,30 @@ class TestCollector:
         assert macro == pytest.approx((0.001 + 0.101) / 2)
         assert macro > micro
 
+    def test_metric_summary_groups_records_once(self, monkeypatch):
+        from repro.sim.engine import SimulationResult
+
+        collector = MetricsCollector()
+        collector.record(_finished("MB.@0", 0, latency=0.001))
+        collector.record(
+            _finished("RS.@1", 0, latency=0.101, model="RS.")
+        )
+        calls = []
+        by_model = MetricsCollector.by_model
+
+        def counting(self):
+            calls.append(self)
+            return by_model(self)
+
+        monkeypatch.setattr(MetricsCollector, "by_model", counting)
+        summary = SimulationResult(scheduler_name="x", sim_time_s=1.0,
+                                   metrics=collector).metric_summary()
+        assert len(calls) == 1
+        assert summary["avg_latency_ms"] == \
+            collector.macro_avg_latency_s() * 1e3
+        assert summary["avg_dram_mb"] == \
+            collector.macro_avg_dram_bytes() / 1e6
+
     def test_by_model_sla(self):
         collector = MetricsCollector()
         collector.record(_finished("MB.@0", 0, latency=0.5, qos_s=1.0))

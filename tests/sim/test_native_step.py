@@ -8,11 +8,13 @@ across every rate-kernel mode (demand-proportional, slack-weighted,
 slack-throttled); the committed reference suite pins the default path
 and these tests pin the cross-path agreement, including MoCA's mid-run
 rate epoch transitions, QoS tenant churn and fuzzed fault schedules.
-For the CaMDN policies the native path is the C batch loop, which also
-handles layer completions (``_batchstep.camdn_batch``); it must leave
-results, scheduler stats and mid-run snapshots exactly as the Python
-completion chain does, stay off whenever the engine runs without
-native code, and actually take most completions.
+With native code, every policy runs the C batch loop
+(``_batchstep.batch_loop``), which also takes the layer completions of
+the CaMDN policies and of the transparent-cache policies (baseline,
+MoCA, AuRORA); it must leave results, scheduler stats and mid-run
+snapshots exactly as the Python completion chain does, stay off
+whenever the engine runs without native code, and actually take most
+completions.
 """
 
 import json
@@ -43,6 +45,7 @@ from repro.sim.scenario import (
     get_scenario,
 )
 from repro.sim.snapshot import _dumps, _loads
+from repro.sim.trace import TraceRecorder
 from repro.sim.workload import ScenarioWorkload
 
 POLICIES = ("baseline", "moca", "aurora", "camdn-hw", "camdn-full",
@@ -50,24 +53,43 @@ POLICIES = ("baseline", "moca", "aurora", "camdn-hw", "camdn-full",
 
 CAMDN_POLICIES = ("camdn-hw", "camdn-full", "camdn-qos")
 
-#: CaMDN cross-path cases: (scenario, fault schedule).  ``churn-ecc``
-#: retires pages mid-run, so region resizes make the batch loop decline
-#: completions between handled ones; ``qos-2core`` gives camdn-qos
-#: deadlines tight enough for 2-core grants (memo keys with cores=2).
+#: The policies whose completions the batch loop takes from the
+#: layer-work memo (``SharedCacheBaseline`` and its subclasses).
+TRANSPARENT_POLICIES = ("baseline", "moca", "aurora")
+
+#: Cross-path cases of the batch loop's completion tables: (scenario,
+#: fault schedule, SoC).  ``churn-ecc`` retires pages mid-run, so
+#: region resizes make the batch loop decline completions between
+#: handled ones; ``qos-2core`` gives camdn-qos and AuRORA deadlines
+#: tight enough for 2-core grants (memo keys with cores=2);
+#: ``qos-throttle`` starts every MoCA task at the slack-0.5 throttle
+#: threshold, so the shares depend on the layer progress the loop
+#: writes back; ``odd-cores`` leaves 3 cores, so AuRORA runs one model
+#: on 2 cores and on 1 in the same run.
 CAMDN_CASES = {
     "closed-loop": (
         ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "BE."),
                                  inferences=4),
-        None,
+        None, SoCConfig(),
     ),
     "churn-ecc": (
         get_scenario("churn-heavy").scaled(0.2),
-        get_fault_schedule("ecc-storm"),
+        get_fault_schedule("ecc-storm"), SoCConfig(),
     ),
     "qos-2core": (
         ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "BE."),
                                  inferences=3, qos_scale=0.5),
-        None,
+        None, SoCConfig(),
+    ),
+    "qos-throttle": (
+        ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "BE."),
+                                 inferences=3, qos_scale=2.0),
+        None, SoCConfig(),
+    ),
+    "odd-cores": (
+        ScenarioSpec.closed_loop(("RS.", "RS.", "MB."), inferences=3,
+                                 qos_scale=0.5),
+        None, SoCConfig(num_npu_cores=3),
     ),
 }
 
@@ -184,11 +206,11 @@ class TestLoader:
 
 class TestNativeSwitch:
     """``use_native=False``, the ``kernel_backend="list"`` pin and a
-    resume without native code run no native completion handler."""
+    resume without native code make no native call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"advance": 0, "batch": 0}
+        counts = {"advance": 0, "batch": 0, "step": 0}
 
         def counting(name, getter):
             def get():
@@ -204,58 +226,59 @@ class TestNativeSwitch:
 
             return get
 
-        monkeypatch.setattr(native, "camdn_advance",
-                            counting("advance", native.camdn_advance))
-        monkeypatch.setattr(
-            native, "camdn_batch",
-            counting("batch", getattr(native, "camdn_batch",
-                                      lambda: None)),
-            raising=False,
-        )
+        for name, attr in (("advance", "camdn_advance"),
+                           ("batch", "batch_loop"),
+                           ("step", "fused_step")):
+            monkeypatch.setattr(native, attr,
+                                counting(name, getattr(native, attr)))
         return counts
 
-    @pytest.mark.parametrize("policy", CAMDN_POLICIES)
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_use_native_false(self, calls, policy):
         _run(policy, use_native=False)
-        assert calls == {"advance": 0, "batch": 0}
+        assert calls == {"advance": 0, "batch": 0, "step": 0}
 
-    @pytest.mark.parametrize("policy", CAMDN_POLICIES)
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_list_pin(self, calls, policy):
         _run(policy, backend="list")
-        assert calls == {"advance": 0, "batch": 0}
+        assert calls == {"advance": 0, "batch": 0, "step": 0}
 
-    def test_resume_without_native(self, calls):
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_resume_without_native(self, calls, policy):
         spec = ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "BE."),
                                         inferences=2)
         engine = MultiTenantEngine(SoCConfig(),
-                                   make_scheduler("camdn-full"),
+                                   make_scheduler(policy),
                                    ScenarioWorkload(spec))
         snapshot = engine.run(snapshot_at_events=200).last_snapshot
-        calls.update(advance=0, batch=0)
+        calls.update(advance=0, batch=0, step=0)
         MultiTenantEngine.resume(snapshot, use_native=False).resume_run()
-        assert calls == {"advance": 0, "batch": 0}
+        assert calls == {"advance": 0, "batch": 0, "step": 0}
 
     @needs_native
-    @pytest.mark.parametrize("policy", CAMDN_POLICIES)
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_default_path_is_native(self, calls, policy):
         _run(policy)
         assert calls["batch"] > 0
-        # Memo misses reach advance_layer's native branch.
-        assert calls["advance"] > 0
+        # The engine steps no event through the one-event harness.
+        assert calls["step"] == 0
+        if policy in CAMDN_POLICIES:
+            # Memo misses reach advance_layer's native branch.
+            assert calls["advance"] > 0
 
 
 @needs_native
 class TestCompletionFastPath:
-    """Most CaMDN layer completions never reach the Python
-    ``advance_layer``.
+    """Most layer completions never reach the Python chain.
 
     The identity tests stay green when the batch loop silently declines
     everything (a type bail on every completion, a changed table
-    layout); this test does not.  Declines are last layers, resizes,
-    denials, waiters and memo misses: 11.7 % of completions in
-    fleet cells and 4.5 % in Figure 8 cells at seed 2025.  Here the first inference of
-    each stream builds the memo, so 1 in 8 completions (12.5 %) reaches
-    Python; a silent fall-back sends all of them.
+    layout); these tests do not.  CaMDN declines are last layers,
+    resizes, denials, waiters and memo misses: 11.7 % of completions
+    in fleet cells and 4.5 % in Figure 8 cells at seed 2025.  Here the
+    first inference of each stream builds the memo, so 1 in 8
+    completions (12.5 %) reaches Python; a silent fall-back sends all
+    of them.
     """
 
     def test_most_completions_skip_python(self):
@@ -280,6 +303,33 @@ class TestCompletionFastPath:
         # Without native code every non-final completion calls it.
         total = python_advances(False)
         assert python_advances(None) < 0.25 * total
+
+    def test_most_aurora_completions_skip_python(self):
+        """The transparent-cache twin: the batch loop installs memoized
+        layer works, so only first sights of a (model, contention
+        factor, cores) layer and last layers reach ``begin_layer``."""
+        spec = ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "VT.") * 2,
+                                        inferences=8)
+
+        def python_begins(use_native):
+            scheduler = make_scheduler("aurora")
+            begin = scheduler.begin_layer
+            count = [0]
+
+            def counting(inst, now):
+                count[0] += 1
+                return begin(inst, now)
+
+            scheduler.begin_layer = counting
+            MultiTenantEngine(SoCConfig(), scheduler,
+                              ScenarioWorkload(spec),
+                              use_native=use_native).run()
+            return count[0]
+
+        # Without native code every dispatch and non-final completion
+        # calls it.
+        total = python_begins(False)
+        assert python_begins(None) < 0.25 * total
 
 
 @needs_native
@@ -524,28 +574,27 @@ class TestEngineCrossPathIdentity:
         assert _metrics_json(without) == _metrics_json(split)
         assert with_native.events_processed == split.events_processed
 
-    @pytest.mark.parametrize("case", sorted(CAMDN_CASES))
-    @pytest.mark.parametrize("policy", CAMDN_POLICIES)
-    def test_camdn_paths_agree(self, policy, case):
+    @staticmethod
+    def _assert_paths_agree(policy, case, paths=("native", "python",
+                                                 "split"), trace=False):
         """Native batch loop, pure-Python completion chain and split
         step: same summary, events, stats and mid-run snapshot."""
-        spec, faults = CAMDN_CASES[case]
+        spec, faults, soc = CAMDN_CASES[case]
+        options = {"native": {}, "python": {"use_native": False},
+                   "split": {"kernel_backend": "list"}}
 
         def run(at=None, **paths):
             engine = MultiTenantEngine(
-                SoCConfig(), make_scheduler(policy),
-                ScenarioWorkload(spec), faults=faults, **paths,
+                soc, make_scheduler(policy),
+                ScenarioWorkload(spec), faults=faults,
+                trace=TraceRecorder() if trace else None, **paths,
             )
             return engine.run(snapshot_at_events=at)
 
         # The first run fills the process-wide decision caches that
-        # snapshots carry, so the three runs below capture equal ones.
+        # snapshots carry, so the runs below capture equal ones.
         at = run().events_processed // 2
-        results = {
-            "native": run(at),
-            "python": run(at, use_native=False),
-            "split": run(at, kernel_backend="list"),
-        }
+        results = {path: run(at, **options[path]) for path in paths}
         first = results["native"]
         assert first.last_snapshot is not None
         for result in results.values():
@@ -556,8 +605,26 @@ class TestEngineCrossPathIdentity:
                 first.last_snapshot.events_processed
         assert results["python"].last_snapshot.payload == \
             first.last_snapshot.payload
-        assert _fused_view(results["split"].last_snapshot) == \
-            _fused_view(first.last_snapshot)
+        if "split" in results:
+            assert _fused_view(results["split"].last_snapshot) == \
+                _fused_view(first.last_snapshot)
+
+    @pytest.mark.parametrize("case", sorted(CAMDN_CASES))
+    @pytest.mark.parametrize("policy", CAMDN_POLICIES)
+    def test_camdn_paths_agree(self, policy, case):
+        self._assert_paths_agree(policy, case)
+
+    @pytest.mark.parametrize("case", sorted(CAMDN_CASES))
+    @pytest.mark.parametrize("policy", TRANSPARENT_POLICIES)
+    def test_transparent_cache_paths_agree(self, policy, case):
+        self._assert_paths_agree(policy, case)
+
+    @pytest.mark.parametrize("policy", ("aurora", "camdn-full"))
+    def test_traced_paths_agree(self, policy):
+        # With a TraceRecorder the batch loop hands every completion
+        # back, so the spans (in the snapshot payload) match.
+        self._assert_paths_agree(policy, "churn-ecc",
+                                 paths=("native", "python"), trace=True)
 
     def test_moca_mid_run_epoch_transition(self):
         # One deadline-carrying stream finishes early, flipping MoCA's
