@@ -50,11 +50,27 @@ class LayerGrant:
     wait_timeout_s: float = 0.0
 
 
+#: id(decision) -> (decision, LayerGrant) grant stores, shared by every
+#: system of the process.  A decision fully determines both grant
+#: outcomes (the denied grant's wait timeout is the decision's own), and
+#: the allocator memoizes decisions on the MCT geometry, so each store
+#: holds one entry per decision ever granted or denied; the decision is
+#: held in the value to pin its id.  Like the mapping-file memo they
+#: live until :func:`~repro.core.prepared.clear_prepared_caches`.
+_GRANTED: Dict[int, tuple] = {}
+_DENIED: Dict[int, tuple] = {}
+
+
 class CaMDNSystem:
     """Architecture-scheduling co-design controller."""
 
     def __init__(self, soc: SoCConfig, mode: str = "full",
                  mapper: Optional[LayerMapper] = None) -> None:
+        """Build the run state of one simulation: regions, allocator
+        and task contexts.  The grants it hands out come from the
+        process-wide ``_GRANTED`` / ``_DENIED`` stores, so every system
+        of the process installs the same :class:`LayerGrant` object for
+        a decision, and a pickled system carries no grant memo."""
         if mode not in ("full", "hw_only"):
             raise SimulationError(f"unknown CaMDN mode {mode!r}")
         self.soc = soc
@@ -70,26 +86,9 @@ class CaMDNSystem:
         #: task_id -> (allocator TaskState, region): the layer protocol
         #: resolves a task once here instead of per-subsystem dict walks.
         self._ctx: Dict[str, tuple] = {}
-        #: id(decision) -> (decision, LayerGrant) memos.  A decision
-        #: fully determines both grant outcomes (the denied grant's wait
-        #: timeout is the decision's own), and the allocator memoizes
-        #: decisions per MCT, so steady state reuses a handful of grant
-        #: objects instead of building one per layer.  The decision is
-        #: held in the value to pin its id.
-        self._granted_memo: Dict[int, tuple] = {}
-        self._denied_memo: Dict[int, tuple] = {}
         #: HW-only static share ``total_pages // active_tasks``, kept
         #: current by admit/retire instead of being re-divided per layer.
         self._share = self.allocator.total_pages
-
-    def __getstate__(self) -> dict:
-        """Pickle support for engine checkpoints: the grant memos are
-        keyed by ``id()``, which is meaningless in another process, so
-        they ship empty and rebuild lazily (grants are pure values)."""
-        state = self.__dict__.copy()
-        state["_granted_memo"] = {}
-        state["_denied_memo"] = {}
-        return state
 
     # ------------------------------------------------------------------
     # Task lifecycle
@@ -268,21 +267,21 @@ class CaMDNSystem:
             alloc._palloc[slot] = needed
         if decision.enables_lbm:
             state.lbm_block = state.mapping_file.block_of(layer_index)
-        entry = self._granted_memo.get(id(decision))
+        entry = _GRANTED.get(id(decision))
         if entry is None or entry[0] is not decision:
             entry = (decision, LayerGrant(decision=decision, granted=True))
-            self._granted_memo[id(decision)] = entry
+            _GRANTED[id(decision)] = entry
         return entry[1]
 
     def _denied(self, decision: AllocationDecision) -> LayerGrant:
-        entry = self._denied_memo.get(id(decision))
+        entry = _DENIED.get(id(decision))
         if entry is None or entry[0] is not decision:
             entry = (decision, LayerGrant(
                 decision=decision,
                 granted=False,
                 wait_timeout_s=decision.timeout_s,
             ))
-            self._denied_memo[id(decision)] = entry
+            _DENIED[id(decision)] = entry
         return entry[1]
 
     def _hw_only_decision(self, state,

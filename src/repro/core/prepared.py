@@ -211,17 +211,27 @@ def clear_prepared_caches() -> None:
     """Drop all prepared objects and reset counters (for tests).
 
     Also clears the underlying in-process mapping memos (the solver's
-    footprint tables and model mapping files) so a subsequent run
-    re-derives them.
+    footprint tables and model mapping files) and the completion memos
+    derived from them — the CaMDN grants, layer works and native
+    completion tables and the transparent-cache layer works, which
+    every scheduler of the process shares per SoC — so a subsequent
+    run re-derives them all, as the first cell of a fresh process does.
     The on-disk mapping-file store is left intact (point
     ``REPRO_MAPPING_CACHE_DIR`` at an empty dir — or set it empty to
     disable — for a fully cold run).
     """
+    from ..schedulers import camdn_common, shared_baseline
+    from . import camdn
     from .mapper.solver import SubspaceSolver
 
     _MODEL_CACHE.clear()
     _WORKLOAD_CACHE.clear()
     LayerMapper._SHARED_CACHE.clear()
     SubspaceSolver._TABLES.clear()
+    camdn._GRANTED.clear()
+    camdn._DENIED.clear()
+    camdn_common._WORKS.clear()
+    camdn_common._FAST_FILES.clear()
+    shared_baseline._WORK_MEMOS.clear()
     for stat in _STATS:
         _STATS[stat] = 0

@@ -29,6 +29,25 @@ MULTICAST_TRAFFIC_OVERHEAD = 0.05
 #: they sustain near-peak DRAM efficiency regardless of tenant count.
 CAMDN_DRAM_EFFICIENCY = 0.92
 
+#: Process-wide layer-work memos, one per SoC: id(candidate) ->
+#: (candidate, {cores: (LayerWork, 0.0)}, is_lbm).  A granted candidate
+#: fully determines its work on one SoC (model layer -> compute cycles,
+#: candidate -> DRAM bytes, cores -> multicast factor).  The key is the
+#: whole SoC: layer cycles depend on fields the mapping-file key leaves
+#: out (``NPUConfig.dwconv_efficiency``), so two SoCs can share one
+#: mapping file's candidates but not their works.  The candidate is held
+#: in the value so its id cannot be reused while the entry lives.  Each
+#: memo grows like the mapping memo, per SoC and model, until
+#: :func:`~repro.core.prepared.clear_prepared_caches` empties the store.
+_WORKS: Dict[SoCConfig, Dict[int, tuple]] = {}
+
+#: Process-wide native completion tables, one per (SoC, HW-only flag):
+#: id(mapping_file) -> (mapping_file, rows, pairs) (see
+#: ``_build_fast_file``).  The flag is part of the key because one
+#: selection code stands for different decisions under HW-only and Full
+#: (see ``_build_fast_pair``).  Grows like :data:`_WORKS`.
+_FAST_FILES: Dict[Tuple[SoCConfig, bool], Dict[int, tuple]] = {}
+
 
 class CaMDNSchedulerBase(SchedulerPolicy):
     """Engine adapter around :class:`CaMDNSystem`."""
@@ -40,6 +59,15 @@ class CaMDNSchedulerBase(SchedulerPolicy):
                  floor: float = 0.02,
                  usage_levels: Optional[tuple] = None,
                  lbm_occupancy_fraction: Optional[float] = None) -> None:
+        """Configure the policy; :meth:`attach` builds the run state.
+
+        The completion memos are not run state: the layer works
+        (``_work_cache``) and the native completion tables
+        (``_fast_files``) are the process-wide stores :data:`_WORKS`
+        and :data:`_FAST_FILES` of the attached SoC (and mode), so
+        every cell of a process on that SoC reuses, and installs, the
+        entries earlier cells built.
+        """
         super().__init__()
         self.qos_mode = qos_mode
         self._bw_policy = SlackWeightedPolicy(urgency=urgency, floor=floor)
@@ -47,22 +75,13 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         self.usage_levels = usage_levels
         self.lbm_occupancy_fraction = lbm_occupancy_fraction
         self.system: Optional[CaMDNSystem] = None
-        #: id(candidate) -> (candidate, {cores: LayerWork}).  A granted
-        #: candidate fully determines its LayerWork (model layer ->
-        #: compute cycles, candidate -> DRAM bytes, cores -> multicast
-        #: factor), and the allocator memoizes decisions per MCT, so the
-        #: same few candidates recur every inference of a stream.  The
-        #: candidate is held in the value so the id key can never be
-        #: reused by a new object while the entry lives.
-        self._work_cache: Dict[int, tuple] = {}
+        self._work_cache: Optional[Dict[int, tuple]] = None
+        self._fast_files: Optional[Dict[int, tuple]] = None
         self._timeouts = 0
         self._lbm_layers = 0
         self._tenant_admits = 0
         self._tenant_retires = 0
         self._pages_retired = 0
-        #: id(mapping_file) -> (mapping_file, rows, pairs) tables for
-        #: the native completion handler (see _build_fast_file).
-        self._fast_files: Dict[int, tuple] = {}
         #: The native completion handler, installed by the engine
         #: (bind_native); None keeps advance_layer in Python.
         self._advance_native = None
@@ -86,21 +105,29 @@ class CaMDNSchedulerBase(SchedulerPolicy):
                     self.lbm_occupancy_fraction
             mapper = LayerMapper(soc, **kwargs)
         self.system = CaMDNSystem(soc, mode=self.mode, mapper=mapper)
-        self._work_cache = {}
         self._timeouts = 0
         self._lbm_layers = 0
         self._freq_hz = soc.npu.frequency_hz
-        # Bound hot-path methods: the per-layer chain runs twice per
-        # simulated event, so the attribute walks are resolved once.
-        self._alloc_end = self.system.allocator.end_layer_prepared
-        self._alloc_select = self.system.allocator.select_prepared
-        self._sys_try = self.system._try_grant
+        self._bind_system()
+
+    def _bind_system(self) -> None:
+        """Resolve the hot-path methods of ``self.system`` (the
+        per-layer chain runs twice per simulated event, so the attribute
+        walks are resolved once) and fetch the process-wide memo stores
+        of this SoC and mode."""
+        system = self.system
+        alloc = system.allocator
+        self._alloc = alloc
+        self._alloc_end = alloc.end_layer_prepared
+        self._alloc_select = alloc.select_prepared
+        self._sys_try = system._try_grant
         self._sys_hw = (
-            self.system._hw_only_decision
-            if self.system._hw_only else None
+            system._hw_only_decision if system._hw_only else None
         )
-        self._alloc = self.system.allocator
-        self._fast_files = {}
+        self._work_cache = _WORKS.setdefault(self.soc, {})
+        self._fast_files = _FAST_FILES.setdefault(
+            (self.soc, system._hw_only), {}
+        )
         self._advance_native = None
 
     def bind_native(self, advance) -> None:
@@ -119,8 +146,8 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         CPT, page reverse maps, task contexts) rides the payload by
         reference — the ``_ctx`` tuples are the very objects pinned on
         the instances' ``sched_ctx``, and one shared pickle keeps those
-        identities.  The id-keyed work cache is a pure memo and stays
-        behind."""
+        identities.  The completion memos are process-wide module
+        stores, so no payload carries them."""
         state = super().snapshot_state()
         state.update(
             qos_mode=self.qos_mode,
@@ -150,21 +177,9 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         self._tenant_admits = state["tenant_admits"]
         self._tenant_retires = state["tenant_retires"]
         self._pages_retired = state["pages_retired"]
-        # id()-keyed memos never survive a process change; rebuilt
-        # lazily with identical pure values.
-        self._work_cache = {}
         # Re-bind the hot-path methods to the restored system (attach()
         # bound them to the fresh one it built, now discarded).
-        self._alloc_end = self.system.allocator.end_layer_prepared
-        self._alloc_select = self.system.allocator.select_prepared
-        self._sys_try = self.system._try_grant
-        self._sys_hw = (
-            self.system._hw_only_decision
-            if self.system._hw_only else None
-        )
-        self._alloc = self.system.allocator
-        self._fast_files = {}
-        self._advance_native = None
+        self._bind_system()
 
     # ------------------------------------------------------------------
     # Core allocation (AuRORA-compatible in QoS mode)
@@ -376,7 +391,9 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         the allocator's predictor lists and page totals, the HW-only
         static share, the HW-only flag and the :meth:`_build_fast_file`
         tables.  The totals change only between calls, so the engine
-        fetches this tuple per call."""
+        fetches this tuple per call.  The tables are the process-wide
+        store of this SoC and mode, so the loop also takes completions
+        whose memo entry an earlier cell of the process built."""
         alloc = self._alloc
         return (
             TABLE_CAMDN,
@@ -395,8 +412,9 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         handler reads, plus one ``(grant, (work, 0.0), is_lbm)`` memo
         dict per layer keyed by ``code * 64 + cores``.
 
-        One table per mapping file (shared by every task of the model):
-        every field is a frozen per-layer constant — candidate page
+        One table per mapping file, SoC and mode (shared by every task
+        of the model in every cell of the process): every row field is
+        a frozen per-layer constant — candidate page
         counts, block bounds, profiled latencies and their timeout
         scalings — so the C side never touches a Python object graph
         beyond one tuple row and the predictor lists.

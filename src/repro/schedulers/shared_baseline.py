@@ -35,6 +35,16 @@ CORE_TRAFFIC_REPLICATION = 0.3
 DRAM_EFF_FLOOR = 0.55
 DRAM_EFF_LOCALITY_BONUS = 0.30
 
+#: Process-wide layer-work memos, one per SoC, shared by the baseline,
+#: MoCA and AuRORA (they cost layers alike): (model name, contention
+#: factor, cores) -> one list per model indexed by layer, ``None`` until
+#: the layer is first costed.  Layer cost is a pure function of the
+#: model layer, the factor, the core count and the whole SoC (cache
+#: capacity, access segments and layer cycles).  Each memo grows like
+#: the mapping memo, per SoC, model and factor, until
+#: :func:`~repro.core.prepared.clear_prepared_caches` empties the store.
+_WORK_MEMOS: Dict[SoCConfig, Dict[tuple, List[Optional[LayerWork]]]] = {}
+
 
 class SharedCacheBaseline(SchedulerPolicy):
     """Transparent shared cache, equal bandwidth, one core per task."""
@@ -46,16 +56,19 @@ class SharedCacheBaseline(SchedulerPolicy):
     dynamic_rates = False
 
     def __init__(self) -> None:
+        """Configure the policy; :meth:`attach` builds the run state.
+
+        The layer-work memo (``_work_memo``) is not run state: it lives
+        per process and per SoC in :data:`_WORK_MEMOS`, which
+        :meth:`attach` fetches.  The same layers recur once per
+        inference and in every cell of the process on that SoC, so the
+        steady state, and every later cell, is served from it.
+        """
         super().__init__()
         self._cache_model: Optional[TransparentCacheModel] = None
         self._active_ids: set = set()
-        # Layer cost is a pure function of (model, layer, contention
-        # factor, core count); the same layers recur once per inference,
-        # so the engine's steady state is served from this memo: one
-        # list per (model name, factor, cores), indexed by layer, None
-        # until the layer is first costed.  The native batch loop reads
-        # it too (native_batch_args).
-        self._work_memo: Dict[tuple, List[Optional[LayerWork]]] = {}
+        self._work_memo: Optional[
+            Dict[tuple, List[Optional[LayerWork]]]] = None
         #: Tenants currently admitted (dynamic-tenancy bookkeeping).
         self._tenants: Dict[str, ModelGraph] = {}
         self._tenant_admits = 0
@@ -65,7 +78,7 @@ class SharedCacheBaseline(SchedulerPolicy):
         super().attach(soc)
         self._cache_model = TransparentCacheModel(soc.cache.total_bytes)
         self._active_ids = set()
-        self._work_memo = {}
+        self._work_memo = _WORK_MEMOS.setdefault(soc, {})
         self._tenants = {}
         self._tenant_admits = 0
         self._tenant_retires = 0
@@ -93,8 +106,8 @@ class SharedCacheBaseline(SchedulerPolicy):
         }
 
     def snapshot_state(self) -> dict:
-        # _cache_model and _work_memo are pure (capacity constant /
-        # value memo) and rebuilt by attach(); only the tenant and
+        # _cache_model is a pure capacity constant rebuilt by attach(),
+        # and _work_memo a process-wide store; only the tenant and
         # running-set bookkeeping is genuine run state.
         state = super().snapshot_state()
         state.update(
@@ -148,8 +161,10 @@ class SharedCacheBaseline(SchedulerPolicy):
         batch loop installs a non-final completion's next layer from
         the memo list of its (model name, factor, cores), exactly as
         :meth:`begin_layer` would (``on_layer_end`` is the base no-op),
-        and hands back empty slots and last layers.  Only task start
-        and end change the factor, and those run in Python."""
+        and hands back empty slots and last layers.  The memo is the
+        process-wide store of this SoC, so slots an earlier cell of the
+        process filled are taken too.  Only task start and end change
+        the factor, and those run in Python."""
         return (TABLE_WORKS, self._work_memo, self.contention_factor())
 
     def begin_layer(self, instance: TaskInstance, now: float

@@ -42,7 +42,8 @@ handled in C too.  The transparent-cache policies (baseline, MoCA,
 AuRORA) install the next layer's memoized work; the CaMDN policies run
 the layer accounting, Algorithm 1 selection and memoized grant.  The
 loop hands back to the Python chain the completions it cannot take:
-first sights of a memo entry, last layers, CaMDN resizes and denials,
+memo entries the process has not built yet (the memos are
+process-wide), last layers, CaMDN resizes and denials,
 completions while waiters are pending, every completion of a policy
 with no table, and every completion while a
 :class:`~repro.sim.trace.TraceRecorder` is attached (its spans stay in
@@ -936,13 +937,6 @@ class MultiTenantEngine:
         membership)."""
         self._rates_valid = False
 
-    def _notify_work_change(self, inst: TaskInstance) -> None:
-        """A running instance started a new layer.  Only policies whose
-        shares track task progress care; membership-only policies keep
-        their cached rates."""
-        if self.scheduler.dynamic_rates:
-            self._rates_valid = False
-
     # ------------------------------------------------------------------
     # Wait heap (lazy invalidation)
     # ------------------------------------------------------------------
@@ -1259,9 +1253,9 @@ class MultiTenantEngine:
             pos = kernel.pos.get(iid)
             if pos is not None:
                 kernel.set_work(inst, pos)
-                # Work-change notification, inlined: only share policies
-                # that track task progress care (see
-                # _notify_work_change).
+                # A new layer's work changes the rates only of policies
+                # with dynamic_rates; membership-only policies keep
+                # their cached rates.
                 if self._dynamic_rates:
                     self._rates_valid = False
             else:

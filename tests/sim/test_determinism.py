@@ -6,17 +6,26 @@ never change results, only skip re-derivation.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro import (
     ScenarioSpec,
     clear_prepared_caches,
+    prepare_model,
     prepared_cache_info,
     run,
 )
+from repro.config import NPUConfig, SoCConfig
+from repro.schedulers.camdn_common import CaMDNSchedulerBase
+from repro.schedulers.shared_baseline import SharedCacheBaseline
+from repro.sim import native
 
 SCENARIO = ("RS.", "MB.", "BE.")
+
+POLICIES = ("baseline", "moca", "aurora", "camdn-hw", "camdn-full",
+            "camdn-qos")
 
 
 def _run(policy, **kwargs):
@@ -47,12 +56,13 @@ class TestDeterminism:
         second = _summary_json("camdn-full", duration_s=0.05)
         assert first == second
 
-    def test_cold_and_warm_prepared_cache_byte_identical(self):
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_cold_and_warm_prepared_cache_byte_identical(self, policy):
         clear_prepared_caches()
-        cold = _summary_json("camdn-full", inferences=2)
+        cold = _summary_json(policy, inferences=2)
         info = prepared_cache_info()
         assert info["workloads"].misses >= 1
-        warm = _summary_json("camdn-full", inferences=2)
+        warm = _summary_json(policy, inferences=2)
         assert cold == warm
 
 
@@ -79,3 +89,98 @@ class TestPreparedCacheReuse:
         info = prepared_cache_info()
         assert info["models"].misses == misses_before
         assert info["workloads"].size == 2
+
+
+def _mix_summaries(policies, soc=None, keys=("RS.", "MB.", "EF.", "BE."),
+                   **kwargs):
+    spec = ScenarioSpec.closed_loop(keys, inferences=2, **kwargs)
+    return {
+        policy: json.dumps(run(spec, soc, policy).metric_summary(),
+                           sort_keys=True)
+        for policy in policies
+    }
+
+
+class TestProcessWideMemos:
+    """The completion memos (CaMDN grants, layer works and native
+    completion tables; the transparent-cache layer works) live per
+    process, keyed by the SoC and, for the CaMDN tables, the HW-only
+    flag.  A later cell reuses what an earlier one built, and never an
+    entry of another SoC or mode."""
+
+    def test_warm_process_builds_no_memo_entry(self, monkeypatch):
+        counts = Counter()
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(CaMDNSchedulerBase, "_build_fast_pair")
+        counting(CaMDNSchedulerBase, "_build_fast_file")
+        begin = SharedCacheBaseline.begin_layer
+
+        def begin_layer(self, instance, now):
+            works = self._work_memo.get(
+                (instance.graph.name, self.contention_factor(),
+                 instance.cores))
+            hit = works is not None and \
+                works[instance.layer_index] is not None
+            counts["begin_hit" if hit else "begin_miss"] += 1
+            return begin(self, instance, now)
+
+        monkeypatch.setattr(SharedCacheBaseline, "begin_layer",
+                            begin_layer)
+        clear_prepared_caches()
+        policies = ("camdn-full", "aurora")
+        first = _mix_summaries(policies)
+        if native.batch_loop() is not None:
+            assert counts["_build_fast_pair"] > 0
+            assert counts["_build_fast_file"] > 0
+        assert counts["begin_miss"] > 0
+        counts.clear()
+        # run() builds a fresh scheduler for every call.
+        assert _mix_summaries(policies) == first
+        assert counts["_build_fast_pair"] == 0
+        assert counts["_build_fast_file"] == 0
+        assert counts["begin_miss"] == 0
+        assert counts["begin_hit"] > 0
+
+    def test_soc_key(self):
+        """A SoC that differs only in ``dwconv_efficiency`` shares the
+        Table II mapping files (the mapping-file key leaves the field
+        out) but not their layer works."""
+        dw = SoCConfig(npu=NPUConfig(dwconv_efficiency=0.5))
+        assert prepare_model("MB.", dw).mapping_file is \
+            prepare_model("MB.", SoCConfig()).mapping_file
+        policies = ("camdn-full", "aurora")
+        keys = ("MB.", "EF.")
+        clear_prepared_caches()
+        table2 = _mix_summaries(policies, keys=keys)
+        warm = _mix_summaries(policies, dw, keys=keys)
+        clear_prepared_caches()
+        cold = _mix_summaries(policies, dw, keys=keys)
+        assert warm == cold
+        for policy in policies:
+            assert cold[policy] != table2[policy]
+
+    @pytest.mark.parametrize("order", [("camdn-hw", "camdn-full"),
+                                       ("camdn-full", "camdn-hw")])
+    def test_mode_key(self, order):
+        """HW-only and Full read one mapping file through different
+        decisions for the same selection code.  Twelve tenants on a
+        4 MiB cache make both modes pick small LWM candidates, where a
+        code names a different candidate (and work) in each mode."""
+        soc = SoCConfig().with_cache_bytes(4 << 20)
+        keys = ("RS.", "MB.", "EF.", "VT.", "BE.", "GN.", "WV.", "PP.",
+                "RS.", "MB.", "EF.", "VT.")
+        cold = {}
+        for policy in order:
+            clear_prepared_caches()
+            cold.update(_mix_summaries((policy,), soc, keys=keys))
+        clear_prepared_caches()
+        assert _mix_summaries(order, soc, keys=keys) == cold

@@ -33,6 +33,7 @@ from fuzz_scenarios import (
     scenario_specs,
 )
 from repro.config import SoCConfig
+from repro.core.prepared import clear_prepared_caches
 from repro.schedulers import make_scheduler
 from repro.sim import native
 from repro.sim.engine import MultiTenantEngine
@@ -56,6 +57,10 @@ CAMDN_POLICIES = ("camdn-hw", "camdn-full", "camdn-qos")
 #: The policies whose completions the batch loop takes from the
 #: layer-work memo (``SharedCacheBaseline`` and its subclasses).
 TRANSPARENT_POLICIES = ("baseline", "moca", "aurora")
+
+#: Paths of the cold warm-up run of the cross-path cases: the native
+#: batch loop, or the pure-Python completion chain.
+WARM_PATHS = ("native", "python")
 
 #: Cross-path cases of the batch loop's completion tables: (scenario,
 #: fault schedule, SoC).  ``churn-ecc`` retires pages mid-run, so
@@ -258,6 +263,9 @@ class TestNativeSwitch:
     @needs_native
     @pytest.mark.parametrize("policy", POLICIES)
     def test_default_path_is_native(self, calls, policy):
+        # The completion memos are process-wide: start from cold stores
+        # so the run has memo misses to send to advance_layer.
+        clear_prepared_caches()
         _run(policy)
         assert calls["batch"] > 0
         # The engine steps no event through the one-event harness.
@@ -274,11 +282,10 @@ class TestCompletionFastPath:
     The identity tests stay green when the batch loop silently declines
     everything (a type bail on every completion, a changed table
     layout); these tests do not.  CaMDN declines are last layers,
-    resizes, denials, waiters and memo misses: 11.7 % of completions
-    in fleet cells and 4.5 % in Figure 8 cells at seed 2025.  Here the
-    first inference of each stream builds the memo, so 1 in 8
-    completions (12.5 %) reaches Python; a silent fall-back sends all
-    of them.
+    resizes, denials, waiters and memo misses.  The memos are
+    process-wide, so here at most the first inference of each stream
+    builds entries and at most 1 in 8 completions (12.5 %) reaches
+    Python; a silent fall-back sends all of them.
     """
 
     def test_most_completions_skip_python(self):
@@ -575,10 +582,16 @@ class TestEngineCrossPathIdentity:
         assert with_native.events_processed == split.events_processed
 
     @staticmethod
-    def _assert_paths_agree(policy, case, paths=("native", "python",
-                                                 "split"), trace=False):
+    def _assert_paths_agree(policy, case, warm, paths=("native", "python",
+                                                       "split"),
+                            trace=False):
         """Native batch loop, pure-Python completion chain and split
-        step: same summary, events, stats and mid-run snapshot."""
+        step: same summary, events, stats and mid-run snapshot.
+
+        The completion memos are process-wide, so the path of the cold
+        warm-up run (``warm``) creates the grants and works every later
+        run installs: after a Python warm-up the C loop takes entries
+        the Python chain created, and the other way round."""
         spec, faults, soc = CAMDN_CASES[case]
         options = {"native": {}, "python": {"use_native": False},
                    "split": {"kernel_backend": "list"}}
@@ -593,7 +606,8 @@ class TestEngineCrossPathIdentity:
 
         # The first run fills the process-wide decision caches that
         # snapshots carry, so the runs below capture equal ones.
-        at = run().events_processed // 2
+        clear_prepared_caches()
+        at = run(**options[warm]).events_processed // 2
         results = {path: run(at, **options[path]) for path in paths}
         first = results["native"]
         assert first.last_snapshot is not None
@@ -609,21 +623,24 @@ class TestEngineCrossPathIdentity:
             assert _fused_view(results["split"].last_snapshot) == \
                 _fused_view(first.last_snapshot)
 
+    @pytest.mark.parametrize("warm", WARM_PATHS)
     @pytest.mark.parametrize("case", sorted(CAMDN_CASES))
     @pytest.mark.parametrize("policy", CAMDN_POLICIES)
-    def test_camdn_paths_agree(self, policy, case):
-        self._assert_paths_agree(policy, case)
+    def test_camdn_paths_agree(self, policy, case, warm):
+        self._assert_paths_agree(policy, case, warm)
 
+    @pytest.mark.parametrize("warm", WARM_PATHS)
     @pytest.mark.parametrize("case", sorted(CAMDN_CASES))
     @pytest.mark.parametrize("policy", TRANSPARENT_POLICIES)
-    def test_transparent_cache_paths_agree(self, policy, case):
-        self._assert_paths_agree(policy, case)
+    def test_transparent_cache_paths_agree(self, policy, case, warm):
+        self._assert_paths_agree(policy, case, warm)
 
+    @pytest.mark.parametrize("warm", WARM_PATHS)
     @pytest.mark.parametrize("policy", ("aurora", "camdn-full"))
-    def test_traced_paths_agree(self, policy):
+    def test_traced_paths_agree(self, policy, warm):
         # With a TraceRecorder the batch loop hands every completion
         # back, so the spans (in the snapshot payload) match.
-        self._assert_paths_agree(policy, "churn-ecc",
+        self._assert_paths_agree(policy, "churn-ecc", warm,
                                  paths=("native", "python"), trace=True)
 
     def test_moca_mid_run_epoch_transition(self):

@@ -208,6 +208,29 @@ class TestEngineSnapshotAPI:
         old = EngineSnapshot(policy="camdn-full", payload=_dumps(payload))
         assert _summary(old.resume().resume_run()) == _summary(clean)
 
+    @pytest.mark.parametrize("policy", ("camdn-hw", "camdn-full"))
+    @pytest.mark.parametrize("use_native", (None, False))
+    def test_grant_memo_era_payload_resumes_identically(self, policy,
+                                                        use_native):
+        """Older payloads carry each :class:`CaMDNSystem`'s own grant
+        memos, emptied, in its state.  Grants come from process-wide
+        stores, so the stale dicts are inert."""
+        spec = get_scenario("churn-heavy").scaled(GRID_SCALE)
+        clean = run_scenario(spec, policy=policy)
+        snapped = run_scenario(
+            spec, policy=policy,
+            config=RunConfig(
+                snapshot_at_events=clean.events_processed // 2),
+        )
+        payload = _loads(snapped.last_snapshot.payload)
+        system = payload["scheduler"]["state"]["system"]
+        assert "_granted_memo" not in vars(system)
+        vars(system).update(_granted_memo={}, _denied_memo={})
+        old = EngineSnapshot(policy=policy, payload=_dumps(payload))
+        resumed = old.resume(use_native=use_native).resume_run()
+        assert _summary(resumed) == _summary(clean)
+        assert resumed.events_processed == clean.events_processed
+
 
 class TestSnapshotEnvelope:
     def _snapshot(self):
