@@ -10,7 +10,10 @@ markdown row for the "Perf trajectory" table in ROADMAP.md
 (``--roadmap-label`` names the milestone column): refreshing the table
 from a nightly artifact is copy one line, not transcribe nine numbers.
 ``--row-from FILE`` re-emits the row from an existing trajectory
-artifact without rerunning anything.
+artifact without rerunning anything.  ``--perfbench REPORT``
+(repeatable) adds the end-to-end ``run_s`` and ``rerun_s`` of a saved
+``perfbench/run.py`` report to the row: the workload comes from the
+report's first line, the metrics from its last (JSON) line.
 
 Usage::
 
@@ -19,6 +22,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_allocator.py
     python benchmarks/collect_trajectory.py --out BENCH_trajectory.json
     python benchmarks/collect_trajectory.py --row-from BENCH_trajectory.json
+    python3 perfbench/run.py --workload figs-fleet > figs-fleet.txt
+    python benchmarks/collect_trajectory.py \
+        --row-from BENCH_trajectory.json --perfbench figs-fleet.txt
 """
 
 from __future__ import annotations
@@ -45,13 +51,44 @@ def _git_head() -> str:
         return "unknown"
 
 
-def roadmap_row(doc: dict, label: str = "next") -> str:
+#: End-to-end perfbench metrics the ROADMAP row quotes.
+PERFBENCH_METRICS = ("run_s", "rerun_s")
+
+
+def perfbench_notes(report: str) -> str:
+    """``perfbench <workload>: run_s <v> s, rerun_s <v> s`` from the text
+    of one ``perfbench/run.py`` report.
+
+    Raises:
+        ValueError: the text is not a perfbench report, or its last
+            line carries no end-to-end metric (a ``--trace 1`` report
+            prints per-layer metrics only).
+    """
+    lines = [line for line in report.splitlines() if line.strip()]
+    header = lines[0].split() if lines else []
+    if len(header) < 2 or header[0] != "perfbench":
+        raise ValueError("not a perfbench/run.py report: first line "
+                         f"{lines[0] if lines else ''!r}")
+    metrics = json.loads(lines[-1]).get("metrics", {})
+    parts = [
+        f"{name} {metrics[name]['value']:.3f} {metrics[name]['unit']}"
+        for name in PERFBENCH_METRICS if name in metrics
+    ]
+    if not parts:
+        raise ValueError(f"perfbench {header[1]} report has no "
+                         f"{'/'.join(PERFBENCH_METRICS)}")
+    return f"perfbench {header[1]}: " + ", ".join(parts)
+
+
+def roadmap_row(doc: dict, label: str = "next",
+                perfbench: tuple = ()) -> str:
     """One ROADMAP "Perf trajectory" markdown row from a trajectory doc.
 
     Columns match the committed table: milestone (label, capture date,
     short commit), tier-1 wall time (left to fill in — the bench
     campaign doesn't run the test suite), and per-row engine/scenario
-    throughput notes.
+    throughput notes, followed by ``perfbench`` (the
+    :func:`perfbench_notes` of saved reports).
     """
     meta = doc.get("meta", {})
     date = str(meta.get("captured_utc", ""))[:10]
@@ -66,7 +103,9 @@ def roadmap_row(doc: dict, label: str = "next") -> str:
         )
         if rows:
             parts.append(f"{bench}: {rows} ev/s")
-    notes = "; ".join(parts) if parts else "no bench outputs in doc"
+    if not parts:
+        parts.append("no bench outputs in doc")
+    notes = "; ".join(parts + list(perfbench))
     milestone = f"{label} ({date}, {commit})" if date else \
         f"{label} ({commit})"
     return f"| {milestone} | (tier-1 wall: fill in) | {notes} |"
@@ -88,11 +127,19 @@ def main(argv=None) -> int:
         help="print the ROADMAP row for an existing trajectory "
              "artifact and exit (no fresh outputs needed)",
     )
+    parser.add_argument(
+        "--perfbench", metavar="REPORT", action="append", default=[],
+        help="a saved perfbench/run.py report whose run_s and rerun_s "
+             "join the ROADMAP row (repeatable)",
+    )
     args = parser.parse_args(argv)
+    perfbench = tuple(perfbench_notes(Path(path).read_text())
+                      for path in args.perfbench)
 
     if args.row_from is not None:
         doc = json.loads(Path(args.row_from).read_text())
-        print(roadmap_row(doc, label=args.roadmap_label))
+        print(roadmap_row(doc, label=args.roadmap_label,
+                          perfbench=perfbench))
         return 0
 
     current_dir = Path(args.current_dir)
@@ -122,7 +169,7 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True))
     print(f"wrote {args.out} ({len(doc['benches'])} benches)")
     print("ROADMAP perf-table row:")
-    print(roadmap_row(doc, label=args.roadmap_label))
+    print(roadmap_row(doc, label=args.roadmap_label, perfbench=perfbench))
     return 0
 
 

@@ -100,12 +100,20 @@ class LayerMapper:
         self._systolic = SystolicModel(self.soc.npu)
 
     def _memo_key(self, graph: ModelGraph) -> tuple:
+        """Every input of a mapping file, in memory and on disk: the
+        candidates' compute cycles depend on the PE array and
+        ``dwconv_efficiency``, and each MCT's ``est_latency_s`` (which
+        sets Algorithm 1's timeouts and ``Tnext``) on the clock and the
+        DRAM bandwidth as well."""
         soc = self.soc
         return (
             graph.name,
             soc.npu.scratchpad_bytes,
             soc.npu.pe_rows,
             soc.npu.pe_cols,
+            soc.npu.frequency_hz,
+            soc.npu.dwconv_efficiency,
+            soc.dram.total_bandwidth_bytes_per_s,
             soc.cache.npu_subspace_bytes,
             soc.cache.page_bytes,
             soc.dtype_bytes,

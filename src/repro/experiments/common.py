@@ -11,13 +11,12 @@ closed-loop workload is :meth:`~repro.sim.scenario.ScenarioSpec.closed_loop`).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Union
 
 from ..config import SoCConfig
 from ..core.prepared import prepare_workload
-from ..errors import WorkloadError
+from ..errors import SimulationError, WorkloadError
 from ..runconfig import RunConfig
 from ..schedulers import make_scheduler
 from ..schedulers.base import SchedulerPolicy
@@ -145,25 +144,35 @@ def run_scenario(
     return result
 
 
-@functools.lru_cache(maxsize=None)
-def _isolated_latency(model_key: str, cache_bytes: int,
-                      policy_name: str) -> float:
-    """Single-tenant latency of one model (memoized)."""
-    scale = ExperimentScale(scale=0.5)
-    spec = ScenarioSpec.closed_loop((model_key,),
-                                    duration_s=scale.duration_s,
-                                    warmup_s=scale.warmup_s)
-    result = run_scenario(spec, SoCConfig().with_cache_bytes(cache_bytes),
-                          policy_name)
-    return result.metrics.macro_avg_latency_s()
-
-
 def isolated_latencies(model_keys: Sequence[str],
                        soc: SoCConfig,
-                       policy_name: str = "baseline"
+                       policy_name: str = "baseline",
+                       *, use_cache: bool = True,
                        ) -> Dict[str, float]:
-    """Per-model single-tenant latency (``T_isolated`` for STP/fairness)."""
+    """Per-model single-tenant latency (``T_isolated`` for STP/fairness).
+
+    Each model runs alone over the half-scale closed-loop window, on
+    the Table II SoC with ``soc``'s cache capacity, as one serial sweep
+    cell: with ``use_cache`` the persistent sweep cache serves the runs
+    to every later process, as it serves the figures' own cells.
+
+    Raises:
+        SimulationError: an isolated run failed every attempt.
+    """
+    from .sweep import SweepCell, last_sweep_failures, run_sweep
+
+    keys = list(dict.fromkeys(model_keys))
+    cells = [
+        SweepCell(policy=policy_name, model_keys=(key,), scale=0.5,
+                  cache_bytes=soc.cache.total_bytes)
+        for key in keys
+    ]
+    results = run_sweep(cells, max_workers=1, use_cache=use_cache)
+    if any(result is None for result in results):
+        raise SimulationError(
+            f"isolated runs failed: {last_sweep_failures()}"
+        )
     return {
-        key: _isolated_latency(key, soc.cache.total_bytes, policy_name)
-        for key in dict.fromkeys(model_keys)
+        key: result.metrics.macro_avg_latency_s()
+        for key, result in zip(keys, results)
     }

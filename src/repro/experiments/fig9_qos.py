@@ -51,7 +51,7 @@ def run_fig9(scale: float = 1.0,
              use_cache: bool = True) -> List[Fig9Row]:
     """Regenerate the Figure 9 QoS comparison."""
     soc = SoCConfig()
-    isolated = isolated_latencies(model_keys, soc)
+    isolated = isolated_latencies(model_keys, soc, use_cache=use_cache)
     grid = [
         (policy, level, qos_scale)
         for policy in QOS_POLICIES

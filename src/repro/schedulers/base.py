@@ -247,7 +247,8 @@ class SchedulerPolicy(abc.ABC):
         ``on_layer_end`` / ``begin_layer`` (or ``advance_layer``) for
         every completion it does not decline.  The engine fetches the
         table once per call, so it may depend on state that only the
-        Python chain changes (task start and end, resizes).
+        Python chain changes (task start and end); state the C handler
+        changes itself (CaMDN's page totals) it writes back as it goes.
         """
         return None
 

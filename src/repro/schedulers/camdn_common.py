@@ -33,10 +33,9 @@ CAMDN_DRAM_EFFICIENCY = 0.92
 #: (candidate, {cores: (LayerWork, 0.0)}, is_lbm).  A granted candidate
 #: fully determines its work on one SoC (model layer -> compute cycles,
 #: candidate -> DRAM bytes, cores -> multicast factor).  The key is the
-#: whole SoC: layer cycles depend on fields the mapping-file key leaves
-#: out (``NPUConfig.dwconv_efficiency``), so two SoCs can share one
-#: mapping file's candidates but not their works.  The candidate is held
-#: in the value so its id cannot be reused while the entry lives.  Each
+#: whole SoC, which covers every field the mapping-file key and the
+#: layer cycles read.  The candidate is held in the value so its id
+#: cannot be reused while the entry lives.  Each
 #: memo grows like the mapping memo, per SoC and model, until
 #: :func:`~repro.core.prepared.clear_prepared_caches` empties the store.
 _WORKS: Dict[SoCConfig, Dict[int, tuple]] = {}
@@ -86,6 +85,7 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         #: (bind_native); None keeps advance_layer in Python.
         self._advance_native = None
         self._alloc = None
+        self._pages = None
 
     def attach(self, soc: SoCConfig) -> None:
         super().attach(soc)
@@ -118,6 +118,7 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         system = self.system
         alloc = system.allocator
         self._alloc = alloc
+        self._pages = system.regions.allocator
         self._alloc_end = alloc.end_layer_prepared
         self._alloc_select = alloc.select_prepared
         self._sys_try = system._try_grant
@@ -286,9 +287,10 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         fast = self._advance_native
         if fast is not None:
             # Native per-completion fast path: end-of-layer predictor
-            # update, next-layer selection and the no-resize grant in
-            # one C call.  None means the C side bailed without mutating
-            # anything; the Python chain below then owns the event.
+            # update, next-layer selection and the grant check in one C
+            # call.  None means the C side bailed without mutating
+            # anything (a denial, say); the Python chain below then owns
+            # the event.
             mf = state.mapping_file
             ft = self._fast_files.get(id(mf))
             if ft is None or ft[0] is not mf:
@@ -306,7 +308,7 @@ class CaMDNSchedulerBase(SchedulerPolicy):
                     alloc._tnext, alloc._pnext, alloc._palloc,
                     state._slot, now, alloc.total_pages,
                     alloc._palloc_sum, ls, le, layer_index,
-                    len(region.pcpns), rows[nxt],
+                    len(region.pcpns), len(self._pages._free), rows[nxt],
                     1 if self._sys_hw is not None else 0,
                     self.system._share,
                 )
@@ -328,6 +330,12 @@ class CaMDNSchedulerBase(SchedulerPolicy):
                         entry = self._build_fast_pair(
                             instance, state, region, nxt, code, ft
                         )
+                    elif entry[0].decision.pages_needed != \
+                            len(region.pcpns):
+                        # A resize the C side found room for: the
+                        # grant's page moves and palloc commit.
+                        self._sys_try(state, region, nxt,
+                                      entry[0].decision)
                     instance.sched_scratch = entry[0]
                     if entry[2]:
                         self._lbm_layers += 1
@@ -389,17 +397,22 @@ class CaMDNSchedulerBase(SchedulerPolicy):
     def native_batch_args(self) -> tuple:
         """The CaMDN completion table of one native batch-loop call:
         the allocator's predictor lists and page totals, the HW-only
-        static share, the HW-only flag and the :meth:`_build_fast_file`
-        tables.  The totals change only between calls, so the engine
-        fetches this tuple per call.  The tables are the process-wide
-        store of this SoC and mode, so the loop also takes completions
-        whose memo entry an earlier cell of the process built."""
+        static share, the HW-only flag, the :meth:`_build_fast_file`
+        tables, the regions' page allocator and the allocator itself.
+        The engine fetches this tuple per call: the loop resizes regions
+        (the page moves of ``RegionManager._resize``) and writes the
+        moved ``_palloc_sum`` back to the allocator, and the other
+        totals change only between calls.  The tables are the
+        process-wide store of this SoC and mode, so the loop also takes
+        completions whose memo entry an earlier cell of the process
+        built."""
         alloc = self._alloc
         return (
             TABLE_CAMDN,
             alloc._tnext, alloc._pnext, alloc._palloc, alloc.total_pages,
             alloc._palloc_sum, self.system._share,
             0 if self._sys_hw is None else 1, self._fast_files,
+            self._pages, alloc,
         )
 
     def add_lbm_layers(self, count: int) -> None:
@@ -461,10 +474,12 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         run the exact grant/work machinery once and memoize the
         ``(grant, (work, 0.0), is_lbm)`` triple.
 
-        Re-running ``_try_grant`` after the C commit is idempotent: the
-        footprint equals the region (no resize), palloc is unchanged
-        (the skipped write), and an enabling decision re-installs the
-        same block bounds the C call already reported."""
+        Running ``_try_grant`` after the C call (which wrote only the
+        tnext/pnext predictions) completes the Python chain's grant: it
+        resizes the region when the footprint differs (the C call
+        checked the free pages, so it grants), commits palloc, and an
+        enabling decision re-installs the block bounds ``advance_layer``
+        already took from the C call."""
         geom = state.geoms[layer_index]
         cache = geom.decision_cache
         mct = state.mcts[layer_index]

@@ -11,14 +11,16 @@
  *   each non-final layer completion is handled here when the policy's
  *   completion table covers it: the transparent-cache policies
  *   (baseline, MoCA, AuRORA) install the next layer's memoized
- *   LayerWork, the CaMDN policies run the completion chain below.  It
- *   hands back to Python every completion it cannot take: last layers,
- *   memo misses, CaMDN resizes and denials, completions while waiters
- *   are pending, and every completion of a policy with no table or of
- *   a run with a TraceRecorder attached (the engine passes no table);
+ *   LayerWork, the CaMDN policies run the completion chain below,
+ *   region resizes included (the page moves of RegionManager._resize
+ *   are done here).  It hands back to Python every completion it
+ *   cannot take: last layers, memo misses, CaMDN denials, completions
+ *   while waiters are pending, and every completion of a policy with
+ *   no table or of a run with a TraceRecorder attached (the engine
+ *   passes no table);
  * - camdn_advance: one CaMDN layer completion — Algorithm 1's
- *   end-of-layer predictor update plus the next layer's selection —
- *   for the completions the Python chain handles;
+ *   end-of-layer predictor update plus the next layer's selection and
+ *   its grant check — for the completions the Python chain handles;
  * - fused_step: one event of batch_loop's step, the harness of the
  *   randomised C-vs-Python bit-identity tests.
  *
@@ -574,34 +576,35 @@ pred_avail(PyObject *tnext_l, PyObject *pnext_l, PyObject *palloc_l,
 #define ROW_WIDTH 14
 
 /* One completion's inputs: the allocator's predictor lists, the task's
- * slot, LBM block (-1/-1 for none) and region size, the layer that
- * just ended, and ``row``, the *next* layer's precomputed geometry. */
+ * slot, LBM block (-1/-1 for none) and region size, the page
+ * allocator's free-page count, the layer that just ended, and ``row``,
+ * the *next* layer's precomputed geometry. */
 typedef struct {
     PyObject *tnext_l, *pnext_l, *palloc_l, *row;
     long slot, total_pages, palloc_sum, lbm_s, lbm_e, layer_index;
-    long region_pages, hw_mode, share;
+    long region_pages, free_pages, hw_mode, share;
     double now;
 } camdn_query;
 
-/* The completion's outcome: the selection code, the task's LBM block
- * after the end-of-block clear and any new enablement, and the slot's
- * new tnext/pnext predictions. */
+/* The completion's outcome: the selection code and its page footprint,
+ * the slot's palloc as read, the task's LBM block after the
+ * end-of-block clear and any new enablement, and the slot's new
+ * tnext/pnext predictions. */
 typedef struct {
-    long code, lbm_s, lbm_e, pnext;
+    long code, pages, palloc, lbm_s, lbm_e, pnext;
     double tnext;
 } camdn_choice;
 
 /* One CaMDN layer completion, decided: Algorithm 1's end-of-layer
  * predictor update (DynamicCacheAllocator.end_layer_prepared) plus the
  * next layer's candidate selection (select_prepared, or the HW-only
- * static-split walk) plus the no-resize grant check
- * (CaMDNSystem._try_grant when the selected footprint equals the
- * task's current region).
+ * static-split walk) plus CaMDNSystem._try_grant's grant rule: a
+ * footprint that grows the task's region by more pages than are free
+ * is denied.
  *
  * Pure: returns 0 with *out filled, or 1 (nothing written, no Python
  * error set) when the completion needs the Python chain (type
- * mismatch, a selection whose footprint differs from the current
- * region, anything touching the resize/denial machinery).
+ * mismatch, a denial).
  * Selection codes — full mode: 0 = sticky LBM, 1 = enable LBM at a
  * block head, 2 = single-level lwm[0], 3+i = lwm[i]; HW-only mode:
  * 0 = "hw_lbm_on", 1 = "hw_lbm_keep", 2+i = lwm[i]. */
@@ -662,11 +665,6 @@ camdn_select(const camdn_query *q, camdn_choice *out)
     }
 
     if (list_long(q->palloc_l, q->slot, &palloc_slot) < 0) {
-        return 1;
-    }
-    /* _try_grant's no-resize fast path requires the allocator and the
-     * region to agree on the task's holding (true between layers). */
-    if (palloc_slot != q->region_pages) {
         return 1;
     }
 
@@ -845,9 +843,9 @@ camdn_select(const camdn_query *q, camdn_choice *out)
         }
     }
 
-    /* _try_grant: only the no-resize grant is provably equivalent
-     * here; anything needing the region machinery goes to Python. */
-    if (pages != q->region_pages) {
+    /* _try_grant: ``needed - len(region.pcpns) > free_pages`` is a
+     * denial, which the Python chain handles.  A shrink always fits. */
+    if (pages - q->region_pages > q->free_pages) {
         return 1;
     }
     if (sel_enables) {
@@ -860,6 +858,8 @@ camdn_select(const camdn_query *q, camdn_choice *out)
         lbm_e = blk_e;
     }
     out->code = code;
+    out->pages = pages;
+    out->palloc = palloc_slot;
     out->lbm_s = lbm_s;
     out->lbm_e = lbm_e;
     out->pnext = new_pnext;
@@ -867,8 +867,9 @@ camdn_select(const camdn_query *q, camdn_choice *out)
     return 0;
 }
 
-/* Write a decided completion's tnext/pnext predictions.  palloc is
- * unchanged by construction, exactly the skipped write in _try_grant. */
+/* Write a decided completion's tnext/pnext predictions.  The grant's
+ * own writes (region pages, palloc) are the caller's: the batch loop
+ * does them in C (camdn_grant), the Python chain in _try_grant. */
 static int
 camdn_commit(const camdn_query *q, const camdn_choice *ch)
 {
@@ -889,10 +890,15 @@ camdn_commit(const camdn_query *q, const camdn_choice *ch)
 
 /* camdn_advance(tnext, pnext, palloc, slot, now, total_pages,
  *               palloc_sum, lbm_start, lbm_end, layer_index,
- *               region_pages, row, hw_mode, share)
+ *               region_pages, free_pages, row, hw_mode, share)
  *   -> (code, new_lbm_start, new_lbm_end) | None
  *
- * camdn_select plus its commit, for CaMDNSchedulerBase.advance_layer.
+ * camdn_select plus its tnext/pnext commit, for
+ * CaMDNSchedulerBase.advance_layer, which applies a resize through
+ * _try_grant (the grant is certain: the free pages were checked here)
+ * and skips _try_grant when the footprint equals the region.  That
+ * skip is exact only while the allocator and the region agree on the
+ * task's holding (true between layers), so a disagreement declines.
  * None means nothing was mutated and the Python chain owns the
  * completion.
  */
@@ -902,9 +908,9 @@ camdn_advance(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     camdn_query q;
     camdn_choice ch;
 
-    if (nargs != 14) {
+    if (nargs != 15) {
         PyErr_SetString(PyExc_TypeError,
-                        "camdn_advance expects exactly 14 arguments");
+                        "camdn_advance expects exactly 15 arguments");
         return NULL;
     }
     q.tnext_l = args[0];
@@ -921,13 +927,14 @@ camdn_advance(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     q.lbm_e = PyLong_AsLong(args[8]);
     q.layer_index = PyLong_AsLong(args[9]);
     q.region_pages = PyLong_AsLong(args[10]);
-    q.row = args[11];
-    q.hw_mode = PyLong_AsLong(args[12]);
-    q.share = PyLong_AsLong(args[13]);
+    q.free_pages = PyLong_AsLong(args[11]);
+    q.row = args[12];
+    q.hw_mode = PyLong_AsLong(args[13]);
+    q.share = PyLong_AsLong(args[14]);
     if (PyErr_Occurred()) {
         return NULL;
     }
-    if (camdn_select(&q, &ch)) {
+    if (camdn_select(&q, &ch) || ch.palloc != q.region_pages) {
         Py_RETURN_NONE;
     }
     if (camdn_commit(&q, &ch) < 0) {
@@ -949,6 +956,9 @@ static PyObject *s_hit_bytes, *s_access_bytes, *s_dram_bytes_total;
 static PyObject *s_hit_bytes_total, *s_access_bytes_total;
 static PyObject *s_layers_executed, *s_sched_scratch;
 static PyObject *s_rem_compute_cycles, *s_rem_dram_bytes, *s_block_of;
+static PyObject *s_free, *s_page_owner, *s_owner_pages, *s_num_pages;
+static PyObject *s_task_id, *s_cpt, *s_table, *s_max_entries;
+static PyObject *s_palloc_sum;
 
 #define HANDLED 0
 #define DECLINE 1
@@ -1034,13 +1044,17 @@ set_long(PyObject *obj, PyObject *name, long v)
  *   memo, {(model name, contention factor, cores): [LayerWork or None
  *   per layer]}, and this call's contention factor;
  * - TABLE_CAMDN, (kind, tnext, pnext, palloc, total_pages, palloc_sum,
- *   share, hw_mode, fast_files): the CaMDN allocator's predictor lists
- *   and page totals, the HW-only share and flag, and the
- *   per-mapping-file tables of the completion handler. */
+ *   share, hw_mode, fast_files, pages, alloc): the CaMDN allocator's
+ *   predictor lists and page totals, the HW-only share and flag, the
+ *   per-mapping-file tables of the completion handler, the
+ *   CachePageAllocator the regions draw from and the
+ *   DynamicCacheAllocator itself.  A handled resize moves
+ *   ``palloc_sum`` and writes it back to ``alloc._palloc_sum``. */
 typedef struct {
     long kind;
     PyObject *works, *factor;
     PyObject *tnext_l, *pnext_l, *palloc_l, *fast_files;
+    PyObject *pages, *alloc;
     long total_pages, palloc_sum, share, hw_mode;
 } batch_table;
 
@@ -1055,13 +1069,15 @@ typedef struct {
 /* One running instance as the completion handlers see it.  Loaded from
  * its Python objects at its first completion of a call; handled
  * completions update the view, and flush_view writes the instance
- * fields back before the call returns.  Core count, memo list, region
- * size, task slot and tables cannot change inside a call: only the
- * Python chain starts or ends tasks, resizes, registers or retires. */
+ * fields back before the call returns.  Core count, memo list, task
+ * slot and tables cannot change inside a call: only the Python chain
+ * starts or ends tasks, registers or retires.  The region size can: a
+ * handled resize (camdn_grant) refreshes it. */
 typedef struct {
     PyObject *inst;                    /* borrowed from insts */
     PyObject *works;                   /* TABLE_WORKS memo list, owned */
     PyObject *state, *mf, *rows, *pairs, *grant;   /* TABLE_CAMDN, owned */
+    PyObject *region, *pcpns;                      /* TABLE_CAMDN, owned */
     work_view w;
     long layer, n_layers, cores, executed;
     long slot, region_pages, lbm_s, lbm_e;         /* TABLE_CAMDN */
@@ -1104,6 +1120,8 @@ release_view(inst_view *v)
     Py_CLEAR(v->rows);
     Py_CLEAR(v->pairs);
     Py_CLEAR(v->grant);
+    Py_CLEAR(v->region);
+    Py_CLEAR(v->pcpns);
     release_work(&v->w);
     v->loaded = 0;
 }
@@ -1153,7 +1171,7 @@ out:
 static int
 load_camdn(const batch_table *t, inst_view *v)
 {
-    PyObject *ctx = NULL, *key = NULL, *block = NULL, *pcpns = NULL, *ft;
+    PyObject *ctx = NULL, *key = NULL, *block = NULL, *ft;
     int rc = DECLINE;
 
     ctx = get_attr(v->inst, s_sched_ctx);
@@ -1162,12 +1180,13 @@ load_camdn(const batch_table *t, inst_view *v)
         goto out;
     }
     v->state = Py_NewRef(PyTuple_GET_ITEM(ctx, 0));
-    pcpns = get_attr(PyTuple_GET_ITEM(ctx, 1), s_pcpns);
-    if (pcpns == NULL || !PyList_CheckExact(pcpns) ||
+    v->region = Py_NewRef(PyTuple_GET_ITEM(ctx, 1));
+    v->pcpns = get_attr(v->region, s_pcpns);
+    if (v->pcpns == NULL || !PyList_CheckExact(v->pcpns) ||
         attr_long(v->state, s_slot, &v->slot) < 0) {
         goto out;
     }
-    v->region_pages = (long)PyList_GET_SIZE(pcpns);
+    v->region_pages = (long)PyList_GET_SIZE(v->pcpns);
     block = get_attr(v->state, s_lbm_block);
     if (block == Py_None) {
         v->lbm_s = v->lbm_e = -1;
@@ -1210,7 +1229,6 @@ out:
     Py_XDECREF(ctx);
     Py_XDECREF(key);
     Py_XDECREF(block);
-    Py_XDECREF(pcpns);
     return rc;
 }
 
@@ -1328,23 +1346,411 @@ works_completion(inst_view *v, double *c_i, double *d_i, double *prog_i)
     return HANDLED;
 }
 
+/* ------------------------------------------------------------------
+ * Region resizes.  A grant whose footprint differs from the task's
+ * region moves pages exactly as RegionManager._resize does, through
+ * CachePageAllocator.allocate / release and CachePageTable.map /
+ * unmap: in the same order, on the same objects, storing the region's
+ * own task_id object as the owner (pickle memoizes strings by
+ * identity, so an equal but distinct string would change snapshot
+ * bytes).  Each move first checks what Python checks (page and vcpn
+ * ranges, ownership, duplicates, already-mapped and unmapped entries)
+ * plus the types C relies on; a failed check declines with nothing
+ * changed, so the Python chain meets the same condition.
+ * ------------------------------------------------------------------ */
+
+/* pages._merge_sorted(a, b) as a new list in *out: 0, DECLINE when an
+ * end item is not an exact int, or -1 on a Python error. */
+static int
+merge_sorted(PyObject *a, PyObject *b, PyObject **out)
+{
+    Py_ssize_t na = PyList_GET_SIZE(a), nb = PyList_GET_SIZE(b);
+    long a0, a1, b0, b1;
+
+    *out = NULL;
+    if (na == 0 || nb == 0) {
+        *out = na == 0 ? PyList_GetSlice(b, 0, nb)
+                       : PyList_GetSlice(a, 0, na);
+        return *out == NULL ? -1 : 0;
+    }
+    if (list_long(a, 0, &a0) < 0 || list_long(a, na - 1, &a1) < 0 ||
+        list_long(b, 0, &b0) < 0 || list_long(b, nb - 1, &b1) < 0) {
+        return DECLINE;
+    }
+    if (a1 < b0) {
+        *out = PySequence_Concat(a, b);
+    }
+    else if (b1 < a0) {
+        *out = PySequence_Concat(b, a);
+    }
+    else {
+        *out = PySequence_Concat(a, b);
+        if (*out != NULL && PyList_Sort(*out) < 0) {
+            Py_CLEAR(*out);
+        }
+    }
+    return *out == NULL ? -1 : 0;
+}
+
+/* The objects a resize touches: the page allocator, its free list,
+ * reverse map and held lists, the region's owner and CPT dict. */
+typedef struct {
+    PyObject *pages;                    /* borrowed from the table */
+    PyObject *free, *page_owner, *owner_pages, *owner, *cpt, *table;
+    PyObject *held;
+    long num_pages, max_entries;
+} resize_ctx;
+
+static void
+release_resize(resize_ctx *r)
+{
+    Py_CLEAR(r->free);
+    Py_CLEAR(r->page_owner);
+    Py_CLEAR(r->owner_pages);
+    Py_CLEAR(r->owner);
+    Py_CLEAR(r->cpt);
+    Py_CLEAR(r->table);
+    Py_CLEAR(r->held);
+}
+
+/* Fill ``r`` from the page allocator and the region (``_free`` is read
+ * afresh: release replaces the list).  0, DECLINE, or -1. */
+static int
+load_resize(PyObject *pages, PyObject *region, resize_ctx *r)
+{
+    memset(r, 0, sizeof(*r));
+    r->pages = pages;
+    r->free = get_attr(pages, s_free);
+    r->page_owner = get_attr(pages, s_page_owner);
+    r->owner_pages = get_attr(pages, s_owner_pages);
+    r->owner = get_attr(region, s_task_id);
+    r->cpt = get_attr(region, s_cpt);
+    r->table = r->cpt != NULL ? get_attr(r->cpt, s_table) : NULL;
+    if (r->free == NULL || !PyList_CheckExact(r->free) ||
+        r->page_owner == NULL || !PyList_CheckExact(r->page_owner) ||
+        r->owner_pages == NULL || !PyDict_CheckExact(r->owner_pages) ||
+        r->owner == NULL || r->table == NULL ||
+        !PyDict_CheckExact(r->table) ||
+        attr_long(pages, s_num_pages, &r->num_pages) < 0 ||
+        attr_long(r->cpt, s_max_entries, &r->max_entries) < 0) {
+        return DECLINE;
+    }
+    r->held = PyDict_GetItemWithError(r->owner_pages, r->owner);
+    if (r->held == NULL) {
+        return PyErr_Occurred() ? -1 : DECLINE;
+    }
+    /* Owned: a merge or filter replaces the dict's list. */
+    Py_INCREF(r->held);
+    return PyList_CheckExact(r->held) ? 0 : DECLINE;
+}
+
+/* Is ``vcpn`` a key of the CPT dict?  1, 0, or -1. */
+static int
+cpt_has(PyObject *table, long vcpn)
+{
+    PyObject *key = PyLong_FromLong(vcpn);
+    int has;
+    if (key == NULL) {
+        return -1;
+    }
+    has = PyDict_Contains(table, key);
+    Py_DECREF(key);
+    return has;
+}
+
+/* Grow ``pcpns`` from ``current`` to ``target`` pages: allocate (take
+ * the lowest free pages, own them, extend or merge the held list), map
+ * the new vcpns in order, extend the region.  0, DECLINE, or -1. */
+static int
+region_grow(resize_ctx *r, PyObject *pcpns, long current, long target)
+{
+    Py_ssize_t delta = target - current, j;
+    Py_ssize_t n_held = PyList_GET_SIZE(r->held);
+    PyObject *granted = NULL, *merged = NULL;
+    long p;
+    int rc;
+
+    if (delta > PyList_GET_SIZE(r->free)) {
+        return DECLINE;  /* allocate: not enough free pages */
+    }
+    /* CachePageTable.map's checks (and the reverse map's bounds). */
+    for (j = 0; j < delta; j++) {
+        if (list_long(r->free, j, &p) < 0 || p < 0 ||
+            p >= r->max_entries || p >= PyList_GET_SIZE(r->page_owner) ||
+            current + j >= r->max_entries) {
+            return DECLINE;
+        }
+        rc = cpt_has(r->table, current + j);
+        if (rc != 0) {
+            return rc < 0 ? -1 : DECLINE;  /* vcpn already mapped */
+        }
+    }
+    granted = PyList_GetSlice(r->free, 0, delta);
+    if (granted == NULL) {
+        return -1;
+    }
+    /* allocate's held list: extend when the grant lies above it, else
+     * the sorted merge replaces it. */
+    if (n_held > 0) {
+        long last, first;
+        if (list_long(r->held, n_held - 1, &last) < 0) {
+            Py_DECREF(granted);
+            return DECLINE;
+        }
+        (void)list_long(granted, 0, &first);
+        if (!(last < first)) {
+            rc = merge_sorted(r->held, granted, &merged);
+            if (rc != 0) {
+                Py_DECREF(granted);
+                return rc;
+            }
+        }
+    }
+
+    /* --- apply: allocate, the CPT entries, the region's list --- */
+    rc = -1;
+    if (PyList_SetSlice(r->free, 0, delta, NULL) < 0) {
+        goto out;
+    }
+    for (j = 0; j < delta; j++) {
+        (void)list_long(granted, j, &p);
+        if (PyList_SetItem(r->page_owner, p, Py_NewRef(r->owner)) < 0) {
+            goto out;
+        }
+    }
+    if (merged != NULL) {
+        if (PyDict_SetItem(r->owner_pages, r->owner, merged) < 0) {
+            goto out;
+        }
+    }
+    else if (PyList_SetSlice(r->held, n_held, n_held, granted) < 0) {
+        goto out;
+    }
+    for (j = 0; j < delta; j++) {
+        PyObject *key = PyLong_FromLong(current + j);
+        int bad = key == NULL ||
+            PyDict_SetItem(r->table, key, PyList_GET_ITEM(granted, j)) < 0;
+        Py_XDECREF(key);
+        if (bad) {
+            goto out;
+        }
+    }
+    if (PyList_SetSlice(pcpns, current, current, granted) < 0) {
+        goto out;
+    }
+    rc = 0;
+
+out:
+    Py_DECREF(granted);
+    Py_XDECREF(merged);
+    return rc;
+}
+
+/* Is ``x`` in the ascending exact-int list ``sorted``? */
+static int
+sorted_has(PyObject *sorted, long x)
+{
+    Py_ssize_t lo = 0, hi = PyList_GET_SIZE(sorted);
+    while (lo < hi) {
+        Py_ssize_t mid = (lo + hi) / 2;
+        long v;
+        (void)list_long(sorted, mid, &v);
+        if (v == x) {
+            return 1;
+        }
+        if (v < x) {
+            lo = mid + 1;
+        }
+        else {
+            hi = mid;
+        }
+    }
+    return 0;
+}
+
+/* Shrink ``pcpns`` from ``current`` to ``target`` pages: unmap the top
+ * vcpns, truncate the region, release the victims (free them in the
+ * reverse map, clear or filter the held list, merge them into a new
+ * free list).  0, DECLINE, or -1. */
+static int
+region_shrink(resize_ctx *r, PyObject *pcpns, long current, long target)
+{
+    Py_ssize_t k = current - target, j;
+    Py_ssize_t n_held = PyList_GET_SIZE(r->held);
+    PyObject *victims = NULL, *sorted = NULL, *kept = NULL;
+    PyObject *new_free = NULL;
+    long p, prev = 0;
+    int rc = DECLINE;
+
+    /* CachePageTable.unmap's checks. */
+    for (j = target; j < current; j++) {
+        int has;
+        if (j >= r->max_entries) {
+            return DECLINE;
+        }
+        has = cpt_has(r->table, j);
+        if (has <= 0) {
+            return has < 0 ? -1 : DECLINE;  /* vcpn not mapped */
+        }
+    }
+    victims = PyList_GetSlice(pcpns, target, current);
+    if (victims == NULL) {
+        return -1;
+    }
+    /* release's checks: range, ownership, then duplicates. */
+    for (j = 0; j < k; j++) {
+        PyObject *po;
+        int same;
+        if (list_long(victims, j, &p) < 0 || p < 0 || p >= r->num_pages ||
+            p >= PyList_GET_SIZE(r->page_owner)) {
+            goto out;
+        }
+        po = PyList_GET_ITEM(r->page_owner, p);
+        same = po == r->owner ||
+            PyObject_RichCompareBool(po, r->owner, Py_EQ);
+        if (same != 1) {
+            rc = same < 0 ? -1 : DECLINE;
+            goto out;
+        }
+    }
+    sorted = PyList_GetSlice(victims, 0, k);
+    if (sorted == NULL || PyList_Sort(sorted) < 0) {
+        rc = -1;
+        goto out;
+    }
+    for (j = 0; j < k; j++) {
+        (void)list_long(sorted, j, &p);
+        if (j > 0 && p == prev) {
+            goto out;  /* a duplicate would double-free */
+        }
+        prev = p;
+    }
+    /* release's held list: cleared when every page goes, else
+     * replaced by the survivors. */
+    if (k != n_held) {
+        kept = PyList_New(0);
+        if (kept == NULL) {
+            rc = -1;
+            goto out;
+        }
+        for (j = 0; j < n_held; j++) {
+            PyObject *item = PyList_GET_ITEM(r->held, j);
+            if (list_long(r->held, j, &p) < 0) {
+                goto out;
+            }
+            if (!sorted_has(sorted, p) && PyList_Append(kept, item) < 0) {
+                rc = -1;
+                goto out;
+            }
+        }
+    }
+    rc = merge_sorted(r->free, sorted, &new_free);
+    if (rc != 0) {
+        goto out;
+    }
+
+    /* --- apply: the CPT entries, the region's list, release --- */
+    rc = -1;
+    for (j = target; j < current; j++) {
+        PyObject *key = PyLong_FromLong(j);
+        int bad = key == NULL || PyDict_DelItem(r->table, key) < 0;
+        Py_XDECREF(key);
+        if (bad) {
+            goto out;
+        }
+    }
+    if (PyList_SetSlice(pcpns, target, current, NULL) < 0) {
+        goto out;
+    }
+    for (j = 0; j < k; j++) {
+        (void)list_long(sorted, j, &p);
+        if (PyList_SetItem(r->page_owner, p, Py_NewRef(Py_None)) < 0) {
+            goto out;
+        }
+    }
+    if (kept == NULL) {
+        if (PyList_SetSlice(r->held, 0, n_held, NULL) < 0) {
+            goto out;
+        }
+    }
+    else if (PyDict_SetItem(r->owner_pages, r->owner, kept) < 0) {
+        goto out;
+    }
+    /* ``self._free = _merge_sorted(self._free, victims)`` */
+    if (PyObject_SetAttr(r->pages, s_free, new_free) < 0) {
+        goto out;
+    }
+    rc = 0;
+
+out:
+    Py_XDECREF(victims);
+    Py_XDECREF(sorted);
+    Py_XDECREF(kept);
+    Py_XDECREF(new_free);
+    return rc;
+}
+
+/* CaMDNSystem._try_grant's writes for a selection camdn_select granted:
+ * the region resize (RegionManager._resize), then the palloc commit.
+ * ``palloc_sum`` is written back to the allocator at once, so later
+ * selections of this call and the Python chain see it.  The view's
+ * region size follows the resize.  0, DECLINE (nothing changed), or
+ * -1. */
+static int
+camdn_grant(batch_table *t, inst_view *v, long pages, long palloc)
+{
+    if (pages != v->region_pages) {
+        long current = (long)PyList_GET_SIZE(v->pcpns);
+        resize_ctx r;
+        int rc = load_resize(t->pages, v->region, &r);
+        if (rc == 0) {
+            rc = pages > current
+                ? region_grow(&r, v->pcpns, current, pages)
+                : region_shrink(&r, v->pcpns, current, pages);
+        }
+        release_resize(&r);
+        if (rc != 0) {
+            return rc;
+        }
+        v->region_pages = pages;
+    }
+    if (palloc != pages) {
+        PyObject *sum, *item = PyLong_FromLong(pages);
+        if (item == NULL ||
+            PyList_SetItem(t->palloc_l, v->slot, item) < 0) {
+            return -1;
+        }
+        t->palloc_sum += pages - palloc;
+        sum = PyLong_FromLong(t->palloc_sum);
+        if (sum == NULL ||
+            PyObject_SetAttr(t->alloc, s_palloc_sum, sum) < 0) {
+            Py_XDECREF(sum);
+            return -1;
+        }
+        Py_DECREF(sum);
+    }
+    return 0;
+}
+
 /* One non-final layer completion under TABLE_CAMDN at ``now``, handled
  * exactly as MultiTenantEngine._process_completions ->
  * CaMDNSchedulerBase.advance_layer (native branch, memo hit) ->
- * MultiTenantEngine._apply_grant would: decide the next layer
- * (camdn_select), take the memoized ``(grant, (work, 0.0), is_lbm)``
- * entry and install its work.
+ * CaMDNSystem._try_grant -> MultiTenantEngine._apply_grant would:
+ * decide the next layer (camdn_select), take the memoized
+ * ``(grant, (work, 0.0), is_lbm)`` entry, resize the task's region when
+ * the footprint changes (camdn_grant) and install the work.
  *
  * HANDLED; DECLINE with nothing changed when the Python chain must
- * handle the completion (last layer, resize or denial, memo miss,
- * unexpected types); -1 on a Python error. */
+ * handle the completion (last layer, denial, memo miss, unexpected
+ * types); -1 on a Python error. */
 static int
-camdn_completion(const batch_table *t, inst_view *v, double now,
+camdn_completion(batch_table *t, inst_view *v, double now,
                  double *c_i, double *d_i, double *prog_i, long *lbm)
 {
-    PyObject *memo, *key, *entry, *pair, *is_lbm, *grant;
+    PyObject *memo, *key, *entry, *pair, *is_lbm, *grant, *free;
     PyObject *new_block = NULL;
     long nxt = v->layer + 1;
+    int rc;
     camdn_query q;
     camdn_choice ch;
     work_view nw = {NULL, NULL, NULL, 0.0, 0.0, 0.0};
@@ -1360,6 +1766,14 @@ camdn_completion(const batch_table *t, inst_view *v, double now,
     if (!PyDict_CheckExact(memo)) {
         return DECLINE;
     }
+    /* The free-page count of the grant rule, from the live list. */
+    free = get_attr(t->pages, s_free);
+    if (free == NULL || !PyList_CheckExact(free)) {
+        Py_XDECREF(free);
+        return DECLINE;
+    }
+    q.free_pages = (long)PyList_GET_SIZE(free);
+    Py_DECREF(free);
     q.tnext_l = t->tnext_l;
     q.pnext_l = t->pnext_l;
     q.palloc_l = t->palloc_l;
@@ -1422,14 +1836,16 @@ camdn_completion(const batch_table *t, inst_view *v, double now,
         }
     }
 
-    /* --- commit --- */
-    if (camdn_commit(&q, &ch) < 0 ||
+    /* --- commit: the grant's page moves first, since a failed check
+     * there still declines with nothing changed --- */
+    rc = camdn_grant(t, v, ch.pages, ch.palloc);
+    if (rc != 0 || camdn_commit(&q, &ch) < 0 ||
         (new_block != NULL &&
          PyObject_SetAttr(v->state, s_lbm_block, new_block) < 0)) {
         Py_XDECREF(new_block);
         Py_DECREF(grant);
         release_work(&nw);
-        return -1;
+        return rc == DECLINE ? DECLINE : -1;
     }
     Py_XDECREF(new_block);
     v->lbm_s = ch.lbm_s;
@@ -1468,7 +1884,7 @@ parse_table(PyObject *obj, batch_table *t)
         }
         return 0;
     }
-    if (t->kind == TABLE_CAMDN && size == 9) {
+    if (t->kind == TABLE_CAMDN && size == 11) {
         t->tnext_l = PyTuple_GET_ITEM(obj, 1);
         t->pnext_l = PyTuple_GET_ITEM(obj, 2);
         t->palloc_l = PyTuple_GET_ITEM(obj, 3);
@@ -1477,6 +1893,8 @@ parse_table(PyObject *obj, batch_table *t)
         t->share = PyLong_AsLong(PyTuple_GET_ITEM(obj, 6));
         t->hw_mode = PyLong_AsLong(PyTuple_GET_ITEM(obj, 7));
         t->fast_files = PyTuple_GET_ITEM(obj, 8);
+        t->pages = PyTuple_GET_ITEM(obj, 9);
+        t->alloc = PyTuple_GET_ITEM(obj, 10);
         if (PyErr_Occurred()) {
             return -1;
         }
@@ -1528,8 +1946,9 @@ bad:
  *
  * None (the whole call) means that happened before the first event:
  * nothing was touched.  The loop keeps no state between calls: each
- * call leaves the fluid lists, slack progress, instances, tasks and
- * predictor lists exactly as the per-event Python loop would.
+ * call leaves the fluid lists, slack progress, instances, tasks,
+ * regions, page allocator and predictor lists exactly as the
+ * per-event Python loop would.
  */
 static PyObject *
 batch_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -1809,6 +2228,15 @@ intern_names(void)
         {&s_rem_compute_cycles, "rem_compute_cycles"},
         {&s_rem_dram_bytes, "rem_dram_bytes"},
         {&s_block_of, "block_of"},
+        {&s_free, "_free"},
+        {&s_page_owner, "_page_owner"},
+        {&s_owner_pages, "_owner_pages"},
+        {&s_num_pages, "num_pages"},
+        {&s_task_id, "task_id"},
+        {&s_cpt, "cpt"},
+        {&s_table, "_table"},
+        {&s_max_entries, "max_entries"},
+        {&s_palloc_sum, "_palloc_sum"},
     };
     size_t i;
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++) {

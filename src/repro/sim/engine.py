@@ -40,10 +40,11 @@ non-final layer completion the policy's completion table covers
 (:meth:`~repro.schedulers.base.SchedulerPolicy.native_batch_args`) is
 handled in C too.  The transparent-cache policies (baseline, MoCA,
 AuRORA) install the next layer's memoized work; the CaMDN policies run
-the layer accounting, Algorithm 1 selection and memoized grant.  The
+the layer accounting, Algorithm 1 selection and memoized grant,
+including the grant's region resize.  The
 loop hands back to the Python chain the completions it cannot take:
 memo entries the process has not built yet (the memos are
-process-wide), last layers, CaMDN resizes and denials,
+process-wide), last layers, CaMDN denials,
 completions while waiters are pending, every completion of a policy
 with no table, and every completion while a
 :class:`~repro.sim.trace.TraceRecorder` is attached (its spans stay in

@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 _MODULE_PATH = (
     Path(__file__).parent.parent.parent
     / "benchmarks" / "collect_trajectory.py"
@@ -72,3 +74,58 @@ class TestRoadmapRow:
         ) == 0
         out = capsys.readouterr().out.strip()
         assert out == collect_trajectory.roadmap_row(_doc(), label="PR 9")
+
+
+def _report(workload="figs-fleet", metrics=None):
+    """The text of a ``perfbench/run.py`` report: header line, report
+    lines, then the JSON metrics line."""
+    if metrics is None:
+        metrics = {
+            "setup_s": {"value": 0.1712, "unit": "s"},
+            "peak_rss_mb": {"value": 49.5, "unit": "MiB"},
+            "run_s": {"value": 5.39123, "unit": "s"},
+            "rerun_s": {"value": 0.64049, "unit": "s"},
+        }
+    return "\n".join([
+        f"perfbench {workload} seed=2025 seconds=56 trace=0 size=full",
+        "ops: attempted 6, failed 0 (3 iterations: 3 pass-1 and 3 "
+        "pass-2 ops)",
+        "end-to-end metrics (untraced; ...):",
+        json.dumps({"correct": True, "attempted": 6, "failed": 0,
+                    "metrics": metrics}),
+        "",
+    ])
+
+
+class TestPerfbenchReports:
+    def test_notes_read_workload_and_end_to_end_times(self):
+        assert collect_trajectory.perfbench_notes(_report()) == \
+            "perfbench figs-fleet: run_s 5.391 s, rerun_s 0.640 s"
+
+    def test_traced_report_has_no_end_to_end_times(self):
+        traced = _report(metrics={"campaign.s": {"value": 2.8,
+                                                 "unit": "s"}})
+        with pytest.raises(ValueError, match="run_s"):
+            collect_trajectory.perfbench_notes(traced)
+
+    def test_other_text_is_rejected(self):
+        with pytest.raises(ValueError, match="not a perfbench"):
+            collect_trajectory.perfbench_notes("hello\n{}\n")
+
+    def test_row_from_cli_adds_each_report(self, tmp_path, capsys):
+        path = tmp_path / "BENCH_trajectory.json"
+        path.write_text(json.dumps(_doc()))
+        fleet = tmp_path / "figs-fleet.txt"
+        fleet.write_text(_report())
+        cold = tmp_path / "cold-start.txt"
+        cold.write_text(_report("cold-start"))
+        assert collect_trajectory.main(
+            ["--row-from", str(path), "--roadmap-label", "nightly",
+             "--perfbench", str(fleet), "--perfbench", str(cold)]
+        ) == 0
+        row = capsys.readouterr().out.strip()
+        assert row.count("|") == 4
+        assert row.endswith(
+            "scenario: camdn-qos/churn-heavy 173k ev/s; "
+            "perfbench figs-fleet: run_s 5.391 s, rerun_s 0.640 s; "
+            "perfbench cold-start: run_s 5.391 s, rerun_s 0.640 s |")

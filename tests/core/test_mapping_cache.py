@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.config import SoCConfig
+from repro.config import NPUConfig, SoCConfig
 from repro.core.mapper.layer_mapper import (
     LayerMapper,
     mapping_cache_dir,
@@ -58,4 +58,17 @@ class TestMappingDiskCache:
         LayerMapper(SoCConfig()).map_model(graph)
         LayerMapper(SoCConfig(),
                     lbm_occupancy_fraction=0.5).map_model(graph)
+        assert len(list(mapcache.glob("*.json"))) == 2
+
+    def test_half_frequency_soc_gets_its_own_mapping(self, mapcache):
+        """The clock sets every MCT's ``est_latency_s`` (Algorithm 1's
+        timeouts and ``Tnext``), so a Table II mapping must not serve a
+        half-frequency SoC, from memory or from disk."""
+        graph = build_model("RS.")
+        LayerMapper(SoCConfig()).map_model(graph)
+        slow = SoCConfig(npu=NPUConfig(frequency_hz=0.5e9))
+        mapped = LayerMapper(slow).map_model(graph)
+        solved = LayerMapper(slow)._solve_model(graph)
+        assert json.dumps(mapping_file_to_dict(mapped), sort_keys=True) \
+            == json.dumps(mapping_file_to_dict(solved), sort_keys=True)
         assert len(list(mapcache.glob("*.json"))) == 2

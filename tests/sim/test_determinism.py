@@ -151,11 +151,11 @@ class TestProcessWideMemos:
         assert counts["begin_hit"] > 0
 
     def test_soc_key(self):
-        """A SoC that differs only in ``dwconv_efficiency`` shares the
-        Table II mapping files (the mapping-file key leaves the field
-        out) but not their layer works."""
+        """A SoC that differs only in ``dwconv_efficiency`` gets its own
+        mapping files (the field sets the candidates' compute cycles)
+        and layer works."""
         dw = SoCConfig(npu=NPUConfig(dwconv_efficiency=0.5))
-        assert prepare_model("MB.", dw).mapping_file is \
+        assert prepare_model("MB.", dw).mapping_file is not \
             prepare_model("MB.", SoCConfig()).mapping_file
         policies = ("camdn-full", "aurora")
         keys = ("MB.", "EF.")

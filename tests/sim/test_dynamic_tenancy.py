@@ -150,6 +150,12 @@ class RetireProbe(CaMDNFullScheduler):
             (now, stream_id, self.system.regions.free_pages)
         )
 
+    def native_batch_args(self):
+        # The probe watches the regions at every layer completion in
+        # advance_layer, so the native batch loop, which resizes
+        # regions itself, must hand every completion back to Python.
+        return None
+
     def advance_layer(self, instance, now):
         out = super().advance_layer(instance, now)
         if self.freed_pcpns and \

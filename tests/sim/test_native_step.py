@@ -62,15 +62,23 @@ TRANSPARENT_POLICIES = ("baseline", "moca", "aurora")
 #: batch loop, or the pure-Python completion chain.
 WARM_PATHS = ("native", "python")
 
+#: The twelve-tenant mix that crowds a 4 MiB cache (``tight-cache``).
+TIGHT_KEYS = ("RS.", "MB.", "EF.", "VT.", "BE.", "GN.", "WV.", "PP.",
+              "RS.", "MB.", "EF.", "VT.")
+
 #: Cross-path cases of the batch loop's completion tables: (scenario,
-#: fault schedule, SoC).  ``churn-ecc`` retires pages mid-run, so
-#: region resizes make the batch loop decline completions between
-#: handled ones; ``qos-2core`` gives camdn-qos and AuRORA deadlines
-#: tight enough for 2-core grants (memo keys with cores=2);
-#: ``qos-throttle`` starts every MoCA task at the slack-0.5 throttle
-#: threshold, so the shares depend on the layer progress the loop
-#: writes back; ``odd-cores`` leaves 3 cores, so AuRORA runs one model
-#: on 2 cores and on 1 in the same run.
+#: fault schedule, SoC).  ``churn-ecc`` churns tenants and retires
+#: pages mid-run, so regions shrink and move outside Algorithm 1
+#: between handled completions; ``tight-cache`` crowds twelve tenants
+#: onto a 4 MiB cache, so the region resizes the batch loop does itself
+#: include grows that empty the free pool, denials one page short,
+#: shrinks into a non-empty free list and held-list merges;
+#: ``qos-2core`` gives camdn-qos and AuRORA deadlines tight enough for
+#: 2-core grants (memo keys with cores=2); ``qos-throttle`` starts
+#: every MoCA task at the slack-0.5 throttle threshold, so the shares
+#: depend on the layer progress the loop writes back; ``odd-cores``
+#: leaves 3 cores, so AuRORA runs one model on 2 cores and on 1 in the
+#: same run.
 CAMDN_CASES = {
     "closed-loop": (
         ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "BE."),
@@ -95,6 +103,10 @@ CAMDN_CASES = {
         ScenarioSpec.closed_loop(("RS.", "RS.", "MB."), inferences=3,
                                  qos_scale=0.5),
         None, SoCConfig(num_npu_cores=3),
+    ),
+    "tight-cache": (
+        ScenarioSpec.closed_loop(TIGHT_KEYS, inferences=4),
+        None, SoCConfig().with_cache_bytes(4 << 20),
     ),
 }
 
@@ -282,11 +294,44 @@ class TestCompletionFastPath:
     The identity tests stay green when the batch loop silently declines
     everything (a type bail on every completion, a changed table
     layout); these tests do not.  CaMDN declines are last layers,
-    resizes, denials, waiters and memo misses.  The memos are
-    process-wide, so here at most the first inference of each stream
-    builds entries and at most 1 in 8 completions (12.5 %) reaches
-    Python; a silent fall-back sends all of them.
+    denials, waiters and memo misses.  The memos are process-wide, so
+    here at most the first inference of each stream builds entries and
+    at most 1 in 8 completions (12.5 %) reaches Python; a silent
+    fall-back sends all of them.
     """
+
+    def test_most_resizes_skip_python(self):
+        """The batch loop resizes regions itself: of the completions
+        whose grant changes the task's region size, only memo misses
+        and those while waiters are pending reach ``advance_layer``."""
+        spec = ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "VT.") * 2,
+                                        inferences=8)
+        # A 4 MiB cache makes Algorithm 1 resize at most boundaries.
+        soc = SoCConfig().with_cache_bytes(4 << 20)
+
+        def python_resizes(use_native):
+            scheduler = make_scheduler("camdn-full")
+            advance = scheduler.advance_layer
+            count = [0]
+
+            def counting(inst, now):
+                region = inst.sched_ctx[1]
+                pages = len(region.pcpns)
+                out = advance(inst, now)
+                count[0] += len(region.pcpns) != pages
+                return out
+
+            scheduler.advance_layer = counting
+            MultiTenantEngine(soc, scheduler,
+                              ScenarioWorkload(spec),
+                              use_native=use_native).run()
+            return count[0]
+
+        clear_prepared_caches()
+        # Without native code every resizing completion calls it.
+        total = python_resizes(False)
+        assert total > 0
+        assert python_resizes(None) < 0.25 * total
 
     def test_most_completions_skip_python(self):
         spec = ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "VT.") * 2,
@@ -337,6 +382,51 @@ class TestCompletionFastPath:
         # calls it.
         total = python_begins(False)
         assert python_begins(None) < 0.25 * total
+
+
+def _single_level_row(pages):
+    """A ``_build_fast_file`` geometry row of a layer with one LWM
+    candidate of ``pages`` pages and no LBM candidate, so the
+    selection is always code 2 with that footprint."""
+    return (-1, 0, -1, -1, 0.0, 1e-3, 2e-4, 1, 1, 1,
+            (pages,), (0,), (0,), (pages,))
+
+
+@needs_native
+class TestCamdnAdvanceGrant:
+    """``camdn_advance`` grants exactly what ``CaMDNSystem._try_grant``
+    grants: a selection whose footprint grows the region by more pages
+    than are free is a denial (None, nothing written), anything else
+    is taken, shrinks included."""
+
+    ADVANCE = native.camdn_advance()
+
+    def _advance(self, pages, region, free, palloc=None):
+        palloc = region if palloc is None else palloc
+        tnext, pnext = [0.0], [0]
+        res = self.ADVANCE(tnext, pnext, [palloc], 0, 0.5, 64, palloc,
+                           -1, -1, 0, region, free,
+                           _single_level_row(pages), 0, 64)
+        return res, tnext, pnext
+
+    @pytest.mark.parametrize("region", (0, 3, 8))
+    def test_grow_boundary(self, region):
+        needed = 8 - region
+        res, tnext, _ = self._advance(8, region, needed)
+        assert res == (2, -1, -1)
+        assert tnext == [0.5 + 1e-3]
+        if needed:
+            res, tnext, pnext = self._advance(8, region, needed - 1)
+            assert res is None
+            assert (tnext, pnext) == ([0.0], [0])
+
+    def test_shrink_is_granted_with_no_free_page(self):
+        assert self._advance(2, 8, 0)[0] == (2, -1, -1)
+
+    def test_holding_disagreement_declines(self):
+        # The Python chain skips _try_grant when the footprint equals
+        # the region, which is exact only while palloc agrees with it.
+        assert self._advance(8, 8, 0, palloc=7)[0] is None
 
 
 @needs_native
