@@ -129,7 +129,6 @@ def run_scenario(
     workload = ScenarioWorkload(spec, recorder=recorder)
     engine = MultiTenantEngine(soc, scheduler, workload,
                                trace=config.trace,
-                               kernel_backend=config.kernel_backend,
                                event_recorder=recorder,
                                faults=faults)
     result = engine.run(

@@ -2,10 +2,9 @@
 
 :func:`repro.experiments.common.run_scenario` grew one keyword at a
 time — QoS integration, trace capture, fault injection, watchdog
-budgets, rolling checkpoints, snapshot hooks, kernel-backend pinning —
-until every new axis widened a 12-keyword signature at every call
-site.  :class:`RunConfig` consolidates all of them into one frozen,
-reusable value object::
+budgets, rolling checkpoints, snapshot hooks — until every new axis
+widened a 12-keyword signature at every call site.  :class:`RunConfig`
+consolidates all of them into one frozen, reusable value object::
 
     from repro import RunConfig, run
 
@@ -51,14 +50,6 @@ class RunConfig:
             (execution-timeline capture; excluded from equality so
             configs differing only in an attached recorder compare
             equal).
-        kernel_backend: ``"list"`` pins the engine to the split step
-            path (policy rates plus the pure-Python list kernel),
-            standing down the native and Python fused steppers, and
-            runs no native code at all: CaMDN completions take the
-            Python chain too.  Tests use it to cross-check the paths.
-            ``None`` (the default) lets the engine choose its fastest
-            path.  Any other value is rejected with
-            :class:`ValueError` when the engine is built.
         max_events: engine watchdog event budget (see
             :meth:`~repro.sim.engine.MultiTenantEngine.run`).
         max_wall_s: engine watchdog wall-clock budget in seconds; the
@@ -79,7 +70,6 @@ class RunConfig:
     capture_trace: bool = False
     trace: Optional[Any] = field(default=None, compare=False,
                                  repr=False)
-    kernel_backend: Optional[str] = None
     max_events: Optional[int] = None
     max_wall_s: Optional[float] = None
     checkpoint_every_s: Optional[float] = None

@@ -52,8 +52,9 @@ class SchedulerPolicy(abc.ABC):
     #: on the running-set membership (e.g. the equal-split default) may set
     #: this to ``False``: the engine then keeps cached rates valid across
     #: layer-work changes and only invalidates them on explicit
-    #: membership-change notifications, which is what enables the
-    #: steady-interval fast-forward.
+    #: membership-change notifications, and the native batch loop steps
+    #: such a policy at its installed rates (mode 0) across layer
+    #: completions.
     dynamic_rates = True
 
     #: Monotone counter bumped (via :meth:`bump_rate_epoch`) whenever
@@ -225,8 +226,8 @@ class SchedulerPolicy(abc.ABC):
         from its kernel arrays; the returned list is aligned with
         ``insts``.  Every order-sensitive reduction (demand totals,
         weight normalizations) must accumulate in that order.  This is
-        the hand-written reference the fused steppers declared by
-        :meth:`rate_kernel` are tested against.
+        the hand-written reference the native loop's fused modes
+        declared by :meth:`rate_kernel` are tested against.
 
         Default: equal split.
         """
@@ -260,9 +261,10 @@ class SchedulerPolicy(abc.ABC):
         """Declarative description of the share rule, when expressible.
 
         A policy whose :meth:`bandwidth_shares` currently reduces to a
-        closed form the engine can fuse with the kernel step may return
-        a spec tuple; ``None`` (the default) keeps the split
-        recompute/step path.  Every spec implies ``demand =
+        closed form the native batch loop can fuse with the kernel step
+        may return a spec tuple; ``None`` (the default) keeps the split
+        recompute/step path.  Without native code every policy takes
+        the split path.  Every spec implies ``demand =
         max(rem_dram, 1) / max(rem_compute / freq, 1e-9)`` and the
         policy's :meth:`dram_efficiency`.  Supported specs:
 
@@ -283,10 +285,10 @@ class SchedulerPolicy(abc.ABC):
         stay a pure function of those inputs and ``now``.
 
         The returned spec must hold until the policy bumps
-        :attr:`rate_epoch`.  The fused implementations are
-        bit-identical to :meth:`bandwidth_shares` (the cross-path tests
-        compare them), so the spec is purely a speedup contract; it is
-        never a substitute for writing :meth:`bandwidth_shares`.
+        :attr:`rate_epoch`.  The fused modes are bit-identical to
+        :meth:`bandwidth_shares` (the cross-path tests compare them), so
+        the spec is purely a speedup contract; it is never a substitute
+        for writing :meth:`bandwidth_shares`.
         """
         return None
 

@@ -272,25 +272,21 @@ class CaMDNSchedulerBase(SchedulerPolicy):
     def advance_layer(self, instance: TaskInstance, now: float
                       ) -> Tuple[Optional[LayerWork], float]:
         """Fused engine hook: end-of-layer bookkeeping plus next-layer
-        selection in one call (resolves the task context once).  Must
-        behave exactly like ``on_layer_end`` -> ``layer_index += 1`` ->
-        ``begin_layer``; the engine only calls it when the next layer
-        exists."""
+        selection in one call.  Must behave exactly like
+        ``on_layer_end`` -> ``layer_index += 1`` -> ``begin_layer``,
+        which it runs whenever the native completion handler cannot
+        take the completion; the engine only calls it when the next
+        layer exists."""
         ctx = instance.sched_ctx
-        if ctx is None:
-            # Defensive fallback to the split protocol (raises there).
-            self.on_layer_end(instance, now)
-            instance.layer_index += 1
-            return self.begin_layer(instance, now)
-        state, region = ctx
-        layer_index = instance.layer_index
         fast = self._advance_native
-        if fast is not None:
+        if ctx is not None and fast is not None:
             # Native per-completion fast path: end-of-layer predictor
             # update, next-layer selection and the grant check in one C
             # call.  None means the C side bailed without mutating
             # anything (a denial, say); the Python chain below then owns
             # the event.
+            state, region = ctx
+            layer_index = instance.layer_index
             mf = state.mapping_file
             ft = self._fast_files.get(id(mf))
             if ft is None or ft[0] is not mf:
@@ -340,30 +336,11 @@ class CaMDNSchedulerBase(SchedulerPolicy):
                     if entry[2]:
                         self._lbm_layers += 1
                     return entry[1]
-        self._alloc_end(state, layer_index, now)
-        layer_index += 1
-        instance.layer_index = layer_index
-        hw = self._sys_hw
-        if hw is not None:
-            decision = hw(state, layer_index)
-        else:
-            decision = self._alloc_select(state, layer_index, now)
-        grant = self._sys_try(state, region, layer_index, decision)
-        # Inlined granted fast path of _grant_to_work (this chain runs
-        # twice per simulated event).
-        instance.sched_scratch = grant
-        if grant.granted:
-            candidate = grant.decision.candidate
-            entry = self._work_cache.get(id(candidate))
-            if entry is None or entry[0] is not candidate:
-                entry = self._work_entry(candidate)
-            if entry[2]:
-                self._lbm_layers += 1
-            pair = entry[1].get(instance.cores)
-            if pair is not None:
-                return pair
-            return self._build_work(instance, candidate, entry)
-        return self._grant_to_work(instance, grant)
+        # No context (on_layer_end raises "not registered"), no native
+        # handler, or a decline: the split protocol.
+        self.on_layer_end(instance, now)
+        instance.layer_index += 1
+        return self.begin_layer(instance, now)
 
     def timeout_layer(self, instance: TaskInstance, now: float
                       ) -> Tuple[Optional[LayerWork], float]:

@@ -52,10 +52,11 @@
  *
  * The functions are deliberately conservative: any input they are not
  * certain about (a non-float list item, a non-positive demand total)
- * makes them return None, telling the engine to take the pure-Python
- * path for that event or completion.  The Python and C paths are
- * interchangeable mid-run.  The engine runs none of them under
- * use_native=False, the kernel_backend="list" pin or REPRO_NATIVE=0.
+ * makes them return None, telling the engine to take the Python split
+ * step (MultiTenantEngine._recompute_rates + RunningKernel.step) for
+ * that event, or the Python completion chain for that completion.  The
+ * Python and C paths are interchangeable mid-run.  The engine runs none
+ * of them under use_native=False or REPRO_NATIVE=0.
  */
 
 #define PY_SSIZE_T_CLEAN

@@ -49,16 +49,14 @@ completions while waiters are pending, every completion of a policy
 with no table, and every completion while a
 :class:`~repro.sim.trace.TraceRecorder` is attached (its spans stay in
 Python); after a completion while a task is queued for dispatch it
-returns.  ``use_native=False``, the ``kernel_backend="list"`` pin and
-``REPRO_NATIVE=0`` run no native code: a fusable rate rule then takes
-the pure-Python fused twin per event
-(:meth:`RunningKernel.fused_step_demand` /
-:meth:`RunningKernel.fused_step_slack`), anything else (and the list
-pin always) the split ``_recompute_rates`` + :meth:`RunningKernel.step`
-pair.  Each piecewise-constant interval is still stepped individually —
-exactness requires draining every interval with the same arithmetic —
-so batching elides bookkeeping, never events, and every path is
-bit-identical to the split Python path by construction.
+returns.  ``use_native=False`` and ``REPRO_NATIVE=0`` run no native
+code: every event then takes the split ``_recompute_rates`` +
+:meth:`RunningKernel.step` pair, the Python reference the C loop
+transcribes, and every completion the Python chain.  Each
+piecewise-constant interval is still stepped individually — exactness
+requires draining every interval with the same arithmetic — so
+batching elides bookkeeping, never events, and the two step paths are
+bit-identical by construction.
 
 Dynamic tenancy: a tenant that joins mid-run is admitted through the
 scheduler's :meth:`~repro.schedulers.base.SchedulerPolicy.on_tenant_admit`
@@ -229,7 +227,6 @@ class MultiTenantEngine:
     def __init__(self, soc: SoCConfig, scheduler: "SchedulerPolicy",
                  workload: ScenarioWorkload,
                  trace: Optional["TraceRecorder"] = None,
-                 kernel_backend: Optional[str] = None,
                  use_native: Optional[bool] = None,
                  event_recorder: Optional["EventTraceRecorder"] = None,
                  faults: Optional[FaultSpec] = None,
@@ -264,22 +261,17 @@ class MultiTenantEngine:
         self._total_bw = float(soc.dram.total_bandwidth_bytes_per_s)
         self._freq = float(soc.npu.frequency_hz)
         self._dram_eff: Dict[int, float] = {}
-        # kernel_backend="list" pins the step arithmetic to the split
-        # path (policy rates + RunningKernel.step), so the fused paths —
-        # native and Python — stand down; cross-path tests rely on it.
-        if kernel_backend not in (None, "list"):
-            raise ValueError(f"unknown kernel backend {kernel_backend!r}")
-        self._kernel_backend = kernel_backend
         # SoA kernel over the RUNNING set.
         self._kernel = RunningKernel()
-        # Native batch loop (None: pure-Python paths).  It gates every
-        # native entry point of the run (see _bind_native).
+        # Native batch loop (None: the Python split path).  It gates
+        # every native entry point of the run (see _bind_native).
         self._batch = None
-        if use_native is not False and kernel_backend is None:
+        if use_native is not False:
             self._batch = native.batch_loop()
-        # Fused rate mode, resolved from the policy's rate_kernel() per
-        # rate epoch (see _resolve_rate_mode): 0 = split path,
-        # 1 = demand_prop, 2 = slack_weighted, 3 = slack_throttled.
+        # The native loop's rate mode, resolved from the policy's
+        # rate_kernel() per rate epoch (see _resolve_rate_mode):
+        # 0 = installed rates, 1 = demand_prop, 2 = slack_weighted,
+        # 3 = slack_throttled.  Always 0 without native code.
         self._fused_mode = 0
         self._mode_floor = 0.0
         self._mode_urgency = 0.0
@@ -408,9 +400,8 @@ class MultiTenantEngine:
         """Share this engine's native code with a CaMDN scheduler.
 
         The scheduler gets the C completion handler only when the
-        engine runs the native batch loop, so ``use_native=False``, the
-        ``kernel_backend`` pin and ``REPRO_NATIVE=0`` keep the whole
-        run in Python.
+        engine runs the native batch loop, so ``use_native=False`` and
+        ``REPRO_NATIVE=0`` keep the whole run in Python.
         """
         bind = getattr(self.scheduler, "bind_native", None)
         if bind is not None:
@@ -464,14 +455,12 @@ class MultiTenantEngine:
         return EngineSnapshot.capture(self)
 
     @classmethod
-    def resume(cls, snapshot, use_native: Optional[bool] = None,
-               kernel_backend: Optional[str] = None,
+    def resume(cls, snapshot, use_native: Optional[bool] = None
                ) -> "MultiTenantEngine":
         """Reconstruct a runnable engine from an
         :class:`~repro.sim.snapshot.EngineSnapshot`; continue it with
         :meth:`resume_run`."""
-        return snapshot.resume(use_native=use_native,
-                               kernel_backend=kernel_backend)
+        return snapshot.resume(use_native=use_native)
 
     def _setup_checkpoints(self, every_s: Optional[float],
                            directory: Optional[str],
@@ -559,7 +548,6 @@ class MultiTenantEngine:
                 "wait_seq": dict(self._wait_seq),
                 "next_seq": self._next_seq,
                 "rates_valid": self._rates_valid,
-                "kernel_backend": self._kernel_backend,
                 "kernel": self._kernel.export_state(),
             },
         }
@@ -683,11 +671,12 @@ class MultiTenantEngine:
     def _resolve_rate_mode(self) -> None:
         """Cache the policy's fusable rate rule for the current epoch.
 
-        A policy advertising a fusable spec gets the fused
-        recompute+step path (native when compiled, pure Python
-        otherwise); anything else keeps the split
-        ``_recompute_rates`` + ``kernel.step`` pair.  Supported specs
-        (see :meth:`SchedulerPolicy.rate_kernel`):
+        With native code, a policy advertising a fusable spec gets the
+        native loop's fused recompute+step; anything else, and every
+        policy without native code, keeps mode 0 (the split
+        ``_recompute_rates`` + ``kernel.step`` pair, or the native loop
+        at the installed rates).  Supported specs (see
+        :meth:`SchedulerPolicy.rate_kernel`):
 
         * ``("demand_prop", floor)``     -> mode 1
         * ``("slack_weighted", urgency, floor)`` -> mode 2
@@ -695,8 +684,8 @@ class MultiTenantEngine:
 
         The slack modes additionally switch the kernel's slack-input
         SoA tracking on (``configure_slack``), so per-instance deadline
-        /est/progress inputs ride alongside the fluid arrays.
-        Re-resolved whenever the policy bumps
+        /est/progress inputs ride alongside the fluid arrays; mode 0
+        switches it off.  Re-resolved whenever the policy bumps
         :attr:`~repro.schedulers.base.SchedulerPolicy.rate_epoch`.
         """
         scheduler = self.scheduler
@@ -705,12 +694,7 @@ class MultiTenantEngine:
         self._fused_mode = 0
         self._mode_floor = 0.0
         self._mode_urgency = 0.0
-        if self._kernel_backend is not None:
-            # A pinned kernel backend means the test wants the split
-            # step implementation.
-            kernel.configure_slack(False)
-            return
-        spec = scheduler.rate_kernel()
+        spec = None if self._batch is None else scheduler.rate_kernel()
         if spec is None:
             kernel.configure_slack(False)
             return
@@ -745,9 +729,9 @@ class MultiTenantEngine:
         and hands back the completions it declines; with a
         :class:`~repro.sim.trace.TraceRecorder` attached it hands back
         every completion, so the trace spans stay in Python.  Without
-        native code, a fusable rate rule collapses the rates-recompute
-        and the kernel step into one Python fused call per event;
-        otherwise the split pair runs.  All paths are bit-identical.
+        native code (or when the loop cannot step a dynamic-rate policy
+        without a fusable rule), every event runs the split pair, which
+        the C loop transcribes bit for bit.
         """
         kernel = self._kernel
         insts = kernel.insts
@@ -758,8 +742,6 @@ class MultiTenantEngine:
             # rule (e.g. MoCA's first finite-deadline task arrived).
             self._resolve_rate_mode()
         step = kernel.step
-        fused_py = kernel.fused_step_demand
-        fused_slack_py = kernel.fused_step_slack
         dram_eff = self._dram_eff
         freq = self._freq
         total_bw = self._total_bw
@@ -843,24 +825,11 @@ class MultiTenantEngine:
                 if finished is None:
                     return
             else:
-                res = None
-                if fused_mode and n:
-                    if fused_mode == 1:
-                        res = fused_py(wait_dt, freq, total_bw, eff, floor)
-                    else:
-                        res = fused_slack_py(
-                            wait_dt, freq, total_bw, eff, floor,
-                            urgency, self.now, fused_mode == 3,
-                        )
-                if res is None:
-                    # Split path: the exact pre-batch per-event
-                    # machinery (also the fallback for inputs outside
-                    # the fused fast-path shape).
-                    if not self._rates_valid:
-                        self._recompute_rates()
-                    dt, finished = step(wait_dt)
-                else:
-                    dt, finished = res
+                # Split path: the Python reference of one event (also
+                # the fallback when the C loop declines its inputs).
+                if not self._rates_valid:
+                    self._recompute_rates()
+                dt, finished = step(wait_dt)
                 if math.isinf(dt):
                     raise SimulationError(
                         "deadlock: active instances but no future event"

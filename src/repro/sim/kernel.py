@@ -16,15 +16,15 @@ instance runs only while it holds a core — so plain list loops are the
 right tool; the native C stepper (:mod:`repro.sim.native`) reads and
 writes these same lists.
 
-The split step (:meth:`RunningKernel.step` over the rates the engine
-installs from the policy's
-:meth:`~repro.schedulers.base.SchedulerPolicy.bandwidth_shares`), the
-pure-Python fused twins (:meth:`RunningKernel.fused_step_demand` /
-:meth:`RunningKernel.fused_step_slack`) and the native fused step are
-bit-identical because every operation is element-wise IEEE-754 double
-arithmetic in the same expression shape, the event-time reduction is a
-``min`` (exact in any order), and every share total adds left to right
-in insertion order (:func:`~repro.numeric.left_sum`).
+The engine has two step paths.  The Python reference is the split
+step: :meth:`RunningKernel.step` over the rates the engine installs
+from the policy's
+:meth:`~repro.schedulers.base.SchedulerPolicy.bandwidth_shares`.  The
+native batch loop transcribes it, and the two are bit-identical
+because every operation is element-wise IEEE-754 double arithmetic in
+the same expression shape, the event-time reduction is a ``min``
+(exact in any order), and every share total adds left to right in
+insertion order (:func:`~repro.numeric.left_sum`).
 
 Insertion order is load-bearing: completion processing and bandwidth-share
 normalization must observe instances in insertion order (the frozen
@@ -34,11 +34,9 @@ compacted (never reused out of order) on every membership change.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import SimulationError
-from ..numeric import left_sum
 
 if TYPE_CHECKING:
     from .task import TaskInstance
@@ -66,11 +64,10 @@ class RunningKernel:
         self.rem_d: List[float] = []
         self.rate_c: List[float] = []
         self.rate_d: List[float] = []
-        # Slack-input SoA arrays for the fused slack-weighted rate
-        # kernels (see configure_slack).  Maintained alongside the fluid
-        # arrays only while a slack-aware fused mode is active, so
-        # demand-prop/static runs pay one boolean test per membership
-        # change and nothing else.
+        # Slack-input SoA arrays for the native loop's slack rate modes
+        # (see configure_slack).  Maintained alongside the fluid arrays
+        # only while such a mode is active, so every other run pays one
+        # boolean test per membership change and nothing else.
         self.sl_arrival: List[float] = []
         self.sl_qos: List[float] = []
         self.sl_est: List[float] = []
@@ -134,7 +131,7 @@ class RunningKernel:
         self.rate_d = rate_d
 
     # ------------------------------------------------------------------
-    # Slack-input maintenance (fused slack-weighted rate kernels)
+    # Slack-input maintenance (the native slack rate modes)
     # ------------------------------------------------------------------
 
     def _slack_append(self, inst: "TaskInstance") -> None:
@@ -146,7 +143,7 @@ class RunningKernel:
         )
 
     def configure_slack(self, enabled: bool, est_fn=None) -> None:
-        """Enable/disable slack-input tracking for the fused slack modes.
+        """Enable/disable slack-input tracking for the native slack modes.
 
         ``est_fn(inst)`` must return the estimated isolated latency used
         by :meth:`SchedulerPolicy.slack_of` — a pure function of the
@@ -249,179 +246,6 @@ class RunningKernel:
                 append(i)
         return dt, finished
 
-    def fused_step_demand(self, wait_dt: float, freq: float,
-                          total_bw: float, eff: float, floor: float):
-        """Fused demand-proportional event step (pure-Python twin of the
-        native ``_batchstep.fused_step`` in mode ``DEMAND_PROP``).
-
-        Recomputes the demand-proportional DRAM rates from the remaining
-        work, finds the next event time and drains the fluid work, in
-        one pass structure — every expression transcribes the exact
-        shape of ``CaMDNSchedulerBase.bandwidth_shares`` (non-QoS
-        branch, through ``DemandProportionalPolicy.allocate``),
-        ``MultiTenantEngine._recompute_rates`` and :meth:`step`, so the
-        results are bit-identical to the split path.  The compute rate
-        of every instance is ``freq``.
-
-        Returns ``(dt, finished_positions_or_None)``; ``None`` (the
-        whole call) means the inputs fall outside the fast-path shape
-        (non-positive demand total) and the caller must run the split
-        path for this event.  ``dt`` may be ``inf`` (idle/deadlock) or
-        negative (corrupt state) — both are returned untouched, state
-        unmodified, for the caller to report.
-        """
-        rem_c, rem_d = self.rem_c, self.rem_d
-        n = len(rem_c)
-        demands = [
-            (d if d > 1.0 else 1.0)
-            / (t if (t := c / freq) > 1e-9 else 1e-9)
-            for c, d in zip(rem_c, rem_d)
-        ]
-        total = left_sum(demands)
-        if n and not total > 0.0:
-            return None
-        floor_total = floor * n if floor * n < 1 else 0.0
-        base = floor if floor_total else 0.0
-        remaining = 1.0 - floor_total
-        dt = float("inf")
-        rate_d: List[float] = []
-        append_rate = rate_d.append
-        for c, d, demand in zip(rem_c, rem_d, demands):
-            s = base + remaining * (demand / total)
-            r = total_bw * s * eff
-            if not r > 1e-6:
-                r = 1e-6
-            append_rate(r)
-            t_c = c / freq
-            t_d = d / r
-            t = t_c if t_c >= t_d else t_d
-            if t < dt:
-                dt = t
-        if wait_dt < dt:
-            dt = wait_dt
-        if dt == float("inf") or dt < 0:
-            return dt, None
-        finished: Optional[List[int]] = None
-        for i in range(n):
-            c = rem_c[i] - dt * freq
-            if c < 0.0:
-                c = 0.0
-            rem_c[i] = c
-            d = rem_d[i] - dt * rate_d[i]
-            if d < 0.0:
-                d = 0.0
-            rem_d[i] = d
-            if c <= _FINISH_EPS and d <= _FINISH_EPS:
-                if finished is None:
-                    finished = [i]
-                else:
-                    finished.append(i)
-        return dt, finished
-
-    def fused_step_slack(self, wait_dt: float, freq: float,
-                         total_bw: float, eff: float, floor: float,
-                         urgency: float, now: float, throttled: bool):
-        """Fused slack-aware event step (pure-Python twin of the native
-        ``_batchstep.fused_step`` in modes ``SLACK_WEIGHTED`` /
-        ``SLACK_THROTTLED``).
-
-        ``throttled=False`` transcribes the slack-weighted share rule
-        (``AuRORAScheduler.bandwidth_shares`` →
-        ``SlackWeightedPolicy.allocate``, also the CaMDN QoS branch):
-        ``weight = max(demand, 1.0) * exp(-urgency * clamp(slack,
-        ±20))`` normalized as ``base + remaining * w / total``.
-
-        ``throttled=True`` transcribes MoCA's finite-deadline branch
-        (``MoCAScheduler.bandwidth_shares`` →
-        ``DemandProportionalPolicy.allocate`` non-negative fast path):
-        demands halved when ``slack > 0.5``, normalized as ``base +
-        remaining * (d / total)``.
-
-        Slack inputs come from the SoA arrays maintained under
-        :meth:`configure_slack`; every expression keeps the exact
-        IEEE-754 shape of ``SchedulerPolicy.slack_of`` and the policies'
-        share rules, so results are bit-identical to the split path.
-        Return protocol matches :meth:`fused_step_demand`.
-        """
-        rem_c, rem_d = self.rem_c, self.rem_d
-        arrival, qos = self.sl_arrival, self.sl_qos
-        est, progress = self.sl_est, self.sl_progress
-        n = len(rem_c)
-        isinf = math.isinf
-        exp = math.exp
-        weights: List[float] = []
-        append_w = weights.append
-        for i in range(n):
-            d = rem_d[i]
-            t = rem_c[i] / freq
-            # max(rem_d, 1.0) / max(rem_c / freq, 1e-9)
-            demand = (d if d > 1.0 else 1.0) / (t if t > 1e-9 else 1e-9)
-            q = qos[i]
-            if isinf(q):
-                slack = 1.0
-            else:
-                a = arrival[i]
-                expected_finish = a + (
-                    est[i] * (1.0 - progress[i])
-                ) + (now - a)
-                slack = (a + q - expected_finish) / q
-            if throttled:
-                # MoCA: halve the demand of comfortably-ahead tenants.
-                if slack > 0.5:
-                    demand *= 0.5
-                append_w(demand)
-            else:
-                # clamp = min(max(slack, -20.0), 20.0) — equal-value
-                # branches return the same float either way.
-                s = slack if slack > -20.0 else -20.0
-                s = s if s < 20.0 else 20.0
-                append_w(
-                    (demand if demand > 1.0 else 1.0) * exp(-urgency * s)
-                )
-        total = left_sum(weights)
-        if n and not total > 0.0:
-            return None
-        floor_total = floor * n if floor * n < 1 else 0.0
-        base = floor if floor_total else 0.0
-        remaining = 1.0 - floor_total
-        dt = float("inf")
-        rate_d: List[float] = []
-        append_rate = rate_d.append
-        for c, d, w in zip(rem_c, rem_d, weights):
-            if throttled:
-                s = base + remaining * (w / total)
-            else:
-                s = base + remaining * w / total
-            r = total_bw * s * eff
-            if not r > 1e-6:
-                r = 1e-6
-            append_rate(r)
-            t_c = c / freq
-            t_d = d / r
-            t = t_c if t_c >= t_d else t_d
-            if t < dt:
-                dt = t
-        if wait_dt < dt:
-            dt = wait_dt
-        if dt == float("inf") or dt < 0:
-            return dt, None
-        finished: Optional[List[int]] = None
-        for i in range(n):
-            c = rem_c[i] - dt * freq
-            if c < 0.0:
-                c = 0.0
-            rem_c[i] = c
-            d = rem_d[i] - dt * rate_d[i]
-            if d < 0.0:
-                d = 0.0
-            rem_d[i] = d
-            if c <= _FINISH_EPS and d <= _FINISH_EPS:
-                if finished is None:
-                    finished = [i]
-                else:
-                    finished.append(i)
-        return dt, finished
-
     # ------------------------------------------------------------------
     # Checkpoint support (see repro.sim.snapshot)
     # ------------------------------------------------------------------
@@ -436,7 +260,7 @@ class RunningKernel:
             "rem_d": list(self.rem_d),
             "rate_c": list(self.rate_c),
             "rate_d": list(self.rate_d),
-            # Slack-input SoA state for the fused slack modes; the
+            # Slack-input SoA state for the native slack modes; the
             # est_fn binding is not picklable and is re-installed by the
             # engine's rate-mode resolution on resume.
             "slack_on": self._slack_on,

@@ -3,10 +3,10 @@
 With native code, the engine's batch loop makes one C call
 (:mod:`repro.sim._batchstep`, ``batch_loop``) per run of events for
 every policy: the C loop steps each event with the same arithmetic as
-the Python fused twins and the split path, and takes the layer
-completions the policy's completion table covers (see
-:meth:`~repro.schedulers.base.SchedulerPolicy.native_batch_args`); the
-rest go back to the Python chain.  CaMDN's Python completion chain
+the Python split path (``_recompute_rates`` + ``RunningKernel.step``),
+and takes the layer completions the policy's completion table covers
+(see :meth:`~repro.schedulers.base.SchedulerPolicy.native_batch_args`);
+the rest go back to the Python chain.  CaMDN's Python completion chain
 also calls ``camdn_advance``, and ``fused_step`` is kept as the
 one-event harness of the C-vs-Python bit-identity tests.  The
 extension is compiled from the shipped ``_batchstep.c`` the first time
@@ -16,10 +16,11 @@ Python ABI, and loaded from the cache on every later run — so the repo
 stays a plain ``PYTHONPATH=src`` checkout with no build step.
 
 The loader is strictly best-effort: a missing compiler, a sandboxed
-filesystem, a failed compile or a failed import all degrade to the pure
-Python path (bit-identical by construction, just slower).  Disable
-explicitly with ``REPRO_NATIVE=0``; :func:`native_status` reports what
-happened for benchmark metadata and debugging.
+filesystem, a failed compile or a failed import all degrade to the
+Python split path and completion chain (bit-identical by construction,
+just slower).  Disable explicitly with ``REPRO_NATIVE=0``;
+:func:`native_status` reports what happened for benchmark metadata and
+debugging.
 """
 
 from __future__ import annotations

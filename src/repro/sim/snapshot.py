@@ -242,8 +242,7 @@ class EngineSnapshot:
     # Resume
     # ------------------------------------------------------------------
 
-    def resume(self, use_native: Optional[bool] = None,
-               kernel_backend: Optional[str] = None,
+    def resume(self, use_native: Optional[bool] = None
                ) -> "MultiTenantEngine":
         """Reconstruct a runnable engine from this snapshot.
 
@@ -252,11 +251,11 @@ class EngineSnapshot:
         ``run()``, which would re-attach the scheduler and wipe the
         restored state).
 
-        ``kernel_backend`` defaults to the pin at capture time (usually
-        ``None``; ``"list"`` forces the split path); ``use_native``
-        defaults to auto, and ``False`` (like the list pin) resumes
-        without any native code.  Both only select among bit-identical
-        implementations, so they never change results.
+        ``use_native`` defaults to auto, and ``False`` resumes without
+        any native code, on the Python split path.  It only selects
+        between bit-identical implementations, so it never changes
+        results.  A payload written while the engine still had a
+        kernel-backend pin resumes too: the pin's key is ignored.
 
         Raises:
             SnapshotError: the payload does not unpickle into engine
@@ -269,7 +268,6 @@ class EngineSnapshot:
             payload = _loads(self.payload)
             soc = payload["soc"]
             sched_state = payload["scheduler"]["state"]
-            eng_state = payload["engine"]
         except SnapshotError:
             raise
         except Exception as exc:
@@ -280,14 +278,11 @@ class EngineSnapshot:
         scheduler = make_scheduler(self.policy)
         scheduler.attach(soc)
         scheduler.restore_state(sched_state)
-        if kernel_backend is None:
-            kernel_backend = eng_state.get("kernel_backend")
         engine = MultiTenantEngine(
             soc,
             scheduler,
             payload["workload"],
             trace=payload["trace"],
-            kernel_backend=kernel_backend,
             use_native=use_native,
             event_recorder=payload["event_recorder"],
         )

@@ -12,8 +12,8 @@ ECC retirement bursts, tenant stalls — every policy must
   (page retirement, capacity change, tenant departure — probed on
   camdn-full);
 * never re-grant a retired page (implied by the allocator sweep);
-* produce byte-identical ``metric_summary()`` across the native fused
-  step and its pure-Python twin.
+* produce byte-identical ``metric_summary()`` across the native batch
+  loop and the Python split path.
 
 Deliberately *not* asserted under faults: capture-replay identity
 (fault events are observational in traces, not replayed) and count-mode
@@ -134,7 +134,7 @@ class TestChaosConservation:
 
 
 class TestChaosNativeIdentity:
-    """The native fused step against pure Python under fuzzed faults."""
+    """The native batch loop against pure Python under fuzzed faults."""
 
     def _run(self, spec, faults, policy, use_native):
         engine = MultiTenantEngine(

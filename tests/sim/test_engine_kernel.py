@@ -1,5 +1,5 @@
-"""Kernel-loop reference equivalence, backend pinning, fast-forward and
-clamp tests.
+"""Kernel-loop reference equivalence, kernel unit, share-signature,
+clamp and static-rate path tests.
 
 The structure-of-arrays kernel loop is pinned against the committed
 20-scenario reference summaries (``tests/data/
@@ -35,7 +35,7 @@ REFERENCE_PATH = (
 )
 
 
-def _run(policy_name, *, backend=None, keys=KEYS,
+def _run(policy_name, *, use_native=None, keys=KEYS,
          qos_scale=float("inf"), inferences=2):
     spec = ScenarioSpec.closed_loop(keys, inferences=inferences,
                                     qos_scale=qos_scale)
@@ -43,7 +43,7 @@ def _run(policy_name, *, backend=None, keys=KEYS,
         SoCConfig(),
         make_scheduler(policy_name),
         ScenarioWorkload(spec),
-        kernel_backend=backend,
+        use_native=use_native,
     )
     return engine.run()
 
@@ -77,12 +77,7 @@ class TestReferenceEquivalence:
         )
 
 
-class TestKernelBackends:
-    @pytest.mark.parametrize("backend", ["fortran", "numpy"])
-    def test_unknown_backend_rejected(self, backend):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            _run("baseline", backend=backend)
-
+class TestRunningKernel:
     def test_membership_and_step(self):
         """Unit-level kernel check against the scalar reference math."""
         from repro.sim.task import TaskInstance
@@ -210,15 +205,15 @@ class TestRuntimeObservability:
         assert result.offered_load_ratio == pytest.approx(1.0)
 
 
-class TestFastForward:
-    def test_static_policy_uses_fast_forward(self):
+class TestStaticRates:
+    def test_static_policy_matches_split_path(self):
         """A static-rate policy with no waiters must produce the same
-        metrics on the default stepper as on the split path that
-        ``kernel_backend="list"`` pins; the reference suite covers
-        absolute values, this covers the static-rate batch bookkeeping
-        (dispatch of successor inferences) on both paths."""
+        metrics on the default stepper as on the Python split path that
+        ``use_native=False`` runs; the reference suite covers absolute
+        values, this covers the static-rate batch bookkeeping (dispatch
+        of successor inferences) on both paths."""
         result = _run("baseline", keys=("MB.", "MB."), inferences=3)
-        split = _run("baseline", backend="list",
+        split = _run("baseline", use_native=False,
                      keys=("MB.", "MB."), inferences=3)
         assert result.metrics.num_inferences == 6
         assert _metrics_json(result) == _metrics_json(split)

@@ -1,13 +1,12 @@
 """Native fused-step equivalence and loader behaviour.
 
-The batch loop's three step implementations — native C fused step,
-pure-Python fused step (:meth:`RunningKernel.fused_step_demand` /
-:meth:`RunningKernel.fused_step_slack`) and the classic split
-``_recompute_rates`` + ``kernel.step`` pair — must be bit-identical
-across every rate-kernel mode (demand-proportional, slack-weighted,
-slack-throttled); the committed reference suite pins the default path
-and these tests pin the cross-path agreement, including MoCA's mid-run
-rate epoch transitions, QoS tenant churn and fuzzed fault schedules.
+The engine's two step paths — the native C batch loop and the Python
+split ``_recompute_rates`` + ``kernel.step`` pair it transcribes — must
+be bit-identical across every rate-kernel mode (demand-proportional,
+slack-weighted, slack-throttled); the committed reference suite pins
+the default path and these tests pin the cross-path agreement,
+including MoCA's mid-run rate epoch transitions, QoS tenant churn and
+fuzzed fault schedules.
 With native code, every policy runs the C batch loop
 (``_batchstep.batch_loop``), which also takes the layer completions of
 the CaMDN policies and of the transparent-cache policies (baseline,
@@ -22,6 +21,7 @@ import math
 import os
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,7 +34,9 @@ from fuzz_scenarios import (
 )
 from repro.config import SoCConfig
 from repro.core.prepared import clear_prepared_caches
+from repro.memory.bwalloc import DemandProportionalPolicy, SlackWeightedPolicy
 from repro.schedulers import make_scheduler
+from repro.schedulers.base import SchedulerPolicy
 from repro.sim import native
 from repro.sim.engine import MultiTenantEngine
 from repro.sim.faults import get_fault_schedule
@@ -131,12 +133,11 @@ def _metrics_json(result) -> str:
 
 def _fused_view(snapshot) -> bytes:
     """Snapshot payload bytes without the kernel state that differs
-    by step path by design: the split path's ``kernel_backend`` pin
-    and applied rates (the fused paths derive rates inside each step
-    and never store them), and the slack inputs only the fused slack
-    modes track."""
+    by step path by design: the split path's applied rates (the native
+    fused modes derive rates inside each step and never store them),
+    and the slack inputs only the native slack modes track (see
+    :func:`_assert_slack_rebuilds`)."""
     payload = _loads(snapshot.payload)
-    payload["engine"]["kernel_backend"] = None
     kernel = payload["engine"]["kernel"]
     for key in ("rate_c", "rate_d", "slack_on", "sl_arrival", "sl_qos",
                 "sl_est", "sl_progress"):
@@ -144,7 +145,23 @@ def _fused_view(snapshot) -> bytes:
     return _dumps(payload)
 
 
-def _run(policy_name, *, use_native=None, backend=None,
+def _assert_slack_rebuilds(snapshot, policy, soc) -> None:
+    """The snapshot's slack inputs, which the native loop's slack modes
+    keep up to date, are what ``configure_slack`` builds afresh from
+    its running instances."""
+    kernel = _loads(snapshot.payload)["engine"]["kernel"]
+    if not kernel["slack_on"]:
+        return
+    scheduler = make_scheduler(policy)
+    scheduler.attach(soc)
+    rebuilt = RunningKernel()
+    rebuilt.insts = kernel["insts"]
+    rebuilt.configure_slack(True, scheduler.est_isolated_latency_s)
+    for key in ("sl_arrival", "sl_qos", "sl_est", "sl_progress"):
+        assert kernel[key] == getattr(rebuilt, key), key
+
+
+def _run(policy_name, *, use_native=None,
          keys=("RS.", "MB.", "EF.", "BE."), qos_scale=float("inf"),
          inferences=2):
     spec = ScenarioSpec.closed_loop(keys, inferences=inferences,
@@ -153,10 +170,63 @@ def _run(policy_name, *, use_native=None, backend=None,
         SoCConfig(),
         make_scheduler(policy_name),
         ScenarioWorkload(spec),
-        kernel_backend=backend,
         use_native=use_native,
     )
     return engine.run()
+
+
+def _slack_of(arrival, qos, est, progress, now):
+    """``SchedulerPolicy.slack_of`` of an instance ``progress`` of the
+    way through its layers (one layer, so the progress is exact)."""
+    inst = SimpleNamespace(arrival_time=arrival, qos_target_s=qos,
+                           layer_index=progress, num_layers=1)
+    return SchedulerPolicy.slack_of(None, inst, now, est)
+
+
+def _split_step(rem_c, rem_d, wait_dt, mode, freq, bw, eff, floor,
+                slack_inputs=((), (), (), ()), now=0.0, urgency=0.0):
+    """One event of the split pair, the Python reference of the C step
+    in a fused ``mode``: the share rule the policies call
+    (``DemandProportionalPolicy`` or ``SlackWeightedPolicy.allocate``
+    over the policies' demands and ``SchedulerPolicy.slack_of``),
+    ``_recompute_rates``'s clamp, then :meth:`RunningKernel.step`.
+    Returns the stepped kernel and the step's ``(dt, finished)``."""
+    demands = [max(d, 1.0) / max(c / freq, 1e-9)
+               for c, d in zip(rem_c, rem_d)]
+    slacks = [_slack_of(*inputs, now) for inputs in zip(*slack_inputs)]
+    if mode == 1:
+        shares = DemandProportionalPolicy(floor).allocate(demands)
+    elif mode == 2:
+        shares = SlackWeightedPolicy(urgency, floor).allocate(demands,
+                                                              slacks)
+    else:
+        # MoCA's throttle: halve the demand of tenants more than 50 %
+        # ahead of their deadline.
+        shares = DemandProportionalPolicy(floor).allocate(
+            [dm * 0.5 if sl > 0.5 else dm
+             for dm, sl in zip(demands, slacks)]
+        )
+    kernel = RunningKernel()
+    kernel.insts = [None] * len(rem_c)
+    kernel.rem_c = list(rem_c)
+    kernel.rem_d = list(rem_d)
+    kernel.set_rates(
+        [freq] * len(shares),
+        [r if (r := bw * s * eff) > 1e-6 else 1e-6 for s in shares],
+    )
+    return kernel, kernel.step(wait_dt)
+
+
+def _assert_steps_agree(res_c, c_rem_c, c_rem_d, kernel, res_py):
+    """The C step's result and in-place remaining work are the split
+    pair's, bit for bit."""
+    assert res_c is not None
+    dt_c, fin_c = res_c
+    dt_py, fin_py = res_py
+    assert repr(dt_c) == repr(dt_py)
+    assert (fin_c or []) == fin_py
+    assert [x.hex() for x in c_rem_c] == [x.hex() for x in kernel.rem_c]
+    assert [x.hex() for x in c_rem_d] == [x.hex() for x in kernel.rem_d]
 
 
 class TestLoader:
@@ -222,8 +292,8 @@ class TestLoader:
 
 
 class TestNativeSwitch:
-    """``use_native=False``, the ``kernel_backend="list"`` pin and a
-    resume without native code make no native call."""
+    """``use_native=False`` and a resume without native code make no
+    native call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -253,11 +323,6 @@ class TestNativeSwitch:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_use_native_false(self, calls, policy):
         _run(policy, use_native=False)
-        assert calls == {"advance": 0, "batch": 0, "step": 0}
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_list_pin(self, calls, policy):
-        _run(policy, backend="list")
         assert calls == {"advance": 0, "batch": 0, "step": 0}
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -431,16 +496,7 @@ class TestCamdnAdvanceGrant:
 
 @needs_native
 class TestFusedStepBitIdentity:
-    """The C step against its documented pure-Python twin."""
-
-    def _kernel_with(self, rem_c, rem_d):
-        kernel = RunningKernel()
-        # Install the fluid state directly: fused_step_demand only reads
-        # the rem arrays (compute rate == freq by contract).
-        kernel.rem_c = list(rem_c)
-        kernel.rem_d = list(rem_d)
-        kernel.insts = [None] * len(rem_c)
-        return kernel
+    """The C step against the split pair it transcribes."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_randomized_state_agrees(self, seed):
@@ -458,20 +514,9 @@ class TestFusedStepBitIdentity:
             c_rem_c, c_rem_d = list(rem_c), list(rem_d)
             res_c = NATIVE(c_rem_c, c_rem_d, [], [], wait_dt, 1,
                            freq, bw, eff, floor)
-            kernel = self._kernel_with(rem_c, rem_d)
-            res_py = kernel.fused_step_demand(wait_dt, freq, bw, eff,
-                                              floor)
-            if res_c is None:
-                assert res_py is None
-                continue
-            dt_c, fin_c = res_c
-            dt_py, fin_py = res_py
-            assert repr(dt_c) == repr(dt_py)
-            assert (fin_c or None) == (fin_py or None)
-            assert [x.hex() for x in c_rem_c] == \
-                [x.hex() for x in kernel.rem_c]
-            assert [x.hex() for x in c_rem_d] == \
-                [x.hex() for x in kernel.rem_d]
+            kernel, res_py = _split_step(rem_c, rem_d, wait_dt, 1, freq,
+                                         bw, eff, floor)
+            _assert_steps_agree(res_c, c_rem_c, c_rem_d, kernel, res_py)
 
     def test_static_mode_matches_kernel_step(self):
         rng = random.Random(99)
@@ -509,7 +554,7 @@ class TestFusedStepBitIdentity:
 
 @needs_native
 class TestFusedSlackBitIdentity:
-    """The C slack modes against :meth:`RunningKernel.fused_step_slack`.
+    """The C slack modes against the split pair's share rules.
 
     Modes 2 (slack-weighted, AuRORA/CaMDN-QoS) and 3 (slack-throttled,
     MoCA with finite deadlines) over randomized fluid state and slack
@@ -518,22 +563,9 @@ class TestFusedSlackBitIdentity:
     in-place remaining-work updates.
     """
 
-    MODES = ((2, False), (3, True))
-
-    def _kernel_with(self, rem_c, rem_d, arrival, qos, est, progress):
-        kernel = RunningKernel()
-        kernel.rem_c = list(rem_c)
-        kernel.rem_d = list(rem_d)
-        kernel.sl_arrival = list(arrival)
-        kernel.sl_qos = list(qos)
-        kernel.sl_est = list(est)
-        kernel.sl_progress = list(progress)
-        kernel.insts = [None] * len(rem_c)
-        return kernel
-
-    @pytest.mark.parametrize("mode,throttled", MODES)
+    @pytest.mark.parametrize("mode", (2, 3))
     @pytest.mark.parametrize("seed", range(5))
-    def test_randomized_state_agrees(self, mode, throttled, seed):
+    def test_randomized_state_agrees(self, mode, seed):
         rng = random.Random(1000 * mode + seed)
         for _ in range(200):
             n = rng.choice((0, 1, 2, 3, 8, 24, 100))
@@ -561,22 +593,11 @@ class TestFusedSlackBitIdentity:
                            freq, bw, eff, floor, list(arrival),
                            list(qos), list(est), list(progress), now,
                            urgency)
-            kernel = self._kernel_with(rem_c, rem_d, arrival, qos, est,
-                                       progress)
-            res_py = kernel.fused_step_slack(wait_dt, freq, bw, eff,
-                                             floor, urgency, now,
-                                             throttled)
-            if res_c is None:
-                assert res_py is None
-                continue
-            dt_c, fin_c = res_c
-            dt_py, fin_py = res_py
-            assert repr(dt_c) == repr(dt_py)
-            assert (fin_c or None) == (fin_py or None)
-            assert [x.hex() for x in c_rem_c] == \
-                [x.hex() for x in kernel.rem_c]
-            assert [x.hex() for x in c_rem_d] == \
-                [x.hex() for x in kernel.rem_d]
+            kernel, res_py = _split_step(
+                rem_c, rem_d, wait_dt, mode, freq, bw, eff, floor,
+                (arrival, qos, est, progress), now, urgency,
+            )
+            _assert_steps_agree(res_c, c_rem_c, c_rem_d, kernel, res_py)
 
     def test_non_float_slack_items_fall_back(self):
         args = ([2.0], [3.0], [], [], math.inf, 2, 1e9, 1e9, 0.9, 0.02)
@@ -598,24 +619,14 @@ class TestFusedSlackBitIdentity:
 
 
 class TestEngineCrossPathIdentity:
-    """Engine runs must agree across native / python-fused / split."""
+    """Engine runs must agree with and without native code."""
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_native_vs_python_fused(self, policy):
+    def test_native_vs_split(self, policy):
         with_native = _run(policy, use_native=None)
         without = _run(policy, use_native=False)
         assert _metrics_json(with_native) == _metrics_json(without)
         assert with_native.events_processed == without.events_processed
-
-    @pytest.mark.parametrize("policy", ("camdn-full", "moca"))
-    def test_python_fused_vs_split(self, policy):
-        # A pinned kernel backend disables the fused path entirely, so
-        # this compares the python fused step to the classic
-        # _recompute_rates + kernel.step pair.
-        fused = _run(policy, use_native=False)
-        split = _run(policy, backend="list")
-        assert _metrics_json(fused) == _metrics_json(split)
-        assert fused.events_processed == split.events_processed
 
     @pytest.mark.parametrize(
         "policy", ("moca", "camdn-full", "aurora", "camdn-qos"))
@@ -627,22 +638,13 @@ class TestEngineCrossPathIdentity:
         with_native = _run(policy, use_native=None, qos_scale=1.0)
         without = _run(policy, use_native=False, qos_scale=1.0)
         assert _metrics_json(with_native) == _metrics_json(without)
-
-    @pytest.mark.parametrize("policy", ("moca", "aurora", "camdn-qos"))
-    def test_qos_python_fused_vs_split(self, policy):
-        # The pure-Python slack twin (fused_step_slack) against the
-        # classic split pair under finite deadlines: pins the twin's
-        # IEEE-754 transcription independently of the C path.
-        fused = _run(policy, use_native=False, qos_scale=1.0)
-        split = _run(policy, backend="list", qos_scale=1.0)
-        assert _metrics_json(fused) == _metrics_json(split)
-        assert fused.events_processed == split.events_processed
+        assert with_native.events_processed == without.events_processed
 
     @pytest.mark.parametrize("policy", ("aurora", "camdn-qos"))
     def test_slack_tenant_join_leave(self, policy):
         # QoS tenants joining and leaving mid-run resize the kernel's
-        # slack SoA arrays inside active fused batches; all three step
-        # implementations must stay in lockstep across the churn.
+        # slack SoA arrays inside active fused batches; both step paths
+        # must stay in lockstep across the churn.
         spec = ScenarioSpec(
             streams=(
                 StreamSpec(model="RS.", qos_scale=1.0, inferences=3,
@@ -656,62 +658,54 @@ class TestEngineCrossPathIdentity:
             ),
         )
 
-        def run(use_native=None, backend=None):
+        def run(use_native=None):
             engine = MultiTenantEngine(
                 SoCConfig(), make_scheduler(policy),
-                ScenarioWorkload(spec),
-                kernel_backend=backend, use_native=use_native,
+                ScenarioWorkload(spec), use_native=use_native,
             )
             return engine.run()
 
         with_native = run()
         without = run(use_native=False)
-        split = run(backend="list")
         assert _metrics_json(with_native) == _metrics_json(without)
-        assert _metrics_json(without) == _metrics_json(split)
-        assert with_native.events_processed == split.events_processed
+        assert with_native.events_processed == without.events_processed
 
     @staticmethod
-    def _assert_paths_agree(policy, case, warm, paths=("native", "python",
-                                                       "split"),
-                            trace=False):
-        """Native batch loop, pure-Python completion chain and split
-        step: same summary, events, stats and mid-run snapshot.
+    def _assert_paths_agree(policy, case, warm, trace=False):
+        """Native batch loop, and the Python split step with the
+        Python completion chain: same summary, events, stats and
+        mid-run snapshot.
 
         The completion memos are process-wide, so the path of the cold
         warm-up run (``warm``) creates the grants and works every later
         run installs: after a Python warm-up the C loop takes entries
         the Python chain created, and the other way round."""
         spec, faults, soc = CAMDN_CASES[case]
-        options = {"native": {}, "python": {"use_native": False},
-                   "split": {"kernel_backend": "list"}}
+        use_native = {"native": None, "python": False}
 
-        def run(at=None, **paths):
+        def run(path, at=None):
             engine = MultiTenantEngine(
                 soc, make_scheduler(policy),
                 ScenarioWorkload(spec), faults=faults,
-                trace=TraceRecorder() if trace else None, **paths,
+                trace=TraceRecorder() if trace else None,
+                use_native=use_native[path],
             )
             return engine.run(snapshot_at_events=at)
 
         # The first run fills the process-wide decision caches that
         # snapshots carry, so the runs below capture equal ones.
         clear_prepared_caches()
-        at = run(**options[warm]).events_processed // 2
-        results = {path: run(at, **options[path]) for path in paths}
-        first = results["native"]
-        assert first.last_snapshot is not None
-        for result in results.values():
-            assert _metrics_json(result) == _metrics_json(first)
-            assert result.events_processed == first.events_processed
-            assert result.scheduler_stats == first.scheduler_stats
-            assert result.last_snapshot.events_processed == \
-                first.last_snapshot.events_processed
-        assert results["python"].last_snapshot.payload == \
-            first.last_snapshot.payload
-        if "split" in results:
-            assert _fused_view(results["split"].last_snapshot) == \
-                _fused_view(first.last_snapshot)
+        at = run(warm).events_processed // 2
+        native_run, python_run = run("native", at), run("python", at)
+        assert native_run.last_snapshot is not None
+        assert _metrics_json(python_run) == _metrics_json(native_run)
+        assert python_run.events_processed == native_run.events_processed
+        assert python_run.scheduler_stats == native_run.scheduler_stats
+        assert python_run.last_snapshot.events_processed == \
+            native_run.last_snapshot.events_processed
+        assert _fused_view(python_run.last_snapshot) == \
+            _fused_view(native_run.last_snapshot)
+        _assert_slack_rebuilds(native_run.last_snapshot, policy, soc)
 
     @pytest.mark.parametrize("warm", WARM_PATHS)
     @pytest.mark.parametrize("case", sorted(CAMDN_CASES))
@@ -730,8 +724,7 @@ class TestEngineCrossPathIdentity:
     def test_traced_paths_agree(self, policy, warm):
         # With a TraceRecorder the batch loop hands every completion
         # back, so the spans (in the snapshot payload) match.
-        self._assert_paths_agree(policy, "churn-ecc", warm,
-                                 paths=("native", "python"), trace=True)
+        self._assert_paths_agree(policy, "churn-ecc", warm, trace=True)
 
     def test_moca_mid_run_epoch_transition(self):
         # One deadline-carrying stream finishes early, flipping MoCA's
@@ -769,35 +762,20 @@ class TestFuzzedCrossPathIdentity:
     """Cross-path agreement on fuzzed scenarios.
 
     The curated cases above pin known-tricky transitions; these drive
-    the same three step implementations over arbitrary generated specs —
+    the same two step paths over arbitrary generated specs —
     tenant churn, every arrival kind, and open-loop backlogs that drain
     past the window.  Budget scales with ``REPRO_FUZZ_EXAMPLES``
     (strategies live in :mod:`fuzz_scenarios`).
     """
 
-    def _run_spec(self, spec, policy, *, use_native=None, backend=None):
+    def _run_spec(self, spec, policy, *, use_native=None):
         engine = MultiTenantEngine(
             SoCConfig(),
             make_scheduler(policy),
             ScenarioWorkload(spec),
-            kernel_backend=backend,
             use_native=use_native,
         )
         return engine.run()
-
-    @_fuzz_settings
-    @given(spec=scenario_specs())
-    @pytest.mark.parametrize("policy", ("camdn-full", "moca",
-                                        "camdn-qos"))
-    def test_fuzzed_python_fused_vs_split(self, spec, policy):
-        fused = self._run_spec(spec, policy, use_native=False)
-        split = self._run_spec(spec, policy, backend="list")
-        assert fused.events_processed == split.events_processed
-        if fused.metrics.records:
-            assert _metrics_json(fused) == _metrics_json(split), \
-                dump_falsifying_spec(spec, policy, "fused-vs-split")
-        else:
-            assert not split.metrics.records
 
     @_fuzz_settings
     @given(spec=count_mode_scenario_specs())
@@ -806,7 +784,7 @@ class TestFuzzedCrossPathIdentity:
         # Count-mode quotas force open-loop backlogs to drain fully
         # across whichever step implementation is active.
         with_native = self._run_spec(spec, policy, use_native=None)
-        split = self._run_spec(spec, policy, backend="list")
+        split = self._run_spec(spec, policy, use_native=False)
         assert with_native.offered_inferences == split.offered_inferences
         assert _metrics_json(with_native) == _metrics_json(split), \
             dump_falsifying_spec(spec, policy, "backlog-native-vs-split")
@@ -818,7 +796,7 @@ class TestFaultedSlackCrossPath:
     Fault actions (DRAM throttles, core outages, tenant stalls) cut
     fused batches at arbitrary instants and change the efficiency /
     capacity inputs between them; the slack-weighted native path must
-    resume each batch exactly where the pure-Python twin would.
+    resume each batch exactly where the Python split path would.
     Fuzzed specs mix finite and infinite deadlines, so the same run
     crosses trivial (slack == 1.0) and active slack regimes.
     """
@@ -826,7 +804,7 @@ class TestFaultedSlackCrossPath:
     @_fuzz_settings
     @given(spec=scenario_specs(), faults=fault_specs())
     @pytest.mark.parametrize("policy", ("aurora", "camdn-qos"))
-    def test_faulted_native_vs_python_fused(self, spec, faults, policy):
+    def test_faulted_native_vs_split(self, spec, faults, policy):
         def run(use_native):
             engine = MultiTenantEngine(
                 SoCConfig(), make_scheduler(policy),

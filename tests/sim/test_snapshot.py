@@ -25,6 +25,7 @@ from repro.config import SoCConfig
 from repro.errors import SnapshotError
 from repro.experiments.common import run_scenario
 from repro.runconfig import RunConfig
+from repro.sim import native
 from repro.sim.engine import MultiTenantEngine
 from repro.sim.faults import get_fault_schedule
 from repro.sim.scenario import (
@@ -148,7 +149,7 @@ class TestSnapshotSlackKernels:
 
     @pytest.mark.parametrize("policy", ("aurora", "camdn-qos"))
     def test_resume_without_native_stays_identical(self, policy):
-        """A slack-mode snapshot resumed onto the pure-Python twin
+        """A slack-mode snapshot resumed onto the Python split path
         (native disabled) completes byte-identically to the clean
         native run."""
         spec = _qos_spec()
@@ -177,7 +178,7 @@ class TestEngineSnapshotAPI:
         assert _summary(engine.resume_run()) == _summary(clean)
 
     def test_resume_forces_python_kernel_identically(self):
-        """Pinning the split path at resume time never changes results
+        """Resuming on the Python split path never changes results
         (the step paths are bit-identical by contract)."""
         spec = get_scenario("steady-quad").scaled(GRID_SCALE)
         clean = run_scenario(spec, policy="baseline")
@@ -186,14 +187,15 @@ class TestEngineSnapshotAPI:
             config=RunConfig(
                 snapshot_at_events=clean.events_processed // 2),
         )
-        engine = snapped.last_snapshot.resume(use_native=False,
-                                              kernel_backend="list")
+        engine = snapped.last_snapshot.resume(use_native=False)
         assert _summary(engine.resume_run()) == _summary(clean)
 
     def test_numpy_era_payload_resumes_identically(self):
         """Schema 1 still covers payloads written while the kernel had a
-        numpy backend: their ``use_np`` / ``force_backend`` kernel keys
-        are ignored and the missing engine-level pin means none."""
+        numpy backend, and while the engine had a kernel-backend pin:
+        their ``use_np`` / ``force_backend`` kernel keys and their
+        engine-level ``"kernel_backend"`` key are ignored, so even a
+        ``"list"`` pin resumes on the default path."""
         spec = get_scenario("steady-quad").scaled(GRID_SCALE)
         clean = run_scenario(spec, policy="camdn-full")
         snapped = run_scenario(
@@ -202,11 +204,15 @@ class TestEngineSnapshotAPI:
                 snapshot_at_events=clean.events_processed // 2),
         )
         payload = _loads(snapped.last_snapshot.payload)
-        del payload["engine"]["kernel_backend"]
         payload["engine"]["kernel"].update(use_np=True,
                                            force_backend=None)
-        old = EngineSnapshot(policy="camdn-full", payload=_dumps(payload))
-        assert _summary(old.resume().resume_run()) == _summary(clean)
+        for pin in ({}, {"kernel_backend": "list"}):
+            payload["engine"].update(pin)
+            old = EngineSnapshot(policy="camdn-full",
+                                 payload=_dumps(payload))
+            engine = old.resume()
+            assert engine._batch is native.batch_loop()
+            assert _summary(engine.resume_run()) == _summary(clean)
 
     @pytest.mark.parametrize("policy", ("camdn-hw", "camdn-full"))
     @pytest.mark.parametrize("use_native", (None, False))
