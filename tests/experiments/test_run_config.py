@@ -17,6 +17,11 @@ from repro.runconfig import RunConfig
 
 SCENARIO = "steady-quad"
 
+#: Fields deleted from RunConfig (``kernel_backend``, the step-path pin,
+#: in 1.11.0).  Each was a ``run_scenario`` keyword once, so the former
+#: keyword check below keeps covering it after the field is gone.
+REMOVED_FIELDS = ("kernel_backend",)
+
 
 class TestConstruction:
     def test_frozen(self):
@@ -58,14 +63,24 @@ class TestConstruction:
 
 class TestConfigForm:
     @pytest.mark.parametrize(
-        "keyword", [f.name for f in dataclasses.fields(RunConfig)]
+        "keyword",
+        [f.name for f in dataclasses.fields(RunConfig)]
+        + list(REMOVED_FIELDS),
     )
     def test_former_keyword_raises_type_error(self, keyword):
         """The run-control keywords ``run_scenario`` used to accept
-        (one per RunConfig field) now reach the scheduler constructor
-        as unknown policy keywords."""
+        (one per RunConfig field, current or removed) now reach the
+        scheduler constructor as unknown policy keywords."""
         with pytest.raises(TypeError, match=keyword):
             run_scenario(SCENARIO, policy="baseline", **{keyword: None})
+
+    @pytest.mark.parametrize("field", REMOVED_FIELDS)
+    def test_removed_field_raises_type_error(self, field):
+        """A removed field is no RunConfig keyword either: setting it
+        fails at construction instead of being dropped silently."""
+        assert field not in {f.name for f in dataclasses.fields(RunConfig)}
+        with pytest.raises(TypeError, match=field):
+            RunConfig(**{field: "list"})
 
     def test_config_form_does_not_warn(self, recwarn):
         run_scenario(SCENARIO, policy="baseline",

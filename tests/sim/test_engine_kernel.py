@@ -1,5 +1,5 @@
 """Kernel-loop reference equivalence, kernel unit, share-signature,
-clamp and static-rate path tests.
+clamp, static-rate path and removed step-path pin tests.
 
 The structure-of-arrays kernel loop is pinned against the committed
 20-scenario reference summaries (``tests/data/
@@ -218,3 +218,39 @@ class TestStaticRates:
         assert result.metrics.num_inferences == 6
         assert _metrics_json(result) == _metrics_json(split)
         assert result.events_processed == split.events_processed
+
+
+class TestRemovedStepPathPin:
+    """Since 1.11.0 the engine has two step paths, chosen by whether
+    native code runs; the pin that chose between the Python ones is
+    gone from every signature that took it, so a caller still passing
+    it fails loudly instead of running an unexpected path."""
+
+    PIN = "kernel_backend"
+
+    @pytest.fixture(scope="class")
+    def snapshot(self):
+        spec = ScenarioSpec.closed_loop(KEYS, inferences=2)
+        engine = MultiTenantEngine(SoCConfig(), make_scheduler("moca"),
+                                   ScenarioWorkload(spec))
+        snapshot = engine.run(snapshot_at_events=200).last_snapshot
+        assert snapshot is not None
+        return snapshot
+
+    def test_engine_rejects_pin(self):
+        spec = ScenarioSpec.closed_loop(KEYS, inferences=1)
+        with pytest.raises(TypeError, match=self.PIN):
+            MultiTenantEngine(SoCConfig(), make_scheduler("moca"),
+                              ScenarioWorkload(spec),
+                              **{self.PIN: "list"})
+
+    def test_engine_resume_rejects_pin(self, snapshot):
+        with pytest.raises(TypeError, match=self.PIN):
+            MultiTenantEngine.resume(snapshot, **{self.PIN: "list"})
+
+    def test_snapshot_resume_rejects_pin(self, snapshot):
+        with pytest.raises(TypeError, match=self.PIN):
+            snapshot.resume(**{self.PIN: "list"})
+        # The supported switch still resumes the run.
+        assert snapshot.resume(use_native=False).resume_run() \
+            .metrics.num_inferences == 2 * len(KEYS)

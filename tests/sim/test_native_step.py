@@ -292,8 +292,9 @@ class TestLoader:
 
 
 class TestNativeSwitch:
-    """``use_native=False`` and a resume without native code make no
-    native call."""
+    """``use_native=False``, ``REPRO_NATIVE=0`` and a resume without
+    native code make no native call, and step every event through the
+    split pair."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -320,10 +321,72 @@ class TestNativeSwitch:
                                 counting(name, getattr(native, attr)))
         return counts
 
+    @pytest.fixture(params=("use_native", "REPRO_NATIVE"))
+    def no_native(self, request):
+        """``_run`` keywords of a run without native code: the engine
+        switch, or the environment kill switch (the loader is reset so
+        that it reads the variable, and reset again afterwards)."""
+        if request.param == "use_native":
+            yield {"use_native": False}
+            return
+        old = os.environ.get("REPRO_NATIVE")
+        os.environ["REPRO_NATIVE"] = "0"
+        native.reset_for_tests()
+        try:
+            yield {}
+        finally:
+            if old is None:
+                del os.environ["REPRO_NATIVE"]
+            else:
+                os.environ["REPRO_NATIVE"] = old
+            native.reset_for_tests()
+            native.fused_step()
+
     @pytest.mark.parametrize("policy", POLICIES)
     def test_use_native_false(self, calls, policy):
         _run(policy, use_native=False)
         assert calls == {"advance": 0, "batch": 0, "step": 0}
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_event_runs_split_pair(self, calls, no_native,
+                                         monkeypatch, policy):
+        """Each event is one ``RunningKernel.step``; a dynamic-rate
+        policy runs ``_recompute_rates`` before every step of a busy
+        kernel, and a static-rate one keeps its rates across the layer
+        completions that leave the membership alone.  ``churn-ecc``
+        also ends steps at tenant joins and leaves and at fault
+        instants, with no completion to invalidate the rates."""
+        log = []
+        fresh = [False]
+        recompute = MultiTenantEngine._recompute_rates
+        step = RunningKernel.step
+
+        def counting_recompute(engine):
+            fresh[0] = True
+            return recompute(engine)
+
+        def counting_step(kernel, wait_dt):
+            log.append((fresh[0], len(kernel.insts)))
+            fresh[0] = False
+            return step(kernel, wait_dt)
+
+        monkeypatch.setattr(MultiTenantEngine, "_recompute_rates",
+                            counting_recompute)
+        monkeypatch.setattr(RunningKernel, "step", counting_step)
+        spec, faults, soc = CAMDN_CASES["churn-ecc"]
+        engine = MultiTenantEngine(soc, make_scheduler(policy),
+                                   ScenarioWorkload(spec), faults=faults,
+                                   **no_native)
+        result = engine.run()
+        assert calls == {"advance": 0, "batch": 0, "step": 0}
+        assert result.metrics.records
+        assert len(log) == result.events_processed
+        busy = [recomputed for recomputed, n in log if n]
+        assert busy
+        if make_scheduler(policy).dynamic_rates:
+            assert all(busy)
+        else:
+            assert not all(busy)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_resume_without_native(self, calls, policy):
@@ -492,6 +555,42 @@ class TestCamdnAdvanceGrant:
         # The Python chain skips _try_grant when the footprint equals
         # the region, which is exact only while palloc agrees with it.
         assert self._advance(8, 8, 0, palloc=7)[0] is None
+
+
+@needs_native
+class TestCamdnAdvanceDecline:
+    """A ``camdn_advance`` decline hands the completion to
+    ``advance_layer``'s one Python tail (``on_layer_end`` ->
+    ``layer_index += 1`` -> ``begin_layer``), which must leave the run
+    exactly as the native handler does.  Every call declines here, so
+    each memo miss the batch loop sends back takes that tail."""
+
+    @pytest.mark.parametrize("case", ("closed-loop", "tight-cache"))
+    @pytest.mark.parametrize("policy", CAMDN_POLICIES)
+    def test_declined_completions_agree(self, monkeypatch, policy, case):
+        spec, faults, soc = CAMDN_CASES[case]
+
+        def run():
+            # Cold memos: the run has misses to send to advance_layer.
+            clear_prepared_caches()
+            engine = MultiTenantEngine(soc, make_scheduler(policy),
+                                       ScenarioWorkload(spec),
+                                       faults=faults)
+            return engine.run()
+
+        handled = run()
+        declines = [0]
+
+        def decline(*args):
+            declines[0] += 1
+            return None
+
+        monkeypatch.setattr(native, "camdn_advance", lambda: decline)
+        declined = run()
+        assert declines[0] > 0
+        assert _metrics_json(declined) == _metrics_json(handled)
+        assert declined.events_processed == handled.events_processed
+        assert declined.scheduler_stats == handled.scheduler_stats
 
 
 @needs_native
@@ -776,6 +875,20 @@ class TestFuzzedCrossPathIdentity:
             use_native=use_native,
         )
         return engine.run()
+
+    @_fuzz_settings
+    @given(spec=scenario_specs())
+    @pytest.mark.parametrize("policy", ("camdn-full", "moca",
+                                        "camdn-qos"))
+    def test_fuzzed_native_vs_split(self, spec, policy):
+        with_native = self._run_spec(spec, policy, use_native=None)
+        split = self._run_spec(spec, policy, use_native=False)
+        assert with_native.events_processed == split.events_processed
+        if with_native.metrics.records:
+            assert _metrics_json(with_native) == _metrics_json(split), \
+                dump_falsifying_spec(spec, policy, "native-vs-split")
+        else:
+            assert not split.metrics.records
 
     @_fuzz_settings
     @given(spec=count_mode_scenario_specs())
