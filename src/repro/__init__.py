@@ -84,7 +84,7 @@ from .sim import (
     scenario_names,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "KiB",

@@ -267,6 +267,9 @@ class CaMDNSystem:
             alloc._palloc[slot] = needed
         if decision.enables_lbm:
             state.lbm_block = state.mapping_file.block_of(layer_index)
+        return self._granted(decision)
+
+    def _granted(self, decision: AllocationDecision) -> LayerGrant:
         entry = _GRANTED.get(id(decision))
         if entry is None or entry[0] is not decision:
             entry = (decision, LayerGrant(decision=decision, granted=True))

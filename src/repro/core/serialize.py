@@ -237,40 +237,6 @@ def fleet_spec_content_hash(spec) -> str:
     })
 
 
-def event_trace_to_dict(trace) -> dict:
-    """Canonical JSON-ready form of a
-    :class:`~repro.sim.trace.EventTrace` (versioned, content-hashed;
-    exact float round-trip)."""
-    return trace.to_dict()
-
-
-def event_trace_from_dict(data: dict):
-    """Inverse of :func:`event_trace_to_dict`.
-
-    Raises:
-        WorkloadError: the payload is not a supported (intact) trace.
-    """
-    from ..sim.trace import EventTrace
-
-    return EventTrace.from_dict(data)
-
-
-def save_event_trace(trace, path: Union[str, Path]) -> Path:
-    """Write an event trace as JSON; returns the path written."""
-    return trace.save(path)
-
-
-def load_event_trace(path: Union[str, Path]):
-    """Read a JSON event-trace file (validating schema and hash).
-
-    Raises:
-        WorkloadError: the file is unreadable or not a supported trace.
-    """
-    from ..sim.trace import EventTrace
-
-    return EventTrace.load(path)
-
-
 def stable_content_hash(payload: dict) -> str:
     """SHA-256 over canonical JSON (sorted keys, exact float reprs).
 

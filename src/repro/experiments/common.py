@@ -87,8 +87,8 @@ def run_scenario(
             ``"camdn-hw"``, ``"camdn-full"``) or a ready-built policy
             instance.
         config: run-control configuration (QoS integration, fault
-            injection, trace capture, watchdog budgets, checkpointing,
-            kernel backend); see :class:`~repro.runconfig.RunConfig`.
+            injection, trace capture, watchdog budgets, checkpointing
+            and snapshots); see :class:`~repro.runconfig.RunConfig`.
             Defaults to ``RunConfig()``.
         **policy_kwargs: forwarded to the scheduler constructor when
             ``policy`` is a name.

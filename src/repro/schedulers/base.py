@@ -245,11 +245,14 @@ class SchedulerPolicy(abc.ABC):
         completion exactly as ``_process_completions`` would: the
         table's first item is a ``repro.sim.native.TABLE_*`` kind, and
         the C handler for that kind transcribes this policy's
-        ``on_layer_end`` / ``begin_layer`` (or ``advance_layer``) for
-        every completion it does not decline.  The engine fetches the
-        table once per call, so it may depend on state that only the
-        Python chain changes (task start and end); state the C handler
-        changes itself (CaMDN's page totals) it writes back as it goes.
+        ``on_layer_end`` / ``begin_layer`` for every completion it does
+        not decline.  The engine fetches the table once per call, so it
+        may depend on state that only the Python chain changes (task
+        start and end); state the C handler changes itself (CaMDN's
+        page totals) it writes back as it goes.  A callable in the
+        table (CaMDN's memo builder) runs mid-completion: it must change
+        no run state, and must not read what the loop holds until it
+        returns (an instance's layer index, work and traffic totals).
         """
         return None
 
@@ -296,10 +299,12 @@ class SchedulerPolicy(abc.ABC):
     # Helpers shared by concrete policies
     # ------------------------------------------------------------------
 
-    def compute_cycles(self, instance: TaskInstance) -> float:
-        """Cycles of the current layer on the instance's core group."""
+    def compute_cycles(self, instance: TaskInstance,
+                       layer_index: int) -> float:
+        """Cycles of layer ``layer_index`` of the instance's model on
+        its core group."""
         prepared = self.prepared_for(instance.graph)
-        cycles = prepared.layer_cycles[instance.layer_index]
+        cycles = prepared.layer_cycles[layer_index]
         if instance.cores > 1:
             speedup = 1.0 + PARALLEL_EFFICIENCY * (instance.cores - 1)
             cycles = cycles / speedup

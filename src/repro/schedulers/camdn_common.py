@@ -81,9 +81,6 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         self._tenant_admits = 0
         self._tenant_retires = 0
         self._pages_retired = 0
-        #: The native completion handler, installed by the engine
-        #: (bind_native); None keeps advance_layer in Python.
-        self._advance_native = None
         self._alloc = None
         self._pages = None
 
@@ -113,8 +110,10 @@ class CaMDNSchedulerBase(SchedulerPolicy):
     def _bind_system(self) -> None:
         """Resolve the hot-path methods of ``self.system`` (the
         per-layer chain runs twice per simulated event, so the attribute
-        walks are resolved once) and fetch the process-wide memo stores
-        of this SoC and mode."""
+        walks are resolved once), fetch the process-wide memo stores
+        of this SoC and mode, and build the native completion tables of
+        every task the system carries: a restored system's tasks
+        started in another process, whose stores may be cold."""
         system = self.system
         alloc = system.allocator
         self._alloc = alloc
@@ -129,14 +128,8 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         self._fast_files = _FAST_FILES.setdefault(
             (self.soc, system._hw_only), {}
         )
-        self._advance_native = None
-
-    def bind_native(self, advance) -> None:
-        """Install the engine's native completion handler
-        (``_batchstep.camdn_advance``), or ``None`` for the pure-Python
-        chain.  The engine calls this after every attach or restore, so
-        a run without native code never reaches it."""
-        self._advance_native = advance
+        for state, _ in system._ctx.values():
+            self._ensure_fast_file(state.mapping_file)
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -241,7 +234,9 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         # Pin the resolved (state, region) context on the instance: the
         # per-layer hooks read a slot attribute instead of hashing the
         # instance id into the context dict twice per simulated event.
-        instance.sched_ctx = self.system._ctx[instance.instance_id]
+        ctx = self.system._ctx[instance.instance_id]
+        instance.sched_ctx = ctx
+        self._ensure_fast_file(ctx[0].mapping_file)
 
     def begin_layer(self, instance: TaskInstance, now: float
                     ) -> Tuple[Optional[LayerWork], float]:
@@ -267,79 +262,6 @@ class CaMDNSchedulerBase(SchedulerPolicy):
     def poll_layer(self, instance: TaskInstance, now: float
                    ) -> Tuple[Optional[LayerWork], float]:
         # Re-select with fresh predictions; pages may have been freed.
-        return self.begin_layer(instance, now)
-
-    def advance_layer(self, instance: TaskInstance, now: float
-                      ) -> Tuple[Optional[LayerWork], float]:
-        """Fused engine hook: end-of-layer bookkeeping plus next-layer
-        selection in one call.  Must behave exactly like
-        ``on_layer_end`` -> ``layer_index += 1`` -> ``begin_layer``,
-        which it runs whenever the native completion handler cannot
-        take the completion; the engine only calls it when the next
-        layer exists."""
-        ctx = instance.sched_ctx
-        fast = self._advance_native
-        if ctx is not None and fast is not None:
-            # Native per-completion fast path: end-of-layer predictor
-            # update, next-layer selection and the grant check in one C
-            # call.  None means the C side bailed without mutating
-            # anything (a denial, say); the Python chain below then owns
-            # the event.
-            state, region = ctx
-            layer_index = instance.layer_index
-            mf = state.mapping_file
-            ft = self._fast_files.get(id(mf))
-            if ft is None or ft[0] is not mf:
-                ft = self._build_fast_file(mf)
-            nxt = layer_index + 1
-            rows = ft[1]
-            if nxt < len(rows):
-                alloc = self._alloc
-                block = state.lbm_block
-                if block is not None:
-                    ls, le = block
-                else:
-                    ls = le = -1
-                res = fast(
-                    alloc._tnext, alloc._pnext, alloc._palloc,
-                    state._slot, now, alloc.total_pages,
-                    alloc._palloc_sum, ls, le, layer_index,
-                    len(region.pcpns), len(self._pages._free), rows[nxt],
-                    1 if self._sys_hw is not None else 0,
-                    self.system._share,
-                )
-                if res is not None:
-                    code, nls, nle = res
-                    if nls != ls or nle != le:
-                        # block_of returns the mapping file's canonical
-                        # block tuple — the very object the Python chain
-                        # would install, keeping pickled object graphs
-                        # (snapshot bytes) identical across paths.
-                        state.lbm_block = (
-                            None if nls < 0 else mf.block_of(nxt)
-                        )
-                    instance.layer_index = nxt
-                    # cores is capped at 2 (cores_for), so packing the
-                    # selection code above it can never collide.
-                    entry = ft[2][nxt].get(code * 64 + instance.cores)
-                    if entry is None:
-                        entry = self._build_fast_pair(
-                            instance, state, region, nxt, code, ft
-                        )
-                    elif entry[0].decision.pages_needed != \
-                            len(region.pcpns):
-                        # A resize the C side found room for: the
-                        # grant's page moves and palloc commit.
-                        self._sys_try(state, region, nxt,
-                                      entry[0].decision)
-                    instance.sched_scratch = entry[0]
-                    if entry[2]:
-                        self._lbm_layers += 1
-                    return entry[1]
-        # No context (on_layer_end raises "not registered"), no native
-        # handler, or a decline: the split protocol.
-        self.on_layer_end(instance, now)
-        instance.layer_index += 1
         return self.begin_layer(instance, now)
 
     def timeout_layer(self, instance: TaskInstance, now: float
@@ -375,21 +297,22 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         """The CaMDN completion table of one native batch-loop call:
         the allocator's predictor lists and page totals, the HW-only
         static share, the HW-only flag, the :meth:`_build_fast_file`
-        tables, the regions' page allocator and the allocator itself.
-        The engine fetches this tuple per call: the loop resizes regions
-        (the page moves of ``RegionManager._resize``) and writes the
-        moved ``_palloc_sum`` back to the allocator, and the other
-        totals change only between calls.  The tables are the
-        process-wide store of this SoC and mode, so the loop also takes
-        completions whose memo entry an earlier cell of the process
-        built."""
+        tables, the regions' page allocator, the allocator itself and
+        the memo builder :meth:`_build_fast_pair`.  The engine fetches
+        this tuple per call: the loop resizes regions (the page moves
+        of ``RegionManager._resize``) and writes the moved
+        ``_palloc_sum`` back to the allocator, and the other totals
+        change only between calls.  The tables are the process-wide
+        store of this SoC and mode, so the loop takes the memo entries
+        an earlier cell of the process built, and builds the missing
+        ones through the builder."""
         alloc = self._alloc
         return (
             TABLE_CAMDN,
             alloc._tnext, alloc._pnext, alloc._palloc, alloc.total_pages,
             alloc._palloc_sum, self.system._share,
             0 if self._sys_hw is None else 1, self._fast_files,
-            self._pages, alloc,
+            self._pages, alloc, self._build_fast_pair,
         )
 
     def add_lbm_layers(self, count: int) -> None:
@@ -397,10 +320,19 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         handled (the ``is_lbm`` flags of the memo entries it took)."""
         self._lbm_layers += count
 
-    def _build_fast_file(self, mf) -> tuple:
+    def _ensure_fast_file(self, mf) -> None:
+        """Build the mapping file's :meth:`_build_fast_file` tables
+        unless the process-wide store holds them."""
+        ft = self._fast_files.get(id(mf))
+        if ft is None or ft[0] is not mf:
+            self._build_fast_file(mf)
+
+    def _build_fast_file(self, mf) -> None:
         """Precompute the per-layer geometry rows the C completion
         handler reads, plus one ``(grant, (work, 0.0), is_lbm)`` memo
-        dict per layer keyed by ``code * 64 + cores``.
+        dict per layer keyed by ``code * 64 + cores``.  Built when a
+        task of the model starts (or a restored system is bound), so
+        the batch loop finds the tables of every task it sees.
 
         One table per mapping file, SoC and mode (shared by every task
         of the model in every cell of the process): every row field is
@@ -437,26 +369,25 @@ class CaMDNSchedulerBase(SchedulerPolicy):
                 tuple(geom.lwm_pages),
             ))
             pairs.append({})
-        ft = (mf, rows, pairs)
-        self._fast_files[id(mf)] = ft
-        return ft
+        self._fast_files[id(mf)] = (mf, rows, pairs)
 
-    def _build_fast_pair(self, instance: TaskInstance, state, region,
-                         layer_index: int, code: int, ft: tuple
-                         ) -> tuple:
-        """Cold miss of the native completion handler: rebuild the
-        decision the C selection ``code`` denotes — through the same
-        geometry decision cache the Python chain uses, so both paths
-        create identical cache entries at the first occurrence — then
-        run the exact grant/work machinery once and memoize the
-        ``(grant, (work, 0.0), is_lbm)`` triple.
+    def _build_fast_pair(self, instance: TaskInstance, layer_index: int,
+                         code: int) -> None:
+        """Memo miss of the native batch loop, called from C in the
+        middle of a completion that moves ``instance`` to
+        ``layer_index`` with the C selection ``code``: rebuild the
+        decision the code denotes — through the same geometry decision
+        cache the Python chain uses, so both paths create identical
+        cache entries at the first occurrence — and store its
+        ``(grant, (work, 0.0), is_lbm)`` entry under
+        ``code * 64 + cores``.
 
-        Running ``_try_grant`` after the C call (which wrote only the
-        tnext/pnext predictions) completes the Python chain's grant: it
-        resizes the region when the footprint differs (the C call
-        checked the free pages, so it grants), commits palloc, and an
-        enabling decision re-installs the block bounds ``advance_layer``
-        already took from the C call."""
+        It changes no run state: the loop then takes the entry as on a
+        hit, doing the grant's page moves, palloc commit, predictions
+        and LBM block itself.  Nor may it read ``instance.layer_index``
+        (hence the layer argument): the loop holds the instance's layer
+        until it returns."""
+        state = instance.sched_ctx[0]
         geom = state.geoms[layer_index]
         cache = geom.decision_cache
         mct = state.mcts[layer_index]
@@ -526,15 +457,16 @@ class CaMDNSchedulerBase(SchedulerPolicy):
                     timeout_s=timeout,
                 )
                 cache[key] = decision
-        grant = self._sys_try(state, region, layer_index, decision)
         candidate = decision.candidate
         wentry = self._work_entry(candidate)
         pair = wentry[1].get(instance.cores)
         if pair is None:
-            pair = self._build_work(instance, candidate, wentry)
-        entry = (grant, pair, wentry[2])
-        ft[2][layer_index][code * 64 + instance.cores] = entry
-        return entry
+            pair = self._build_work(instance, layer_index, candidate,
+                                    wentry)
+        ft = self._fast_files[id(state.mapping_file)]
+        ft[2][layer_index][code * 64 + instance.cores] = (
+            self.system._granted(decision), pair, wentry[2]
+        )
 
     # ------------------------------------------------------------------
 
@@ -570,20 +502,22 @@ class CaMDNSchedulerBase(SchedulerPolicy):
             self._lbm_layers += 1
         pair = entry[1].get(instance.cores)
         if pair is None:
-            pair = self._build_work(instance, candidate, entry)
+            pair = self._build_work(instance, instance.layer_index,
+                                    candidate, entry)
         return pair
 
-    def _build_work(self, instance: TaskInstance, candidate,
-                    entry: tuple) -> Tuple[LayerWork, float]:
+    def _build_work(self, instance: TaskInstance, layer_index: int,
+                    candidate, entry: tuple) -> Tuple[LayerWork, float]:
         """Build and cache the ``(LayerWork, 0.0)`` pair for a granted
-        candidate on this instance's core count."""
+        candidate of layer ``layer_index`` on this instance's core
+        count."""
         dram = candidate.dram_bytes
         if instance.cores > 1:
             # Multicast combines the per-core identical reads.
             dram *= 1.0 + MULTICAST_TRAFFIC_OVERHEAD * \
                 (instance.cores - 1)
         work = LayerWork(
-            compute_cycles=self.compute_cycles(instance),
+            compute_cycles=self.compute_cycles(instance, layer_index),
             dram_bytes=dram,
         )
         pair = (work, 0.0)

@@ -189,7 +189,8 @@ class SharedCacheBaseline(SchedulerPolicy):
                 (instance.cores - 1)
             dram *= replication
         work = LayerWork(
-            compute_cycles=self.compute_cycles(instance),
+            compute_cycles=self.compute_cycles(instance,
+                                               instance.layer_index),
             dram_bytes=dram,
             hit_bytes=hits,
             access_bytes=accesses,

@@ -1,6 +1,6 @@
 /* Native kernels for the fluid engine's batch loop.
  *
- * Three entry points share the code below:
+ * Two entry points share the code below:
  *
  * - batch_loop: the engine's batch loop for every policy.  Each event
  *   is one step — recompute the bandwidth rates from the remaining-work
@@ -13,14 +13,11 @@
  *   (baseline, MoCA, AuRORA) install the next layer's memoized
  *   LayerWork, the CaMDN policies run the completion chain below,
  *   region resizes included (the page moves of RegionManager._resize
- *   are done here).  It hands back to Python every completion it
- *   cannot take: last layers, memo misses, CaMDN denials, completions
- *   while waiters are pending, and every completion of a policy with
- *   no table or of a run with a TraceRecorder attached (the engine
- *   passes no table);
- * - camdn_advance: one CaMDN layer completion — Algorithm 1's
- *   end-of-layer predictor update plus the next layer's selection and
- *   its grant check — for the completions the Python chain handles;
+ *   are done here) and memo misses too (the scheduler's builder fills
+ *   the memo entry).  It hands back to Python every completion it
+ *   cannot take: last layers, transparent-cache memo misses, CaMDN
+ *   denials, and every completion of a policy with no table or of a
+ *   run with a TraceRecorder attached (the engine passes no table);
  * - fused_step: one event of batch_loop's step, the harness of the
  *   randomised C-vs-Python bit-identity tests.
  *
@@ -869,8 +866,7 @@ camdn_select(const camdn_query *q, camdn_choice *out)
 }
 
 /* Write a decided completion's tnext/pnext predictions.  The grant's
- * own writes (region pages, palloc) are the caller's: the batch loop
- * does them in C (camdn_grant), the Python chain in _try_grant. */
+ * own writes (region pages, palloc) are camdn_grant's. */
 static int
 camdn_commit(const camdn_query *q, const camdn_choice *ch)
 {
@@ -887,61 +883,6 @@ camdn_commit(const camdn_query *q, const camdn_choice *ch)
     PyList_SetItem(q->tnext_l, q->slot, ftn);
     PyList_SetItem(q->pnext_l, q->slot, fpn);
     return 0;
-}
-
-/* camdn_advance(tnext, pnext, palloc, slot, now, total_pages,
- *               palloc_sum, lbm_start, lbm_end, layer_index,
- *               region_pages, free_pages, row, hw_mode, share)
- *   -> (code, new_lbm_start, new_lbm_end) | None
- *
- * camdn_select plus its tnext/pnext commit, for
- * CaMDNSchedulerBase.advance_layer, which applies a resize through
- * _try_grant (the grant is certain: the free pages were checked here)
- * and skips _try_grant when the footprint equals the region.  That
- * skip is exact only while the allocator and the region agree on the
- * task's holding (true between layers), so a disagreement declines.
- * None means nothing was mutated and the Python chain owns the
- * completion.
- */
-static PyObject *
-camdn_advance(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    camdn_query q;
-    camdn_choice ch;
-
-    if (nargs != 15) {
-        PyErr_SetString(PyExc_TypeError,
-                        "camdn_advance expects exactly 15 arguments");
-        return NULL;
-    }
-    q.tnext_l = args[0];
-    q.pnext_l = args[1];
-    q.palloc_l = args[2];
-    q.slot = PyLong_AsLong(args[3]);
-    if (q.slot == -1 && PyErr_Occurred()) {
-        return NULL;
-    }
-    q.now = PyFloat_AsDouble(args[4]);
-    q.total_pages = PyLong_AsLong(args[5]);
-    q.palloc_sum = PyLong_AsLong(args[6]);
-    q.lbm_s = PyLong_AsLong(args[7]);
-    q.lbm_e = PyLong_AsLong(args[8]);
-    q.layer_index = PyLong_AsLong(args[9]);
-    q.region_pages = PyLong_AsLong(args[10]);
-    q.free_pages = PyLong_AsLong(args[11]);
-    q.row = args[12];
-    q.hw_mode = PyLong_AsLong(args[13]);
-    q.share = PyLong_AsLong(args[14]);
-    if (PyErr_Occurred()) {
-        return NULL;
-    }
-    if (camdn_select(&q, &ch) || ch.palloc != q.region_pages) {
-        Py_RETURN_NONE;
-    }
-    if (camdn_commit(&q, &ch) < 0) {
-        return NULL;
-    }
-    return Py_BuildValue("(lll)", ch.code, ch.lbm_s, ch.lbm_e);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1045,17 +986,18 @@ set_long(PyObject *obj, PyObject *name, long v)
  *   memo, {(model name, contention factor, cores): [LayerWork or None
  *   per layer]}, and this call's contention factor;
  * - TABLE_CAMDN, (kind, tnext, pnext, palloc, total_pages, palloc_sum,
- *   share, hw_mode, fast_files, pages, alloc): the CaMDN allocator's
- *   predictor lists and page totals, the HW-only share and flag, the
- *   per-mapping-file tables of the completion handler, the
- *   CachePageAllocator the regions draw from and the
- *   DynamicCacheAllocator itself.  A handled resize moves
+ *   share, hw_mode, fast_files, pages, alloc, build): the CaMDN
+ *   allocator's predictor lists and page totals, the HW-only share and
+ *   flag, the per-mapping-file tables of the completion handler, the
+ *   CachePageAllocator the regions draw from, the
+ *   DynamicCacheAllocator itself and the memo builder
+ *   (CaMDNSchedulerBase._build_fast_pair).  A handled resize moves
  *   ``palloc_sum`` and writes it back to ``alloc._palloc_sum``. */
 typedef struct {
     long kind;
     PyObject *works, *factor;
     PyObject *tnext_l, *pnext_l, *palloc_l, *fast_files;
-    PyObject *pages, *alloc;
+    PyObject *pages, *alloc, *build;
     long total_pages, palloc_sum, share, hw_mode;
 } batch_table;
 
@@ -1165,10 +1107,10 @@ out:
     return rc;
 }
 
-/* Resolve the CaMDN side of ``v`` the way advance_layer does
- * (sched_ctx -> task state and region, mapping file -> _fast_files
- * tables): 0, DECLINE when anything is missing or unexpectedly typed,
- * -1 on a Python error. */
+/* Resolve the CaMDN side of ``v`` (sched_ctx -> task state and region,
+ * mapping file -> the _fast_files tables built at task start): 0,
+ * DECLINE when anything is missing or unexpectedly typed, -1 on a
+ * Python error. */
 static int
 load_camdn(const batch_table *t, inst_view *v)
 {
@@ -1735,15 +1677,18 @@ camdn_grant(batch_table *t, inst_view *v, long pages, long palloc)
 
 /* One non-final layer completion under TABLE_CAMDN at ``now``, handled
  * exactly as MultiTenantEngine._process_completions ->
- * CaMDNSchedulerBase.advance_layer (native branch, memo hit) ->
+ * CaMDNSchedulerBase.on_layer_end -> begin_layer ->
  * CaMDNSystem._try_grant -> MultiTenantEngine._apply_grant would:
  * decide the next layer (camdn_select), take the memoized
  * ``(grant, (work, 0.0), is_lbm)`` entry, resize the task's region when
- * the footprint changes (camdn_grant) and install the work.
+ * the footprint changes (camdn_grant) and install the work.  A memo
+ * miss first calls the table's builder, which stores the entry and
+ * changes no run state (it must not read the instance's layer_index,
+ * which this view holds until flush_view).
  *
  * HANDLED; DECLINE with nothing changed when the Python chain must
- * handle the completion (last layer, denial, memo miss, unexpected
- * types); -1 on a Python error. */
+ * handle the completion (last layer, denial, unexpected types); -1 on
+ * a Python error, the builder's included. */
 static int
 camdn_completion(batch_table *t, inst_view *v, double now,
                  double *c_i, double *d_i, double *prog_i, long *lbm)
@@ -1799,9 +1744,29 @@ camdn_completion(batch_table *t, inst_view *v, double now,
         return -1;
     }
     entry = PyDict_GetItemWithError(memo, key);
+    if (entry == NULL && !PyErr_Occurred()) {
+        /* A memo miss: the builder stores the entry.  It runs Python
+         * code, so the memo dict is fetched again from the list the
+         * view holds. */
+        PyObject *res = PyObject_CallFunction(t->build, "Oll", v->inst,
+                                              nxt, ch.code);
+        if (res != NULL) {
+            Py_DECREF(res);
+            memo = nxt < PyList_GET_SIZE(v->pairs)
+                ? PyList_GET_ITEM(v->pairs, nxt) : NULL;
+            if (memo != NULL && PyDict_CheckExact(memo)) {
+                entry = PyDict_GetItemWithError(memo, key);
+            }
+            if (entry == NULL && !PyErr_Occurred()) {
+                PyErr_SetString(PyExc_RuntimeError,
+                                "batch_loop: the memo builder stored "
+                                "no entry");
+            }
+        }
+    }
     Py_DECREF(key);
     if (entry == NULL) {
-        return PyErr_Occurred() ? -1 : DECLINE;
+        return -1;
     }
     if (!PyTuple_CheckExact(entry) || PyTuple_GET_SIZE(entry) != 3) {
         return DECLINE;
@@ -1885,7 +1850,7 @@ parse_table(PyObject *obj, batch_table *t)
         }
         return 0;
     }
-    if (t->kind == TABLE_CAMDN && size == 11) {
+    if (t->kind == TABLE_CAMDN && size == 12) {
         t->tnext_l = PyTuple_GET_ITEM(obj, 1);
         t->pnext_l = PyTuple_GET_ITEM(obj, 2);
         t->palloc_l = PyTuple_GET_ITEM(obj, 3);
@@ -1896,10 +1861,12 @@ parse_table(PyObject *obj, batch_table *t)
         t->fast_files = PyTuple_GET_ITEM(obj, 8);
         t->pages = PyTuple_GET_ITEM(obj, 9);
         t->alloc = PyTuple_GET_ITEM(obj, 10);
+        t->build = PyTuple_GET_ITEM(obj, 11);
         if (PyErr_Occurred()) {
             return -1;
         }
-        if (!PyDict_CheckExact(t->fast_files)) {
+        if (!PyDict_CheckExact(t->fast_files) ||
+            !PyCallable_Check(t->build)) {
             goto bad;
         }
         return 0;
@@ -1915,7 +1882,7 @@ bad:
  *            sl_est, sl_progress, mode, freq, total_bw, eff, floor,
  *            urgency, now, wake_s, timeline_s, fault_s, events,
  *            max_events, queued, waiting, table)
- *   -> (handled, now, lbm_layers, rest) | None
+ *   -> (handled, now, lbm_layers, rest, poll) | None
  *
  * The body of MultiTenantEngine._batch_run for every policy: each
  * event is the fused step (MODE_STATIC with the installed rate_c /
@@ -1927,11 +1894,10 @@ bad:
  * ``fault_s`` are the absolute next wakeup, timeline and fault instants
  * (inf when none); they stay fixed because only Python changes them.
  * ``queued``/``waiting`` are the engine's dispatch queue and waiting
- * set (truth-tested): with a queue the loop stops after any event with
- * completions, with waiters it declines every completion, since both
- * need the Python machinery.  ``table`` is the policy's
- * native_batch_args() (see batch_table), or None to decline every
- * completion.
+ * set (truth-tested): with either, the loop stops after any event with
+ * completions, since dispatch and the waiters' re-poll need the Python
+ * machinery.  ``table`` is the policy's native_batch_args() (see
+ * batch_table), or None to decline every completion.
  *
  * ``handled`` events were stepped, and ``now`` is the time after the
  * last of them; ``lbm_layers`` counts the handled CaMDN completions
@@ -1942,8 +1908,14 @@ bad:
  *   queue waits for a completion);
  * - a list: the last event's completions from the first declined one
  *   on, untouched, for the Python chain, in order;
- * - an empty list: the next event needs the per-event path (fused-rate
- *   bail, idle or negative step).
+ * - an empty list: with ``poll`` true, the last event had completions,
+ *   all handled here, while waiters were pending; without, the next
+ *   event needs the per-event path (fused-rate bail, idle or negative
+ *   step).
+ *
+ * ``poll`` is true when the last event had completions while waiters
+ * were pending: the engine hands ``rest`` to _process_completions even
+ * when it is empty, which re-polls the waiters after the completions.
  *
  * None (the whole call) means that happened before the first event:
  * nothing was touched.  The loop keeps no state between calls: each
@@ -1960,7 +1932,7 @@ batch_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     long mode, lbm = 0;
     long long events, max_events;
     double freq, total_bw, eff, fl, urgency, now, wake, timeline, fault;
-    int queued, waiting, slack, bailed = 0;
+    int queued, waiting, slack, bailed = 0, poll = 0;
     step_buf buf;
     inst_view *views = NULL;
     double *c, *d, *rc, *rd, *dem, *sl;
@@ -2106,7 +2078,7 @@ batch_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         for (k = 0; k < nfin; k++) {
             Py_ssize_t i = buf.fin[k];
             int r = DECLINE;
-            if (views != NULL && !waiting) {
+            if (views != NULL) {
                 r = views[i].loaded ? 0
                     : load_view(&table, PyList_GET_ITEM(insts, i),
                                 &views[i]);
@@ -2127,6 +2099,14 @@ batch_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                     goto done;
                 }
                 break;
+            }
+        }
+        if (nfin && waiting) {
+            /* The waiters are re-polled after this event's completions,
+             * in Python. */
+            poll = 1;
+            if (rest == NULL && (rest = PyList_New(0)) == NULL) {
+                goto done;
             }
         }
         if (rest != NULL || (nfin && queued)) {
@@ -2158,8 +2138,9 @@ batch_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         (slack && write_doubles(sl_l[3], sl + 3 * n, n) < 0)) {
         goto done;
     }
-    result = Py_BuildValue("(ndlO)", handled, now, lbm,
-                           rest != NULL ? rest : Py_None);
+    result = Py_BuildValue("(ndlOO)", handled, now, lbm,
+                           rest != NULL ? rest : Py_None,
+                           poll ? Py_True : Py_False);
 
 done:
     Py_XDECREF(rest);
@@ -2181,9 +2162,6 @@ static PyMethodDef batchstep_methods[] = {
     {"fused_step", (PyCFunction)(void (*)(void))fused_step,
      METH_FASTCALL,
      "Fused rates-recompute + min-dt + advance for one engine event."},
-    {"camdn_advance", (PyCFunction)(void (*)(void))camdn_advance,
-     METH_FASTCALL,
-     "Fused CaMDN end-of-layer update + next-layer selection + grant."},
     {"batch_loop", (PyCFunction)(void (*)(void))batch_loop,
      METH_FASTCALL,
      "The engine batch loop: fused steps plus the layer completions "

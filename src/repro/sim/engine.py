@@ -41,22 +41,23 @@ non-final layer completion the policy's completion table covers
 handled in C too.  The transparent-cache policies (baseline, MoCA,
 AuRORA) install the next layer's memoized work; the CaMDN policies run
 the layer accounting, Algorithm 1 selection and memoized grant,
-including the grant's region resize.  The
-loop hands back to the Python chain the completions it cannot take:
-memo entries the process has not built yet (the memos are
-process-wide), last layers, CaMDN denials,
-completions while waiters are pending, every completion of a policy
-with no table, and every completion while a
+including the grant's region resize, and fill a missing memo entry
+through the scheduler's builder.  The loop hands back to the Python
+chain (``on_layer_end`` -> ``begin_layer``) the completions it cannot
+take: last layers, transparent-cache layer works the process has not
+built yet (the memos are process-wide), CaMDN denials, every
+completion of a policy with no table, and every completion while a
 :class:`~repro.sim.trace.TraceRecorder` is attached (its spans stay in
-Python); after a completion while a task is queued for dispatch it
-returns.  ``use_native=False`` and ``REPRO_NATIVE=0`` run no native
-code: every event then takes the split ``_recompute_rates`` +
-:meth:`RunningKernel.step` pair, the Python reference the C loop
-transcribes, and every completion the Python chain.  Each
-piecewise-constant interval is still stepped individually — exactness
-requires draining every interval with the same arithmetic — so
-batching elides bookkeeping, never events, and the two step paths are
-bit-identical by construction.
+Python).  It returns after an event with completions while a task is
+queued for dispatch or a waiter awaits pages, so Python dispatches
+or re-polls the waiters.  ``use_native=False`` and ``REPRO_NATIVE=0``
+run no native code: every event then takes the split
+``_recompute_rates`` + :meth:`RunningKernel.step` pair, the Python
+reference the C loop transcribes, and every completion the Python
+chain.  Each piecewise-constant interval is still stepped individually
+— exactness requires draining every interval with the same arithmetic
+— so batching elides bookkeeping, never events, and the two step paths
+are bit-identical by construction.
 
 Dynamic tenancy: a tenant that joins mid-run is admitted through the
 scheduler's :meth:`~repro.schedulers.base.SchedulerPolicy.on_tenant_admit`
@@ -244,9 +245,6 @@ class MultiTenantEngine:
         self.cancelled = 0
         self._completed = 0
         self._dynamic_rates = scheduler.dynamic_rates
-        # Optional fused end+begin scheduler hook (see
-        # _process_completions); policies without it use the split path.
-        self._advance_layer = getattr(scheduler, "advance_layer", None)
         self._shares_fn = scheduler.bandwidth_shares
         self._queued: List[TaskInstance] = []
         self._active: Dict[str, TaskInstance] = {}
@@ -263,8 +261,8 @@ class MultiTenantEngine:
         self._dram_eff: Dict[int, float] = {}
         # SoA kernel over the RUNNING set.
         self._kernel = RunningKernel()
-        # Native batch loop (None: the Python split path).  It gates
-        # every native entry point of the run (see _bind_native).
+        # Native batch loop (None: the Python split path and completion
+        # chain; the run then calls no native code).
         self._batch = None
         if use_native is not False:
             self._batch = native.batch_loop()
@@ -363,7 +361,6 @@ class MultiTenantEngine:
         self._setup_checkpoints(checkpoint_every_s, checkpoint_dir,
                                 snapshot_at_events, start)
         self.scheduler.attach(self.soc)
-        self._bind_native()
         self._dynamic_rates = self.scheduler.dynamic_rates
         self._resolve_rate_mode()
         self._process_timeline(initial=True)
@@ -392,21 +389,8 @@ class MultiTenantEngine:
         self._apply_budgets(max_events, max_wall_s, start)
         self._setup_checkpoints(checkpoint_every_s, checkpoint_dir,
                                 snapshot_at_events, start)
-        self._bind_native()
         self._resolve_rate_mode()
         return self._finish_run(start)
-
-    def _bind_native(self) -> None:
-        """Share this engine's native code with a CaMDN scheduler.
-
-        The scheduler gets the C completion handler only when the
-        engine runs the native batch loop, so ``use_native=False`` and
-        ``REPRO_NATIVE=0`` keep the whole run in Python.
-        """
-        bind = getattr(self.scheduler, "bind_native", None)
-        if bind is not None:
-            bind(native.camdn_advance() if self._batch is not None
-                 else None)
 
     def _apply_budgets(self, max_events: Optional[int],
                        max_wall_s: Optional[float],
@@ -728,10 +712,14 @@ class MultiTenantEngine:
         (:meth:`~repro.schedulers.base.SchedulerPolicy.native_batch_args`),
         and hands back the completions it declines; with a
         :class:`~repro.sim.trace.TraceRecorder` attached it hands back
-        every completion, so the trace spans stay in Python.  Without
-        native code (or when the loop cannot step a dynamic-rate policy
-        without a fusable rule), every event runs the split pair, which
-        the C loop transcribes bit for bit.
+        every completion, so the trace spans stay in Python.  While
+        waiters are pending the loop takes the completions too and
+        returns after the event with ``poll`` set: the declined list,
+        empty or not, then goes through :meth:`_process_completions`,
+        which re-polls the waiters where the Python chain does.
+        Without native code (or when the loop cannot step a
+        dynamic-rate policy without a fusable rule), every event runs
+        the split pair, which the C loop transcribes bit for bit.
         """
         kernel = self._kernel
         insts = kernel.insts
@@ -815,8 +803,10 @@ class MultiTenantEngine:
             if out is not None:
                 # ``handled`` events ran in C; ``finished`` is None when
                 # the last one ended the batch, else the completions it
-                # declined (empty: the next event needs this loop).
-                handled, self.now, lbm, finished = out
+                # declined.  An empty list means, with ``poll``, that the
+                # waiters need their re-poll, and otherwise that the next
+                # event needs this loop.
+                handled, self.now, lbm, finished, poll = out
                 self.events_processed += handled
                 if lbm:
                     scheduler.add_lbm_layers(lbm)
@@ -827,6 +817,7 @@ class MultiTenantEngine:
             else:
                 # Split path: the Python reference of one event (also
                 # the fallback when the C loop declines its inputs).
+                poll = False
                 if not self._rates_valid:
                     self._recompute_rates()
                 dt, finished = step(wait_dt)
@@ -840,7 +831,7 @@ class MultiTenantEngine:
                 if dynamic and insts:
                     self._rates_valid = False
                 self.events_processed += 1
-            if finished:
+            if finished or poll:
                 self._process_completions(finished)
                 if scheduler.rate_epoch != epoch:
                     self._resolve_rate_mode()
@@ -1127,7 +1118,6 @@ class MultiTenantEngine:
         # reference: handling a completion can reshape the kernel (task
         # finish, page wait), invalidating positions.
         finished = kernel.take_finished(finished_pos)
-        advance = self._advance_layer
         for inst in finished:
             if trace is not None:
                 trace.end(inst.instance_id, now,
@@ -1139,14 +1129,6 @@ class MultiTenantEngine:
             inst.hit_bytes_total += work.hit_bytes
             inst.access_bytes_total += work.access_bytes
             inst.layers_executed += 1
-            if advance is not None and \
-                    inst.layer_index + 1 < len(inst.graph.layers):
-                # Fused end-of-layer + next-layer selection: one
-                # scheduler call per completion (identical semantics to
-                # on_layer_end -> layer_index += 1 -> begin_layer).
-                work, timeout = advance(inst, now)
-                self._apply_grant(inst, work, timeout)
-                continue
             scheduler.on_layer_end(inst, now)
             inst.layer_index += 1
             if inst.layer_index >= len(inst.graph.layers):

@@ -6,9 +6,9 @@ every policy: the C loop steps each event with the same arithmetic as
 the Python split path (``_recompute_rates`` + ``RunningKernel.step``),
 and takes the layer completions the policy's completion table covers
 (see :meth:`~repro.schedulers.base.SchedulerPolicy.native_batch_args`);
-the rest go back to the Python chain.  CaMDN's Python completion chain
-also calls ``camdn_advance``, and ``fused_step`` is kept as the
-one-event harness of the C-vs-Python bit-identity tests.  The
+the rest go back to the Python chain.  The extension's other entry
+point, ``fused_step``, is the one-event harness of the C-vs-Python
+bit-identity tests, and :func:`fused_step` is the loader.  The
 extension is compiled from the shipped ``_batchstep.c`` the first time
 a process asks for it, cached under
 ``$XDG_CACHE_HOME/camdn-repro/native/`` keyed by source digest and
@@ -46,7 +46,6 @@ _ABI_TAG = 2
 
 _loaded = False
 _fused_step: Optional[Callable] = None
-_camdn_advance: Optional[Callable] = None
 _batch_loop: Optional[Callable] = None
 _status = "not loaded"
 
@@ -127,7 +126,7 @@ def fused_step() -> Optional[Callable]:
     later calls return the memoized result.  Callers use it as the
     loader; the engine itself calls :func:`batch_loop`.
     """
-    global _loaded, _fused_step, _camdn_advance, _batch_loop, _status
+    global _loaded, _fused_step, _batch_loop, _status
     if _loaded:
         return _fused_step
     _loaded = True
@@ -161,26 +160,13 @@ def fused_step() -> Optional[Callable]:
                 _build(so_path)
                 module = _load_from(so_path)
         _fused_step = module.fused_step
-        _camdn_advance = module.camdn_advance
         _batch_loop = module.batch_loop
         _status = f"loaded ({so_path.name})"
     except Exception as exc:  # noqa: BLE001 - any failure means fallback
         _fused_step = None
-        _camdn_advance = None
         _batch_loop = None
         _status = f"unavailable: {type(exc).__name__}: {exc}"
     return _fused_step
-
-
-def camdn_advance() -> Optional[Callable]:
-    """The native CaMDN per-completion handler, or ``None``.
-
-    Shares the load attempt with :func:`fused_step` (one extension
-    module carries every entry point).
-    """
-    if not _loaded:
-        fused_step()
-    return _camdn_advance
 
 
 def batch_loop() -> Optional[Callable]:
@@ -199,9 +185,8 @@ def native_status() -> str:
 
 def reset_for_tests() -> None:
     """Forget the memoized load so tests can exercise both paths."""
-    global _loaded, _fused_step, _camdn_advance, _batch_loop, _status
+    global _loaded, _fused_step, _batch_loop, _status
     _loaded = False
     _fused_step = None
-    _camdn_advance = None
     _batch_loop = None
     _status = "not loaded"

@@ -151,13 +151,13 @@ class RetireProbe(CaMDNFullScheduler):
         )
 
     def native_batch_args(self):
-        # The probe watches the regions at every layer completion in
-        # advance_layer, so the native batch loop, which resizes
-        # regions itself, must hand every completion back to Python.
+        # The probe watches the regions at every layer start in
+        # begin_layer, so the native batch loop, which resizes regions
+        # itself, must hand every completion back to Python.
         return None
 
-    def advance_layer(self, instance, now):
-        out = super().advance_layer(instance, now)
+    def begin_layer(self, instance, now):
+        out = super().begin_layer(instance, now)
         if self.freed_pcpns and \
                 instance.stream_id not in self._churn_streams:
             region = self.system.regions.region_of(instance.instance_id)

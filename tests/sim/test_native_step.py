@@ -13,7 +13,8 @@ the CaMDN policies and of the transparent-cache policies (baseline,
 MoCA, AuRORA); it must leave results, scheduler stats and mid-run
 snapshots exactly as the Python completion chain does, stay off
 whenever the engine runs without native code, and actually take most
-completions.
+completions: every CaMDN completion it can, memo misses and those while
+page waiters are pending included.
 """
 
 import json
@@ -37,6 +38,7 @@ from repro.core.prepared import clear_prepared_caches
 from repro.memory.bwalloc import DemandProportionalPolicy, SlackWeightedPolicy
 from repro.schedulers import make_scheduler
 from repro.schedulers.base import SchedulerPolicy
+from repro.schedulers.camdn_common import CaMDNSchedulerBase
 from repro.sim import native
 from repro.sim.engine import MultiTenantEngine
 from repro.sim.faults import get_fault_schedule
@@ -298,7 +300,7 @@ class TestNativeSwitch:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"advance": 0, "batch": 0, "step": 0}
+        counts = {"batch": 0, "step": 0}
 
         def counting(name, getter):
             def get():
@@ -314,8 +316,7 @@ class TestNativeSwitch:
 
             return get
 
-        for name, attr in (("advance", "camdn_advance"),
-                           ("batch", "batch_loop"),
+        for name, attr in (("batch", "batch_loop"),
                            ("step", "fused_step")):
             monkeypatch.setattr(native, attr,
                                 counting(name, getattr(native, attr)))
@@ -345,7 +346,7 @@ class TestNativeSwitch:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_use_native_false(self, calls, policy):
         _run(policy, use_native=False)
-        assert calls == {"advance": 0, "batch": 0, "step": 0}
+        assert calls == {"batch": 0, "step": 0}
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_every_event_runs_split_pair(self, calls, no_native,
@@ -378,7 +379,7 @@ class TestNativeSwitch:
                                    ScenarioWorkload(spec), faults=faults,
                                    **no_native)
         result = engine.run()
-        assert calls == {"advance": 0, "batch": 0, "step": 0}
+        assert calls == {"batch": 0, "step": 0}
         assert result.metrics.records
         assert len(log) == result.events_processed
         busy = [recomputed for recomputed, n in log if n]
@@ -396,23 +397,40 @@ class TestNativeSwitch:
                                    make_scheduler(policy),
                                    ScenarioWorkload(spec))
         snapshot = engine.run(snapshot_at_events=200).last_snapshot
-        calls.update(advance=0, batch=0, step=0)
+        calls.update(batch=0, step=0)
         MultiTenantEngine.resume(snapshot, use_native=False).resume_run()
-        assert calls == {"advance": 0, "batch": 0, "step": 0}
+        assert calls == {"batch": 0, "step": 0}
 
     @needs_native
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_default_path_is_native(self, calls, policy):
+    def test_default_path_is_native(self, calls, monkeypatch, policy):
         # The completion memos are process-wide: start from cold stores
-        # so the run has memo misses to send to advance_layer.
+        # so the run has CaMDN memo misses, which the C loop builds
+        # through the scheduler's builder in the middle of a batch.
+        callers = []
+        build = CaMDNSchedulerBase._build_fast_pair
+
+        def counting(self, instance, layer_index, code):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name == "wrapper":  # calls' counter
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
+            return build(self, instance, layer_index, code)
+
+        monkeypatch.setattr(CaMDNSchedulerBase, "_build_fast_pair",
+                            counting)
         clear_prepared_caches()
         _run(policy)
         assert calls["batch"] > 0
         # The engine steps no event through the one-event harness.
         assert calls["step"] == 0
         if policy in CAMDN_POLICIES:
-            # Memo misses reach advance_layer's native branch.
-            assert calls["advance"] > 0
+            # Called from C: the nearest Python frame past the batch
+            # loop's counter is the batch run.
+            assert callers
+            assert set(callers) == {"_batch_run"}
+        else:
+            assert not callers
 
 
 @needs_native
@@ -421,17 +439,46 @@ class TestCompletionFastPath:
 
     The identity tests stay green when the batch loop silently declines
     everything (a type bail on every completion, a changed table
-    layout); these tests do not.  CaMDN declines are last layers,
-    denials, waiters and memo misses.  The memos are process-wide, so
-    here at most the first inference of each stream builds entries and
-    at most 1 in 8 completions (12.5 %) reaches Python; a silent
-    fall-back sends all of them.
+    layout); these tests do not.  CaMDN declines are last layers and
+    denials (the loop builds its memo misses itself and takes the
+    completions while waiters are pending); a silent fall-back sends
+    every completion.
     """
+
+    @staticmethod
+    def _python_completions(scheduler):
+        """Count the scheduler's non-final Python completions, each an
+        ``on_layer_end`` followed by the next layer's ``begin_layer``,
+        and the region-size changes across that ``begin_layer``."""
+        counts = {"completions": 0, "resizes": 0}
+        end, begin = scheduler.on_layer_end, scheduler.begin_layer
+        ended = [None]
+
+        def on_layer_end(inst, now):
+            if inst.layer_index + 1 < len(inst.graph.layers):
+                counts["completions"] += 1
+                ended[0] = inst
+            return end(inst, now)
+
+        def begin_layer(inst, now):
+            if ended[0] is not inst:
+                return begin(inst, now)
+            ended[0] = None
+            region = inst.sched_ctx[1]
+            pages = len(region.pcpns)
+            out = begin(inst, now)
+            counts["resizes"] += len(region.pcpns) != pages
+            return out
+
+        scheduler.on_layer_end = on_layer_end
+        scheduler.begin_layer = begin_layer
+        return counts
 
     def test_most_resizes_skip_python(self):
         """The batch loop resizes regions itself: of the completions
-        whose grant changes the task's region size, only memo misses
-        and those while waiters are pending reach ``advance_layer``."""
+        whose grant changes the task's region size, only those sharing
+        a Python completion pass with a last layer or a denial reach
+        ``begin_layer``."""
         spec = ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "VT.") * 2,
                                         inferences=8)
         # A 4 MiB cache makes Algorithm 1 resize at most boundaries.
@@ -439,21 +486,11 @@ class TestCompletionFastPath:
 
         def python_resizes(use_native):
             scheduler = make_scheduler("camdn-full")
-            advance = scheduler.advance_layer
-            count = [0]
-
-            def counting(inst, now):
-                region = inst.sched_ctx[1]
-                pages = len(region.pcpns)
-                out = advance(inst, now)
-                count[0] += len(region.pcpns) != pages
-                return out
-
-            scheduler.advance_layer = counting
+            counts = self._python_completions(scheduler)
             MultiTenantEngine(soc, scheduler,
                               ScenarioWorkload(spec),
                               use_native=use_native).run()
-            return count[0]
+            return counts["resizes"]
 
         clear_prepared_caches()
         # Without native code every resizing completion calls it.
@@ -465,24 +502,18 @@ class TestCompletionFastPath:
         spec = ScenarioSpec.closed_loop(("RS.", "MB.", "EF.", "VT.") * 2,
                                         inferences=8)
 
-        def python_advances(use_native):
+        def python_completions(use_native):
             scheduler = make_scheduler("camdn-full")
-            advance = scheduler.advance_layer
-            count = [0]
-
-            def counting(inst, now):
-                count[0] += 1
-                return advance(inst, now)
-
-            scheduler.advance_layer = counting
+            counts = self._python_completions(scheduler)
             MultiTenantEngine(SoCConfig(), scheduler,
                               ScenarioWorkload(spec),
                               use_native=use_native).run()
-            return count[0]
+            return counts["completions"]
 
-        # Without native code every non-final completion calls it.
-        total = python_advances(False)
-        assert python_advances(None) < 0.25 * total
+        # Without native code every non-final completion is one.
+        total = python_completions(False)
+        assert total > 0
+        assert python_completions(None) < 0.25 * total
 
     def test_most_aurora_completions_skip_python(self):
         """The transparent-cache twin: the batch loop installs memoized
@@ -512,85 +543,132 @@ class TestCompletionFastPath:
         assert python_begins(None) < 0.25 * total
 
 
-def _single_level_row(pages):
-    """A ``_build_fast_file`` geometry row of a layer with one LWM
-    candidate of ``pages`` pages and no LBM candidate, so the
-    selection is always code 2 with that footprint."""
-    return (-1, 0, -1, -1, 0.0, 1e-3, 2e-4, 1, 1, 1,
-            (pages,), (0,), (0,), (pages,))
+def _watch_python_passes(monkeypatch):
+    """Classify the first completion of every Python completion pass
+    that holds one: ``"last"`` (the task ends), or what ``begin_layer``
+    then does with the next layer, ``"denied"`` or ``"granted"``.
+    Returns the list the classes are appended to."""
+    firsts = []
+    pending = [None]
+    process = MultiTenantEngine._process_completions
+    begin = CaMDNSchedulerBase.begin_layer
+
+    def process_completions(engine, finished_pos):
+        if finished_pos:
+            inst = engine._kernel.insts[finished_pos[0]]
+            if inst.layer_index + 1 >= len(inst.graph.layers):
+                firsts.append("last")
+            else:
+                pending[0] = inst
+        return process(engine, finished_pos)
+
+    def begin_layer(scheduler, inst, now):
+        out = begin(scheduler, inst, now)
+        if pending[0] is inst:
+            pending[0] = None
+            firsts.append("denied" if out[0] is None else "granted")
+        return out
+
+    monkeypatch.setattr(MultiTenantEngine, "_process_completions",
+                        process_completions)
+    monkeypatch.setattr(CaMDNSchedulerBase, "begin_layer", begin_layer)
+    return firsts
 
 
 @needs_native
-class TestCamdnAdvanceGrant:
-    """``camdn_advance`` grants exactly what ``CaMDNSystem._try_grant``
-    grants: a selection whose footprint grows the region by more pages
-    than are free is a denial (None, nothing written), anything else
-    is taken, shrinks included."""
+class TestPythonPassesStartWithDeclines:
+    """The batch loop takes every CaMDN completion it can: memo misses
+    (through the scheduler's builder), region resizes and completions
+    while waiters are pending.  So with native code the first
+    completion of every Python completion pass is one the loop must
+    decline, a last layer or a layer ``begin_layer`` denies; the rest
+    of the pass follows it in order.  The cross-path tests cannot see a
+    loop that declines too much, since the Python chain then produces
+    the same results."""
 
-    ADVANCE = native.camdn_advance()
+    @pytest.mark.parametrize("case", sorted(CAMDN_CASES))
+    @pytest.mark.parametrize("policy", CAMDN_POLICIES)
+    def test_first_completion_is_declined(self, monkeypatch, policy,
+                                          case):
+        spec, faults, soc = CAMDN_CASES[case]
+        firsts = _watch_python_passes(monkeypatch)
+        # Cold stores: the run has memo misses for the loop to build.
+        clear_prepared_caches()
+        MultiTenantEngine(soc, make_scheduler(policy),
+                          ScenarioWorkload(spec), faults=faults).run()
+        assert "last" in firsts
+        assert "granted" not in firsts
 
-    def _advance(self, pages, region, free, palloc=None):
-        palloc = region if palloc is None else palloc
-        tnext, pnext = [0.0], [0]
-        res = self.ADVANCE(tnext, pnext, [palloc], 0, 0.5, 64, palloc,
-                           -1, -1, 0, region, free,
-                           _single_level_row(pages), 0, 64)
-        return res, tnext, pnext
-
-    @pytest.mark.parametrize("region", (0, 3, 8))
-    def test_grow_boundary(self, region):
-        needed = 8 - region
-        res, tnext, _ = self._advance(8, region, needed)
-        assert res == (2, -1, -1)
-        assert tnext == [0.5 + 1e-3]
-        if needed:
-            res, tnext, pnext = self._advance(8, region, needed - 1)
-            assert res is None
-            assert (tnext, pnext) == ([0.0], [0])
-
-    def test_shrink_is_granted_with_no_free_page(self):
-        assert self._advance(2, 8, 0)[0] == (2, -1, -1)
-
-    def test_holding_disagreement_declines(self):
-        # The Python chain skips _try_grant when the footprint equals
-        # the region, which is exact only while palloc agrees with it.
-        assert self._advance(8, 8, 0, palloc=7)[0] is None
+    def test_resume_from_cold_stores(self, monkeypatch):
+        """A restored system's tasks started in another process: binding
+        it builds their completion tables, so the loop takes their
+        completions from the first batch of the resumed run."""
+        spec, faults, soc = CAMDN_CASES["tight-cache"]
+        clear_prepared_caches()
+        engine = MultiTenantEngine(soc, make_scheduler("camdn-full"),
+                                   ScenarioWorkload(spec), faults=faults)
+        whole = engine.run(snapshot_at_events=2000)
+        firsts = _watch_python_passes(monkeypatch)
+        clear_prepared_caches()
+        resumed = MultiTenantEngine.resume(whole.last_snapshot)
+        assert _metrics_json(resumed.resume_run()) == _metrics_json(whole)
+        assert "last" in firsts
+        assert "granted" not in firsts
 
 
 @needs_native
-class TestCamdnAdvanceDecline:
-    """A ``camdn_advance`` decline hands the completion to
-    ``advance_layer``'s one Python tail (``on_layer_end`` ->
-    ``layer_index += 1`` -> ``begin_layer``), which must leave the run
-    exactly as the native handler does.  Every call declines here, so
-    each memo miss the batch loop sends back takes that tail."""
+class TestWithheldTable:
+    """The batch loop's own CaMDN completions against the Python chain
+    under the same native stepping: with the completion table withheld
+    (``native_batch_args`` returns ``None``) the loop hands every
+    completion back, and the run must end exactly as when the loop
+    takes them — memo misses built mid-batch (cold stores), resizes
+    and completions while waiters are pending included."""
 
     @pytest.mark.parametrize("case", ("closed-loop", "tight-cache"))
     @pytest.mark.parametrize("policy", CAMDN_POLICIES)
-    def test_declined_completions_agree(self, monkeypatch, policy, case):
+    def test_withheld_table_agrees(self, policy, case):
         spec, faults, soc = CAMDN_CASES[case]
 
-        def run():
-            # Cold memos: the run has misses to send to advance_layer.
+        def run(withhold):
             clear_prepared_caches()
-            engine = MultiTenantEngine(soc, make_scheduler(policy),
+            scheduler = make_scheduler(policy)
+            if withhold:
+                scheduler.native_batch_args = lambda: None
+            engine = MultiTenantEngine(soc, scheduler,
                                        ScenarioWorkload(spec),
                                        faults=faults)
             return engine.run()
 
-        handled = run()
-        declines = [0]
+        handled, withheld = run(False), run(True)
+        assert _metrics_json(withheld) == _metrics_json(handled)
+        assert withheld.events_processed == handled.events_processed
+        assert withheld.scheduler_stats == handled.scheduler_stats
 
-        def decline(*args):
-            declines[0] += 1
-            return None
 
-        monkeypatch.setattr(native, "camdn_advance", lambda: decline)
-        declined = run()
-        assert declines[0] > 0
-        assert _metrics_json(declined) == _metrics_json(handled)
-        assert declined.events_processed == handled.events_processed
-        assert declined.scheduler_stats == handled.scheduler_stats
+@needs_native
+class TestMemoBuilder:
+    """The loop calls the scheduler's memo builder mid-batch; what the
+    builder raises leaves ``engine.run()`` unchanged."""
+
+    def test_builder_error_propagates(self, monkeypatch):
+        class BuildError(Exception):
+            pass
+
+        def build(self, instance, layer_index, code):
+            raise BuildError(layer_index)
+
+        monkeypatch.setattr(CaMDNSchedulerBase, "_build_fast_pair", build)
+        clear_prepared_caches()
+        with pytest.raises(BuildError):
+            _run("camdn-full")
+
+    def test_builder_storing_nothing_raises(self, monkeypatch):
+        monkeypatch.setattr(CaMDNSchedulerBase, "_build_fast_pair",
+                            lambda self, instance, layer_index, code: None)
+        clear_prepared_caches()
+        with pytest.raises(RuntimeError, match="stored no entry"):
+            _run("camdn-full")
 
 
 @needs_native
