@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments.ablation import (
     format_ablation,
+    format_multicast,
     multicast_traffic_savings,
     run_lbm_budget_ablation,
     run_usage_level_ablation,
@@ -66,12 +67,6 @@ def test_lbm_budget_ablation(benchmark):
 def test_multicast_savings(benchmark):
     savings = benchmark(multicast_traffic_savings, num_cores=2)
     print()
-    print("Multicast weight-traffic savings at 2 cores:")
-    for model, row in savings.items():
-        print(
-            f"  {model:<5} replicated={row['replicated_mb']:7.1f} MB  "
-            f"multicast={row['multicast_mb']:7.1f} MB  "
-            f"saved={row['saved_fraction']:.1%}"
-        )
+    print(format_multicast(savings, num_cores=2))
     for row in savings.values():
         assert row["saved_fraction"] > 0.15

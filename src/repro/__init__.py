@@ -5,12 +5,13 @@ Efficiency for Multi-tenant DNNs on Integrated NPUs* (Cai et al., DAC
 2025).  The package contains:
 
 * :mod:`repro.core` — CaMDN itself: the NPU-controlled cache architecture
-  (way masks, page allocator, CPTs, NECs, model-exclusive regions), the
-  cache-aware layer mapper and the Algorithm 1 dynamic cache allocator.
+  (page allocator, CPTs, model-exclusive regions), the cache-aware layer
+  mapper and the Algorithm 1 dynamic cache allocator.
 * :mod:`repro.models` — the eight benchmark DNNs of Table I as
   shape-accurate layer graphs plus a reuse profiler.
 * :mod:`repro.npu`, :mod:`repro.cache`, :mod:`repro.memory` — the SoC
-  substrates: systolic timing, sliced shared cache, DRAM models.
+  substrates: systolic timing, the transparent-cache traffic model and
+  the bandwidth-share policies.
 * :mod:`repro.sim` — the fluid multi-tenant discrete-event engine.
 * :mod:`repro.schedulers` — MoCA / AuRORA baselines and both CaMDN
   variants.
@@ -84,7 +85,7 @@ from .sim import (
     scenario_names,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "KiB",

@@ -1,8 +1,5 @@
-"""Shared-cache substrate: functional sliced cache and analytic models."""
+"""Shared-cache substrate: the transparent-cache traffic model."""
 
-from .stats import CacheStats
-from .replacement import LRUState
-from .sliced_cache import SlicedSharedCache
 from .transparent import (
     AccessSegment,
     TransparentCacheModel,
@@ -10,9 +7,6 @@ from .transparent import (
 )
 
 __all__ = [
-    "CacheStats",
-    "LRUState",
-    "SlicedSharedCache",
     "AccessSegment",
     "TransparentCacheModel",
     "layer_access_segments",

@@ -1,10 +1,12 @@
 """CaMDN core: the paper's primary contribution.
 
-Architecture (Section III-B): way-partitioned NPU subspace
-(:mod:`~repro.core.way_mask`), page allocator (:mod:`~repro.core.pages`),
-per-NPU cache page tables (:mod:`~repro.core.cpt`), NPU-exclusive
-controllers (:mod:`~repro.core.nec`) and model-exclusive regions
-(:mod:`~repro.core.region`).
+Architecture (Section III-B): the page allocator over the NPU subspace
+(:mod:`~repro.core.pages`), per-NPU cache page tables
+(:mod:`~repro.core.cpt`) and model-exclusive regions
+(:mod:`~repro.core.region`).  The way mask is the
+``CacheConfig.npu_ways`` split, and the NPU-exclusive controllers enter as
+the traffic they move, through the analytical model of
+:mod:`~repro.core.mapper.dram_model`.
 
 Scheduling (Sections III-C/D): the cache-aware layer mapper
 (:mod:`~repro.core.mapper`), mapping candidate tables
@@ -16,10 +18,8 @@ Scheduling (Sections III-C/D): the cache-aware layer mapper
 :mod:`~repro.core.area` reproduces the Table III area breakdown.
 """
 
-from .way_mask import WayMask
 from .pages import CachePageAllocator, PageRange
-from .cpt import CachePageTable, PhysicalCacheAddress
-from .nec import NEC, NECOp, NECRequest, NECStats
+from .cpt import CachePageTable
 from .region import ModelRegion, RegionManager
 from .mct import (
     CacheMapEntry,
@@ -39,19 +39,12 @@ from .prepared import (
     prepared_cache_info,
 )
 from .area import AreaModel, area_breakdown_table
-from .isa import NPUInstr, NPUOp, generate_layer_program, program_stats
 from .serialize import load_mapping_file, save_mapping_file
 
 __all__ = [
-    "WayMask",
     "CachePageAllocator",
     "PageRange",
     "CachePageTable",
-    "PhysicalCacheAddress",
-    "NEC",
-    "NECOp",
-    "NECRequest",
-    "NECStats",
     "ModelRegion",
     "RegionManager",
     "CacheMapEntry",
@@ -71,10 +64,6 @@ __all__ = [
     "clear_prepared_caches",
     "AreaModel",
     "area_breakdown_table",
-    "NPUInstr",
-    "NPUOp",
-    "generate_layer_program",
-    "program_stats",
     "save_mapping_file",
     "load_mapping_file",
 ]

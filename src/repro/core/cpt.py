@@ -1,19 +1,10 @@
 """Hardware cache page table (Section III-B3, Figure 5(b)).
 
-Each NPU carries a CPT that translates the running model's *virtual cache
-address* (``vcaddr``) into a *physical cache address* (``pcaddr``).  The
-virtual cache page number (``vcpn``, upper bits of the vcaddr) indexes the
-CPT to obtain a physical cache page number (``pcpn``); the page offset is
-carried through.
-
-The pcaddr is divided into four bit-fields, low to high::
-
-    | way index | set index | slice index | byte offset |
-      (high)                                 (low)
-
-so that consecutive lines of a page interleave across all slices for higher
-cache bandwidth utilization — the property verified by
-``tests/core/test_cpt.py``.
+Each NPU carries a CPT that maps the running model's *virtual cache page
+numbers* (``vcpn``) onto *physical cache page numbers* (``pcpn``) of the
+NPU subspace, so a model sees one contiguous cache region however its
+granted pages are scattered.  Regions grow and shrink by installing and
+invalidating entries for the delta pages (:mod:`~repro.core.region`).
 
 For the paper's 16 MiB cache with 32 KiB pages the CPT holds at most 512
 entries of 3 bytes (pcpn + valid bit): a 1.5 KiB SRAM, 0.9 % of NPU area
@@ -22,38 +13,14 @@ entries of 3 bytes (pcpn + valid bit): a 1.5 KiB SRAM, 0.9 % of NPU area
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..config import CacheConfig
-from ..errors import CacheAddressError, CPTError
-
-
-@dataclass(frozen=True)
-class PhysicalCacheAddress:
-    """A decoded physical cache address.
-
-    Attributes:
-        pcpn: physical cache page number.
-        slice_index: target cache slice.
-        set_index: set within the slice.
-        way_index: way within the set (within the NPU subspace ways).
-        byte_offset: offset within the cache line.
-    """
-
-    pcpn: int
-    slice_index: int
-    set_index: int
-    way_index: int
-    byte_offset: int
-
-    def as_tuple(self) -> tuple:
-        return (self.slice_index, self.set_index, self.way_index,
-                self.byte_offset)
+from ..errors import CPTError
 
 
 class CachePageTable:
-    """Per-NPU vcaddr -> pcaddr translation table."""
+    """Per-NPU vcpn -> pcpn page map."""
 
     #: Bytes of SRAM per CPT entry (pcpn + valid bit), per the paper.
     ENTRY_BYTES = 3
@@ -62,16 +29,6 @@ class CachePageTable:
         self.cache = cache
         self.max_entries = cache.num_pages
         self._table: Dict[int, int] = {}
-        # Decode constants, precomputed once: CPT entries are installed
-        # and translated on the allocator's per-layer resize path, so
-        # the per-call config attribute walks are hoisted here.
-        self._page_bytes = cache.page_bytes
-        self._line_bytes = cache.line_bytes
-        self._lines_per_page = cache.page_bytes // cache.line_bytes
-        self._num_slices = cache.num_slices
-        self._sets_per_slice = cache.sets_per_slice
-        self._npu_ways = cache.npu_ways
-        self._way_base = cache.num_ways - cache.npu_ways
 
     # ------------------------------------------------------------------
     # Table management
@@ -138,63 +95,6 @@ class CachePageTable:
     def mapped_vcpns(self) -> List[int]:
         """Sorted valid vcpns."""
         return sorted(self._table)
-
-    # ------------------------------------------------------------------
-    # Address translation
-    # ------------------------------------------------------------------
-
-    def translate(self, vcaddr: int) -> PhysicalCacheAddress:
-        """Translate a virtual cache address into a decoded pcaddr.
-
-        Raises:
-            CacheAddressError: vcaddr out of the mapped virtual space or the
-                page is invalid (the hardware would raise a fault).
-        """
-        if vcaddr < 0:
-            raise CacheAddressError(f"negative vcaddr {vcaddr:#x}")
-        vcpn, page_offset = divmod(vcaddr, self._page_bytes)
-        if vcpn >= self.max_entries:
-            raise CacheAddressError(
-                f"vcaddr {vcaddr:#x} beyond virtual space"
-            )
-        pcpn = self._table.get(vcpn)
-        if pcpn is None:
-            raise CacheAddressError(f"vcpn {vcpn} has no valid mapping")
-        return self.decode_paddr(pcpn, page_offset)
-
-    def decode_paddr(self, pcpn: int,
-                     page_offset: int) -> PhysicalCacheAddress:
-        """Decode (pcpn, offset) into slice/set/way/byte fields.
-
-        Line-interleaving: the global line number within the NPU subspace is
-        ``pcpn * lines_per_page + line_in_page``; its low bits select the
-        slice, the next bits the set, the high bits the way — matching
-        Figure 5(b) (byte offset lowest, then slice, set, way).
-        """
-        if not 0 <= page_offset < self._page_bytes:
-            raise CacheAddressError(f"page offset {page_offset} out of range")
-        line_bytes = self._line_bytes
-        line_global = pcpn * self._lines_per_page + \
-            page_offset // line_bytes
-        byte_offset = page_offset % line_bytes
-
-        slice_index = line_global % self._num_slices
-        per_slice = line_global // self._num_slices
-        set_index = per_slice % self._sets_per_slice
-        way_local = per_slice // self._sets_per_slice
-        if way_local >= self._npu_ways:
-            raise CacheAddressError(
-                f"pcpn {pcpn} decodes beyond the NPU subspace ways"
-            )
-        # NPU ways occupy the high way indices (see WayMask).
-        way_index = self._way_base + way_local
-        return PhysicalCacheAddress(
-            pcpn=pcpn,
-            slice_index=slice_index,
-            set_index=set_index,
-            way_index=way_index,
-            byte_offset=byte_offset,
-        )
 
     def _check_vcpn(self, vcpn: int) -> None:
         if not 0 <= vcpn < self.max_entries:

@@ -66,7 +66,8 @@ class TilingChoice:
 
 
 #: Tile-loop iteration order per innermost choice (outermost first); must
-#: match :data:`repro.core.isa._LOOP_ORDERS`.
+#: match ``_LOOP_ORDERS`` of the instruction-level oracle
+#: ``tests/core/reference_isa.py``.
 LOOP_ORDERS = {
     "m": ("k", "n", "m"),
     "n": ("k", "m", "n"),
@@ -87,7 +88,8 @@ def _reload_factor(order: tuple, trips: dict, invariant: str) -> int:
     * outermost — every outer iteration replays the whole tile space
       unless that space is a single tile.
 
-    Validated instruction-by-instruction against :mod:`repro.core.isa`.
+    Validated instruction by instruction against the oracle in
+    ``tests/core/reference_isa.py``.
     """
     position = order.index(invariant)
     if position == 2:  # innermost

@@ -2,12 +2,11 @@
 
 The NPU subspace is divided into pages of identical size (32 KiB for a
 16 MiB cache) and assigned to models.  This module owns the global free
-list; per-model address translation lives in :mod:`~repro.core.cpt`.
+list; each model's page map lives in :mod:`~repro.core.cpt`.
 
 Physical cache pages are identified by *physical cache page number*
-(``pcpn``), numbered 0..N-1 across the whole NPU subspace.  Consecutive
-lines inside a page interleave across slices (Figure 5(b)), which the CPT
-handles; the allocator itself only tracks ownership.
+(``pcpn``), numbered 0..N-1 across the whole NPU subspace; the allocator
+only tracks ownership.
 
 Ownership is tracked twice, and the two views are kept consistent on
 every grant and free (``check_invariants`` asserts it):
@@ -122,10 +121,6 @@ class CachePageAllocator:
         """Owner of page ``pcpn`` or ``None`` if free."""
         self._check_pcpn(pcpn)
         return self._page_owner[pcpn]
-
-    def can_allocate(self, num_pages: int) -> bool:
-        """Would an allocation of ``num_pages`` succeed right now?"""
-        return num_pages <= len(self._free)
 
     def allocate(self, owner: str, num_pages: int) -> PageRange:
         """Grant ``num_pages`` free pages to ``owner``.

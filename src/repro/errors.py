@@ -17,10 +17,6 @@ class MappingError(ReproError):
     """The layer mapper could not produce a legal mapping candidate."""
 
 
-class CacheAddressError(ReproError):
-    """A virtual or physical cache address is malformed or out of range."""
-
-
 class PageAllocationError(ReproError):
     """The cache page allocator could not satisfy a request."""
 

@@ -171,6 +171,22 @@ def multicast_traffic_savings(num_cores: int = 2) -> dict:
     return savings
 
 
+def format_multicast(savings: dict, num_cores: int = 2) -> str:
+    """The :func:`multicast_traffic_savings` table (``savings`` computed
+    for ``num_cores``)."""
+    lines = [
+        f"Ablation — multicast weight traffic at {num_cores} cores",
+        f"  {'model':<8}{'replicated MB':>15}{'multicast MB':>14}"
+        f"{'saved':>8}",
+    ]
+    for model, row in savings.items():
+        lines.append(
+            f"  {model:<8}{row['replicated_mb']:>15.1f}"
+            f"{row['multicast_mb']:>14.1f}{row['saved_fraction']:>8.1%}"
+        )
+    return "\n".join(lines)
+
+
 def format_ablation(rows: Sequence[AblationRow], title: str) -> str:
     lines = [
         f"Ablation — {title}",

@@ -46,8 +46,10 @@ process pool (see :mod:`repro.experiments.sweep`); the default picks one
 worker per CPU.  Sweep cells are served from the persistent on-disk
 result cache when an identical cell was simulated before; ``--no-cache``
 forces fresh simulation (CI uses this so the engine is always
-exercised).  Experiments without a cell grid (fig3, table3) ignore both
-flags.
+exercised).  Experiments without a cell grid (fig3, table3, ablation)
+ignore both flags; ``ablation`` runs the way-partition, usage-level and
+LBM-budget sweeps of :mod:`repro.experiments.ablation` at ``--scale``,
+plus the multicast table.
 
 ``--scenario NAME --capture-trace FILE`` runs one registered scenario
 under ``--policy`` (default ``camdn-full``) and writes the versioned,
@@ -84,6 +86,14 @@ from typing import Callable, Dict, Optional
 
 from ..sim.faults import fault_schedule_registry
 from ..sim.scenario import scenario_registry
+from .ablation import (
+    format_ablation,
+    format_multicast,
+    multicast_traffic_savings,
+    run_lbm_budget_ablation,
+    run_usage_level_ablation,
+    run_way_partition_ablation,
+)
 from .fig2_motivation import format_fig2, run_fig2
 from .fig3_reuse import format_fig3, run_fig3
 from .fig7_speedup import format_fig7, run_fig7
@@ -146,7 +156,20 @@ def _fleet_capacity(scale: float, jobs: Optional[int],
     )
 
 
+def _ablation(scale: float, jobs: Optional[int], use_cache: bool) -> str:
+    return "\n\n".join([
+        format_ablation(run_way_partition_ablation(scale=scale),
+                        "NPU way-partition share"),
+        format_ablation(run_usage_level_ablation(scale=scale),
+                        "cache-usage level granularity"),
+        format_ablation(run_lbm_budget_ablation(scale=scale),
+                        "LBM occupancy budget"),
+        format_multicast(multicast_traffic_savings()),
+    ])
+
+
 EXPERIMENTS: Dict[str, Callable[[float, Optional[int], bool], str]] = {
+    "ablation": _ablation,
     "fig2": _fig2,
     "fig3": _fig3,
     "fig7": _fig7,

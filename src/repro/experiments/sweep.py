@@ -64,7 +64,7 @@ from ..core.serialize import (
     stable_content_hash,
 )
 from ..errors import WorkloadError
-from ..runconfig import RunConfig
+from ..runconfig import RunConfig, check_seconds
 from ..sim.engine import SimulationResult
 from ..sim.faults import FaultSpec
 from ..sim.scenario import ScenarioSpec
@@ -814,7 +814,12 @@ def run_campaign(
         deadline_s: per-cell wall-clock watchdog — a cell exceeding it
             is killed (diagnostic engine error) and retried with
             jittered backoff like any other failure.
+
+    Raises:
+        WorkloadError: ``deadline_s`` is negative or NaN (before the
+            journal is created), or the journal already exists.
     """
+    check_seconds("deadline_s", deadline_s)
     soc = soc or SoCConfig()
     cells = list(cells)
     journal = CampaignJournal.create(journal_path, cells, soc)
@@ -835,9 +840,11 @@ def resume_campaign(
     merged grid is byte-identical to an uninterrupted campaign.
 
     Raises:
-        WorkloadError: ``journal_path`` is not a readable campaign
-            journal.
+        WorkloadError: ``deadline_s`` is negative or NaN (before the
+            journal is opened), or ``journal_path`` is not a readable
+            campaign journal.
     """
+    check_seconds("deadline_s", deadline_s)
     journal = CampaignJournal(journal_path)
     cells, soc, done, _failed, _started = journal.read()
     return _execute(cells, soc, journal, done, max_workers, use_cache,

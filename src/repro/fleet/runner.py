@@ -42,6 +42,7 @@ from ..experiments.sweep import (
     run_campaign,
     run_sweep,
 )
+from ..runconfig import check_seconds
 from .aggregate import FleetAccumulator
 from .digest import DEFAULT_MAX_BINS
 from .spec import FleetSpec
@@ -189,6 +190,7 @@ def run_fleet(
     if journal_path is not None:
         # Refuse before writing the sidecar, so a refused run leaves
         # the existing fleet's sidecar, and its resume, intact.
+        check_seconds("deadline_s", deadline_s)
         CampaignJournal(journal_path).refuse_existing()
         write_fleet_sidecar(journal_path, spec)
         results = run_campaign(

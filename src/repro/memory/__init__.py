@@ -1,11 +1,8 @@
-"""DRAM substrate: functional backing store and bandwidth models."""
+"""DRAM substrate: bandwidth-share policies."""
 
-from .dram import DRAMTimingModel, MainMemory
 from .bwalloc import DemandProportionalPolicy, SlackWeightedPolicy
 
 __all__ = [
-    "MainMemory",
-    "DRAMTimingModel",
     "DemandProportionalPolicy",
     "SlackWeightedPolicy",
 ]

@@ -98,16 +98,6 @@ class ModelGraph:
         """Total static parameter elements."""
         return sum(layer.weight_elems for layer in self.layers)
 
-    @property
-    def total_activation_elems(self) -> int:
-        """Total activation elements produced across all layers."""
-        return sum(layer.output_elems for layer in self.layers)
-
-    @property
-    def peak_intermediate_elems(self) -> int:
-        """Largest single inter-layer tensor (elements)."""
-        return max(layer.output_elems for layer in self.layers)
-
     def compulsory_traffic_elems(self) -> int:
         """Minimum possible off-chip traffic for one inference: every weight
         read once, model input read once, model output written once.

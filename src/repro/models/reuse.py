@@ -89,10 +89,6 @@ class ReuseProfile:
             for label, _, _ in REUSE_DISTANCE_BUCKETS
         }
 
-    def fraction_no_reuse(self) -> float:
-        """Fraction of data with reuse count exactly 1."""
-        return self.count_fractions()["1"]
-
     def fraction_distance_above(self, threshold_bytes: int) -> float:
         """Fraction of intermediate bytes with reuse distance above
         ``threshold_bytes`` (must align with a bucket boundary)."""

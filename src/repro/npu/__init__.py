@@ -1,17 +1,8 @@
-"""NPU substrate: systolic-array timing, scratchpad, DMA and core models."""
+"""NPU substrate: systolic-array timing."""
 
 from .systolic import SystolicModel, compute_cycles
-from .scratchpad import Scratchpad, ScratchpadSegment
-from .dma import DMAEngine, DMARequest, DMAOp
-from .npu_core import NPUCore
 
 __all__ = [
     "SystolicModel",
     "compute_cycles",
-    "Scratchpad",
-    "ScratchpadSegment",
-    "DMAEngine",
-    "DMARequest",
-    "DMAOp",
-    "NPUCore",
 ]

@@ -24,6 +24,21 @@ from typing import Any, Optional
 
 from .errors import WorkloadError
 
+
+def check_seconds(name: str, value: Optional[float]) -> None:
+    """Reject a wall-clock budget that is negative or NaN.
+
+    ``None`` and ``inf`` both mean no limit.  NaN needs its own test:
+    every comparison with it is false, so a ``< 0`` check lets it through
+    and the budget it sets never fires.
+
+    Raises:
+        WorkloadError: ``value`` is negative or NaN.
+    """
+    if value is not None and not value >= 0:
+        raise WorkloadError(f"{name} cannot be negative or NaN: {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything about *how* one scenario runs (not *what* runs).
@@ -52,8 +67,10 @@ class RunConfig:
             equal).
         max_events: engine watchdog event budget (see
             :meth:`~repro.sim.engine.MultiTenantEngine.run`).
-        max_wall_s: engine watchdog wall-clock budget in seconds; the
-            campaign runner's per-cell ``deadline_s`` rides this.
+        max_wall_s: engine watchdog wall-clock budget in seconds
+            (``inf`` means no limit; a negative or NaN budget is
+            rejected); the campaign runner's per-cell ``deadline_s``
+            rides this.
         checkpoint_every_s: write a rolling on-disk engine checkpoint
             at this wall-clock cadence.  Requires ``checkpoint_dir`` —
             a cadence with nowhere to write is rejected with
@@ -77,22 +94,19 @@ class RunConfig:
     snapshot_at_events: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.checkpoint_every_s is not None:
-            if self.checkpoint_every_s < 0:
-                # 0.0 is valid: checkpoint at every batch boundary.
-                raise WorkloadError(
-                    "checkpoint_every_s cannot be negative"
-                )
-            if self.checkpoint_dir is None:
-                raise WorkloadError(
-                    "checkpoint_every_s requires checkpoint_dir: a "
-                    "checkpoint cadence with nowhere to write would "
-                    "be silently ignored"
-                )
+        # 0.0 is valid for both: checkpoint at every batch boundary, or
+        # a watchdog that fires at the first check.
+        check_seconds("checkpoint_every_s", self.checkpoint_every_s)
+        if self.checkpoint_every_s is not None \
+                and self.checkpoint_dir is None:
+            raise WorkloadError(
+                "checkpoint_every_s requires checkpoint_dir: a "
+                "checkpoint cadence with nowhere to write would "
+                "be silently ignored"
+            )
         if self.max_events is not None and self.max_events <= 0:
             raise WorkloadError("max_events must be positive")
-        if self.max_wall_s is not None and self.max_wall_s < 0:
-            raise WorkloadError("max_wall_s cannot be negative")
+        check_seconds("max_wall_s", self.max_wall_s)
 
     def replace(self, **changes: Any) -> "RunConfig":
         """A copy with the given fields replaced (re-validated)."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import SimulationError
 from ..numeric import left_sum
@@ -154,10 +154,6 @@ class MetricsCollector:
                 sla_rate=sum(r.met_deadline for r in recs) / len(recs),
             )
         return summaries
-
-    def model_avg_latency_s(self, abbr: str) -> Optional[float]:
-        summary = self.by_model().get(abbr)
-        return summary.avg_latency_s if summary else None
 
     # ------------------------------------------------------------------
     # Macro (model-weighted) aggregates — the paper reports per-model

@@ -94,10 +94,6 @@ class TaskInstance:
     def num_layers(self) -> int:
         return len(self.graph.layers)
 
-    @property
-    def done_all_layers(self) -> bool:
-        return self.layer_index >= self.num_layers
-
     def begin_work(self, work: LayerWork) -> None:
         """Enter RUNNING with the given per-layer requirements."""
         self.work = work

@@ -194,10 +194,6 @@ class ScenarioWorkload:
         self._timeline_next = math.inf
         return math.inf
 
-    def has_pending(self) -> bool:
-        """True while scheduled events remain (joins/arrivals/leaves)."""
-        return not math.isinf(self.next_timeline_s())
-
     def pop_due(self, now: float) -> TimelineBatch:
         """Process every scheduled event with ``time <= now`` (within the
         engine's epsilon) and return the resulting batch."""

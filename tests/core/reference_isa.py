@@ -1,18 +1,20 @@
-"""NPU instruction generation from mapping candidates (Figure 6, right).
+"""Reference NPU instruction generator: the oracle for the traffic model.
 
 After the dynamic allocator selects a mapping candidate and its pages are
-granted, the runtime "generates & sends NPU instructions" for the layer.
-This module implements that lowering: it walks the candidate's tile loops
-in the mapped order and emits tile-granular LOAD / EXEC / STORE
-instructions carrying the NEC semantics each tensor uses (cached reads for
-pinned tensors, bypass for streamed ones, spills for partial sums).
+granted, the runtime "generates & sends NPU instructions" for the layer
+(Figure 6, right).  This module lowers a tiling that way: it walks the
+candidate's tile loops in the mapped order and emits tile-granular
+LOAD / EXEC / STORE instructions carrying the NEC semantics each tensor
+uses (cached reads for pinned tensors, bypass for streamed ones, spills for
+partial sums).
 
 The generator derives data movement from the *loop iteration structure* —
 a tile is (re)loaded exactly when its identity changes between consecutive
 iterations — rather than from the closed-form refetch factors of
-:mod:`~repro.core.mapper.dram_model`.  ``tests/core/test_isa.py`` uses this
+:mod:`repro.core.mapper.dram_model`.  ``test_isa.py`` uses this
 independence to cross-validate the analytic model: for divisible tilings
-the generated DRAM traffic equals the closed form exactly.
+the generated DRAM traffic equals the closed form exactly.  The simulator
+never runs it; it charges traffic from the closed form.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-from ..errors import MappingError
-from .mapper.dram_model import TilingChoice
-from .mapper.loopnest import GEMMShape, trip_count
+from repro.core.mapper.dram_model import TilingChoice, dram_traffic_bytes
+from repro.core.mapper.loopnest import GEMMShape, trip_count
+from repro.errors import MappingError
 
 
 class NPUOp(enum.Enum):
@@ -257,6 +259,4 @@ def lbm_extra_dram_elems(shape: GEMMShape, choice: TilingChoice) -> int:
     Mirrors :func:`~repro.core.mapper.dram_model.dram_traffic_bytes` at
     ``dtype_bytes=1`` so tests can compare generator and closed form.
     """
-    from .mapper.dram_model import dram_traffic_bytes
-
     return int(dram_traffic_bytes(shape, choice, dtype_bytes=1))

@@ -3,8 +3,8 @@
 ``RegionManager.resize_region`` updates CPT entries only for the delta
 pages.  These tests prove that the incremental path is indistinguishable
 from rebuilding the whole table with ``remap_all`` after every resize:
-identical translations for every mapped byte, identical mapped vcpn
-sets, and identical physical grant order.
+identical entries, identical mapped vcpn sets, and identical physical
+grant order.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -30,15 +30,8 @@ def _rebuilt_cpt(region) -> CachePageTable:
 def _assert_tables_equal(incremental: CachePageTable,
                          rebuilt: CachePageTable, num_pages: int) -> None:
     assert incremental.mapped_vcpns() == rebuilt.mapped_vcpns()
-    page_bytes = CACHE.page_bytes
-    line_bytes = CACHE.line_bytes
     for vcpn in incremental.mapped_vcpns():
         assert incremental.lookup(vcpn) == rebuilt.lookup(vcpn)
-        # Spot-check full translations across the page (every line).
-        for offset in range(0, page_bytes, line_bytes * 64):
-            vcaddr = vcpn * page_bytes + offset
-            assert incremental.translate(vcaddr) == \
-                rebuilt.translate(vcaddr)
 
 
 class TestIncrementalRemapEquivalence:

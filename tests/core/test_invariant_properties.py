@@ -1,13 +1,11 @@
-"""Property-based invariant tests for allocation and way partitioning.
+"""Property-based invariant tests for cache allocation.
 
 Hypothesis drives random operation sequences against the dynamic cache
-allocator (Algorithm 1), the region manager's page accounting and the
-way-mask registers, checking the safety properties the architecture rests
-on: pages are never double-allocated, way partitions stay disjoint and
-exact, and frees restore the capacity they took.
+allocator (Algorithm 1) and the region manager's page accounting,
+checking the safety properties the architecture rests on: pages are never
+double-allocated, and frees restore the capacity they took.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import KiB, CacheConfig
@@ -18,8 +16,7 @@ from repro.core.mct import (
     ModelMappingFile,
 )
 from repro.core.region import RegionManager
-from repro.core.way_mask import WayMask
-from repro.errors import ConfigError, PageAllocationError
+from repro.errors import PageAllocationError
 
 PAGE = 32 * KiB
 TOTAL_PAGES = 24
@@ -167,30 +164,3 @@ class TestRegionManagerProperties:
             assert manager.free_pages == free_before + held
         assert manager.free_pages == cache.num_pages
 
-
-class TestWayMaskProperties:
-    @given(
-        num_ways=st.integers(1, 32),
-        repartitions=st.lists(st.integers(0, 32), max_size=8),
-        data=st.data(),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_partition_stays_exact_under_repartitioning(
-        self, num_ways, repartitions, data
-    ):
-        """NPU and CPU way sets stay disjoint and exhaustive through any
-        sequence of legal repartitions."""
-        npu_ways = data.draw(st.integers(0, num_ways))
-        mask = WayMask(num_ways, npu_ways)
-        for target in repartitions:
-            if 0 <= target <= num_ways:
-                mask.repartition(target)
-            else:
-                with pytest.raises(ConfigError):
-                    mask.repartition(target)
-            npu = set(mask.npu_way_indices())
-            cpu = set(mask.cpu_way_indices())
-            assert npu | cpu == set(range(num_ways))
-            assert not npu & cpu
-            assert len(npu) == mask.npu_ways
-            assert mask.npu_ways + mask.cpu_ways == num_ways

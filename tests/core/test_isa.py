@@ -1,10 +1,11 @@
-"""Tests for NPU instruction generation — and the cross-validation of the
-closed-form refetch model against the executable loop-nest spec."""
+"""Tests for the reference NPU instruction generator — and the
+cross-validation of the closed-form refetch model against that executable
+loop-nest spec."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.isa import (
+from reference_isa import (
     NPUOp,
     Source,
     generate_layer_program,

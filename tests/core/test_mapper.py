@@ -66,7 +66,7 @@ class TestDramModel:
 
     def test_single_output_tile_never_spills(self):
         # One output tile accumulates in scratchpad across the whole
-        # reduction regardless of loop order (validated by repro.core.isa).
+        # reduction regardless of loop order (validated by reference_isa).
         shape = GEMMShape(m=256, n=256, k=512)
         choice = TilingChoice(tm=256, tn=256, tk=128, innermost="m")
         assert refetch_factors(shape, choice)["output"] == 1

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments.ablation import (
     AblationRow,
     format_ablation,
+    format_multicast,
     multicast_traffic_savings,
     run_lbm_budget_ablation,
     run_way_partition_ablation,
@@ -22,6 +23,12 @@ class TestMulticastSavings:
         for row in multicast_traffic_savings(num_cores=2).values():
             assert row["saved_fraction"] > 0
             assert row["multicast_mb"] < row["replicated_mb"]
+
+    def test_format_multicast(self):
+        text = format_multicast(multicast_traffic_savings(num_cores=4),
+                                num_cores=4)
+        assert "at 4 cores" in text
+        assert len(text.splitlines()) == 2 + 8
 
     def test_more_cores_bigger_savings(self):
         two = multicast_traffic_savings(num_cores=2)

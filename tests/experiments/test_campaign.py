@@ -234,6 +234,31 @@ class TestCampaignRun:
                                   use_cache=False)
         assert _grid(resumed) == _grid(reference)
 
+    @pytest.mark.parametrize("deadline_s", [float("nan"), -1.0])
+    def test_bad_deadline_rejected_before_the_journal(self, tmp_path,
+                                                      deadline_s):
+        """A NaN deadline would arm no watchdog (every comparison with
+        NaN is false): both entry points refuse it, and a negative one,
+        before the journal is created or read."""
+        path = tmp_path / "j"
+        with pytest.raises(WorkloadError, match="deadline_s"):
+            run_campaign(_cells(("baseline",)), path,
+                         deadline_s=deadline_s)
+        assert not path.exists()
+        run_campaign(_cells(("baseline",)), path, max_workers=1,
+                     use_cache=False)
+        before = path.read_bytes()
+        with pytest.raises(WorkloadError, match="deadline_s"):
+            resume_campaign(path, deadline_s=deadline_s)
+        assert path.read_bytes() == before
+
+    def test_infinite_deadline_means_no_limit(self, tmp_path):
+        cells = _cells(("baseline",))
+        reference = run_sweep(cells, max_workers=1, use_cache=False)
+        results = run_campaign(cells, tmp_path / "j", max_workers=1,
+                               use_cache=False, deadline_s=float("inf"))
+        assert _grid(results) == _grid(reference)
+
     def test_cache_hits_are_journaled_as_done(self, tmp_path,
                                               monkeypatch):
         """A cell served from the persistent sweep cache is journaled

@@ -56,6 +56,22 @@ class TestConstruction:
         with pytest.raises(WorkloadError, match="max_wall_s"):
             RunConfig(max_wall_s=-1.0)
 
+    @pytest.mark.parametrize("field", ["max_wall_s", "checkpoint_every_s"])
+    def test_nan_budget_rejected(self, field):
+        """``nan < 0`` is false, so a NaN budget used to pass and then
+        never fire: no watchdog, or no checkpoint, without a word."""
+        with pytest.raises(WorkloadError, match=f"{field}.*NaN"):
+            RunConfig(**{field: float("nan")}, checkpoint_dir="/tmp/x")
+
+    def test_infinite_budget_means_no_limit(self, tmp_path):
+        config = RunConfig(max_wall_s=float("inf"),
+                           checkpoint_every_s=float("inf"),
+                           checkpoint_dir=str(tmp_path))
+        result = run_scenario(SCENARIO, policy="baseline", config=config)
+        plain = run_scenario(SCENARIO, policy="baseline")
+        assert result.metric_summary() == plain.metric_summary()
+        assert list(tmp_path.iterdir()) == []
+
     def test_replace_revalidates(self):
         with pytest.raises(WorkloadError, match="checkpoint_dir"):
             RunConfig().replace(checkpoint_every_s=1.0)

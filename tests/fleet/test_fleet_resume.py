@@ -93,6 +93,16 @@ class TestResume:
         resumed = resume_fleet(journal, max_workers=1, use_cache=False)
         assert summary_bytes(resumed) == summary_bytes(first)
 
+    def test_nan_deadline_rejected_before_the_sidecar(self, tmp_path):
+        """A NaN deadline is refused before anything is written, so no
+        stray sidecar makes the path look resumable."""
+        journal = tmp_path / "f.journal"
+        with pytest.raises(WorkloadError, match="deadline_s"):
+            run_fleet(tiny_fleet(), journal_path=journal,
+                      deadline_s=float("nan"))
+        assert not journal.exists()
+        assert not fleet_sidecar_path(journal).exists()
+
     def test_journaled_matches_ephemeral(self, tmp_path):
         spec = tiny_fleet()
         ephemeral = run_fleet(spec, max_workers=1, use_cache=False)

@@ -37,7 +37,6 @@ class TestPackageSurface:
 
     def test_error_hierarchy(self):
         from repro.errors import (
-            CacheAddressError,
             ConfigError,
             CPTError,
             MappingError,
@@ -47,9 +46,9 @@ class TestPackageSurface:
             WorkloadError,
         )
 
-        for exc in (ConfigError, MappingError, CacheAddressError,
-                    PageAllocationError, CPTError, SimulationError,
-                    WorkloadError, ModelGraphError):
+        for exc in (ConfigError, MappingError, PageAllocationError,
+                    CPTError, SimulationError, WorkloadError,
+                    ModelGraphError):
             assert issubclass(exc, ReproError)
 
 
@@ -161,7 +160,8 @@ class TestRunClosedLoop:
 
 
 #: Output every runner experiment must print, beyond exiting 0.
-RUNNER_OUTPUT = {"table3": "Table III", "fig3": "reuse"}
+RUNNER_OUTPUT = {"table3": "Table III", "fig3": "reuse",
+                 "ablation": "Ablation"}
 
 
 class TestRunnerCLI:
