@@ -53,6 +53,50 @@ class TestTableManagement:
         assert cpt.mapped_vcpns() == [0, 1, 2]
         assert cpt.lookup(1) == 6
 
+    def test_remap_all_replaces_every_entry(self, cpt):
+        cpt.map(9, 100)
+        cpt.remap_all([3, 1])
+        assert cpt.mapped_vcpns() == [0, 1]
+        assert cpt.lookup(9) is None
+
+    def test_remap_all_over_capacity_raises(self, cpt):
+        cpt.remap_all([1])
+        with pytest.raises(CPTError):
+            cpt.remap_all(list(range(cpt.max_entries + 1)))
+        assert cpt.lookup(0) == 1  # the rejected table changed nothing
+
+    def test_remap_all_to_full_capacity(self, cpt):
+        cpt.remap_all(list(reversed(range(cpt.max_entries))))
+        assert cpt.num_mapped == cpt.max_entries
+        assert cpt.lookup(cpt.max_entries - 1) == 0
+
+    def test_lookup_unmapped_is_none(self, cpt):
+        cpt.map(1, 4)
+        assert cpt.lookup(0) is None
+        assert cpt.lookup(cpt.max_entries - 1) is None
+
+    @pytest.mark.parametrize("vcpn", [-1, 384])
+    def test_lookup_out_of_range_raises(self, cpt, vcpn):
+        with pytest.raises(CPTError):
+            cpt.lookup(vcpn)
+
+    @pytest.mark.parametrize("vcpn", [-1, 384])
+    def test_unmap_out_of_range_raises(self, cpt, vcpn):
+        with pytest.raises(CPTError):
+            cpt.unmap(vcpn)
+
+    def test_negative_pcpn_rejected(self, cpt):
+        with pytest.raises(CPTError):
+            cpt.map(0, -1)
+        assert cpt.num_mapped == 0
+
+    def test_num_mapped_tracks_map_and_unmap(self, cpt):
+        for vcpn in range(4):
+            cpt.map(vcpn, 10 + vcpn)
+        cpt.unmap(2)
+        assert cpt.num_mapped == 3
+        assert cpt.mapped_vcpns() == [0, 1, 3]
+
 
 class TestTranslationProperties:
     @given(

@@ -2,6 +2,8 @@
 cross-validation of the closed-form refetch model against that executable
 loop-nest spec."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,8 @@ from reference_isa import (
 )
 from repro.core.mapper.dram_model import TilingChoice
 from repro.core.mapper.loopnest import GEMMShape
+
+TENSORS = ("weight", "input", "output")
 
 
 def _shape(m=256, n=128, k=64) -> GEMMShape:
@@ -104,6 +108,34 @@ class TestClosedFormCrossValidation:
                               lbm_input=True, lbm_output=True)
         stats = program_stats(shape, choice)
         assert stats.dram_elems == lbm_extra_dram_elems(shape, choice)
+
+    @pytest.mark.parametrize(
+        "innermost,pinned",
+        [
+            (innermost, frozenset(pinned))
+            for innermost in ("m", "n", "k")
+            for r in range(4)
+            for pinned in itertools.combinations(TENSORS, r)
+        ],
+        ids=lambda v: v if isinstance(v, str)
+        else "+".join(sorted(v)) or "none",
+    )
+    def test_every_loop_order_and_pin_set(self, innermost, pinned):
+        """Every (loop order, pinned set) pair, under each of the four
+        LBM flag pairs: the walk and the closed form count the same
+        DRAM elements on a divisible tiling with several tiles per
+        dimension."""
+        shape = GEMMShape(m=256, n=128, k=192)
+        for lbm_input, lbm_output in itertools.product((False, True),
+                                                      repeat=2):
+            choice = TilingChoice(tm=64, tn=64, tk=64,
+                                  innermost=innermost, pinned=pinned,
+                                  lbm_input=lbm_input,
+                                  lbm_output=lbm_output)
+            stats = program_stats(shape, choice)
+            assert stats.dram_elems == \
+                lbm_extra_dram_elems(shape, choice), \
+                (lbm_input, lbm_output)
 
     @given(
         mt=st.integers(1, 4),

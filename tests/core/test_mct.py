@@ -1,6 +1,7 @@
 """Tests for mapping candidate tables (Section III-C3)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import KiB
 from repro.core.mct import (
@@ -30,6 +31,67 @@ def _mct(cache_sizes) -> MappingCandidateTable:
     mct = MappingCandidateTable(layer_index=0, layer_name="l0")
     mct.lwm = [_candidate(c) for c in cache_sizes]
     return mct
+
+
+def _geometry(pages):
+    """Geometry of an MCT whose LWM candidates need ``pages`` pages."""
+    return _mct([p * PAGE for p in pages]).geometry(PAGE)
+
+
+# The linear candidate walks that MCTGeometry's bisect lookups replace.
+
+def _scan_select(pages, budget):
+    """Algorithm 1 lines 16-22: start from lwm[0] and move only to a
+    fitting candidate that needs strictly more pages."""
+    best = 0
+    for i, need in enumerate(pages):
+        if need <= budget and need > pages[best]:
+            best = i
+    return best
+
+
+def _scan_last_fitting(pages, budget):
+    """HW-only static split: the last candidate that fits, else lwm[0]."""
+    best = 0
+    for i, need in enumerate(pages):
+        if need <= budget:
+            best = i
+    return best
+
+
+def _scan_next_smaller(pages, target):
+    """Timeout downgrade: the last candidate strictly below ``target``."""
+    best = -1
+    for i, need in enumerate(pages):
+        if need < target:
+            best = i
+    return best
+
+
+def _scan_max_at_most(pages, budget):
+    """``Pnext``: the largest page need that fits, else 0."""
+    return max((need for need in pages if need <= budget), default=0)
+
+
+SCANS = {
+    "select_index": _scan_select,
+    "last_fitting_index": _scan_last_fitting,
+    "next_smaller_index": _scan_next_smaller,
+    "max_pages_at_most": _scan_max_at_most,
+}
+
+#: Page needs per LWM candidate.  Mapper output is sorted and leads with
+#: zero pages; hand-built tables need neither, and the lookups must still
+#: pick what the linear walks pick.
+PAGE_LISTS = {
+    "sorted": [0, 1, 3, 6],
+    "duplicates": [0, 1, 1, 3, 3, 6],
+    "single": [0],
+    "flat": [2, 2, 2],
+    "unsorted": [0, 4, 2, 4, 1],
+    "descending": [5, 3, 0],
+    "nonzero-head": [2, 5, 1, 3],
+}
 
 
 class TestLoopLevel:
@@ -122,6 +184,62 @@ class TestMCT:
         assert mct.smaller_than(smallest, PAGE) is None
 
 
+class TestMCTGeometry:
+    @pytest.mark.parametrize("lookup", sorted(SCANS))
+    @pytest.mark.parametrize("name", sorted(PAGE_LISTS))
+    def test_lookup_matches_linear_scan(self, name, lookup):
+        pages = PAGE_LISTS[name]
+        geom = _geometry(pages)
+        for budget in range(-1, max(pages) + 3):
+            assert getattr(geom, lookup)(budget) == \
+                SCANS[lookup](pages, budget), budget
+
+    @given(pages=st.lists(st.integers(0, 12), min_size=1, max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_random_tables_match_linear_scans(self, pages):
+        geom = _geometry(pages)
+        for budget in range(-1, max(pages) + 2):
+            for lookup, scan in SCANS.items():
+                assert getattr(geom, lookup)(budget) == \
+                    scan(pages, budget), (lookup, budget)
+
+    @pytest.mark.parametrize("name", sorted(PAGE_LISTS))
+    def test_shape_flags(self, name):
+        pages = PAGE_LISTS[name]
+        geom = _geometry(pages)
+        assert geom.lwm_pages == tuple(pages)
+        assert geom.unique_pages == sorted(set(pages))
+        assert geom.is_sorted == (pages == sorted(pages))
+        assert geom.single_level == (len(set(pages)) == 1)
+        assert geom.trivial == (len(pages) == 1)
+
+    def test_page_needs_round_up(self):
+        geom = _mct([0, 1, PAGE, PAGE + 1]).geometry(PAGE)
+        assert geom.lwm_pages == (0, 1, 1, 2)
+
+    def test_lbm_pages(self):
+        mct = _mct([0, PAGE])
+        assert mct.geometry(PAGE).lbm_pages is None
+        mct.lbm = _candidate(3 * PAGE - 1, kind="LBM")
+        mct.invalidate_geometry()
+        assert mct.geometry(PAGE).lbm_pages == 3
+
+    @pytest.mark.parametrize("page_bytes", [0, -PAGE])
+    def test_rejects_non_positive_page_bytes(self, page_bytes):
+        with pytest.raises(MappingError):
+            _mct([0]).geometry(page_bytes)
+
+    def test_cached_per_page_size_until_invalidated(self):
+        mct = _mct([0, 2 * PAGE, 4 * PAGE])
+        geom = mct.geometry(PAGE)
+        assert mct.geometry(PAGE) is geom
+        assert mct.geometry(2 * PAGE).lwm_pages == (0, 1, 2)
+        mct.lwm.append(_candidate(8 * PAGE))
+        assert mct.geometry(PAGE) is geom  # stale until invalidated
+        mct.invalidate_geometry()
+        assert mct.geometry(PAGE).lwm_pages == (0, 2, 4, 8)
+
+
 class TestModelMappingFile:
     def _file(self):
         mcts = []
@@ -156,6 +274,49 @@ class TestModelMappingFile:
         mf = self._file()
         assert mf.block_est_latency_s(0) == pytest.approx(0.001 + 0.002)
         assert mf.block_est_latency_s(2) == pytest.approx(0.003 + 0.004)
+
+    def test_scaled_latencies(self):
+        mf = self._file()
+        raw = mf.scaled_latencies(1.0)
+        assert raw == (0.001, 0.002, 0.003, 0.004)
+        assert mf.scaled_latencies(1.0) is raw
+        assert mf.scaled_latencies(2.0) == pytest.approx(
+            (0.002, 0.004, 0.006, 0.008))
+
+    def test_layer_geometries_are_the_mcts_geometries(self):
+        mf = self._file()
+        geoms = mf.layer_geometries(PAGE)
+        assert mf.layer_geometries(PAGE) is geoms
+        assert all(g is m.geometry(PAGE) for g, m in zip(geoms, mf.mcts))
+
+    def test_block_tables(self):
+        mf = self._file()
+        assert mf.block_head_flags() == (True, False, True, False)
+        assert mf.block_latencies() == pytest.approx(
+            (0.003, 0.003, 0.007, 0.007))
+
+    def test_layer_outside_every_block(self):
+        mf = self._file()
+        mf.blocks = [(0, 2)]
+        assert mf.block_of(3) is None
+        assert not mf.is_block_head(3)
+        assert mf.block_head_flags() == (True, False, False, False)
+        assert mf.block_latencies()[2:] == (0.003, 0.004)
+
+    def test_block_of_beyond_the_table(self):
+        mf = self._file()
+        mf.blocks = [(0, 2), (2, 6)]
+        assert mf.block_of(5) == (2, 6)
+        assert mf.block_of(6) is None
+        assert mf.block_of(-1) is None
+
+    def test_invalidate_caches_after_editing_blocks(self):
+        mf = self._file()
+        assert mf.block_est_latency_s(3) == pytest.approx(0.007)
+        mf.blocks = [(0, 4)]
+        mf.invalidate_caches()
+        assert mf.block_head_flags() == (True, False, False, False)
+        assert mf.block_est_latency_s(3) == pytest.approx(0.010)
 
     def test_total_dram_bytes_picks_fitting_candidates(self):
         mf = self._file()

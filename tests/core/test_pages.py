@@ -3,11 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pages import CachePageAllocator
+from repro.core.pages import CachePageAllocator, _merge_sorted
 from repro.errors import PageAllocationError
 
 
 class TestAllocate:
+    def test_needs_a_page(self):
+        with pytest.raises(PageAllocationError):
+            CachePageAllocator(0)
+
     def test_initial_state(self):
         alloc = CachePageAllocator(384)
         assert alloc.free_pages == 384
@@ -50,6 +54,29 @@ class TestAllocate:
         )
         assert alloc.owner_of(free) is None
 
+    @pytest.mark.parametrize("pcpn", [-1, 8])
+    def test_owner_of_out_of_range_raises(self, pcpn):
+        with pytest.raises(PageAllocationError):
+            CachePageAllocator(8).owner_of(pcpn)
+
+    def test_grants_take_the_lowest_free_pages(self):
+        alloc = CachePageAllocator(8)
+        alloc.allocate("A", 3)
+        alloc.allocate("B", 2)
+        alloc.release("A", [1])
+        assert alloc.allocate("C", 2).pcpns == (1, 5)
+
+    def test_owners_lists_only_holders(self):
+        alloc = CachePageAllocator(8)
+        alloc.allocate("B", 2)
+        alloc.allocate("A", 1)
+        alloc.allocate("C", 0)
+        assert alloc.owners() == ["A", "B"]
+        alloc.release("B")
+        assert alloc.owners() == ["A"]
+        assert alloc.pages_of("B") == []
+        assert alloc.pages_of("nobody") == []
+
 
 class TestRelease:
     def test_release_all(self):
@@ -71,6 +98,21 @@ class TestRelease:
         grant_b = alloc.allocate("B", 2)
         with pytest.raises(PageAllocationError):
             alloc.release("A", list(grant_b.pcpns))
+
+    def test_duplicate_pages_in_release_raise(self):
+        alloc = CachePageAllocator(8)
+        grant = alloc.allocate("A", 2)
+        with pytest.raises(PageAllocationError, match="duplicate"):
+            alloc.release("A", [grant.pcpns[0], grant.pcpns[0]])
+        assert alloc.pages_of("A") == list(grant.pcpns)
+        alloc.check_invariants()
+
+    def test_release_of_nothing_returns_zero(self):
+        alloc = CachePageAllocator(8)
+        assert alloc.release("A") == 0
+        alloc.allocate("A", 2)
+        assert alloc.release("A", []) == 0
+        assert alloc.free_pages == 6
 
     def test_released_pages_are_reusable(self):
         alloc = CachePageAllocator(4)
@@ -102,6 +144,30 @@ class TestResize:
     def test_resize_new_owner_from_zero(self):
         alloc = CachePageAllocator(16)
         assert alloc.resize_owner("A", 5) == 5
+
+
+class TestMergeSorted:
+    @pytest.mark.parametrize("a,b", [
+        ([], [1, 2]),
+        ([1, 2], []),
+        ([1, 2], [5, 9]),
+        ([5, 9], [1, 2]),
+        ([1, 4, 9], [2, 3, 10]),
+    ], ids=["a-empty", "b-empty", "a-before-b", "b-before-a",
+            "interleaved"])
+    def test_merge(self, a, b):
+        merged = _merge_sorted(a, b)
+        assert merged == sorted(a + b)
+        assert merged is not a and merged is not b
+
+    @given(pages=st.lists(st.integers(0, 99), unique=True), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_disjoint_runs(self, pages, data):
+        split = set(data.draw(st.lists(st.sampled_from(pages), unique=True))
+                    if pages else [])
+        a = sorted(p for p in pages if p in split)
+        b = sorted(p for p in pages if p not in split)
+        assert _merge_sorted(a, b) == sorted(pages)
 
 
 class TestInvariants:

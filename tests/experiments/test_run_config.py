@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.experiments.common import run_scenario
-from repro.runconfig import RunConfig
+from repro.runconfig import RunConfig, check_seconds
 
 SCENARIO = "steady-quad"
 
@@ -21,6 +21,21 @@ SCENARIO = "steady-quad"
 #: in 1.11.0).  Each was a ``run_scenario`` keyword once, so the former
 #: keyword check below keeps covering it after the field is gone.
 REMOVED_FIELDS = ("kernel_backend",)
+
+
+class TestCheckSeconds:
+    """The budget check shared by RunConfig, campaigns and fleets."""
+
+    @pytest.mark.parametrize("value", [None, 0.0, 0, 1e-9, 2.5,
+                                       float("inf")])
+    def test_accepts(self, value):
+        check_seconds("deadline_s", value)
+
+    @pytest.mark.parametrize("value", [float("nan"), -1e-9, -1.0,
+                                       float("-inf")])
+    def test_rejects(self, value):
+        with pytest.raises(WorkloadError, match="deadline_s"):
+            check_seconds("deadline_s", value)
 
 
 class TestConstruction:

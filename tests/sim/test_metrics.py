@@ -88,6 +88,29 @@ class TestCollector:
         with pytest.raises(SimulationError):
             MetricsCollector().avg_latency_s()
 
+    def test_queue_delay_and_violations(self):
+        collector = MetricsCollector()
+        early = _finished("MB.@0", 0, latency=0.5, qos_s=1.0)
+        late = _finished("MB.@0", 1, latency=2.0, qos_s=1.0)
+        early.start_time, late.start_time = 0.25, 0.75
+        collector.record(early)
+        collector.record(late)
+        assert collector.avg_queue_delay_s() == pytest.approx(0.5)
+        assert collector.qos_violation_count() == 1
+
+    def test_macro_averages_pair(self):
+        collector = MetricsCollector()
+        collector.record(_finished("MB.@0", 0, latency=0.001, dram=1e6))
+        collector.record(_finished("MB.@0", 1, latency=0.003, dram=3e6))
+        collector.record(
+            _finished("RS.@1", 0, latency=0.010, dram=8e6, model="RS.")
+        )
+        latency, dram = collector.macro_averages()
+        assert latency == pytest.approx((0.002 + 0.010) / 2)
+        assert dram == pytest.approx((2e6 + 8e6) / 2)
+        assert (latency, dram) == (collector.macro_avg_latency_s(),
+                                   collector.macro_avg_dram_bytes())
+
     def test_hit_rate_zero_without_accesses(self):
         collector = MetricsCollector()
         collector.record(_finished("MB.@0", 0, latency=0.001))
