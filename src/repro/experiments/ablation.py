@@ -7,9 +7,6 @@ these harnesses quantify them:
   can be adapted") — sweep the NPU/CPU way split and measure CaMDN's
   multi-tenant latency: more NPU ways mean more pages and more LBM, at the
   cost of CPU subspace capacity.
-* **Usage-level granularity** (Section III-C: the CU list) — coarser
-  candidate grids shrink mapping files but rob Algorithm 1 of fitting
-  choices.
 * **LBM occupancy budget** (Section III-C2: blocks exist "to prevent a
   model from occupying too much cache space for too long") — larger budgets
   make longer blocks (more intermediate traffic saved) but hog pages.
@@ -89,35 +86,6 @@ def run_way_partition_ablation(
     return rows
 
 
-def run_usage_level_ablation(
-    granularities: Sequence[int] = (1, 2, 4),
-    scale: float = 0.5,
-) -> List[AblationRow]:
-    """Coarsen the CU list by keeping every ``g``-th level."""
-    rows: List[AblationRow] = []
-    experiment_scale = ExperimentScale(scale=scale)
-    soc = SoCConfig()
-    from ..core.mapper.layer_mapper import usage_levels_for
-
-    full_levels = usage_levels_for(soc)
-    for granularity in granularities:
-        levels = (0,) + tuple(full_levels[1:][::granularity])
-        scheduler = CaMDNFullScheduler(usage_levels=levels)
-        latency, dram, lbm = _run_camdn(
-            soc, experiment_scale, scheduler=scheduler
-        )
-        rows.append(
-            AblationRow(
-                knob="usage_levels",
-                value=f"every {granularity} ({len(levels)} levels)",
-                avg_latency_ms=latency,
-                avg_dram_mb=dram,
-                lbm_layers=lbm,
-            )
-        )
-    return rows
-
-
 def run_lbm_budget_ablation(
     fractions: Sequence[float] = (0.05, 0.25, 0.5),
     scale: float = 0.5,
@@ -171,15 +139,14 @@ def multicast_traffic_savings(num_cores: int = 2) -> dict:
     return savings
 
 
-def format_multicast(savings: dict, num_cores: int = 2) -> str:
-    """The :func:`multicast_traffic_savings` table (``savings`` computed
-    for ``num_cores``)."""
+def format_multicast(num_cores: int = 2) -> str:
+    """The :func:`multicast_traffic_savings` table at ``num_cores``."""
     lines = [
         f"Ablation — multicast weight traffic at {num_cores} cores",
         f"  {'model':<8}{'replicated MB':>15}{'multicast MB':>14}"
         f"{'saved':>8}",
     ]
-    for model, row in savings.items():
+    for model, row in multicast_traffic_savings(num_cores).items():
         lines.append(
             f"  {model:<8}{row['replicated_mb']:>15.1f}"
             f"{row['multicast_mb']:>14.1f}{row['saved_fraction']:>8.1%}"

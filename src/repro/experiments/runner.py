@@ -47,9 +47,9 @@ worker per CPU.  Sweep cells are served from the persistent on-disk
 result cache when an identical cell was simulated before; ``--no-cache``
 forces fresh simulation (CI uses this so the engine is always
 exercised).  Experiments without a cell grid (fig3, table3, ablation)
-ignore both flags; ``ablation`` runs the way-partition, usage-level and
-LBM-budget sweeps of :mod:`repro.experiments.ablation` at ``--scale``,
-plus the multicast table.
+ignore both flags; ``ablation`` runs the way-partition and LBM-budget
+sweeps of :mod:`repro.experiments.ablation` at ``--scale``, plus the
+multicast table.
 
 ``--scenario NAME --capture-trace FILE`` runs one registered scenario
 under ``--policy`` (default ``camdn-full``) and writes the versioned,
@@ -89,9 +89,7 @@ from ..sim.scenario import scenario_registry
 from .ablation import (
     format_ablation,
     format_multicast,
-    multicast_traffic_savings,
     run_lbm_budget_ablation,
-    run_usage_level_ablation,
     run_way_partition_ablation,
 )
 from .fig2_motivation import format_fig2, run_fig2
@@ -160,11 +158,9 @@ def _ablation(scale: float, jobs: Optional[int], use_cache: bool) -> str:
     return "\n\n".join([
         format_ablation(run_way_partition_ablation(scale=scale),
                         "NPU way-partition share"),
-        format_ablation(run_usage_level_ablation(scale=scale),
-                        "cache-usage level granularity"),
         format_ablation(run_lbm_budget_ablation(scale=scale),
                         "LBM occupancy budget"),
-        format_multicast(multicast_traffic_savings()),
+        format_multicast(),
     ])
 
 

@@ -56,7 +56,6 @@ class CaMDNSchedulerBase(SchedulerPolicy):
 
     def __init__(self, qos_mode: bool = False, urgency: float = 3.0,
                  floor: float = 0.02,
-                 usage_levels: Optional[tuple] = None,
                  lbm_occupancy_fraction: Optional[float] = None) -> None:
         """Configure the policy; :meth:`attach` builds the run state.
 
@@ -71,7 +70,6 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         self.qos_mode = qos_mode
         self._bw_policy = SlackWeightedPolicy(urgency=urgency, floor=floor)
         self._demand_policy = DemandProportionalPolicy(floor=floor)
-        self.usage_levels = usage_levels
         self.lbm_occupancy_fraction = lbm_occupancy_fraction
         self.system: Optional[CaMDNSystem] = None
         self._work_cache: Optional[Dict[int, tuple]] = None
@@ -90,17 +88,12 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         self._tenant_retires = 0
         self._pages_retired = 0
         mapper = None
-        if self.usage_levels is not None or \
-                self.lbm_occupancy_fraction is not None:
+        if self.lbm_occupancy_fraction is not None:
             from ..core.mapper.layer_mapper import LayerMapper
 
-            kwargs = {}
-            if self.usage_levels is not None:
-                kwargs["usage_levels"] = tuple(self.usage_levels)
-            if self.lbm_occupancy_fraction is not None:
-                kwargs["lbm_occupancy_fraction"] = \
-                    self.lbm_occupancy_fraction
-            mapper = LayerMapper(soc, **kwargs)
+            mapper = LayerMapper(
+                soc, lbm_occupancy_fraction=self.lbm_occupancy_fraction
+            )
         self.system = CaMDNSystem(soc, mode=self.mode, mapper=mapper)
         self._timeouts = 0
         self._lbm_layers = 0
@@ -147,7 +140,6 @@ class CaMDNSchedulerBase(SchedulerPolicy):
             qos_mode=self.qos_mode,
             bw_policy=self._bw_policy,
             demand_policy=self._demand_policy,
-            usage_levels=self.usage_levels,
             lbm_occupancy_fraction=self.lbm_occupancy_fraction,
             system=self.system,
             timeouts=self._timeouts,
@@ -163,7 +155,6 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         self.qos_mode = state["qos_mode"]
         self._bw_policy = state["bw_policy"]
         self._demand_policy = state["demand_policy"]
-        self.usage_levels = state["usage_levels"]
         self.lbm_occupancy_fraction = state["lbm_occupancy_fraction"]
         self.system = state["system"]
         self._timeouts = state["timeouts"]

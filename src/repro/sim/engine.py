@@ -90,6 +90,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import SoCConfig
 from ..errors import SimulationError
+from ..runconfig import check_seconds
 from . import native
 from .faults import (
     CORE_OFFLINE,
@@ -354,7 +355,9 @@ class MultiTenantEngine:
         Exceeding either budget raises a diagnostic
         :class:`~repro.errors.SimulationError` whose ``snapshot``
         attribute carries the last-event engine state — a hung run
-        fails fast with enough context to reproduce it.
+        fails fast with enough context to reproduce it.  A negative or
+        NaN ``max_wall_s`` or ``checkpoint_every_s`` raises
+        :class:`~repro.errors.WorkloadError` before the run starts.
         """
         start = time.perf_counter()
         self._apply_budgets(max_events, max_wall_s, start)
@@ -395,6 +398,7 @@ class MultiTenantEngine:
     def _apply_budgets(self, max_events: Optional[int],
                        max_wall_s: Optional[float],
                        start: float) -> None:
+        check_seconds("max_wall_s", max_wall_s)
         if max_events is not None:
             self._max_events = int(max_events)
         if max_wall_s is not None:
@@ -450,6 +454,7 @@ class MultiTenantEngine:
                            directory: Optional[str],
                            at_events: Optional[int],
                            start: float) -> None:
+        check_seconds("checkpoint_every_s", every_s)
         self._checkpoint_hook = None
         self._checkpoint_every_s = None
         self._snapshot_at_events = None

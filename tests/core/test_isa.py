@@ -83,21 +83,32 @@ class TestClosedFormCrossValidation:
     """The generator derives traffic from loop iteration; the analytic
     model uses closed-form refetch factors.  They must agree."""
 
+    #: Every (loop order, pinned-tensor set) pair.
     CASES = [
-        ("m", frozenset()),
-        ("n", frozenset()),
-        ("k", frozenset()),
-        ("k", frozenset({"weight"})),
-        ("k", frozenset({"input"})),
-        ("m", frozenset({"input", "output"})),
-        ("n", frozenset({"weight", "output"})),
+        (innermost, frozenset(pinned))
+        for innermost in ("m", "n", "k")
+        for r in range(4)
+        for pinned in itertools.combinations(TENSORS, r)
     ]
 
-    @pytest.mark.parametrize("innermost,pinned", CASES)
-    def test_divisible_tiling_matches_exactly(self, innermost, pinned):
+    @pytest.mark.parametrize(
+        "lbm_input,lbm_output",
+        list(itertools.product((False, True), repeat=2)),
+        ids=lambda flag: "lbm" if flag else "dram",
+    )
+    @pytest.mark.parametrize(
+        "innermost,pinned", CASES,
+        ids=lambda v: v if isinstance(v, str)
+        else "+".join(sorted(v)) or "none",
+    )
+    def test_divisible_tiling_matches_exactly(self, innermost, pinned,
+                                              lbm_input, lbm_output):
+        """The walk and the closed form count the same DRAM elements on
+        a divisible tiling with several tiles per dimension."""
         shape = GEMMShape(m=256, n=128, k=192)
         choice = TilingChoice(tm=64, tn=64, tk=64, innermost=innermost,
-                              pinned=pinned)
+                              pinned=pinned, lbm_input=lbm_input,
+                              lbm_output=lbm_output)
         stats = program_stats(shape, choice)
         expected = lbm_extra_dram_elems(shape, choice)
         assert stats.dram_elems == expected
@@ -108,34 +119,6 @@ class TestClosedFormCrossValidation:
                               lbm_input=True, lbm_output=True)
         stats = program_stats(shape, choice)
         assert stats.dram_elems == lbm_extra_dram_elems(shape, choice)
-
-    @pytest.mark.parametrize(
-        "innermost,pinned",
-        [
-            (innermost, frozenset(pinned))
-            for innermost in ("m", "n", "k")
-            for r in range(4)
-            for pinned in itertools.combinations(TENSORS, r)
-        ],
-        ids=lambda v: v if isinstance(v, str)
-        else "+".join(sorted(v)) or "none",
-    )
-    def test_every_loop_order_and_pin_set(self, innermost, pinned):
-        """Every (loop order, pinned set) pair, under each of the four
-        LBM flag pairs: the walk and the closed form count the same
-        DRAM elements on a divisible tiling with several tiles per
-        dimension."""
-        shape = GEMMShape(m=256, n=128, k=192)
-        for lbm_input, lbm_output in itertools.product((False, True),
-                                                      repeat=2):
-            choice = TilingChoice(tm=64, tn=64, tk=64,
-                                  innermost=innermost, pinned=pinned,
-                                  lbm_input=lbm_input,
-                                  lbm_output=lbm_output)
-            stats = program_stats(shape, choice)
-            assert stats.dram_elems == \
-                lbm_extra_dram_elems(shape, choice), \
-                (lbm_input, lbm_output)
 
     @given(
         mt=st.integers(1, 4),

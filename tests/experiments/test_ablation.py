@@ -25,8 +25,7 @@ class TestMulticastSavings:
             assert row["multicast_mb"] < row["replicated_mb"]
 
     def test_format_multicast(self):
-        text = format_multicast(multicast_traffic_savings(num_cores=4),
-                                num_cores=4)
+        text = format_multicast(num_cores=4)
         assert "at 4 cores" in text
         assert len(text.splitlines()) == 2 + 8
 

@@ -168,6 +168,20 @@ class TestCaMDNPolicies:
         work2, _ = policy.begin_layer(dual, 0.0)
         assert work2.dram_bytes <= 1.1 * work1.dram_bytes
 
+    def test_usage_levels_keyword_removed(self):
+        with pytest.raises(TypeError, match="usage_levels"):
+            CaMDNFullScheduler(usage_levels=(0,))
+
+    def test_restore_ignores_former_usage_levels_key(self):
+        """A 1.12.0 snapshot's CaMDN state still carries
+        ``usage_levels``; restoring it installs the rest."""
+        policy = self._attach(CaMDNFullScheduler())
+        state = dict(policy.snapshot_state(), usage_levels=None)
+        fresh = self._attach(CaMDNFullScheduler())
+        fresh.restore_state(state)
+        assert fresh.system is policy.system
+        assert not hasattr(fresh, "usage_levels")
+
     def test_hw_only_mode_flag(self):
         policy = self._attach(CaMDNHWOnlyScheduler())
         assert policy.system.mode == "hw_only"

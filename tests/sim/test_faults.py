@@ -310,6 +310,17 @@ class TestWatchdog:
         with pytest.raises(SimulationError, match="wall-clock"):
             engine.run(max_wall_s=0.0)
 
+    @pytest.mark.parametrize("budget", ["max_wall_s", "checkpoint_every_s"])
+    def test_nan_budget_rejected_before_the_run(self, budget, tmp_path):
+        """NaN compares false with everything, so a NaN deadline would
+        never fire: the engine refuses it before simulating anything."""
+        engine = self._engine()
+        with pytest.raises(WorkloadError, match=budget):
+            engine.run(checkpoint_dir=str(tmp_path),
+                       **{budget: float("nan")})
+        assert engine.events_processed == 0
+        assert not list(tmp_path.iterdir())
+
     def test_env_event_cap(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_EVENTS", "50")
         engine = self._engine()
