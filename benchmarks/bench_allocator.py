@@ -1,11 +1,13 @@
 """CaMDN allocator microbenchmark: Algorithm 1 ops/sec, engine-free.
 
 Drives :class:`repro.core.camdn.CaMDNSystem` directly through its layer
-protocol (``begin_layer`` -> ``finish_layer`` across every layer of every
-tenant, retiring and re-admitting tasks between inferences) with no
-simulation engine around it, so the measured cost is exactly the paper's
-Algorithm 1 machinery: candidate selection, predicted-availability
-scans, page grants, and region/CPT resizes.
+protocol (``begin_layer`` -> ``retry_layer`` on denial ->
+``finish_layer`` across every layer of every tenant, retiring and
+re-admitting tasks between inferences) with no simulation engine around
+it.  This is the protocol the CaMDN schedulers run for every layer the
+native batch loop does not take, so the measured cost is exactly the
+paper's Algorithm 1 machinery on that path: candidate selection,
+predicted-availability scans, page grants, and region/CPT resizes.
 
 One *op* is one ``begin_layer`` + ``finish_layer`` pair.  Scenarios are
 2/4/8-tenant mixes of the Table I models in both system modes (``full``
@@ -24,7 +26,7 @@ Emits ``BENCH_allocator.json``::
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_allocator.py [--out ...]
-    python benchmarks/check_allocator_regression.py  # CI guard
+    python benchmarks/check_regression.py allocator  # CI guard
 """
 
 from __future__ import annotations

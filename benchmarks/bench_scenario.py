@@ -29,7 +29,7 @@ Emits ``BENCH_scenario.json`` in the same shape as the engine bench::
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scenario.py [--out BENCH_scenario.json]
-    python benchmarks/check_scenario_regression.py  # CI guard (>30% drop)
+    python benchmarks/check_regression.py scenario  # CI guard (>30% drop)
 """
 
 from __future__ import annotations

@@ -17,19 +17,24 @@ the prediction.  Timeout thresholds are 20 % of the profiled layer (or
 block) latency; every timeout downgrades the request to the next-smaller
 candidate (Figure 6 right).
 
-Since PR 2 made the event loop itself cheap, this module *is* the hot
-path of the CaMDN policies, so the paper's global arrays are stored
-literally: flat parallel lists (``Tnext``/``Pnext``/``Palloc``) in task
-registration order, mirroring the structure-of-arrays design of
-:mod:`repro.sim.kernel`.  A running ``sum(Palloc)`` makes
-:meth:`DynamicCacheAllocator.idle_pages` O(1), ``predAvailPages`` is a
-tight scan over the flat arrays, and candidate walks go through the
-precomputed :class:`~repro.core.mct.MCTGeometry` ``bisect`` tables
-instead of recomputing ``pages_needed`` per comparison.  Because every
-selection input (candidate pages, layer latency, lookahead fraction) is
-fixed per MCT, the resulting :class:`AllocationDecision` objects are
-immutable and memoized on the geometry — steady-state ``select`` builds
-no objects at all.  :class:`TaskState` stays the public per-task view;
+This module is the hot path of the CaMDN policies' Python chain, so
+the paper's global arrays are stored literally: flat parallel lists
+(``Tnext``/``Pnext``/``Palloc``) in task registration order, mirroring
+the structure-of-arrays design of :mod:`repro.sim.kernel`.  A running
+``sum(Palloc)`` makes :meth:`DynamicCacheAllocator.idle_pages` O(1),
+``predAvailPages`` is a tight scan over the flat arrays, and candidate
+walks go through the precomputed :class:`~repro.core.mct.MCTGeometry`
+``bisect`` tables instead of recomputing ``pages_needed`` per
+comparison.  Because every selection input (candidate pages, layer
+latency, lookahead fraction) is fixed per MCT, the resulting
+:class:`AllocationDecision` objects are immutable and memoized on the
+geometry — steady-state ``select`` builds no objects at all.
+
+Every per-layer step (``select``, ``downgrade``, ``commit``,
+``end_layer``, ``pred_avail_pages``) takes the task's resolved
+:class:`TaskState`, which :meth:`DynamicCacheAllocator.register_task`
+returns; :class:`~repro.core.camdn.CaMDNSystem` resolves a task id to it
+once per layer step.  :class:`TaskState` stays the public per-task view;
 its ``palloc``/``tnext``/``pnext`` attributes are properties that write
 through to the arrays, so external mutation (tests, diagnostics) can
 never desynchronize the aggregates.
@@ -107,14 +112,6 @@ class TaskState:
     @pnext.setter
     def pnext(self, pages: int) -> None:
         self._alloc._pnext[self._slot] = pages
-
-    def has_enabled_lbm(self, layer_index: int) -> bool:
-        """``hasEnabledLBM`` (line 7): LBM is active for this layer's
-        block."""
-        return (
-            self.lbm_block is not None
-            and self.lbm_block[0] <= layer_index < self.lbm_block[1]
-        )
 
     def __repr__(self) -> str:
         return (
@@ -214,15 +211,13 @@ class DynamicCacheAllocator:
         """Pages not allocated to any registered task."""
         return self.total_pages - self._palloc_sum
 
-    def pred_avail_pages(self, t_ahead: float, tcur: str) -> int:
-        """``predAvailPages`` (lines 1-6)."""
-        return self._pred_avail(t_ahead, self._pos.get(tcur, -1))
-
-    def _pred_avail(self, t_ahead: float, skip: int) -> int:
-        """``predAvailPages`` over the flat arrays, excluding slot
-        ``skip``.  Sums every task's predicted free, then compensates the
-        excluded slot — cheaper than an index test per iteration, and
-        identical integer arithmetic (addition is commutative on ints).
+    def pred_avail_pages(self, t_ahead: float, state: TaskState) -> int:
+        """``predAvailPages`` (lines 1-6) for ``state``'s task: the idle
+        pages plus every page a co-tenant is predicted to free before
+        ``t_ahead``.  Sums every task's predicted free, then compensates
+        the task's own slot — cheaper than an index test per iteration,
+        and identical integer arithmetic (addition is commutative on
+        ints).
         """
         p_ahead = self.total_pages - self._palloc_sum
         palloc = self._palloc
@@ -231,18 +226,15 @@ class DynamicCacheAllocator:
         for t, pa, pn in zip(tnext, palloc, pnext):
             if t < t_ahead:
                 p_ahead += pa - pn
-        if 0 <= skip < len(palloc) and tnext[skip] < t_ahead:
-            p_ahead -= palloc[skip] - pnext[skip]
+        slot = state._slot
+        if tnext[slot] < t_ahead:
+            p_ahead -= palloc[slot] - pnext[slot]
         return p_ahead
 
-    def select(self, tcur: str, layer_index: int,
+    def select(self, state: TaskState, layer_index: int,
                now: float) -> AllocationDecision:
-        """Lines 7-22: pick the mapping candidate for ``tcur``'s layer."""
-        return self.select_prepared(self.task(tcur), layer_index, now)
-
-    def select_prepared(self, state: TaskState, layer_index: int,
-                        now: float) -> AllocationDecision:
-        """:meth:`select` for a task already resolved to its state."""
+        """Lines 7-22: pick the mapping candidate for the layer of
+        ``state``'s task."""
         if not 0 <= layer_index < len(state.geoms):
             state.mapping_file.mct_for(layer_index)  # raises MappingError
         geom = state.geoms[layer_index]
@@ -268,9 +260,8 @@ class DynamicCacheAllocator:
             if state.heads[layer_index]:
                 timeout = state.block_est[layer_index] * \
                     LOOKAHEAD_FRACTION
-                slot = state._slot
-                p_ahead = self._pred_avail(now + timeout, slot) + \
-                    self._palloc[slot]
+                p_ahead = self.pred_avail_pages(now + timeout, state) + \
+                    self._palloc[state._slot]
                 if lbm_pages < p_ahead:
                     key = ("lbm_head", timeout)
                     decision = cache.get(key)
@@ -302,9 +293,8 @@ class DynamicCacheAllocator:
                 )
                 cache["lwm0"] = decision
             return decision
-        slot = state._slot
-        p_ahead = self._pred_avail(now + timeout, slot) + \
-            self._palloc[slot]
+        p_ahead = self.pred_avail_pages(now + timeout, state) + \
+            self._palloc[state._slot]
         i = geom.select_index(p_ahead)
         key = ("lwm", i, timeout)
         decision = cache.get(key)
@@ -317,18 +307,11 @@ class DynamicCacheAllocator:
             cache[key] = decision
         return decision
 
-    def downgrade(self, tcur: str, layer_index: int,
+    def downgrade(self, state: TaskState, layer_index: int,
                   decision: AllocationDecision
                   ) -> Optional[AllocationDecision]:
-        """Timeout path: next-smaller candidate, or ``None`` when already
-        at the zero-page fallback (which always succeeds)."""
-        return self.downgrade_prepared(self.task(tcur), layer_index,
-                                       decision)
-
-    def downgrade_prepared(self, state: TaskState, layer_index: int,
-                           decision: AllocationDecision
-                           ) -> Optional[AllocationDecision]:
-        """:meth:`downgrade` for a task already resolved to its state.
+        """Timeout path: the next-smaller candidate, or ``None`` when
+        already at the zero-page fallback (which always succeeds).
 
         Downgraded decisions are memoized on the geometry like selection
         results (keyed by candidate index and carried timeout): repeated
@@ -372,15 +355,9 @@ class DynamicCacheAllocator:
     # Bookkeeping at layer boundaries
     # ------------------------------------------------------------------
 
-    def commit(self, tcur: str, decision: AllocationDecision,
+    def commit(self, state: TaskState, decision: AllocationDecision,
                layer_index: int) -> None:
-        """Record a successful page grant for ``tcur``."""
-        self.commit_prepared(self.task(tcur), decision, layer_index)
-
-    def commit_prepared(self, state: TaskState,
-                        decision: AllocationDecision,
-                        layer_index: int) -> None:
-        """:meth:`commit` for a task already resolved to its state."""
+        """Record a successful page grant for ``state``'s task."""
         slot = state._slot
         pages = decision.pages_needed
         self._palloc_sum += pages - self._palloc[slot]
@@ -388,7 +365,8 @@ class DynamicCacheAllocator:
         if decision.enables_lbm:
             state.lbm_block = state.mapping_file.block_of(layer_index)
 
-    def end_layer(self, tcur: str, layer_index: int, now: float) -> None:
+    def end_layer(self, state: TaskState, layer_index: int,
+                  now: float) -> None:
         """Update ``Tnext``/``Pnext`` at the end of a layer (the paper's
         "updated at the end of each layer").
 
@@ -398,11 +376,6 @@ class DynamicCacheAllocator:
         an enabled block, otherwise the largest LWM candidate not exceeding
         the current allocation (tasks tend to stay at their usage level).
         """
-        self.end_layer_prepared(self.task(tcur), layer_index, now)
-
-    def end_layer_prepared(self, state: TaskState, layer_index: int,
-                           now: float) -> None:
-        """:meth:`end_layer` for a task already resolved to its state."""
         slot = state._slot
         ests = state.ests
         block = state.lbm_block
@@ -424,7 +397,6 @@ class DynamicCacheAllocator:
             self._pnext[slot] = unique[0] if unique and \
                 unique[0] <= self._palloc[slot] else 0
         else:
-            # Inlined MCTGeometry.max_pages_at_most (hot path).
             unique = geom.unique_pages
             k = bisect_right(unique, self._palloc[slot]) - 1
             self._pnext[slot] = unique[k] if k >= 0 else 0

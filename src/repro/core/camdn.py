@@ -11,6 +11,13 @@ granular protocol the multi-tenant simulator drives:
 4. ``finish_layer`` — update the predictor arrays.
 5. ``retire_task``  — destroy the region, freeing every page.
 
+Steps 2-4 are the one Python form of the per-layer protocol: the CaMDN
+schedulers call them for every layer the native batch loop does not
+take (and for every layer without native code).  Each resolves the task
+id to its (allocator state, region) context once, and raises
+:class:`~repro.errors.SimulationError` for a task that was never
+admitted or is already retired.
+
 Two modes:
 
 * ``"full"``    — CaMDN(Full): cache-aware mapping + dynamic allocation.
@@ -59,6 +66,13 @@ class LayerGrant:
 #: live until :func:`~repro.core.prepared.clear_prepared_caches`.
 _GRANTED: Dict[int, tuple] = {}
 _DENIED: Dict[int, tuple] = {}
+
+
+def _not_admitted(task_id: str) -> SimulationError:
+    return SimulationError(
+        f"{task_id} is not an admitted CaMDN task (never admitted, or "
+        f"already retired)"
+    )
 
 
 class CaMDNSystem:
@@ -164,12 +178,8 @@ class CaMDNSystem:
             shrank = self.regions.retire_owned(region, pcpn)
             if shrank:
                 # Forced shrink: sync the dynamic allocator's palloc
-                # accounting (mirrors the inlined commit in _try_grant).
-                ctx = self._ctx.get(owner)
-                if ctx is not None:
-                    slot = ctx[0]._slot
-                    alloc._palloc_sum -= 1
-                    alloc._palloc[slot] -= 1
+                # accounting (the region's owner is an admitted task).
+                self._ctx[owner][0].palloc -= 1
         # The logical capacity Algorithm 1 reasons over shrinks with the
         # physical pool (total_pages >= palloc_sum holds: every victim
         # was free or came out of an owner's holding).
@@ -184,27 +194,14 @@ class CaMDNSystem:
     def begin_layer(self, task_id: str, layer_index: int,
                     now: float) -> LayerGrant:
         """Select a candidate and try to grant its pages."""
-        ctx = self._ctx.get(task_id)
-        if ctx is None:
-            # Registered on the allocator but never admitted (no
-            # region): selection proceeds, the grant is always denied —
-            # the pre-context code converted the missing-region resize
-            # failure into a denied grant.  Unknown tasks raise here.
-            state = self.allocator.task(task_id)
-            if self._hw_only:
-                decision = self._hw_only_decision(state, layer_index)
-            else:
-                decision = self.allocator.select_prepared(
-                    state, layer_index, now
-                )
-            return self._denied(decision)
-        state, region = ctx
+        try:
+            state, region = self._ctx[task_id]
+        except KeyError:
+            raise _not_admitted(task_id) from None
         if self._hw_only:
             decision = self._hw_only_decision(state, layer_index)
         else:
-            decision = self.allocator.select_prepared(
-                state, layer_index, now
-            )
+            decision = self.allocator.select(state, layer_index, now)
         return self._try_grant(state, region, layer_index, decision)
 
     def retry_layer(self, task_id: str, layer_index: int,
@@ -214,19 +211,11 @@ class CaMDNSystem:
         The zero-page fallback always succeeds, so repeated retries
         terminate.
         """
-        ctx = self._ctx.get(task_id)
-        if ctx is None:
-            state = self.allocator.task(task_id)  # raises if unknown
-            decision = self.allocator.downgrade_prepared(
-                state, layer_index, grant.decision
-            )
-            if decision is None:
-                raise SimulationError(
-                    f"{task_id}: zero-page candidate failed to be granted"
-                )
-            return self._denied(decision)
-        state, region = ctx
-        decision = self.allocator.downgrade_prepared(
+        try:
+            state, region = self._ctx[task_id]
+        except KeyError:
+            raise _not_admitted(task_id) from None
+        decision = self.allocator.downgrade(
             state, layer_index, grant.decision
         )
         if decision is None:
@@ -238,12 +227,11 @@ class CaMDNSystem:
     def finish_layer(self, task_id: str, layer_index: int,
                      now: float) -> None:
         """Layer boundary: update the prediction arrays."""
-        ctx = self._ctx.get(task_id)
-        if ctx is None:
-            # end_layer needs no region; raises for unknown tasks.
-            self.allocator.end_layer(task_id, layer_index, now)
-            return
-        self.allocator.end_layer_prepared(ctx[0], layer_index, now)
+        try:
+            state = self._ctx[task_id][0]
+        except KeyError:
+            raise _not_admitted(task_id) from None
+        self.allocator.end_layer(state, layer_index, now)
 
     # ------------------------------------------------------------------
 
@@ -254,19 +242,10 @@ class CaMDNSystem:
             if needed - len(region.pcpns) > self.regions.free_pages:
                 return self._denied(decision)
             try:
-                self.regions._resize(region, needed)
+                self.regions.resize(region, needed)
             except PageAllocationError:
                 return self._denied(decision)
-        # Inlined allocator.commit_prepared (hot path); the arithmetic is
-        # skipped when the allocation is unchanged (the common case for
-        # consecutive layers at the same usage level).
-        alloc = self.allocator
-        slot = state._slot
-        if alloc._palloc[slot] != needed:
-            alloc._palloc_sum += needed - alloc._palloc[slot]
-            alloc._palloc[slot] = needed
-        if decision.enables_lbm:
-            state.lbm_block = state.mapping_file.block_of(layer_index)
+        self.allocator.commit(state, decision, layer_index)
         return self._granted(decision)
 
     def _granted(self, decision: AllocationDecision) -> LayerGrant:

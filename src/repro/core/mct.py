@@ -233,12 +233,6 @@ class MCTGeometry:
                 best = i
         return best
 
-    def max_pages_at_most(self, budget: int) -> int:
-        """Largest candidate page count ``<= budget`` (0 when none) —
-        the ``Pnext`` prediction of Algorithm 1's end-of-layer update."""
-        k = bisect_right(self.unique_pages, budget) - 1
-        return self.unique_pages[k] if k >= 0 else 0
-
 
 @dataclass
 class MappingCandidateTable:
@@ -299,16 +293,6 @@ class MappingCandidateTable:
                 f"layer {self.layer_name}: missing zero-cache fallback"
             )
 
-    def smaller_than(self, candidate: MappingCandidate,
-                     page_bytes: int) -> Optional[MappingCandidate]:
-        """Next-smaller candidate used on timeout (Figure 6 right: every
-        timeout downgrades to the candidate needing fewer pages)."""
-        geom = self.geometry(page_bytes)
-        i = geom.next_smaller_index(candidate.pages_needed(page_bytes))
-        if i < 0:
-            return None
-        return self.lwm[i]
-
 
 @dataclass
 class ModelMappingFile:
@@ -335,10 +319,6 @@ class ModelMappingFile:
     _layer_blocks: Optional[List[Optional[Tuple[int, int]]]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: layer -> ``layerBlock.Test`` table; ``None`` until first use.
-    _block_est: Optional[List[float]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
     #: page_bytes -> per-layer geometry tuple; built on first use.
     _layer_geoms: Dict[int, Tuple[MCTGeometry, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -359,7 +339,6 @@ class ModelMappingFile:
     def invalidate_caches(self) -> None:
         """Drop the lazy block tables (after mutating blocks/latencies)."""
         self._layer_blocks = None
-        self._block_est = None
         self._head_flags = None
         self._block_lat = None
         self._scaled_lat.clear()
@@ -406,25 +385,9 @@ class ModelMappingFile:
             self._layer_blocks = table
         return table
 
-    def _block_est_table(self) -> List[float]:
-        table = self._block_est
-        if table is None:
-            blocks = self._layer_block_table()
-            table = []
-            for i, mct in enumerate(self.mcts):
-                block = blocks[i]
-                if block is None:
-                    table.append(mct.est_latency_s)
-                else:
-                    table.append(sum(
-                        self.mcts[j].est_latency_s
-                        for j in range(block[0], block[1])
-                    ))
-            self._block_est = table
-        return table
-
     def block_head_flags(self) -> Tuple[bool, ...]:
-        """Per-layer ``is_block_head`` flags (cached)."""
+        """Per-layer flags: the layer heads its LBM block (Algorithm 1
+        line 10; cached)."""
         flags = self._head_flags
         if flags is None:
             flags = tuple(
@@ -435,10 +398,19 @@ class ModelMappingFile:
         return flags
 
     def block_latencies(self) -> Tuple[float, ...]:
-        """Per-layer ``layerBlock.Test`` values (cached table)."""
+        """Per-layer ``layerBlock.Test``: the profiled latency of the
+        whole block containing the layer, or the layer's own latency
+        outside every block (cached table)."""
         lat = self._block_lat
         if lat is None:
-            lat = tuple(self._block_est_table())
+            mcts = self.mcts
+            lat = tuple(
+                mct.est_latency_s if block is None else sum(
+                    mcts[j].est_latency_s
+                    for j in range(block[0], block[1])
+                )
+                for mct, block in zip(mcts, self._layer_block_table())
+            )
             self._block_lat = lat
         return lat
 
@@ -459,16 +431,6 @@ class ModelMappingFile:
                     return (start, end)
             return None
         return self._layer_block_table()[layer_index]
-
-    def is_block_head(self, layer_index: int) -> bool:
-        """Is this layer the head of its LBM block (Algorithm 1 line 10)?"""
-        block = self.block_of(layer_index)
-        return block is not None and block[0] == layer_index
-
-    def block_est_latency_s(self, layer_index: int) -> float:
-        """Profiled latency of the whole block containing ``layer_index``
-        (``layerBlock.Test`` in Algorithm 1)."""
-        return self._block_est_table()[layer_index]
 
     def total_dram_bytes(self, level_bytes: int) -> float:
         """Whole-model DRAM traffic if every layer ran its largest LWM

@@ -201,23 +201,6 @@ class CachePageAllocator:
         self._free = _merge_sorted(self._free, victims)
         return len(victims)
 
-    def resize_owner(self, owner: str, target_pages: int) -> int:
-        """Grow or shrink ``owner`` to exactly ``target_pages`` pages.
-
-        Returns the signed page delta applied.  Shrinking releases the
-        highest-numbered pages first (their contents are the most recently
-        mapped and cheapest to refill).
-        """
-        if target_pages < 0:
-            raise PageAllocationError("target_pages cannot be negative")
-        held = self._owner_pages.get(owner, ())
-        delta = target_pages - len(held)
-        if delta > 0:
-            self.allocate(owner, delta)
-        elif delta < 0:
-            self.release(owner, held[delta:])
-        return delta
-
     def retire_free(self, pcpn: int) -> None:
         """Permanently retire a currently-free page (ECC fault).
 

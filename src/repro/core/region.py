@@ -85,8 +85,8 @@ class RegionManager:
         self._regions[task_id] = region
         return region
 
-    def resize_region(self, task_id: str, target_pages: int) -> int:
-        """Grow/shrink ``task_id``'s region to ``target_pages`` pages.
+    def resize(self, region: ModelRegion, target_pages: int) -> int:
+        """Grow/shrink ``region`` to ``target_pages`` pages.
 
         Returns the signed page delta.  The resize is delta-based: only
         the page difference is granted or released, and only the affected
@@ -95,16 +95,10 @@ class RegionManager:
         shrinkage drops the highest vcpns first.
 
         Raises:
-            PageAllocationError: unknown task or not enough free pages to
-                grow (callers treat this as a wait-and-retry condition).
+            PageAllocationError: not enough free pages to grow (callers
+                treat this as a wait-and-retry condition); the region is
+                left unchanged.
         """
-        region = self._regions.get(task_id)
-        if region is None:
-            raise PageAllocationError(f"{task_id} has no region")
-        return self._resize(region, target_pages)
-
-    def _resize(self, region: ModelRegion, target_pages: int) -> int:
-        """Delta-resize a region already resolved from its task id."""
         pcpns = region.pcpns
         current = len(pcpns)
         delta = target_pages - current

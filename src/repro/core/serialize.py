@@ -167,60 +167,6 @@ def save_mapping_file(mapping_file: ModelMappingFile,
     return path
 
 
-def scenario_spec_to_dict(spec) -> dict:
-    """Canonical JSON-ready form of a
-    :class:`~repro.sim.scenario.ScenarioSpec` (exact float round-trip;
-    part of the sweep cell cache key)."""
-    return spec.to_dict()
-
-
-def scenario_spec_from_dict(data: dict):
-    """Inverse of :func:`scenario_spec_to_dict`.
-
-    Raises:
-        WorkloadError: the payload is not a supported scenario schema.
-    """
-    from ..sim.scenario import ScenarioSpec
-
-    return ScenarioSpec.from_dict(data)
-
-
-def fault_spec_to_dict(spec) -> dict:
-    """Canonical JSON-ready form of a
-    :class:`~repro.sim.faults.FaultSpec` (versioned, exact float
-    round-trip; part of the sweep cell cache key)."""
-    return spec.to_dict()
-
-
-def fault_spec_from_dict(data: dict):
-    """Inverse of :func:`fault_spec_to_dict`.
-
-    Raises:
-        WorkloadError: the payload is not a supported fault schema.
-    """
-    from ..sim.faults import FaultSpec
-
-    return FaultSpec.from_dict(data)
-
-
-def fleet_spec_to_dict(spec) -> dict:
-    """Canonical JSON-ready form of a
-    :class:`~repro.fleet.spec.FleetSpec` (versioned, exact float
-    round-trip; keys the fleet journal sidecar)."""
-    return spec.to_dict()
-
-
-def fleet_spec_from_dict(data: dict):
-    """Inverse of :func:`fleet_spec_to_dict`.
-
-    Raises:
-        WorkloadError: the payload is not a supported fleet schema.
-    """
-    from ..fleet.spec import FleetSpec
-
-    return FleetSpec.from_dict(data)
-
-
 def fleet_spec_content_hash(spec) -> str:
     """Stable content hash of a fleet population.
 
@@ -233,7 +179,7 @@ def fleet_spec_content_hash(spec) -> str:
     return stable_content_hash({
         "repro_version": __version__,
         "source_salt": source_content_salt(),
-        "fleet": fleet_spec_to_dict(spec),
+        "fleet": spec.to_dict(),
     })
 
 

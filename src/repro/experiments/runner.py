@@ -343,8 +343,8 @@ def _run_fleet_cli(spec_path: Optional[str], journal_path: Optional[str],
     """
     import json
 
-    from ..core.serialize import fleet_spec_from_dict
     from ..fleet.runner import resume_fleet, run_fleet
+    from ..fleet.spec import FleetSpec
 
     reset_sweep_stats()
     if spec_path is None:
@@ -352,7 +352,7 @@ def _run_fleet_cli(spec_path: Optional[str], journal_path: Optional[str],
                               use_cache=use_cache, deadline_s=deadline_s)
     else:
         with open(spec_path, encoding="utf-8") as fh:
-            spec = fleet_spec_from_dict(json.load(fh))
+            spec = FleetSpec.from_dict(json.load(fh))
         result = run_fleet(spec, journal_path=journal_path,
                            max_workers=jobs, use_cache=use_cache,
                            deadline_s=deadline_s)

@@ -51,11 +51,7 @@ from ..config import SoCConfig
 from ..core.serialize import (
     _write_text_durable,
     atomic_write_text,
-    fault_spec_from_dict,
-    fault_spec_to_dict,
     resolve_cache_dir,
-    scenario_spec_from_dict,
-    scenario_spec_to_dict,
     simulation_result_from_dict,
     simulation_result_to_dict,
     soc_config_from_dict,
@@ -196,8 +192,7 @@ class SweepCell:
             "cache_bytes": self.cache_bytes,
             "seed": self.seed,
             "faults": (
-                fault_spec_to_dict(self.faults)
-                if self.faults is not None else None
+                self.faults.to_dict() if self.faults is not None else None
             ),
         }
 
@@ -227,7 +222,7 @@ def cell_cache_key(cell: SweepCell, soc: SoCConfig) -> str:
         "repro_version": __version__,
         "source_salt": source_content_salt(),
         "cell": cell.to_dict(),
-        "scenario": scenario_spec_to_dict(cell.resolve_scenario()),
+        "scenario": cell.resolve_scenario().to_dict(),
         "soc": soc_config_to_dict(soc),
     })
 
@@ -585,8 +580,7 @@ CAMPAIGN_SCHEMA_VERSION = 1
 def _cell_to_journal(cell: SweepCell) -> dict:
     data = cell.to_dict()
     data["scenario"] = (
-        scenario_spec_to_dict(cell.scenario)
-        if cell.scenario is not None else None
+        cell.scenario.to_dict() if cell.scenario is not None else None
     )
     return data
 
@@ -603,11 +597,11 @@ def _cell_from_journal(data: dict) -> SweepCell:
         cache_bytes=data["cache_bytes"],
         seed=data["seed"],
         scenario=(
-            scenario_spec_from_dict(scenario)
+            ScenarioSpec.from_dict(scenario)
             if scenario is not None else None
         ),
         faults=(
-            fault_spec_from_dict(faults) if faults is not None else None
+            FaultSpec.from_dict(faults) if faults is not None else None
         ),
     )
 

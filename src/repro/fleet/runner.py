@@ -27,12 +27,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..config import SoCConfig
-from ..core.serialize import (
-    atomic_write_text,
-    fleet_spec_to_dict,
-    fleet_spec_from_dict,
-    fleet_spec_content_hash,
-)
+from ..core.serialize import atomic_write_text, fleet_spec_content_hash
 from ..errors import WorkloadError
 from ..experiments.sweep import (
     CampaignJournal,
@@ -61,7 +56,7 @@ def write_fleet_sidecar(journal_path, spec: FleetSpec) -> Path:
     """Durably record the fleet spec next to its journal (atomic)."""
     sidecar = fleet_sidecar_path(journal_path)
     payload = {
-        "fleet": fleet_spec_to_dict(spec),
+        "fleet": spec.to_dict(),
         "content_hash": fleet_spec_content_hash(spec),
     }
     atomic_write_text(sidecar, json.dumps(payload, sort_keys=True))
@@ -87,7 +82,7 @@ def read_fleet_sidecar(journal_path) -> FleetSpec:
         raise WorkloadError(
             f"cannot read fleet sidecar {sidecar}: {exc}"
         ) from exc
-    spec = fleet_spec_from_dict(payload["fleet"])
+    spec = FleetSpec.from_dict(payload["fleet"])
     recorded = payload.get("content_hash")
     actual = fleet_spec_content_hash(spec)
     if recorded != actual:

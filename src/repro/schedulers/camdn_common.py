@@ -1,10 +1,14 @@
 """Shared machinery of the two CaMDN scheduler variants.
 
 Both variants drive a :class:`~repro.core.camdn.CaMDNSystem` through the
-engine's layer protocol; they differ only in the system mode (``full`` vs
-``hw_only``) and in the optional AuRORA-style QoS integration (the paper's
-Figure 9 configuration gives CaMDN the same bandwidth and NPU allocation
-algorithms as AuRORA).
+engine's layer protocol: a layer start is one ``CaMDNSystem.begin_layer``
+call (a timeout one ``retry_layer`` call) and a layer end one
+``finish_layer`` call.  The native batch loop takes most non-final
+completions itself from the completion tables built here; every other
+layer reaches the system's protocol.  The variants differ only in the
+system mode (``full`` vs ``hw_only``) and in the optional AuRORA-style
+QoS integration (the paper's Figure 9 configuration gives CaMDN the same
+bandwidth and NPU allocation algorithms as AuRORA).
 """
 
 from __future__ import annotations
@@ -79,8 +83,6 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         self._tenant_admits = 0
         self._tenant_retires = 0
         self._pages_retired = 0
-        self._alloc = None
-        self._pages = None
 
     def attach(self, soc: SoCConfig) -> None:
         super().attach(soc)
@@ -101,22 +103,11 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         self._bind_system()
 
     def _bind_system(self) -> None:
-        """Resolve the hot-path methods of ``self.system`` (the
-        per-layer chain runs twice per simulated event, so the attribute
-        walks are resolved once), fetch the process-wide memo stores
-        of this SoC and mode, and build the native completion tables of
-        every task the system carries: a restored system's tasks
-        started in another process, whose stores may be cold."""
+        """Fetch the process-wide memo stores of this SoC and mode, and
+        build the native completion tables of every task the system
+        carries: a restored system's tasks started in another process,
+        whose stores may be cold."""
         system = self.system
-        alloc = system.allocator
-        self._alloc = alloc
-        self._pages = system.regions.allocator
-        self._alloc_end = alloc.end_layer_prepared
-        self._alloc_select = alloc.select_prepared
-        self._sys_try = system._try_grant
-        self._sys_hw = (
-            system._hw_only_decision if system._hw_only else None
-        )
         self._work_cache = _WORKS.setdefault(self.soc, {})
         self._fast_files = _FAST_FILES.setdefault(
             (self.soc, system._hw_only), {}
@@ -162,8 +153,7 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         self._tenant_admits = state["tenant_admits"]
         self._tenant_retires = state["tenant_retires"]
         self._pages_retired = state["pages_retired"]
-        # Re-bind the hot-path methods to the restored system (attach()
-        # bound them to the fresh one it built, now discarded).
+        # The restored system's tasks need native completion tables.
         self._bind_system()
 
     # ------------------------------------------------------------------
@@ -213,8 +203,7 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         are remapped or shrunk out of their regions, the MCT geometry
         then downgrades future grants against the reduced capacity
         (graceful degradation through the existing Figure 6 loop, no
-        crash path).  The bound ``_sys_try`` hot path stays valid:
-        retirement mutates the shared allocator in place.
+        crash path).
         """
         retired = self.system.retire_pages(count, rng_key)
         self._pages_retired += len(retired)
@@ -223,56 +212,31 @@ class CaMDNSchedulerBase(SchedulerPolicy):
     def on_task_start(self, instance: TaskInstance, now: float) -> None:
         self.system.admit_task(instance.instance_id, instance.graph)
         # Pin the resolved (state, region) context on the instance: the
-        # per-layer hooks read a slot attribute instead of hashing the
-        # instance id into the context dict twice per simulated event.
+        # native batch loop and its memo builder read the task's
+        # predictor slot and region from it.
         ctx = self.system._ctx[instance.instance_id]
         instance.sched_ctx = ctx
         self._ensure_fast_file(ctx[0].mapping_file)
 
     def begin_layer(self, instance: TaskInstance, now: float
                     ) -> Tuple[Optional[LayerWork], float]:
-        # Flattened CaMDNSystem.begin_layer: the context pinned at task
-        # start leads straight into the allocator — this chain runs
-        # twice per simulated event, so the facade wrappers are bypassed.
-        ctx = instance.sched_ctx
-        if ctx is None:
-            grant = self.system.begin_layer(  # raises "not registered"
-                instance.instance_id, instance.layer_index, now
-            )
-            return self._grant_to_work(instance, grant)
-        state, region = ctx
-        layer_index = instance.layer_index
-        hw = self._sys_hw
-        if hw is not None:
-            decision = hw(state, layer_index)
-        else:
-            decision = self._alloc_select(state, layer_index, now)
-        grant = self._sys_try(state, region, layer_index, decision)
+        grant = self.system.begin_layer(
+            instance.instance_id, instance.layer_index, now
+        )
         return self._grant_to_work(instance, grant)
-
-    def poll_layer(self, instance: TaskInstance, now: float
-                   ) -> Tuple[Optional[LayerWork], float]:
-        # Re-select with fresh predictions; pages may have been freed.
-        return self.begin_layer(instance, now)
 
     def timeout_layer(self, instance: TaskInstance, now: float
                       ) -> Tuple[Optional[LayerWork], float]:
         self._timeouts += 1
-        last = instance.sched_scratch
         grant = self.system.retry_layer(
-            instance.instance_id, instance.layer_index, last
+            instance.instance_id, instance.layer_index,
+            instance.sched_scratch,
         )
         return self._grant_to_work(instance, grant)
 
     def on_layer_end(self, instance: TaskInstance, now: float) -> None:
-        ctx = instance.sched_ctx
-        if ctx is None:
-            self.system.finish_layer(         # raises "not registered"
-                instance.instance_id, instance.layer_index, now
-            )
-            return
-        self.system.allocator.end_layer_prepared(
-            ctx[0], instance.layer_index, now
+        self.system.finish_layer(
+            instance.instance_id, instance.layer_index, now
         )
 
     def on_task_end(self, instance: TaskInstance, now: float) -> None:
@@ -291,19 +255,20 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         tables, the regions' page allocator, the allocator itself and
         the memo builder :meth:`_build_fast_pair`.  The engine fetches
         this tuple per call: the loop resizes regions (the page moves
-        of ``RegionManager._resize``) and writes the moved
+        of ``RegionManager.resize``) and writes the moved
         ``_palloc_sum`` back to the allocator, and the other totals
         change only between calls.  The tables are the process-wide
         store of this SoC and mode, so the loop takes the memo entries
         an earlier cell of the process built, and builds the missing
         ones through the builder."""
-        alloc = self._alloc
+        system = self.system
+        alloc = system.allocator
         return (
             TABLE_CAMDN,
             alloc._tnext, alloc._pnext, alloc._palloc, alloc.total_pages,
-            alloc._palloc_sum, self.system._share,
-            0 if self._sys_hw is None else 1, self._fast_files,
-            self._pages, alloc, self._build_fast_pair,
+            alloc._palloc_sum, system._share,
+            1 if system._hw_only else 0, self._fast_files,
+            system.regions.allocator, alloc, self._build_fast_pair,
         )
 
     def add_lbm_layers(self, count: int) -> None:
@@ -332,8 +297,7 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         scalings — so the C side never touches a Python object graph
         beyond one tuple row and the predictor lists.
         """
-        alloc = self._alloc
-        geoms = mf.layer_geometries(alloc.page_bytes)
+        geoms = mf.layer_geometries(self.system.allocator.page_bytes)
         heads = mf.block_head_flags()
         block_est = mf.block_latencies()
         ests = mf.scaled_latencies(1.0)
@@ -382,7 +346,7 @@ class CaMDNSchedulerBase(SchedulerPolicy):
         geom = state.geoms[layer_index]
         cache = geom.decision_cache
         mct = state.mcts[layer_index]
-        if self._sys_hw is not None:
+        if self.system._hw_only:
             if code < 2:
                 enables = code == 0
                 key = "hw_lbm_on" if enables else "hw_lbm_keep"

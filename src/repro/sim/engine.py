@@ -424,10 +424,8 @@ class MultiTenantEngine:
             offered_load_ratio=self._offered_load_ratio(),
             last_snapshot=self.last_snapshot,
         )
-        # Cheap always-on accounting check (a handful of integer adds);
-        # REPRO_CHECK_CONSERVATION=0 opts out.
-        if os.environ.get("REPRO_CHECK_CONSERVATION", "1") != "0":
-            result.check_conservation()
+        # Always-on accounting check (a handful of integer adds).
+        result.check_conservation()
         return result
 
     # ------------------------------------------------------------------

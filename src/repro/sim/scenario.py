@@ -131,55 +131,77 @@ class ArrivalProcess:
             object.__setattr__(self, "sojourn_s", tuple(self.sojourn_s))
         if self.times is not None:
             object.__setattr__(self, "times", tuple(self.times))
+        # Every bound below is written so NaN fails it (each comparison
+        # with NaN is false); infinity fails it too.
         if self.kind in (PERIODIC, BURSTY, DIURNAL):
-            if self.period_s is None or self.period_s <= 0:
-                raise WorkloadError(f"{self.kind} needs period_s > 0")
+            if self.period_s is None or not 0 < self.period_s < math.inf:
+                raise WorkloadError(
+                    f"{self.kind} needs a finite period_s > 0, got "
+                    f"{self.period_s!r}"
+                )
         if self.kind in (POISSON, DIURNAL):
-            if self.rate_hz is None or self.rate_hz <= 0:
-                raise WorkloadError(f"{self.kind} needs rate_hz > 0")
+            if self.rate_hz is None or not 0 < self.rate_hz < math.inf:
+                raise WorkloadError(
+                    f"{self.kind} needs a finite rate_hz > 0, got "
+                    f"{self.rate_hz!r}"
+                )
         if self.kind == BURSTY:
-            if self.on_s is None or self.on_s <= 0:
-                raise WorkloadError("bursty needs on_s > 0")
-            if self.off_s is None or self.off_s < 0:
-                raise WorkloadError("bursty needs off_s >= 0")
+            if self.on_s is None or not 0 < self.on_s < math.inf:
+                raise WorkloadError(
+                    f"bursty needs a finite on_s > 0, got {self.on_s!r}"
+                )
+            if self.off_s is None or not 0 <= self.off_s < math.inf:
+                raise WorkloadError(
+                    f"bursty needs a finite off_s >= 0, got {self.off_s!r}"
+                )
         if self.kind == MMPP:
             if self.rates_hz is None or len(self.rates_hz) < 2:
                 raise WorkloadError("mmpp needs >= 2 state rates_hz")
-            if any(r < 0 for r in self.rates_hz) or \
+            if not all(0 <= r < math.inf for r in self.rates_hz) or \
                     not any(r > 0 for r in self.rates_hz):
                 raise WorkloadError(
-                    "mmpp rates_hz must be >= 0 with one positive"
+                    f"mmpp rates_hz must be finite and >= 0 with one "
+                    f"positive, got {self.rates_hz!r}"
                 )
             if self.sojourn_s is None or \
                     len(self.sojourn_s) != len(self.rates_hz):
                 raise WorkloadError(
                     "mmpp needs one sojourn_s per state"
                 )
-            if any(s <= 0 for s in self.sojourn_s):
-                raise WorkloadError("mmpp sojourn_s must be positive")
+            if not all(0 < s < math.inf for s in self.sojourn_s):
+                raise WorkloadError(
+                    f"mmpp sojourn_s must be finite and > 0, got "
+                    f"{self.sojourn_s!r}"
+                )
         if self.kind == DIURNAL:
             if not 0.0 <= self.amplitude <= 1.0:
                 raise WorkloadError("diurnal amplitude must be in [0, 1]")
             flash = (self.flash_every_s, self.flash_width_s)
             if any(f is not None for f in flash):
-                if any(f is None or f <= 0 for f in flash):
+                if any(f is None or not 0 < f < math.inf for f in flash):
                     raise WorkloadError(
-                        "diurnal flash crowds need flash_every_s > 0 "
-                        "and flash_width_s > 0"
+                        f"diurnal flash crowds need finite "
+                        f"flash_every_s > 0 and flash_width_s > 0, got "
+                        f"{flash!r}"
                     )
-                if self.flash_boost < 1.0:
+                if not 1.0 <= self.flash_boost < math.inf:
                     raise WorkloadError(
-                        "diurnal flash_boost must be >= 1"
+                        f"diurnal flash_boost must be finite and >= 1, "
+                        f"got {self.flash_boost!r}"
                     )
         if self.kind == REPLAY and self.times is not None:
-            if any(t < 0 for t in self.times):
-                raise WorkloadError("replay times cannot be negative")
+            if not all(0 <= t < math.inf for t in self.times):
+                raise WorkloadError(
+                    "replay times must be finite and >= 0"
+                )
             if any(b < a for a, b in zip(self.times, self.times[1:])):
                 raise WorkloadError(
                     "replay times must be non-decreasing"
                 )
-        if self.phase_s < 0:
-            raise WorkloadError("phase_s cannot be negative")
+        if not 0 <= self.phase_s < math.inf:
+            raise WorkloadError(
+                f"phase_s must be finite and >= 0, got {self.phase_s!r}"
+            )
 
     # -- constructors --------------------------------------------------
 
@@ -570,10 +592,19 @@ class StreamSpec:
     def __post_init__(self) -> None:
         if not self.model:
             raise WorkloadError("stream needs a model key")
-        if self.join_s < 0:
-            raise WorkloadError("join_s cannot be negative")
-        if self.leave_s is not None and self.leave_s <= self.join_s:
-            raise WorkloadError("leave_s must be after join_s")
+        if not self.qos_scale > 0:
+            raise WorkloadError(
+                f"qos_scale must be > 0 (inf disables deadlines), got "
+                f"{self.qos_scale!r}"
+            )
+        if not 0 <= self.join_s < math.inf:
+            raise WorkloadError(
+                f"join_s must be finite and >= 0, got {self.join_s!r}"
+            )
+        if self.leave_s is not None and not self.join_s < self.leave_s:
+            raise WorkloadError(
+                f"leave_s must be after join_s, got {self.leave_s!r}"
+            )
         if self.inferences is not None and self.inferences <= 0:
             raise WorkloadError("inferences must be positive when set")
         if self.warmup_inferences < 0:
@@ -627,8 +658,11 @@ class ScenarioSpec:
             raise WorkloadError("scenario needs at least one stream")
         object.__setattr__(self, "streams", tuple(self.streams))
         if self.duration_s is not None:
-            if self.duration_s <= 0:
-                raise WorkloadError("duration must be positive")
+            if not 0 < self.duration_s < math.inf:
+                raise WorkloadError(
+                    f"duration_s must be finite and > 0, got "
+                    f"{self.duration_s!r}"
+                )
             if not 0 <= self.warmup_s < self.duration_s:
                 raise WorkloadError("warmup must precede the window end")
         else:
@@ -675,8 +709,10 @@ class ScenarioSpec:
         the same offered load), keeping churn events proportionally
         placed inside it.
         """
-        if factor <= 0:
-            raise WorkloadError("scale factor must be positive")
+        if not 0 < factor < math.inf:
+            raise WorkloadError(
+                f"scale factor must be finite and > 0, got {factor!r}"
+            )
         if factor == 1.0:
             return self
         streams = tuple(

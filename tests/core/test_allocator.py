@@ -63,49 +63,48 @@ class TestTaskLifecycle:
             allocator.register_task("A", _mapping_file())
 
     def test_unknown_task_raises(self, allocator):
-        with pytest.raises(SimulationError):
-            allocator.select("ghost", 0, 0.0)
+        with pytest.raises(SimulationError, match="ghost"):
+            allocator.task("ghost")
+        with pytest.raises(SimulationError, match="ghost"):
+            allocator.finish_task("ghost", 0.0)
 
 
 class TestPredAvailPages:
     def test_all_idle_initially(self, allocator):
-        allocator.register_task("A", _mapping_file())
-        assert allocator.pred_avail_pages(1.0, "A") == 32
+        a = allocator.register_task("A", _mapping_file())
+        assert allocator.pred_avail_pages(1.0, a) == 32
 
     def test_counts_cotenant_frees(self, allocator):
-        allocator.register_task("A", _mapping_file())
-        allocator.register_task("B", _mapping_file())
-        state_b = allocator.task("B")
+        a = allocator.register_task("A", _mapping_file())
+        state_b = allocator.register_task("B", _mapping_file())
         state_b.palloc = 10
         state_b.pnext = 2
         state_b.tnext = 0.5
         # B is predicted to free 8 pages before t=1.0.
-        assert allocator.pred_avail_pages(1.0, "A") == (32 - 10) + 8
+        assert allocator.pred_avail_pages(1.0, a) == (32 - 10) + 8
 
     def test_ignores_frees_beyond_horizon(self, allocator):
-        allocator.register_task("A", _mapping_file())
-        allocator.register_task("B", _mapping_file())
-        state_b = allocator.task("B")
+        a = allocator.register_task("A", _mapping_file())
+        state_b = allocator.register_task("B", _mapping_file())
         state_b.palloc = 10
         state_b.pnext = 2
         state_b.tnext = 5.0
-        assert allocator.pred_avail_pages(1.0, "A") == 32 - 10
+        assert allocator.pred_avail_pages(1.0, a) == 32 - 10
 
     def test_excludes_current_task(self, allocator):
-        allocator.register_task("A", _mapping_file())
-        state = allocator.task("A")
+        state = allocator.register_task("A", _mapping_file())
         state.palloc = 10
         state.pnext = 0
         state.tnext = 0.0
         # A's own pages are not "predicted frees" for itself.
-        assert allocator.pred_avail_pages(1.0, "A") == 32 - 10
+        assert allocator.pred_avail_pages(1.0, state) == 32 - 10
 
 
 class TestSelect:
     def test_lbm_preferred_at_block_head_when_pages_available(
             self, allocator):
-        allocator.register_task("A", _mapping_file())
-        decision = allocator.select("A", 0, now=0.0)
+        a = allocator.register_task("A", _mapping_file())
+        decision = allocator.select(a, 0, now=0.0)
         assert decision.candidate.kind == "LBM"
         assert decision.enables_lbm
         assert decision.timeout_s == pytest.approx(
@@ -113,36 +112,35 @@ class TestSelect:
         )
 
     def test_enabled_lbm_sticks_with_infinite_timeout(self, allocator):
-        allocator.register_task("A", _mapping_file())
-        decision = allocator.select("A", 0, now=0.0)
-        allocator.commit("A", decision, 0)
-        decision2 = allocator.select("A", 1, now=0.001)
+        a = allocator.register_task("A", _mapping_file())
+        decision = allocator.select(a, 0, now=0.0)
+        allocator.commit(a, decision, 0)
+        decision2 = allocator.select(a, 1, now=0.001)
         assert decision2.candidate.kind == "LBM"
         assert math.isinf(decision2.timeout_s)
 
     def test_lbm_skipped_when_prediction_too_small(self, allocator):
         # LBM needs 40 pages but the pool has 32.
         mf = _mapping_file(lbm_pages=40)
-        allocator.register_task("A", mf)
-        decision = allocator.select("A", 0, now=0.0)
+        a = allocator.register_task("A", mf)
+        decision = allocator.select(a, 0, now=0.0)
         assert decision.candidate.kind == "LWM"
 
     def test_largest_fitting_lwm_selected(self, allocator):
         mf = _mapping_file(lbm_pages=0)
-        allocator.register_task("A", mf)
-        decision = allocator.select("A", 1, now=0.0)
+        a = allocator.register_task("A", mf)
+        decision = allocator.select(a, 1, now=0.0)
         # mid-block layer, no LBM: largest LWM (4 pages) fits 32.
         assert decision.pages_needed == 4
 
     def test_lwm_bounded_by_prediction(self, allocator):
         mf = _mapping_file(lbm_pages=0)
-        allocator.register_task("A", mf)
-        allocator.register_task("B", _mapping_file(lbm_pages=0))
-        hog = allocator.task("B")
+        a = allocator.register_task("A", mf)
+        hog = allocator.register_task("B", _mapping_file(lbm_pages=0))
         hog.palloc = 30
         hog.pnext = 30
         hog.tnext = math.inf
-        decision = allocator.select("A", 1, now=0.0)
+        decision = allocator.select(a, 1, now=0.0)
         # Only 2 pages free forever -> the 1-page candidate wins.
         assert decision.pages_needed == 1
 
@@ -150,57 +148,57 @@ class TestSelect:
 class TestDowngrade:
     def test_walks_to_smaller(self, allocator):
         mf = _mapping_file(lbm_pages=0)
-        allocator.register_task("A", mf)
-        decision = allocator.select("A", 1, now=0.0)
-        smaller = allocator.downgrade("A", 1, decision)
+        a = allocator.register_task("A", mf)
+        decision = allocator.select(a, 1, now=0.0)
+        smaller = allocator.downgrade(a, 1, decision)
         assert smaller.pages_needed < decision.pages_needed
 
     def test_zero_page_has_no_smaller(self, allocator):
         mf = _mapping_file(lwm_sizes=(0,), lbm_pages=0)
-        allocator.register_task("A", mf)
-        decision = allocator.select("A", 1, now=0.0)
-        assert allocator.downgrade("A", 1, decision) is None
+        a = allocator.register_task("A", mf)
+        decision = allocator.select(a, 1, now=0.0)
+        assert allocator.downgrade(a, 1, decision) is None
 
     def test_lbm_downgrades_to_lwm(self, allocator):
-        allocator.register_task("A", _mapping_file())
-        decision = allocator.select("A", 0, now=0.0)
+        a = allocator.register_task("A", _mapping_file())
+        decision = allocator.select(a, 0, now=0.0)
         assert decision.candidate.kind == "LBM"
-        downgraded = allocator.downgrade("A", 0, decision)
+        downgraded = allocator.downgrade(a, 0, decision)
         assert downgraded.candidate.kind == "LWM"
 
 
 class TestEndLayerPredictions:
     def test_updates_tnext_and_pnext(self, allocator):
-        allocator.register_task("A", _mapping_file(lbm_pages=0))
-        decision = allocator.select("A", 0, now=0.0)
-        allocator.commit("A", decision, 0)
-        allocator.end_layer("A", 0, now=0.002)
+        a = allocator.register_task("A", _mapping_file(lbm_pages=0))
+        decision = allocator.select(a, 0, now=0.0)
+        allocator.commit(a, decision, 0)
+        allocator.end_layer(a, 0, now=0.002)
         state = allocator.task("A")
         assert state.tnext == pytest.approx(0.002 + 0.001)
         assert state.pnext <= state.palloc
 
     def test_last_layer_frees_everything(self, allocator):
         mf = _mapping_file(num_layers=2, lbm_pages=0)
-        allocator.register_task("A", mf)
-        decision = allocator.select("A", 1, now=0.0)
-        allocator.commit("A", decision, 1)
-        allocator.end_layer("A", 1, now=0.001)
+        a = allocator.register_task("A", mf)
+        decision = allocator.select(a, 1, now=0.0)
+        allocator.commit(a, decision, 1)
+        allocator.end_layer(a, 1, now=0.001)
         assert allocator.task("A").pnext == 0
 
     def test_lbm_block_expires_at_tail(self, allocator):
         mf = _mapping_file(num_layers=4, blocks=[(0, 2), (2, 4)])
-        allocator.register_task("A", mf)
-        decision = allocator.select("A", 0, now=0.0)
-        allocator.commit("A", decision, 0)
+        a = allocator.register_task("A", mf)
+        decision = allocator.select(a, 0, now=0.0)
+        allocator.commit(a, decision, 0)
         assert allocator.task("A").lbm_block == (0, 2)
-        allocator.end_layer("A", 0, now=0.001)
-        allocator.end_layer("A", 1, now=0.002)
+        allocator.end_layer(a, 0, now=0.001)
+        allocator.end_layer(a, 1, now=0.002)
         assert allocator.task("A").lbm_block is None
 
     def test_finish_task_resets(self, allocator):
-        allocator.register_task("A", _mapping_file())
-        decision = allocator.select("A", 0, now=0.0)
-        allocator.commit("A", decision, 0)
+        a = allocator.register_task("A", _mapping_file())
+        decision = allocator.select(a, 0, now=0.0)
+        allocator.commit(a, decision, 0)
         allocator.finish_task("A", now=1.0)
         state = allocator.task("A")
         assert state.palloc == 0

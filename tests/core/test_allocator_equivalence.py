@@ -130,34 +130,37 @@ class TestAlgorithm1Equivalence:
                 alloc.register_task(task, mf)
                 ref.register_task(task, mf)
                 registered.append(task)
+            state = alloc.task(task)
             if op == "begin":
-                d_new = alloc.select(task, layer, now)
+                d_new = alloc.select(state, layer, now)
                 d_ref = ref.select(task, layer, now)
                 assert _decisions_equal(d_new, d_ref)
                 last_decision[task] = (d_new, d_ref, layer)
                 # Emulate the engine's grant check on both sides.
-                delta = d_new.pages_needed - alloc.task(task).palloc
+                delta = d_new.pages_needed - state.palloc
                 if delta <= alloc.idle_pages():
-                    alloc.commit(task, d_new, layer)
+                    alloc.commit(state, d_new, layer)
                     ref.commit(task, d_ref, layer)
             elif op == "retry":
                 entry = last_decision.get(task)
                 if entry is not None:
                     d_new, d_ref, d_layer = entry
-                    s_new = alloc.downgrade(task, d_layer, d_new)
+                    s_new = alloc.downgrade(state, d_layer, d_new)
                     s_ref = ref.downgrade(task, d_layer, d_ref)
                     assert _decisions_equal(s_new, s_ref)
                     if s_new is not None:
                         last_decision[task] = (s_new, s_ref, d_layer)
             elif op == "end":
-                alloc.end_layer(task, layer, now)
+                alloc.end_layer(state, layer, now)
                 ref.end_layer(task, layer, now)
             else:
                 alloc.finish_task(task, now)
                 ref.finish_task(task, now)
             assert alloc.idle_pages() == ref.idle_pages()
-            assert alloc.pred_avail_pages(now + 0.002, "T0") == \
-                ref.pred_avail_pages(now + 0.002, "T0")
+            for other in registered:
+                assert alloc.pred_avail_pages(
+                    now + 0.002, alloc.task(other)
+                ) == ref.pred_avail_pages(now + 0.002, other)
             assert _states_equal(alloc, ref, registered)
             alloc.check_invariants()
             now += 0.0004
@@ -171,22 +174,21 @@ class TestSelectionRegression:
     def _setup(self, lwm_counts, lbm_pages=0, blocks=None):
         mf = _mapping_file(2, lwm_counts, lbm_pages, blocks=blocks)
         alloc = DynamicCacheAllocator(page_bytes=PAGE, total_pages=24)
-        alloc.register_task("A", mf)
-        return alloc, mf
+        return alloc, alloc.register_task("A", mf), mf
 
     def test_largest_fitting_candidate_wins(self):
-        alloc, mf = self._setup((0, 1, 2, 8))
-        decision = alloc.select("A", 1, now=0.0)
+        alloc, a, mf = self._setup((0, 1, 2, 8))
+        decision = alloc.select(a, 1, now=0.0)
         assert decision.pages_needed == 8
         assert decision.candidate is mf.mcts[1].lwm[3]
 
     def test_prediction_bound_limits_selection(self):
-        alloc, mf = self._setup((0, 1, 2, 8))
+        alloc, a, mf = self._setup((0, 1, 2, 8))
         hog = alloc.register_task("B", mf)
         hog.palloc = 21
         hog.pnext = 21
         hog.tnext = math.inf
-        decision = alloc.select("A", 1, now=0.0)
+        decision = alloc.select(a, 1, now=0.0)
         # Only 3 pages predicted available: the 2-page candidate wins.
         assert decision.pages_needed == 2
         assert decision.candidate is mf.mcts[1].lwm[2]
@@ -205,13 +207,14 @@ class TestSelectionRegression:
             mct.invalidate_geometry()
         mf.invalidate_caches()
         alloc = DynamicCacheAllocator(page_bytes=PAGE, total_pages=24)
-        alloc.register_task("A", mf)
-        decision = alloc.select("A", 1, now=0.0)
+        a = alloc.register_task("A", mf)
+        decision = alloc.select(a, 1, now=0.0)
         assert decision.pages_needed == 1
         assert decision.candidate is mf.mcts[1].lwm[1]
 
     def test_downgrade_ties_pick_last_smaller_candidate(self):
-        """``smaller_than`` kept the *last* candidate below the target."""
+        """The timeout downgrade keeps the *last* candidate below the
+        target."""
         mf = _mapping_file(2, (0,), 0)
         for mct in mf.mcts:
             mct.lwm = [
@@ -223,20 +226,20 @@ class TestSelectionRegression:
             mct.invalidate_geometry()
         mf.invalidate_caches()
         alloc = DynamicCacheAllocator(page_bytes=PAGE, total_pages=24)
-        alloc.register_task("A", mf)
-        decision = alloc.select("A", 1, now=0.0)
+        a = alloc.register_task("A", mf)
+        decision = alloc.select(a, 1, now=0.0)
         assert decision.pages_needed == 4
-        smaller = alloc.downgrade("A", 1, decision)
+        smaller = alloc.downgrade(a, 1, decision)
         # Both 1-page candidates are below 4; the last one wins.
         assert smaller.candidate is mf.mcts[1].lwm[2]
 
     def test_zero_prediction_falls_back_to_first_candidate(self):
-        alloc, mf = self._setup((0, 2, 8))
+        alloc, a, mf = self._setup((0, 2, 8))
         hog = alloc.register_task("B", mf)
         hog.palloc = 24
         hog.pnext = 24
         hog.tnext = math.inf
-        decision = alloc.select("A", 1, now=0.0)
+        decision = alloc.select(a, 1, now=0.0)
         assert decision.candidate is mf.mcts[1].lwm[0]
         assert decision.pages_needed == 0
 
@@ -245,8 +248,8 @@ class TestSelectionRegression:
         fast path must not change the outcome)."""
         mf = _mapping_file(2, (0,), 0)
         alloc = DynamicCacheAllocator(page_bytes=PAGE, total_pages=24)
-        alloc.register_task("A", mf)
-        decision = alloc.select("A", 0, now=0.0)
+        a = alloc.register_task("A", mf)
+        decision = alloc.select(a, 0, now=0.0)
         assert decision.candidate is mf.mcts[0].lwm[0]
         assert decision.timeout_s == pytest.approx(
             mf.mcts[0].est_latency_s * 0.2
@@ -267,22 +270,22 @@ class TestSelectionRegression:
         mf.invalidate_caches()
         alloc = DynamicCacheAllocator(page_bytes=PAGE, total_pages=24)
         ref = ReferenceAllocator(page_bytes=PAGE, total_pages=24)
-        alloc.register_task("A", mf)
+        a = alloc.register_task("A", mf)
         ref.register_task("A", mf)
         # Constrain the prediction to 4 pages via a hogging co-tenant.
-        for a in (alloc, ref):
-            hog = a.register_task("B", mf)
+        for allocator in (alloc, ref):
+            hog = allocator.register_task("B", mf)
             hog.palloc = 20
             hog.pnext = 20
             hog.tnext = math.inf
-        d_new = alloc.select("A", 1, now=0.0)
+        d_new = alloc.select(a, 1, now=0.0)
         d_ref = ref.select("A", 1, now=0.0)
         assert _decisions_equal(d_new, d_ref)
         assert d_new.candidate is mf.mcts[1].lwm[0]
 
     def test_block_head_timeout_uses_block_latency(self):
-        alloc, mf = self._setup((0, 1), lbm_pages=4, blocks=[(0, 2)])
-        decision = alloc.select("A", 0, now=0.0)
+        alloc, a, mf = self._setup((0, 1), lbm_pages=4, blocks=[(0, 2)])
+        decision = alloc.select(a, 0, now=0.0)
         assert decision.candidate.kind == "LBM"
         assert decision.enables_lbm
         block_est = mf.mcts[0].est_latency_s + mf.mcts[1].est_latency_s

@@ -127,26 +127,34 @@ class TestFullVsHWOnly:
             static_grant.decision.pages_needed
 
 
-class TestRegionlessTasks:
-    """Tasks registered on the allocator directly (never admitted) have
-    no region: the layer protocol must degrade to denied grants, not
-    crash (the pre-context code converted the missing-region resize
-    failure into a denied grant)."""
+class TestUnknownTasks:
+    """The layer protocol serves admitted tasks only: a task id that was
+    never admitted, or is already retired, raises a SimulationError that
+    names it."""
 
-    def test_begin_layer_without_region_is_denied(self, soc):
-        system = CaMDNSystem(soc, mode="full")
-        mf = system.mapper.map_model(build_model("MB."))
-        system.allocator.register_task("ghost-region", mf)
-        grant = system.begin_layer("ghost-region", 0, now=0.0)
-        assert not grant.granted
+    def test_never_admitted_task_raises(self, system):
+        with pytest.raises(SimulationError, match="ghost"):
+            system.begin_layer("ghost", 0, now=0.0)
+        with pytest.raises(SimulationError, match="ghost"):
+            system.finish_layer("ghost", 0, now=0.0)
 
-    def test_retry_and_finish_without_region(self, soc):
-        system = CaMDNSystem(soc, mode="full")
+    def test_retired_task_raises(self, system):
+        system.admit_task("t0", build_model("MB."))
+        grant = system.begin_layer("t0", 0, now=0.0)
+        system.finish_layer("t0", 0, now=1e-4)
+        system.retire_task("t0", now=1e-4)
+        with pytest.raises(SimulationError, match="t0"):
+            system.begin_layer("t0", 1, now=1e-4)
+        with pytest.raises(SimulationError, match="t0"):
+            system.retry_layer("t0", 0, grant)
+        with pytest.raises(SimulationError, match="t0"):
+            system.finish_layer("t0", 1, now=2e-4)
+
+    def test_allocator_only_task_is_not_admitted(self, system):
+        """A task registered on the allocator alone has no region, so
+        the system does not serve it."""
         mf = system.mapper.map_model(build_model("MB."))
-        system.allocator.register_task("ghost-region", mf)
-        grant = system.begin_layer("ghost-region", 0, now=0.0)
-        while grant.decision.pages_needed:
-            grant = system.retry_layer("ghost-region", 0, grant)
-        assert not grant.granted  # even zero pages: no region to grant
-        system.finish_layer("ghost-region", 0, now=0.001)
-        assert system.allocator.task("ghost-region").pnext >= 0
+        state = system.allocator.register_task("ghost-region", mf)
+        with pytest.raises(SimulationError, match="ghost-region"):
+            system.begin_layer("ghost-region", 0, now=0.0)
+        assert state.palloc == 0

@@ -1,6 +1,6 @@
 """CPT incremental-remap equivalence (satellite of the PR 3 refactor).
 
-``RegionManager.resize_region`` updates CPT entries only for the delta
+``RegionManager.resize`` updates CPT entries only for the delta
 pages.  These tests prove that the incremental path is indistinguishable
 from rebuilding the whole table with ``remap_all`` after every resize:
 identical entries, identical mapped vcpn sets, and identical physical
@@ -49,7 +49,7 @@ class TestIncrementalRemapEquivalence:
         region = manager.create_region("A", 0)
         for target in targets:
             try:
-                manager.resize_region("A", target)
+                manager.resize(region, target)
             except PageAllocationError:
                 continue
             _assert_tables_equal(
@@ -88,7 +88,7 @@ class TestIncrementalRemapEquivalence:
             results = []
             for m in managers:
                 try:
-                    m.resize_region(task, target)
+                    m.resize(m.region_of(task), target)
                     results.append(list(m.region_of(task).pcpns))
                 except PageAllocationError:
                     results.append(None)
@@ -102,7 +102,7 @@ class TestIncrementalRemapEquivalence:
         ))
         region = manager.create_region("A", 4)
         before = {v: region.cpt.lookup(v) for v in range(4)}
-        manager.resize_region("A", 9)
+        manager.resize(region, 9)
         for vcpn, pcpn in before.items():
             assert region.cpt.lookup(vcpn) == pcpn
         _assert_tables_equal(region.cpt, _rebuilt_cpt(region), 9)
@@ -115,7 +115,7 @@ class TestIncrementalRemapEquivalence:
         ))
         region = manager.create_region("A", 8)
         kept = {v: region.cpt.lookup(v) for v in range(3)}
-        manager.resize_region("A", 3)
+        manager.resize(region, 3)
         assert region.cpt.mapped_vcpns() == [0, 1, 2]
         for vcpn, pcpn in kept.items():
             assert region.cpt.lookup(vcpn) == pcpn
@@ -148,7 +148,7 @@ class TestReverseMapConsistency:
                 manager.create_region(task, 0)
                 live.add(task)
             try:
-                manager.resize_region(task, target)
+                manager.resize(manager.region_of(task), target)
             except PageAllocationError:
                 pass
             owned = {

@@ -82,14 +82,14 @@ class TestDynamicAllocatorProperties:
                 registered.add(task)
             state = alloc.task(task)
             if op == "begin":
-                decision = alloc.select(task, layer, now)
+                decision = alloc.select(state, layer, now)
                 # Emulate the engine's grant check: commit only when the
                 # delta fits in the currently idle pages.
                 delta = decision.pages_needed - state.palloc
                 if delta <= alloc.idle_pages():
-                    alloc.commit(task, decision, layer)
+                    alloc.commit(state, decision, layer)
             elif op == "end":
-                alloc.end_layer(task, layer, now)
+                alloc.end_layer(state, layer, now)
             else:
                 idle_before = alloc.idle_pages()
                 held = state.palloc
@@ -109,11 +109,11 @@ class TestDynamicAllocatorProperties:
         alloc = DynamicCacheAllocator(page_bytes=PAGE, total_pages=4)
         mf = _mapping_file(num_layers=1, lwm_page_counts=(0, 2, 8),
                            lbm_pages=lbm_pages)
-        alloc.register_task("T", mf)
-        decision = alloc.select("T", 0, now=0.0)
+        state = alloc.register_task("T", mf)
+        decision = alloc.select(state, 0, now=0.0)
         seen_pages = [decision.pages_needed]
         while True:
-            smaller = alloc.downgrade("T", 0, decision)
+            smaller = alloc.downgrade(state, 0, decision)
             if smaller is None:
                 break
             if decision.candidate.kind != "LBM":
@@ -147,7 +147,7 @@ class TestRegionManagerProperties:
                 manager.create_region(task, 0)
                 live.add(task)
             try:
-                manager.resize_region(task, target)
+                manager.resize(manager.region_of(task), target)
             except PageAllocationError:
                 pass  # growth beyond free pages: a legal wait condition
             owned = [

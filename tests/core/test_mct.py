@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import KiB
+from repro.core.allocator import DynamicCacheAllocator
 from repro.core.mct import (
     CacheMapEntry,
     LoopLevel,
@@ -77,7 +78,6 @@ SCANS = {
     "select_index": _scan_select,
     "last_fitting_index": _scan_last_fitting,
     "next_smaller_index": _scan_next_smaller,
-    "max_pages_at_most": _scan_max_at_most,
 }
 
 #: Page needs per LWM candidate.  Mapper output is sorted and leads with
@@ -175,14 +175,6 @@ class TestMCT:
     def test_validate_ok(self):
         _mct([0, PAGE, 4 * PAGE]).validate(PAGE)
 
-    def test_smaller_than_walks_down(self):
-        mct = _mct([0, PAGE, 4 * PAGE])
-        smaller = mct.smaller_than(mct.lwm[2], PAGE)
-        assert smaller is mct.lwm[1]
-        smallest = mct.smaller_than(smaller, PAGE)
-        assert smallest is mct.lwm[0]
-        assert mct.smaller_than(smallest, PAGE) is None
-
 
 class TestMCTGeometry:
     @pytest.mark.parametrize("lookup", sorted(SCANS))
@@ -193,6 +185,22 @@ class TestMCTGeometry:
         for budget in range(-1, max(pages) + 3):
             assert getattr(geom, lookup)(budget) == \
                 SCANS[lookup](pages, budget), budget
+
+    @pytest.mark.parametrize("name", sorted(PAGE_LISTS))
+    def test_pnext_matches_linear_scan(self, name):
+        """The allocator's end-of-layer ``Pnext`` bisects the next
+        layer's geometry; it must pick what the linear scan picks."""
+        pages = PAGE_LISTS[name]
+        mf = ModelMappingFile(
+            model_name="toy", usage_levels=(),
+            mcts=[_mct([0]), _mct([p * PAGE for p in pages])],
+        )
+        alloc = DynamicCacheAllocator(page_bytes=PAGE, total_pages=64)
+        state = alloc.register_task("A", mf)
+        for palloc in range(max(pages) + 3):
+            state.palloc = palloc
+            alloc.end_layer(state, 0, now=0.0)
+            assert state.pnext == _scan_max_at_most(pages, palloc), palloc
 
     @given(pages=st.lists(st.integers(0, 12), min_size=1, max_size=10))
     @settings(max_examples=150, deadline=None)
@@ -264,17 +272,6 @@ class TestModelMappingFile:
         assert mf.block_of(0) == (0, 2)
         assert mf.block_of(3) == (2, 4)
 
-    def test_is_block_head(self):
-        mf = self._file()
-        assert mf.is_block_head(0)
-        assert not mf.is_block_head(1)
-        assert mf.is_block_head(2)
-
-    def test_block_est_latency_sums_members(self):
-        mf = self._file()
-        assert mf.block_est_latency_s(0) == pytest.approx(0.001 + 0.002)
-        assert mf.block_est_latency_s(2) == pytest.approx(0.003 + 0.004)
-
     def test_scaled_latencies(self):
         mf = self._file()
         raw = mf.scaled_latencies(1.0)
@@ -299,7 +296,6 @@ class TestModelMappingFile:
         mf = self._file()
         mf.blocks = [(0, 2)]
         assert mf.block_of(3) is None
-        assert not mf.is_block_head(3)
         assert mf.block_head_flags() == (True, False, False, False)
         assert mf.block_latencies()[2:] == (0.003, 0.004)
 
@@ -312,11 +308,11 @@ class TestModelMappingFile:
 
     def test_invalidate_caches_after_editing_blocks(self):
         mf = self._file()
-        assert mf.block_est_latency_s(3) == pytest.approx(0.007)
+        assert mf.block_latencies()[3] == pytest.approx(0.007)
         mf.blocks = [(0, 4)]
         mf.invalidate_caches()
         assert mf.block_head_flags() == (True, False, False, False)
-        assert mf.block_est_latency_s(3) == pytest.approx(0.010)
+        assert mf.block_latencies()[3] == pytest.approx(0.010)
 
     def test_total_dram_bytes_picks_fitting_candidates(self):
         mf = self._file()

@@ -121,31 +121,6 @@ class TestRelease:
         assert alloc.allocate("B", 4).num_pages == 4
 
 
-class TestResize:
-    def test_grow(self):
-        alloc = CachePageAllocator(16)
-        alloc.allocate("A", 4)
-        delta = alloc.resize_owner("A", 10)
-        assert delta == 6
-        assert len(alloc.pages_of("A")) == 10
-
-    def test_shrink(self):
-        alloc = CachePageAllocator(16)
-        alloc.allocate("A", 10)
-        delta = alloc.resize_owner("A", 3)
-        assert delta == -7
-        assert alloc.free_pages == 13
-
-    def test_resize_to_same_is_noop(self):
-        alloc = CachePageAllocator(16)
-        alloc.allocate("A", 4)
-        assert alloc.resize_owner("A", 4) == 0
-
-    def test_resize_new_owner_from_zero(self):
-        alloc = CachePageAllocator(16)
-        assert alloc.resize_owner("A", 5) == 5
-
-
 class TestMergeSorted:
     @pytest.mark.parametrize("a,b", [
         ([], [1, 2]),
@@ -174,7 +149,7 @@ class TestInvariants:
     @given(
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["alloc", "free", "resize"]),
+                st.sampled_from(["alloc", "free", "release"]),
                 st.sampled_from(["A", "B", "C"]),
                 st.integers(0, 12),
             ),
@@ -191,7 +166,8 @@ class TestInvariants:
                 elif op == "free":
                     alloc.release(owner)
                 else:
-                    alloc.resize_owner(owner, count)
+                    # Partial release: the owner's ``count`` lowest pages.
+                    alloc.release(owner, alloc.pages_of(owner)[:count])
             except PageAllocationError:
                 pass  # over-allocation / double-release are legal rejections
             alloc.check_invariants()

@@ -39,33 +39,33 @@ class TestResize:
     def test_grow_preserves_existing_mappings(self, manager):
         region = manager.create_region("A", 4)
         before = list(region.pcpns)
-        manager.resize_region("A", 8)
+        assert manager.resize(region, 8) == 4
         assert region.pcpns[:4] == before  # cached data survives growth
 
     def test_shrink_drops_highest_vcpns(self, manager):
         region = manager.create_region("A", 8)
         kept = list(region.pcpns[:3])
-        manager.resize_region("A", 3)
+        assert manager.resize(region, 3) == -5
         assert region.pcpns == kept
         assert region.cpt.lookup(2) == kept[2]
         assert region.cpt.lookup(3) is None
 
     def test_resize_to_zero(self, manager):
-        manager.create_region("A", 8)
-        manager.resize_region("A", 0)
+        region = manager.create_region("A", 8)
+        manager.resize(region, 0)
         assert manager.region_of("A").num_pages == 0
         assert manager.free_pages == 384
 
     def test_grow_beyond_capacity_raises(self, manager):
-        manager.create_region("A", 380)
+        region = manager.create_region("A", 380)
         with pytest.raises(PageAllocationError):
-            manager.resize_region("A", 390)
+            manager.resize(region, 390)
 
     def test_failed_grow_leaves_state_intact(self, manager):
         manager.create_region("A", 380)
-        manager.create_region("B", 4)
+        region = manager.create_region("B", 4)
         with pytest.raises(PageAllocationError):
-            manager.resize_region("B", 10)
+            manager.resize(region, 10)
         manager.check_invariants()
         assert manager.region_of("B").num_pages == 4
 
@@ -93,11 +93,13 @@ class TestIsolation:
     @settings(max_examples=40, deadline=None)
     def test_random_resizes_keep_invariants(self, sizes, resizes):
         manager = RegionManager(CacheConfig())
-        for i, size in enumerate(sizes):
+        regions = [
             manager.create_region(f"T{i}", size)
-        for i, target in enumerate(resizes[:len(sizes)]):
+            for i, size in enumerate(sizes)
+        ]
+        for region, target in zip(regions, resizes):
             try:
-                manager.resize_region(f"T{i}", target)
+                manager.resize(region, target)
             except PageAllocationError:
                 pass
             manager.check_invariants()

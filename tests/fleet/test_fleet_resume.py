@@ -195,12 +195,10 @@ class TestFleetSigkillResume:
         )
 
     def _spec_file(self, tmp_path: Path) -> Path:
-        from repro.core.serialize import fleet_spec_to_dict
-
         spec_file = tmp_path / "fleet.json"
-        spec_file.write_text(json.dumps(fleet_spec_to_dict(
-            tiny_fleet(devices=self.DEVICES)
-        )))
+        spec_file.write_text(json.dumps(
+            tiny_fleet(devices=self.DEVICES).to_dict()
+        ))
         return spec_file
 
     def test_sigkilled_fleet_resumes_byte_identically(self, tmp_path):

@@ -185,14 +185,11 @@ class TestFleetCLI:
     def test_fleet_flag_runs_and_prints_population_json(
         self, tmp_path, capsys, monkeypatch
     ):
-        from repro.core.serialize import fleet_spec_to_dict
         from repro.experiments.runner import main
 
         monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", "")
         spec_file = tmp_path / "fleet.json"
-        spec_file.write_text(json.dumps(
-            fleet_spec_to_dict(small_fleet(devices=3))
-        ))
+        spec_file.write_text(json.dumps(small_fleet(devices=3).to_dict()))
         assert main(["--fleet", str(spec_file), "--jobs", "1",
                      "--no-cache"]) == 0
         out = capsys.readouterr().out

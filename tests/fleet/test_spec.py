@@ -11,11 +11,7 @@ import json
 
 import pytest
 
-from repro.core.serialize import (
-    fleet_spec_content_hash,
-    fleet_spec_from_dict,
-    fleet_spec_to_dict,
-)
+from repro.core.serialize import fleet_spec_content_hash
 from repro.errors import WorkloadError
 from repro.fleet.spec import (
     DeviceClass,
@@ -189,9 +185,7 @@ class TestValidation:
 class TestSerialization:
     def test_round_trip_exact(self):
         spec = hetero_fleet()
-        again = fleet_spec_from_dict(
-            json.loads(json.dumps(fleet_spec_to_dict(spec)))
-        )
+        again = FleetSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
         assert again.expand() == spec.expand()
 
@@ -204,7 +198,7 @@ class TestSerialization:
             fleet_spec_content_hash(other)
 
     def test_unknown_schema_rejected(self):
-        payload = fleet_spec_to_dict(hetero_fleet())
+        payload = hetero_fleet().to_dict()
         payload["fleet_schema_version"] += 1
         with pytest.raises(WorkloadError, match="schema"):
-            fleet_spec_from_dict(payload)
+            FleetSpec.from_dict(payload)

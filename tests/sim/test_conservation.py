@@ -5,10 +5,9 @@ arrival must be accounted exactly once:
 
     offered == completed + cancelled + dropped
 
-``run()`` asserts this on every simulation unless
-``REPRO_CHECK_CONSERVATION=0``; these tests pin the law across the whole
-builtin scenario registry under every policy, and exercise the check and
-its env gate directly.
+``run()`` asserts this on every simulation; these tests pin the law
+across the whole builtin scenario registry under every policy, and
+exercise the check directly.
 """
 
 import pytest
@@ -34,8 +33,8 @@ class TestConservationAcrossRegistry:
             + result.cancelled_inferences
             + result.dropped_inferences
         )
-        # run() already enforced the law (the env gate defaults on);
-        # calling the check again must agree.
+        # run() already enforced the law; calling the check again must
+        # agree.
         result.check_conservation()
         assert result.completed_inferences >= \
             result.metrics.num_inferences
@@ -65,17 +64,14 @@ class TestConservationCheck:
         with pytest.raises(SimulationError, match="conservation"):
             self._result(dropped_inferences=2).check_conservation()
 
-    def test_env_gate_disables_run_check(self, monkeypatch):
-        """REPRO_CHECK_CONSERVATION=0 turns the always-on assertion off
-        (the escape hatch for bisecting an accounting bug)."""
+    def test_every_run_checks_conservation_once(self, monkeypatch):
+        """``run_scenario`` asserts the law exactly once per run."""
         calls = []
-        monkeypatch.setenv("REPRO_CHECK_CONSERVATION", "0")
         monkeypatch.setattr(
             SimulationResult, "check_conservation",
             lambda self: calls.append(1),
         )
         run_scenario("mmpp-quad", SoCConfig(), "baseline")
-        assert calls == []
-        monkeypatch.setenv("REPRO_CHECK_CONSERVATION", "1")
-        run_scenario("mmpp-quad", SoCConfig(), "baseline")
         assert calls == [1]
+        run_scenario("mmpp-quad", SoCConfig(), "camdn-full")
+        assert calls == [1, 1]

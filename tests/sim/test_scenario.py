@@ -6,10 +6,7 @@ import math
 
 import pytest
 
-from repro.core.serialize import (
-    scenario_spec_from_dict,
-    scenario_spec_to_dict,
-)
+import repro
 from repro.errors import WorkloadError
 from repro.sim.scenario import (
     ArrivalProcess,
@@ -267,6 +264,89 @@ class TestSpecs:
         assert spec.scaled(1.0) is spec
 
 
+NAN = float("nan")
+
+#: The remaining numeric arrival-process fields: field -> a process
+#: built with that field set to the argument.
+OTHER_ARRIVAL_FIELDS = {
+    "on_s": lambda v: ArrivalProcess.bursty(0.01, on_s=v, off_s=0.01),
+    "off_s": lambda v: ArrivalProcess.bursty(0.01, on_s=0.01, off_s=v),
+    "rates_hz": lambda v: ArrivalProcess.mmpp((30.0, v), (0.02, 0.02)),
+    "sojourn_s": lambda v: ArrivalProcess.mmpp((30.0, 60.0), (0.02, v)),
+    "flash_every_s": lambda v: ArrivalProcess.diurnal(
+        70.0, 0.2, flash_every_s=v, flash_width_s=0.01),
+    "flash_width_s": lambda v: ArrivalProcess.diurnal(
+        70.0, 0.2, flash_every_s=0.1, flash_width_s=v),
+    "flash_boost": lambda v: ArrivalProcess.diurnal(
+        70.0, 0.2, flash_every_s=0.1, flash_width_s=0.01,
+        flash_boost=v),
+    "replay times": lambda v: ArrivalProcess.replay((0.0, v)),
+}
+
+
+class TestNonFiniteInputs:
+    """NaN fails every comparison, so a bound written as ``x <= 0``
+    lets it through: each of these inputs used to end in an engine
+    deadlock, a misleading error or a tenant that never leaves.  Each is
+    rejected at construction with a WorkloadError naming the field."""
+
+    @pytest.mark.parametrize("factor", [NAN, math.inf])
+    def test_scale_factor(self, factor):
+        spec = ScenarioSpec.closed_loop(["RS.", "MB."])
+        with pytest.raises(WorkloadError, match="scale factor"):
+            spec.scaled(factor)
+        with pytest.raises(WorkloadError, match="scale factor"):
+            repro.run(spec, policy="camdn-full", scale=factor)
+        with pytest.raises(WorkloadError, match="scale factor"):
+            repro.run("steady-quad", scale=factor)
+
+    @pytest.mark.parametrize("join_s", [NAN, math.inf])
+    def test_join_s(self, join_s):
+        with pytest.raises(WorkloadError, match="join_s"):
+            StreamSpec(model="MB.", join_s=join_s)
+
+    def test_qos_scale(self):
+        with pytest.raises(WorkloadError, match="qos_scale"):
+            StreamSpec(model="MB.", qos_scale=NAN)
+        # An infinite scale disables deadlines.
+        assert StreamSpec(model="MB.", qos_scale=math.inf).qos_scale == \
+            math.inf
+
+    def test_leave_s(self):
+        with pytest.raises(WorkloadError, match="leave_s"):
+            StreamSpec(model="MB.", leave_s=NAN)
+        # An infinite leave time is the same as never leaving.
+        assert StreamSpec(model="MB.", leave_s=math.inf).leave_s == \
+            math.inf
+
+    @pytest.mark.parametrize("period_s", [NAN, math.inf])
+    def test_period_s(self, period_s):
+        with pytest.raises(WorkloadError, match="period_s"):
+            ArrivalProcess.periodic(period_s)
+
+    @pytest.mark.parametrize("rate_hz", [NAN, math.inf])
+    def test_rate_hz(self, rate_hz):
+        with pytest.raises(WorkloadError, match="rate_hz"):
+            ArrivalProcess.poisson(rate_hz)
+
+    @pytest.mark.parametrize("phase_s", [NAN, math.inf])
+    def test_phase_s(self, phase_s):
+        with pytest.raises(WorkloadError, match="phase_s"):
+            ArrivalProcess.periodic(0.01, phase_s=phase_s)
+
+    @pytest.mark.parametrize("duration_s", [NAN, math.inf])
+    def test_duration_s(self, duration_s):
+        with pytest.raises(WorkloadError, match="duration_s"):
+            ScenarioSpec(streams=(StreamSpec(model="MB."),),
+                         duration_s=duration_s)
+
+    @pytest.mark.parametrize("value", [NAN, math.inf])
+    @pytest.mark.parametrize("field", sorted(OTHER_ARRIVAL_FIELDS))
+    def test_other_arrival_fields(self, field, value):
+        with pytest.raises(WorkloadError, match=field):
+            OTHER_ARRIVAL_FIELDS[field](value)
+
+
 class TestClosedLoopLowering:
     def test_count_mode_fields(self):
         scenario = ScenarioSpec.closed_loop(["RS.", "MB."], inferences=4,
@@ -293,8 +373,8 @@ class TestClosedLoopLowering:
 
 class TestSerialization:
     def _roundtrip(self, spec: ScenarioSpec) -> ScenarioSpec:
-        payload = json.loads(json.dumps(scenario_spec_to_dict(spec)))
-        return scenario_spec_from_dict(payload)
+        payload = json.loads(json.dumps(spec.to_dict()))
+        return ScenarioSpec.from_dict(payload)
 
     def test_exact_roundtrip_with_dynamics(self):
         spec = ScenarioSpec(
@@ -332,12 +412,10 @@ class TestSerialization:
             assert self._roundtrip(spec) == spec
 
     def test_schema_version_enforced(self):
-        payload = scenario_spec_to_dict(
-            ScenarioSpec.closed_loop(["RS."])
-        )
+        payload = ScenarioSpec.closed_loop(["RS."]).to_dict()
         payload["scenario_schema_version"] = 99
         with pytest.raises(WorkloadError):
-            scenario_spec_from_dict(payload)
+            ScenarioSpec.from_dict(payload)
 
     def test_roundtrip_new_arrival_kinds(self):
         spec = ScenarioSpec(
@@ -365,28 +443,22 @@ class TestSerialization:
         """A typo'd or future arrival kind must fail loudly with a
         WorkloadError, not a KeyError (regression: from_dict used to
         index a dispatch table directly)."""
-        payload = scenario_spec_to_dict(
-            ScenarioSpec.closed_loop(["RS."])
-        )
+        payload = ScenarioSpec.closed_loop(["RS."]).to_dict()
         payload["streams"][0]["arrival"]["kind"] = "fractal"
         with pytest.raises(WorkloadError, match="unknown arrival kind"):
-            scenario_spec_from_dict(payload)
+            ScenarioSpec.from_dict(payload)
 
     def test_unknown_arrival_field_rejected(self):
-        payload = scenario_spec_to_dict(
-            ScenarioSpec.closed_loop(["RS."])
-        )
+        payload = ScenarioSpec.closed_loop(["RS."]).to_dict()
         payload["streams"][0]["arrival"]["jitter_s"] = 0.1
         with pytest.raises(WorkloadError):
-            scenario_spec_from_dict(payload)
+            ScenarioSpec.from_dict(payload)
 
     def test_missing_arrival_rejected(self):
-        payload = scenario_spec_to_dict(
-            ScenarioSpec.closed_loop(["RS."])
-        )
+        payload = ScenarioSpec.closed_loop(["RS."]).to_dict()
         del payload["streams"][0]["arrival"]
         with pytest.raises(WorkloadError):
-            scenario_spec_from_dict(payload)
+            ScenarioSpec.from_dict(payload)
 
 
 class TestRegistry:
