@@ -167,9 +167,9 @@ class LayerMapper:
     def _load_disk(path: Optional[Path]) -> Optional[ModelMappingFile]:
         """A persisted mapping file, or ``None`` on miss/corruption.
 
-        A present-but-unparseable entry (truncated write, corruption) is
-        logged and unlinked so the mapping re-solves and the entry is
-        rebuilt transparently.
+        A present entry that does not load (truncated write, corruption,
+        another schema version) is logged and unlinked so the mapping
+        re-solves and the entry is rebuilt transparently.
         """
         if path is None or not path.exists():
             return None
@@ -195,14 +195,10 @@ class LayerMapper:
                     mapping_file: ModelMappingFile) -> None:
         if path is None:
             return
-        import json
-
-        from ..serialize import atomic_write_text, mapping_file_to_dict
+        from ..serialize import atomic_write_text, mapping_file_to_json
 
         # Best-effort: a failed write must not fail the mapping phase.
-        atomic_write_text(
-            path, json.dumps(mapping_file_to_dict(mapping_file), indent=1)
-        )
+        atomic_write_text(path, mapping_file_to_json(mapping_file))
 
     def _solve_model(self, graph: ModelGraph) -> ModelMappingFile:
         blocks = plan_blocks(graph, self.soc, self.lbm_occupancy_fraction)

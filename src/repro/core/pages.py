@@ -161,7 +161,9 @@ class CachePageAllocator:
         Args:
             owner: releasing model.
             pcpns: specific pages to release, or ``None`` for all of the
-                owner's pages.
+                owner's pages and the owner itself (a destroyed region;
+                a region shrunk to 0 pages keeps its empty entry, which
+                the native batch loop's resize reads).
 
         Returns:
             Number of pages released.
@@ -169,10 +171,11 @@ class CachePageAllocator:
         Raises:
             PageAllocationError: a listed page is not owned by ``owner``.
         """
-        held = self._owner_pages.get(owner)
         if pcpns is None:
+            held = self._owner_pages.pop(owner, None)
             victims = list(held) if held else []
         else:
+            held = self._owner_pages.get(owner)
             page_owner = self._page_owner
             for pcpn in pcpns:
                 self._check_pcpn(pcpn)

@@ -24,6 +24,7 @@ fast path is taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..cache.transparent import AccessSegment, layer_access_segments
@@ -53,9 +54,6 @@ class PreparedModel:
         soc: the SoC the artifacts were derived for.
         layer_cycles: single-core systolic cycles per layer.
         mapping_file: the offline CaMDN mapping (default mapper knobs).
-        segments: per-layer transparent-cache access segments (compulsory
-            fetches plus scratchpad-tiling refetch), used by the
-            shared-cache baselines.
         isolated_latency_s: crude single-tenant latency estimate (the
             ``T_isolated`` proxy slack-aware policies compare against).
     """
@@ -64,8 +62,14 @@ class PreparedModel:
     soc: SoCConfig
     layer_cycles: Tuple[int, ...]
     mapping_file: ModelMappingFile
-    segments: Tuple[Tuple[AccessSegment, ...], ...]
     isolated_latency_s: float
+
+    @cached_property
+    def segments(self) -> Tuple[Tuple[AccessSegment, ...], ...]:
+        """Per-layer transparent-cache access segments (compulsory
+        fetches plus scratchpad-tiling refetch), built on first read:
+        only the shared-cache policies read them."""
+        return _build_segments(self.graph, self.mapping_file, self.soc)
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,6 @@ def prepare_model(
             systolic.layer_cycles(layer) for layer in graph.layers
         ),
         mapping_file=mapping_file,
-        segments=_build_segments(graph, mapping_file, soc),
         isolated_latency_s=_isolated_latency_s(graph, soc),
     )
     _MODEL_CACHE[key] = prepared

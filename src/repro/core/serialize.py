@@ -2,8 +2,15 @@
 
 The offline mapping phase is expensive relative to dispatch, so real
 deployments persist its output.  This module round-trips
-:class:`~repro.core.mct.ModelMappingFile` objects through plain JSON —
-compact, diff-able, and free of pickle's versioning hazards.
+:class:`~repro.core.mct.ModelMappingFile` objects through compact JSON,
+free of pickle's versioning hazards.  A mapping file (schema 2) holds
+each distinct row once, in two tables: ``loops`` (``[dim, factor,
+level]``) and ``maps`` (``[tensor, vcaddr, size, reuse, bypass]``).
+Each MCT is ``[layer_index, layer_name, est_latency_s, [lwm
+candidates], lbm candidate or null]``, and each candidate is ``[kind,
+usage_limit_bytes, cache_bytes, dram_bytes, compute_cycles, [loop ids],
+[map ids]]``.  A model's candidates repeat a few dozen rows, so decoding
+builds each row object once and the candidates share it.
 
 It also provides the canonical-JSON plumbing behind the persistent sweep
 cache (:mod:`repro.experiments.sweep`): stable dictionaries for
@@ -20,7 +27,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from ..config import CacheConfig, DRAMConfig, NPUConfig, SoCConfig
 from ..errors import MappingError
@@ -35,8 +42,10 @@ from .mct import (
 if TYPE_CHECKING:
     from ..sim.engine import SimulationResult
 
-#: Format version written into every file; bumped on schema changes.
-SCHEMA_VERSION = 1
+#: Format version written into every mapping file; bumped on schema
+#: changes.  v2: deduplicated loop and cache-map row tables (see the
+#: module docstring); v1 files no longer load.
+SCHEMA_VERSION = 2
 
 #: Schema of serialized simulation results (sweep-cache entries); bump
 #: whenever :class:`SimulationResult` / metrics records change shape.
@@ -47,104 +56,109 @@ SCHEMA_VERSION = 1
 RESULT_SCHEMA_VERSION = 3
 
 
-def _candidate_to_dict(candidate: MappingCandidate) -> dict:
-    return {
-        "kind": candidate.kind,
-        "usage_limit_bytes": candidate.usage_limit_bytes,
-        "cache_bytes": candidate.cache_bytes,
-        "dram_bytes": candidate.dram_bytes,
-        "compute_cycles": candidate.compute_cycles,
-        "loop_table": [
-            {"dim": l.dim, "factor": l.factor, "level": l.level}
-            for l in candidate.loop_table
-        ],
-        "cache_map": [
-            {
-                "tensor": e.tensor,
-                "vcaddr": e.vcaddr,
-                "size": e.size,
-                "reuse": e.reuse,
-                "bypass": e.bypass,
-            }
-            for e in candidate.cache_map
-        ],
-    }
-
-
-def _candidate_from_dict(data: dict) -> MappingCandidate:
-    return MappingCandidate(
-        kind=data["kind"],
-        usage_limit_bytes=data["usage_limit_bytes"],
-        cache_bytes=data["cache_bytes"],
-        dram_bytes=data["dram_bytes"],
-        compute_cycles=data["compute_cycles"],
-        loop_table=tuple(
-            LoopLevel(l["dim"], l["factor"], l["level"])
-            for l in data["loop_table"]
-        ),
-        cache_map=tuple(
-            CacheMapEntry(
-                tensor=e["tensor"],
-                vcaddr=e["vcaddr"],
-                size=e["size"],
-                reuse=e["reuse"],
-                bypass=e["bypass"],
-            )
-            for e in data["cache_map"]
-        ),
-    )
-
-
 def mapping_file_to_dict(mapping_file: ModelMappingFile) -> dict:
-    """Serialize a mapping file to a JSON-ready dictionary."""
+    """Serialize a mapping file to a JSON-ready schema-2 dictionary.
+
+    Row ids are assigned in first-use order, so equal files encode to
+    equal dictionaries.
+    """
+    loops: Dict[LoopLevel, int] = {}
+    maps: Dict[CacheMapEntry, int] = {}
+
+    def candidate(c: MappingCandidate) -> list:
+        return [
+            c.kind, c.usage_limit_bytes, c.cache_bytes, c.dram_bytes,
+            c.compute_cycles,
+            [loops.setdefault(l, len(loops)) for l in c.loop_table],
+            [maps.setdefault(e, len(maps)) for e in c.cache_map],
+        ]
+
+    mcts = [
+        [
+            mct.layer_index, mct.layer_name, mct.est_latency_s,
+            [candidate(c) for c in mct.lwm],
+            candidate(mct.lbm) if mct.lbm is not None else None,
+        ]
+        for mct in mapping_file.mcts
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "model_name": mapping_file.model_name,
         "usage_levels": list(mapping_file.usage_levels),
         "blocks": [list(block) for block in mapping_file.blocks],
-        "mcts": [
-            {
-                "layer_index": mct.layer_index,
-                "layer_name": mct.layer_name,
-                "est_latency_s": mct.est_latency_s,
-                "lwm": [_candidate_to_dict(c) for c in mct.lwm],
-                "lbm": (
-                    _candidate_to_dict(mct.lbm)
-                    if mct.lbm is not None else None
-                ),
-            }
-            for mct in mapping_file.mcts
+        "loops": [[l.dim, l.factor, l.level] for l in loops],
+        "maps": [
+            [e.tensor, e.vcaddr, e.size, e.reuse, e.bypass] for e in maps
         ],
+        "mcts": mcts,
     }
 
 
 def mapping_file_from_dict(data: dict) -> ModelMappingFile:
-    """Deserialize a mapping file (validating the schema version)."""
-    version = data.get("schema_version")
+    """Deserialize a schema-2 mapping file.
+
+    Raises:
+        MappingError: another schema version, a missing key, a row of
+            the wrong length, a row id outside its table, or a value
+            that fails a mapping object's own checks.
+    """
+    version = (data.get("schema_version")
+               if isinstance(data, dict) else None)
     if version != SCHEMA_VERSION:
         raise MappingError(
-            f"unsupported mapping-file schema {version!r} "
-            f"(expected {SCHEMA_VERSION})"
+            f"unsupported mapping-file schema {version!r} (expected "
+            f"{SCHEMA_VERSION}); re-save or re-solve the mapping"
         )
-    mcts = []
-    for entry in data["mcts"]:
-        mct = MappingCandidateTable(
-            layer_index=entry["layer_index"],
-            layer_name=entry["layer_name"],
+    try:
+        return _decode_mapping_file(data)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise MappingError(
+            f"malformed schema-{SCHEMA_VERSION} mapping file "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _decode_mapping_file(data: dict) -> ModelMappingFile:
+    # Each distinct row is built once and shared by every candidate
+    # that names it (the objects are frozen).  Row ids index dicts, so
+    # a negative id fails like one past the end.
+    loop_row = dict(enumerate(
+        LoopLevel(*row) for row in data["loops"])).__getitem__
+    map_row = dict(enumerate(
+        CacheMapEntry(*row) for row in data["maps"])).__getitem__
+
+    def candidate(row: list) -> MappingCandidate:
+        kind, usage, cache, dram, cycles, loop_ids, map_ids = row
+        return MappingCandidate(
+            kind, usage, cache, dram, cycles,
+            tuple(map(loop_row, loop_ids)), tuple(map(map_row, map_ids)),
         )
-        mct.lwm = [_candidate_from_dict(c) for c in entry["lwm"]]
-        mct.lbm = (
-            _candidate_from_dict(entry["lbm"])
-            if entry["lbm"] is not None else None
+
+    mcts = [
+        MappingCandidateTable(
+            layer_index=layer_index,
+            layer_name=layer_name,
+            lwm=[candidate(row) for row in lwm],
+            lbm=candidate(lbm) if lbm is not None else None,
+            est_latency_s=est_latency_s,
         )
-        mct.est_latency_s = entry["est_latency_s"]
-        mcts.append(mct)
+        for layer_index, layer_name, est_latency_s, lwm, lbm
+        in data["mcts"]
+    ]
     return ModelMappingFile(
         model_name=data["model_name"],
         usage_levels=tuple(data["usage_levels"]),
         mcts=mcts,
-        blocks=[tuple(block) for block in data["blocks"]],
+        blocks=[(start, end) for start, end in data["blocks"]],
     )
+
+
+def mapping_file_to_json(mapping_file: ModelMappingFile) -> str:
+    """The on-disk text of a mapping file: compact schema-2 JSON (the
+    one form both :func:`save_mapping_file` and the mapping cache
+    write)."""
+    return json.dumps(mapping_file_to_dict(mapping_file),
+                      separators=(",", ":"))
 
 
 def save_mapping_file(mapping_file: ModelMappingFile,
@@ -156,7 +170,7 @@ def save_mapping_file(mapping_file: ModelMappingFile,
     the complete new content, never a torn file.
     """
     path = Path(path)
-    text = json.dumps(mapping_file_to_dict(mapping_file), indent=1)
+    text = mapping_file_to_json(mapping_file)
     tmp = path.with_suffix(f".tmp.{os.getpid()}")
     try:
         _write_text_durable(tmp, text)
@@ -363,15 +377,19 @@ def simulation_result_from_dict(data: dict) -> "SimulationResult":
 
 
 def load_mapping_file(path: Union[str, Path]) -> ModelMappingFile:
-    """Read a JSON mapping file.
+    """Read a schema-2 JSON mapping file.
 
     Raises:
-        MappingError: the file is not a supported mapping file.
+        MappingError: the file cannot be read or is not a well-formed
+            schema-2 mapping file; the message names the file.
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(path.read_bytes())
+    except (OSError, ValueError) as exc:
         raise MappingError(f"cannot read mapping file {path}: {exc}") \
             from exc
-    return mapping_file_from_dict(data)
+    try:
+        return mapping_file_from_dict(data)
+    except MappingError as exc:
+        raise MappingError(f"mapping file {path}: {exc}") from exc

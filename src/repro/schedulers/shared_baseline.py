@@ -93,7 +93,7 @@ class SharedCacheBaseline(SchedulerPolicy):
         off the inference hot path and register the tenant."""
         self._tenants[stream_id] = graph
         self._tenant_admits += 1
-        self.prepared_for(graph)
+        self._model_segments(graph)
 
     def on_tenant_retire(self, stream_id: str, now: float) -> None:
         self._tenants.pop(stream_id, None)

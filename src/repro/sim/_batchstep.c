@@ -12,7 +12,7 @@
  *   completion table covers it: the transparent-cache policies
  *   (baseline, MoCA, AuRORA) install the next layer's memoized
  *   LayerWork, the CaMDN policies run the completion chain below,
- *   region resizes included (the page moves of RegionManager._resize
+ *   region resizes included (the page moves of RegionManager.resize
  *   are done here) and memo misses too (the scheduler's builder fills
  *   the memo entry).  It hands back to Python every completion it
  *   cannot take: last layers, transparent-cache memo misses, CaMDN
@@ -515,9 +515,10 @@ bisect_right_tup(PyObject *tup, long x, int *err)
     return lo;
 }
 
-/* DynamicCacheAllocator._pred_avail: sum every task's predicted free
- * pages, then compensate the excluded slot.  Pure integer arithmetic
- * on the live predictor lists; -1 on any non-exact-typed item. */
+/* DynamicCacheAllocator.pred_avail_pages: sum every task's predicted
+ * free pages, then compensate the excluded slot.  Pure integer
+ * arithmetic on the live predictor lists; -1 on any non-exact-typed
+ * item. */
 static int
 pred_avail(PyObject *tnext_l, PyObject *pnext_l, PyObject *palloc_l,
            double t_ahead, Py_ssize_t skip, long total_pages,
@@ -594,8 +595,8 @@ typedef struct {
 } camdn_choice;
 
 /* One CaMDN layer completion, decided: Algorithm 1's end-of-layer
- * predictor update (DynamicCacheAllocator.end_layer_prepared) plus the
- * next layer's candidate selection (select_prepared, or the HW-only
+ * predictor update (DynamicCacheAllocator.end_layer) plus the
+ * next layer's candidate selection (select, or the HW-only
  * static-split walk) plus CaMDNSystem._try_grant's grant rule: a
  * footprint that grows the task's region by more pages than are free
  * is denied.
@@ -668,7 +669,7 @@ camdn_select(const camdn_query *q, camdn_choice *out)
 
     m = q->layer_index + 1;  /* the layer being selected (row) */
 
-    /* --- end_layer_prepared for the next layer. --- */
+    /* --- end_layer for the next layer. --- */
     if (lbm_s >= 0 && lbm_pages >= 0 && lbm_s <= m && m < lbm_e) {
         new_pnext = lbm_pages;
     }
@@ -1291,7 +1292,7 @@ works_completion(inst_view *v, double *c_i, double *d_i, double *prog_i)
 
 /* ------------------------------------------------------------------
  * Region resizes.  A grant whose footprint differs from the task's
- * region moves pages exactly as RegionManager._resize does, through
+ * region moves pages exactly as RegionManager.resize does, through
  * CachePageAllocator.allocate / release and CachePageTable.map /
  * unmap: in the same order, on the same objects, storing the region's
  * own task_id object as the owner (pickle memoizes strings by
@@ -1634,7 +1635,7 @@ out:
 }
 
 /* CaMDNSystem._try_grant's writes for a selection camdn_select granted:
- * the region resize (RegionManager._resize), then the palloc commit.
+ * the region resize (RegionManager.resize), then the palloc commit.
  * ``palloc_sum`` is written back to the allocator at once, so later
  * selections of this call and the Python chain see it.  The view's
  * region size follows the resize.  0, DECLINE (nothing changed), or

@@ -322,6 +322,9 @@ class MultiTenantEngine:
         self._wait_heap: List[Tuple[float, int, TaskInstance]] = []
         self._wait_seq: Dict[str, int] = {}
         self._next_seq = 0
+        #: Built by :meth:`EngineSnapshot.resume`: only
+        #: :meth:`resume_run` may drive it.
+        self._restored = False
 
     # ------------------------------------------------------------------
 
@@ -357,8 +360,16 @@ class MultiTenantEngine:
         attribute carries the last-event engine state — a hung run
         fails fast with enough context to reproduce it.  A negative or
         NaN ``max_wall_s`` or ``checkpoint_every_s`` raises
-        :class:`~repro.errors.WorkloadError` before the run starts.
+        :class:`~repro.errors.WorkloadError` before the run starts.  On
+        an engine restored from a snapshot, ``run`` raises
+        :class:`~repro.errors.SimulationError` before touching any
+        state: such an engine continues with :meth:`resume_run`.
         """
+        if self._restored:
+            raise SimulationError(
+                "this engine was restored from a snapshot and is "
+                "mid-run; continue it with resume_run(), not run()"
+            )
         start = time.perf_counter()
         self._apply_budgets(max_events, max_wall_s, start)
         self._setup_checkpoints(checkpoint_every_s, checkpoint_dir,
@@ -544,6 +555,7 @@ class MultiTenantEngine:
         constructed engine (the scheduler must already be attached and
         restored — :meth:`EngineSnapshot.resume` owns that order)."""
         eng = payload["engine"]
+        self._restored = True
         self.metrics = payload["metrics"]
         self.now = eng["now"]
         self.events_processed = eng["events_processed"]

@@ -247,9 +247,9 @@ class EngineSnapshot:
         """Reconstruct a runnable engine from this snapshot.
 
         The returned engine continues with
-        :meth:`~repro.sim.engine.MultiTenantEngine.resume_run` (NOT
-        ``run()``, which would re-attach the scheduler and wipe the
-        restored state).
+        :meth:`~repro.sim.engine.MultiTenantEngine.resume_run`;
+        ``run()`` on it raises
+        :class:`~repro.errors.SimulationError`.
 
         ``use_native`` defaults to auto, and ``False`` resumes without
         any native code, on the Python split path.  It only selects

@@ -9,7 +9,11 @@ from repro.core.mapper.layer_mapper import (
     LayerMapper,
     mapping_cache_dir,
 )
-from repro.core.serialize import mapping_file_to_dict
+from repro.core.serialize import (
+    SCHEMA_VERSION,
+    mapping_file_to_dict,
+    mapping_file_to_json,
+)
 from repro.models.zoo import build_model
 
 
@@ -45,6 +49,31 @@ class TestMappingDiskCache:
         again = LayerMapper(SoCConfig()).map_model(graph)
         assert json.dumps(mapping_file_to_dict(again), sort_keys=True) \
             == json.dumps(mapping_file_to_dict(first), sort_keys=True)
+
+    def test_entry_is_the_compact_writer_text(self, mapcache):
+        solved = LayerMapper(SoCConfig()).map_model(build_model("MB."))
+        (entry,) = mapcache.glob("*.json")
+        assert entry.read_text() == mapping_file_to_json(solved)
+
+    def test_schema_1_entry_resolves_and_is_rewritten(self, mapcache,
+                                                      caplog):
+        """A schema-1 entry (its version tag is all the loader reads)
+        takes the corrupt-entry path: logged, unlinked, re-solved, and
+        stored again in the current schema."""
+        graph = build_model("MB.")
+        first = LayerMapper(SoCConfig()).map_model(graph)
+        (entry,) = mapcache.glob("*.json")
+        entry.write_text(json.dumps({
+            "schema_version": 1, "model_name": first.model_name,
+            "usage_levels": list(first.usage_levels), "blocks": [],
+            "mcts": [],
+        }))
+        LayerMapper._SHARED_CACHE.clear()
+        again = LayerMapper(SoCConfig()).map_model(graph)
+        assert again == first
+        assert "schema 1" in caplog.text
+        assert json.loads(entry.read_text())["schema_version"] == \
+            SCHEMA_VERSION
 
     def test_empty_env_disables_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_MAPPING_CACHE_DIR", "")

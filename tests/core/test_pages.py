@@ -114,6 +114,23 @@ class TestRelease:
         assert alloc.release("A", []) == 0
         assert alloc.free_pages == 6
 
+    def test_release_all_forgets_the_owner(self):
+        alloc = CachePageAllocator(8)
+        alloc.allocate("A", 3)
+        alloc.allocate("B", 0)
+        alloc.release("A")
+        alloc.release("B")
+        assert alloc._owner_pages == {}
+        alloc.check_invariants()
+
+    def test_release_of_every_listed_page_keeps_the_owner(self):
+        """A region shrunk to 0 pages keeps its (empty) entry: the
+        native batch loop's resize reads it to grow the region again."""
+        alloc = CachePageAllocator(8)
+        grant = alloc.allocate("A", 3)
+        alloc.release("A", list(grant.pcpns))
+        assert alloc._owner_pages == {"A": []}
+
     def test_released_pages_are_reusable(self):
         alloc = CachePageAllocator(4)
         alloc.allocate("A", 4)

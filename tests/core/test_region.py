@@ -1,11 +1,16 @@
 """Tests for model-exclusive region management."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import CacheConfig
+from repro.config import CacheConfig, SoCConfig
 from repro.core.region import RegionManager
 from repro.errors import PageAllocationError
+from repro.experiments.common import run_scenario
+from repro.runconfig import RunConfig
+from repro.sim.scenario import get_scenario
 
 
 @pytest.fixture
@@ -33,6 +38,37 @@ class TestRegionLifecycle:
     def test_region_bytes(self, manager):
         region = manager.create_region("A", 4)
         assert region.bytes == 4 * 32 * 1024
+
+
+class TestOwnersOverARun:
+    """A camdn-full run creates and destroys one region per inference;
+    the page allocator's owner map must hold the live regions only, or
+    it (and every snapshot payload) grows with each inference run."""
+
+    @staticmethod
+    def _regions_at(events: int):
+        spec = get_scenario("steady-quad").scaled(0.25)
+        result = run_scenario(
+            spec, SoCConfig(), "camdn-full",
+            config=RunConfig(snapshot_at_events=events))
+        engine = result.last_snapshot.resume()
+        return engine.scheduler.system.regions, len(engine.metrics.records)
+
+    def test_owner_map_holds_exactly_the_live_regions(self):
+        regions, completed = self._regions_at(14000)
+        assert completed > 100
+        live = {r.task_id: sorted(r.pcpns) for r in regions.regions()}
+        assert regions.allocator._owner_pages == live
+        regions.check_invariants()
+
+    def test_allocator_payload_does_not_grow_with_inferences(self):
+        early, early_done = self._regions_at(2000)
+        late, late_done = self._regions_at(14000)
+        assert late_done > early_done + 100
+        early_size = len(pickle.dumps(early.allocator, protocol=4))
+        late_size = len(pickle.dumps(late.allocator, protocol=4))
+        # Only the page lists' split between owners may differ.
+        assert late_size < 1.05 * early_size
 
 
 class TestResize:

@@ -1,25 +1,53 @@
 """Tests for mapping-file JSON serialization."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
-from repro.config import SoCConfig
+from repro.config import MiB, SoCConfig
 from repro.core.mapper.layer_mapper import LayerMapper
+from repro.core.mct import CacheMapEntry, LoopLevel
 from repro.core.serialize import (
     SCHEMA_VERSION,
     load_mapping_file,
     mapping_file_from_dict,
     mapping_file_to_dict,
+    mapping_file_to_json,
     save_mapping_file,
 )
 from repro.errors import MappingError
-from repro.models.zoo import build_model
+from repro.models.zoo import build_model, load_benchmark_suite
 
 
 @pytest.fixture(scope="module")
 def mapping_file():
     return LayerMapper(SoCConfig()).map_model(build_model("MB."))
+
+
+def v1_document(mapping_file) -> dict:
+    """``mapping_file`` in the retired schema 1: one JSON object per
+    MCT, candidate, loop level and cache-map row."""
+    def candidate(c):
+        return dataclasses.asdict(c) if c is not None else None
+
+    return {
+        "schema_version": 1,
+        "model_name": mapping_file.model_name,
+        "usage_levels": list(mapping_file.usage_levels),
+        "blocks": [list(block) for block in mapping_file.blocks],
+        "mcts": [
+            {
+                "layer_index": mct.layer_index,
+                "layer_name": mct.layer_name,
+                "est_latency_s": mct.est_latency_s,
+                "lwm": [candidate(c) for c in mct.lwm],
+                "lbm": candidate(mct.lbm),
+            }
+            for mct in mapping_file.mcts
+        ],
+    }
 
 
 class TestRoundTrip:
@@ -64,7 +92,113 @@ class TestRoundTrip:
         assert data["model_name"] == "MobileNet-v2"
 
 
+class TestSchema2:
+    @pytest.mark.parametrize("cache_mb", [4, 16, 64])
+    def test_table1_files_load_equal_to_the_solved_ones(self, tmp_path,
+                                                        cache_mb):
+        """Every Table I model: the loaded file ``==`` the solved one,
+        so every float (each MCT's ``est_latency_s``, each candidate's
+        ``dram_bytes``) round-trips exactly."""
+        soc = SoCConfig().with_cache_bytes(cache_mb * MiB)
+        for graph in load_benchmark_suite():
+            solved = LayerMapper(soc)._solve_model(graph)
+            loaded = load_mapping_file(
+                save_mapping_file(solved, tmp_path / "m.json"))
+            assert loaded == solved, graph.name
+            assert [m.est_latency_s for m in loaded.mcts] == \
+                [m.est_latency_s for m in solved.mcts]
+            assert [c.dram_bytes for m in loaded.mcts for c in m.lwm] == \
+                [c.dram_bytes for m in solved.mcts for c in m.lwm]
+
+    def test_each_distinct_row_is_built_once(self, mapping_file):
+        data = mapping_file_to_dict(mapping_file)
+        restored = mapping_file_from_dict(data)
+        candidates = [c for mct in restored.mcts
+                      for c in (*mct.lwm, mct.lbm) if c is not None]
+        loops = {id(l) for c in candidates for l in c.loop_table}
+        maps = {id(e) for c in candidates for e in c.cache_map}
+        assert len(loops) == len(data["loops"]) == len(
+            {l for c in candidates for l in c.loop_table})
+        assert len(maps) == len(data["maps"]) == len(
+            {e for c in candidates for e in c.cache_map})
+        assert all(type(l) is LoopLevel for c in candidates
+                   for l in c.loop_table)
+        assert all(type(e) is CacheMapEntry for c in candidates
+                   for e in c.cache_map)
+
+    def test_file_is_compact_json(self, mapping_file, tmp_path):
+        path = save_mapping_file(mapping_file, tmp_path / "mb.json")
+        text = path.read_text()
+        assert text == mapping_file_to_json(mapping_file)
+        assert "\n" not in text and ", " not in text and ": " not in text
+
+
+def _set(path, value):
+    def mutate(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = value
+    return mutate
+
+
+def _pop(*path):
+    def mutate(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data.pop(last)
+    return mutate
+
+
+#: mcts[0] is MobileNet-v2's first convolution: a candidate row with a
+#: full loop table and cache map.
+_CAND = ("mcts", 0, 3, 0)
+
+#: Structural damage to a valid schema-2 document, one case each.
+MALFORMED = {
+    "missing loops": _pop("loops"),
+    "missing maps": _pop("maps"),
+    "missing mcts": _pop("mcts"),
+    "missing blocks": _pop("blocks"),
+    "missing model_name": _pop("model_name"),
+    "missing usage_levels": _pop("usage_levels"),
+    "loop id past the table": lambda d: _set(
+        _CAND + (5, 0), len(d["loops"]))(d),
+    "negative loop id": _set(_CAND + (5, 0), -1),
+    "map id past the table": lambda d: _set(
+        _CAND + (6, 0), len(d["maps"]))(d),
+    "negative map id": _set(_CAND + (6, 0), -1),
+    "non-integer row id": _set(_CAND + (5, 0), "0"),
+    "short loop row": _pop("loops", 0, 2),
+    "long map row": lambda d: d["maps"][0].append(0),
+    "short candidate row": _pop(*_CAND, 6),
+    "long candidate row": lambda d: d["mcts"][0][3][0].append(0),
+    "short mct row": _pop("mcts", 0, 4),
+    "mct rows not a list": _set(("mcts",), 5),
+    "long block row": lambda d: d["blocks"].append([0, 1, 2]),
+    "unknown loop dim": _set(("loops", 0, 0), "z"),
+}
+
+
 class TestErrors:
+    def test_v1_file_names_both_versions(self, mapping_file, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(v1_document(mapping_file), indent=1))
+        with pytest.raises(MappingError,
+                           match=rf"schema 1 \(expected {SCHEMA_VERSION}\)"):
+            load_mapping_file(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_v2_file_names_the_file(self, mapping_file,
+                                              tmp_path, case):
+        data = mapping_file_to_dict(mapping_file)
+        MALFORMED[case](data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(MappingError, match=re.escape(str(path))):
+            load_mapping_file(path)
+
     def test_wrong_schema_rejected(self, mapping_file):
         data = mapping_file_to_dict(mapping_file)
         data["schema_version"] = 999

@@ -90,6 +90,30 @@ class TestPreparedCacheReuse:
         assert info["models"].misses == misses_before
         assert info["workloads"].size == 2
 
+    def test_only_transparent_cache_policies_build_segments(
+            self, monkeypatch):
+        """The access segments are read by the shared-cache policies
+        only: a camdn-full run builds none, and a baseline run builds
+        them once per model, which MoCA then shares."""
+        from repro.core import prepared
+
+        built = Counter()
+        build = prepared._build_segments
+
+        def counting(graph, mapping_file, soc):
+            built[graph.name] += 1
+            return build(graph, mapping_file, soc)
+
+        monkeypatch.setattr(prepared, "_build_segments", counting)
+        clear_prepared_caches()
+        _run("camdn-full", inferences=2)
+        assert not built
+        assert not any("segments" in vars(prepare_model(key))
+                       for key in SCENARIO)
+        _run("baseline", inferences=2)
+        _run("moca", inferences=2)
+        assert sorted(built.values()) == [1] * len(SCENARIO)
+
 
 def _mix_summaries(policies, soc=None, keys=("RS.", "MB.", "EF.", "BE."),
                    **kwargs):

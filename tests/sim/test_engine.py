@@ -3,11 +3,14 @@
 import pytest
 
 from repro.config import SoCConfig
+from repro.errors import SimulationError
+from repro.experiments.common import run_scenario
+from repro.runconfig import RunConfig
 from repro.schedulers import make_scheduler
 from repro.schedulers.base import SchedulerPolicy
 from repro.sim.engine import MultiTenantEngine
 from repro.sim.task import LayerWork
-from repro.sim.scenario import ScenarioSpec
+from repro.sim.scenario import ScenarioSpec, get_scenario
 from repro.sim.workload import ScenarioWorkload
 
 
@@ -130,3 +133,23 @@ class TestSummaryMetrics:
                       qos_scale=1e-9)
         summary = result.summary()
         assert summary["qos_violations"] == summary["inferences"] == 4
+
+
+class TestRestoredEngine:
+    @pytest.mark.parametrize("policy", ["camdn-full", "baseline"])
+    def test_run_refuses_before_touching_state(self, policy):
+        """``run()`` would re-attach the scheduler under mid-flight
+        instances; a restored engine refuses it at once and still
+        resumes to the uninterrupted run's summary."""
+        spec = get_scenario("churn-heavy").scaled(0.1)
+        snapped = run_scenario(spec, SoCConfig(), policy,
+                               config=RunConfig(snapshot_at_events=300))
+        engine = snapped.last_snapshot.resume()
+        before = (engine.now, engine.events_processed,
+                  list(engine.metrics.records))
+        with pytest.raises(SimulationError, match="resume_run"):
+            engine.run()
+        assert (engine.now, engine.events_processed,
+                list(engine.metrics.records)) == before
+        assert engine.resume_run().metric_summary() == \
+            snapped.metric_summary()
