@@ -5,11 +5,12 @@ One manifest-driven checker replaces the former per-bench
 manifest entry names the fresh output file a bench writes, the committed
 baseline it is compared against, and where the throughput number lives
 in the JSON; a row fails when its rate drops more than the tolerance
-(default 30 %) below the baseline.  A row that records how many engine
-events it simulated (``kernel.events``) also fails when that count
-differs from the baseline's: a rate over different work compares
-nothing, and a faster row that silently simulated less would pass the
-rate check.
+(default 30 %) below the baseline.  A row that records how much work it
+did (the engine events a simulation row stepped, ``kernel.events``, or
+the candidates a mapper row built, ``candidates``) also fails when that
+count differs from the baseline's: a rate over different work compares
+nothing, and a faster row that silently did less would pass the rate
+check.
 
 Absolute rates vary across runner hardware, so the committed baselines
 should be refreshed when the fleet changes; tune with ``--tolerance`` or
@@ -22,8 +23,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_engine.py
     python benchmarks/check_regression.py engine
 
-    # or check every bench whose output file is present next to cwd:
-    python benchmarks/check_regression.py engine scenario allocator
+    # or check several benches:
+    python benchmarks/check_regression.py engine scenario allocator mapper
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ class BenchSpec(NamedTuple):
 
     ``section`` is the top-level JSON key holding the row mapping;
     ``rate_path`` walks from a row to its throughput float; ``unit`` is
-    cosmetic.
+    cosmetic.  ``count_path`` walks from a row to its work count (a row
+    without one checks its rate only), and ``count_format`` words a
+    count in the failure message.
     """
 
     current: str
@@ -53,6 +56,8 @@ class BenchSpec(NamedTuple):
     section: str
     rate_path: Tuple[str, ...]
     unit: str
+    count_path: Tuple[str, ...] = ("kernel", "events")
+    count_format: str = "simulated {} events"
 
 
 MANIFEST: Dict[str, BenchSpec] = {
@@ -84,6 +89,15 @@ MANIFEST: Dict[str, BenchSpec] = {
         rate_path=("kernel", "events_per_s"),
         unit="ev/s",
     ),
+    "mapper": BenchSpec(
+        current="BENCH_mapper.json",
+        baseline="BENCH_mapper.baseline.json",
+        section="caches",
+        rate_path=("layers_per_s",),
+        unit="layers/s",
+        count_path=("candidates",),
+        count_format="built {} candidates",
+    ),
 }
 
 
@@ -109,10 +123,12 @@ def _rate(entry: dict, path: Tuple[str, ...]) -> float:
     return float(value)
 
 
-def _events(entry: dict):
-    """The row's simulated event count, or None when it records none."""
-    kernel = entry.get("kernel") if isinstance(entry, dict) else None
-    return kernel.get("events") if isinstance(kernel, dict) else None
+def _count(entry: dict, path: Tuple[str, ...]):
+    """The row's work count, or None when it records none."""
+    value = entry
+    for key in path:
+        value = value.get(key) if isinstance(value, dict) else None
+    return value
 
 
 def _load(path: Path, role: str) -> dict:
@@ -165,13 +181,12 @@ def check_bench(name: str, tolerance: float,
             failures.append(f"{name}/{row}: malformed rate entry")
             continue
         floor = (1.0 - tolerance) * base_rate
-        base_events = _events(base_entry)
-        cur_events = _events(cur_entry)
-        events_differ = base_events is not None and \
-            cur_events != base_events
+        base_count = _count(base_entry, spec.count_path)
+        cur_count = _count(cur_entry, spec.count_path)
+        count_differs = base_count is not None and cur_count != base_count
         status = "ok" if cur_rate >= floor else "REGRESSED"
-        if events_differ:
-            status = "EVENTS DIFFER"
+        if count_differs:
+            status = "COUNT DIFFERS"
         print(
             f"{row:<{width}} baseline {base_rate:>12,.0f} {spec.unit}   "
             f"current {cur_rate:>12,.0f} {spec.unit}   floor "
@@ -182,10 +197,10 @@ def check_bench(name: str, tolerance: float,
                 f"{name}/{row}: {cur_rate:,.0f} {spec.unit} < floor "
                 f"{floor:,.0f} (baseline {base_rate:,.0f})"
             )
-        if events_differ:
+        if count_differs:
             failures.append(
-                f"{name}/{row}: simulated {cur_events} events, "
-                f"baseline {base_events}"
+                f"{name}/{row}: {spec.count_format.format(cur_count)}, "
+                f"baseline {base_count}"
             )
     return failures
 

@@ -1,9 +1,10 @@
 """Combine the bench campaign outputs into one trajectory document.
 
-The nightly workflow runs every benchmark (engine, scenario, allocator)
-and uploads a single ``BENCH_trajectory.json`` so the perf table in
-ROADMAP.md has a longitudinal data source: each artifact is one dated
-point with the commit it measured.
+The nightly workflow runs every benchmark of the regression manifest
+(engine, scenario, allocator, fleet, mapper) and uploads a single
+``BENCH_trajectory.json`` so the perf table in ROADMAP.md has a
+longitudinal data source: each artifact is one dated point with the
+commit it measured.
 
 Besides the JSON artifact, the collector prints a ready-to-paste
 markdown row for the "Perf trajectory" table in ROADMAP.md
@@ -20,6 +21,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_engine.py
     PYTHONPATH=src python benchmarks/bench_scenario.py
     PYTHONPATH=src python benchmarks/bench_allocator.py
+    PYTHONPATH=src python benchmarks/bench_fleet.py
+    PYTHONPATH=src python benchmarks/bench_mapper.py
     python benchmarks/collect_trajectory.py --out BENCH_trajectory.json
     python benchmarks/collect_trajectory.py --row-from BENCH_trajectory.json
     python3 perfbench/run.py --workload figs-fleet > figs-fleet.txt

@@ -9,7 +9,7 @@ Layer-block mapping candidates come from :mod:`~repro.core.mapper.lbm`.
 """
 
 from .loopnest import GEMMShape, tile_candidates, trip_count
-from .dram_model import TilingChoice, dram_traffic_bytes, scratchpad_bytes
+from .dram_model import TilingChoice, scratchpad_bytes
 from .heuristics import HeuristicRules
 from .solver import SubspaceSolver
 from .layer_mapper import LayerMapper, DEFAULT_USAGE_LEVELS
@@ -20,7 +20,6 @@ __all__ = [
     "tile_candidates",
     "trip_count",
     "TilingChoice",
-    "dram_traffic_bytes",
     "scratchpad_bytes",
     "HeuristicRules",
     "SubspaceSolver",

@@ -22,13 +22,17 @@ Non-pinned tensors use bypass semantics and never pollute the region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet
+from typing import FrozenSet, Tuple
 
 from ...errors import MappingError
 from .loopnest import GEMMShape, trip_count
 
 #: Tensors the mapper may pin in the model-exclusive cache region.
 PINNABLE = ("weight", "input", "output")
+
+#: Innermost tile-loop choices, in the order
+#: :func:`order_refetch_factors` lists them.
+INNERMOST = ("m", "n", "k")
 
 
 @dataclass(frozen=True)
@@ -58,100 +62,58 @@ class TilingChoice:
     def __post_init__(self) -> None:
         if min(self.tm, self.tn, self.tk) <= 0:
             raise MappingError("tile sizes must be positive")
-        if self.innermost not in ("m", "n", "k"):
+        if self.innermost not in INNERMOST:
             raise MappingError(f"bad innermost loop {self.innermost!r}")
         unknown = set(self.pinned) - set(PINNABLE)
         if unknown:
             raise MappingError(f"unknown pinned tensors {sorted(unknown)}")
 
 
-#: Tile-loop iteration order per innermost choice (outermost first); must
-#: match ``_LOOP_ORDERS`` of the instruction-level oracle
-#: ``tests/core/reference_isa.py``.
-LOOP_ORDERS = {
-    "m": ("k", "n", "m"),
-    "n": ("k", "m", "n"),
-    "k": ("m", "n", "k"),
-}
+def order_refetch_factors(
+    m: int, n: int, k: int,
+) -> Tuple[Tuple[int, int, int], ...]:
+    """``(weight, input, output)`` transfer multipliers of a tiling with
+    ``m`` / ``n`` / ``k`` tile trips, one triple per :data:`INNERMOST`
+    choice.
 
+    The tile loops run, outermost first, ``k, n, m`` (innermost ``m``),
+    ``k, m, n`` (innermost ``n``) and ``m, n, k`` (innermost ``k``); the
+    order must match ``_LOOP_ORDERS`` of the instruction-level oracle
+    ``tests/core/reference_isa.py``.  A tile is reloaded when its
+    identity changed since it was last held in scratchpad, so a tensor
+    invariant to one loop is streamed
 
-def _reload_factor(order: tuple, trips: dict, invariant: str) -> int:
-    """Times a tensor invariant to loop ``invariant`` is streamed.
+    * once when that loop is innermost (the held tile is reused);
+    * once per trip of it when it is the middle loop, unless the
+      innermost loop has a single trip (the held tile survives);
+    * once per trip of it when it is outermost, unless the two inner
+      loops cover a single tile.
 
-    A tile is reloaded when its identity changed since it was last held in
-    scratchpad.  For the loop invariant to the tensor:
-
-    * innermost — consecutive iterations reuse the held tile: factor 1;
-    * middle — tiles cycle with the innermost loop, so each middle-loop
-      iteration revisits them ... unless the innermost loop has a single
-      tile, in which case the held tile survives: factor ``trips`` or 1;
-    * outermost — every outer iteration replays the whole tile space
-      unless that space is a single tile.
-
-    Validated instruction by instruction against the oracle in
-    ``tests/core/reference_isa.py``.
+    The weight is invariant to ``m``, the input to ``n`` and the output
+    to ``k``.  Output partial sums also pay a reload on each spill: when
+    the output is revisited, which happens only with ``k`` outermost,
+    it moves ``2 * k - 1`` times.  Validated instruction by instruction
+    against the oracle (``tests/core/test_isa.py``), and against the
+    loop-order derivation in ``tests/core/reference_solver.py`` for
+    every trip count up to 8.
     """
-    position = order.index(invariant)
-    if position == 2:  # innermost
-        return 1
-    if position == 1:  # middle
-        innermost = order[2]
-        return trips[invariant] if trips[innermost] > 1 else 1
-    varying = [dim for dim in order if dim != invariant]
-    tile_space = trips[varying[0]] * trips[varying[1]]
-    return trips[invariant] if tile_space > 1 else 1
+    spill = 2 * k - 1 if m * n > 1 else 1
+    return (
+        (1, n if m > 1 else 1, spill),
+        (m if n > 1 else 1, 1, spill),
+        (m if n * k > 1 else 1, n if k > 1 else 1, 1),
+    )
 
 
 def refetch_factors(shape: GEMMShape, choice: TilingChoice) -> dict:
-    """Per-tensor transfer multipliers for ``choice`` ignoring the cache.
-
-    The weight is invariant to ``m``, the input to ``n`` and the output to
-    ``k``.  Output partial sums additionally pay a reload on each spill:
-    a factor ``f`` of k-revisits costs ``2f - 1`` transfers.
-    """
-    trips = {
-        "m": trip_count(shape.m, choice.tm),
-        "n": trip_count(shape.n, choice.tn),
-        "k": trip_count(shape.k, choice.tk),
-    }
-    order = LOOP_ORDERS[choice.innermost]
-    weight = _reload_factor(order, trips, "m")
-    input_ = _reload_factor(order, trips, "n")
-    # Output: invariant to k; each extra visit spills and reloads.
-    visits = _reload_factor(order, trips, "k")
-    if visits > 1:
-        # The k loop is outermost in every non-k-innermost order, so each
-        # of the trips[k] passes revisits the live tiles; the spill count
-        # follows the number of unfinished departures.
-        output = 2 * trips["k"] - 1
-    else:
-        output = 1
-    return {"weight": weight, "input": input_, "output": output}
-
-
-def dram_traffic_bytes(
-    shape: GEMMShape,
-    choice: TilingChoice,
-    dtype_bytes: int = 1,
-) -> float:
-    """Predicted DRAM traffic (bytes) for one layer under ``choice``."""
-    factors = refetch_factors(shape, choice)
-    sizes = {
-        "weight": shape.weight_elems * dtype_bytes,
-        "input": shape.input_elems * dtype_bytes,
-        "output": shape.output_elems * dtype_bytes,
-    }
-    traffic = 0.0
-    for tensor, size in sizes.items():
-        if tensor == "input" and choice.lbm_input:
-            continue  # produced into cache by the previous block layer
-        if tensor == "output" and choice.lbm_output:
-            continue  # consumed from cache by the next block layer
-        if tensor in choice.pinned:
-            traffic += size  # one compulsory transfer, refetches hit cache
-        else:
-            traffic += size * factors[tensor]
-    return traffic
+    """Per-tensor transfer multipliers for ``choice`` ignoring the cache
+    (see :func:`order_refetch_factors`)."""
+    triples = order_refetch_factors(
+        trip_count(shape.m, choice.tm),
+        trip_count(shape.n, choice.tn),
+        trip_count(shape.k, choice.tk),
+    )
+    return dict(zip(PINNABLE, triples[INNERMOST.index(choice.innermost)]))
 
 
 def pinned_cache_bytes(shape: GEMMShape, choice: TilingChoice,
@@ -170,16 +132,11 @@ def pinned_cache_bytes(shape: GEMMShape, choice: TilingChoice,
     return total
 
 
-def scratchpad_bytes(choice: TilingChoice, dtype_bytes: int = 1,
-                     double_buffer: bool = True) -> int:
-    """Scratchpad footprint of one tile working set.
+def scratchpad_bytes(tm: int, tn: int, tk: int, dtype_bytes: int = 1) -> int:
+    """Scratchpad footprint of one ``tm x tn x tk`` tile working set.
 
     Holds an input tile ``tm x tk``, a weight tile ``tk x tn`` and an output
-    tile ``tm x tn``; streaming tensors are double-buffered so DMA overlaps
-    compute.
+    tile ``tm x tn``; the streaming input and weight tiles are
+    double-buffered so DMA overlaps compute.
     """
-    in_tile = choice.tm * choice.tk
-    w_tile = choice.tk * choice.tn
-    out_tile = choice.tm * choice.tn
-    buf = 2 if double_buffer else 1
-    return ((in_tile + w_tile) * buf + out_tile) * dtype_bytes
+    return (2 * (tm * tk + tk * tn) + tm * tn) * dtype_bytes

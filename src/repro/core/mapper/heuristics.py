@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Iterator, List, Tuple
 
 from ...config import NPUConfig
-from .dram_model import PINNABLE, TilingChoice, scratchpad_bytes
+from .dram_model import PINNABLE, scratchpad_bytes
 from .loopnest import GEMMShape, tile_candidates
 
 
@@ -57,8 +57,7 @@ class HeuristicRules:
         total = kept = 0
         for tm, tn, tk in itertools.product(tms, tns, tks):
             total += 1
-            choice = TilingChoice(tm=tm, tn=tn, tk=tk, innermost="m")
-            if scratchpad_bytes(choice, self.dtype_bytes) > \
+            if scratchpad_bytes(tm, tn, tk, self.dtype_bytes) > \
                     self.npu.scratchpad_bytes:
                 continue
             kept += 1

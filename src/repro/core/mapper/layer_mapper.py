@@ -244,17 +244,21 @@ class LayerMapper:
             return mct
 
         shape = GEMMShape.of(layer)
-        seen_cache_bytes: Dict[int, MappingCandidate] = {}
+        # One candidate per footprint: the first level's, unless a later
+        # level moves strictly less DRAM.  A candidate carries its
+        # solver result's footprint and DRAM bytes, so only the kept
+        # results are packaged.
+        kept: Dict[int, Tuple[SolvedMapping, int]] = {}
         for level in self.usage_levels:
             solved = self._solver.solve(shape, usage_limit_bytes=level)
-            candidate = self._to_candidate(layer, shape, solved, level)
-            existing = seen_cache_bytes.get(candidate.cache_bytes)
+            existing = kept.get(solved.cache_bytes)
             if existing is None or \
-                    candidate.dram_bytes < existing.dram_bytes:
-                seen_cache_bytes[candidate.cache_bytes] = candidate
-        mct.lwm = sorted(
-            seen_cache_bytes.values(), key=lambda c: c.cache_bytes
-        )
+                    solved.dram_bytes < existing[0].dram_bytes:
+                kept[solved.cache_bytes] = (solved, level)
+        mct.lwm = [
+            self._to_candidate(layer, shape, *kept[cache_bytes])
+            for cache_bytes in sorted(kept)
+        ]
         return mct
 
     def _streaming_candidate(self, layer: LayerSpec) -> MappingCandidate:

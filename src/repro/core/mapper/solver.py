@@ -25,6 +25,19 @@ flags and never depends on the tiling
 So the table holds one answer per distinct footprint, in ascending order,
 and a limit reads the answer of the largest footprint at or under it.  A
 limit below every footprint has no feasible mapping.
+
+A subspace does not scan its tilings one by one.  Under one innermost
+loop, a tiling's DRAM traffic for any pin set and LBM flags depends only
+on its three refetch multipliers
+(:func:`~repro.core.mapper.dram_model.order_refetch_factors`).  So each
+innermost loop's tilings are grouped by that triple, and a group keeps
+only its tiling of least scratchpad, the first in tile order on ties.  A
+subspace then scans the groups for the least (DRAM, scratchpad, tile
+index).  That is the tiling the full scan picks, ties included: the
+members of a group tie on DRAM, so the full scan could only pick the
+member of least (scratchpad, tile index), which is the one the group
+kept.  Each DRAM sum starts at ``0.0`` and adds the weight, input and
+output terms in that order, so every float equals the full scan's.
 """
 
 from __future__ import annotations
@@ -36,13 +49,15 @@ from typing import ClassVar, Dict, List, Optional, Tuple
 from ...config import NPUConfig
 from ...errors import MappingError
 from .dram_model import (
+    INNERMOST,
+    PINNABLE,
     TilingChoice,
+    order_refetch_factors,
     pinned_cache_bytes,
-    refetch_factors,
     scratchpad_bytes,
 )
 from .heuristics import HeuristicRules
-from .loopnest import GEMMShape
+from .loopnest import GEMMShape, trip_count
 
 
 @dataclass(frozen=True)
@@ -109,46 +124,49 @@ class SubspaceSolver:
         """Solve every subspace of ``shape`` once and tabulate the answers
         by footprint (see the module docstring)."""
         dtype = self.dtype_bytes
-        sizes = {
-            "weight": shape.weight_elems * dtype,
-            "input": shape.input_elems * dtype,
-            "output": shape.output_elems * dtype,
-        }
-        tiles = []
-        for tm, tn, tk in self.rules.tile_space(shape):
-            factors = {
-                innermost: refetch_factors(
-                    shape, TilingChoice(tm=tm, tn=tn, tk=tk,
-                                        innermost=innermost))
-                for innermost in ("m", "n", "k")
-            }
-            spad = scratchpad_bytes(
-                TilingChoice(tm=tm, tn=tn, tk=tk, innermost="m"), dtype)
-            tiles.append((tm, tn, tk, spad, factors))
+        sizes = (shape.weight_elems * dtype, shape.input_elems * dtype,
+                 shape.output_elems * dtype)
+        # Per innermost loop: refetch triple -> (scratchpad, tile index,
+        # tm, tn, tk) of the group's first tiling with least scratchpad.
+        groups: Tuple[Dict[tuple, tuple], ...] = ({}, {}, {})
+        for index, (tm, tn, tk) in enumerate(self.rules.tile_space(shape)):
+            spad = scratchpad_bytes(tm, tn, tk, dtype)
+            tiling = (spad, index, tm, tn, tk)
+            triples = order_refetch_factors(trip_count(shape.m, tm),
+                                            trip_count(shape.n, tn),
+                                            trip_count(shape.k, tk))
+            for order_groups, triple in zip(groups, triples):
+                kept = order_groups.get(triple)
+                if kept is None or spad < kept[0]:
+                    order_groups[triple] = tiling
 
         winners: List[SolvedMapping] = []
         for subspace in self.rules.subspaces():
-            # dram_traffic_bytes' terms, summed in its order from the
-            # precomputed factors: LBM operands move no DRAM bytes, pinned
-            # tensors move once.  The reference-solver tests hold the two
-            # equal, float for float.
+            # The terms of the DRAM sum, in tensor order: LBM operands
+            # move no DRAM bytes, pinned tensors move once.  The
+            # reference-solver tests hold this equal to the reference's
+            # ``dram_traffic_bytes``, float for float.
             terms = [
-                (tensor, size, tensor in subspace.pinned)
-                for tensor, size in sizes.items()
+                (position, size, tensor in subspace.pinned)
+                for position, (tensor, size) in enumerate(
+                    zip(PINNABLE, sizes))
                 if not (tensor == "input" and lbm_input)
                 and not (tensor == "output" and lbm_output)
             ]
+            # (DRAM, scratchpad, tile index, tm, tn, tk): the index is
+            # unique, so the tile sizes never decide a comparison.
             best: Optional[tuple] = None
-            for tm, tn, tk, spad, factors in tiles:
-                refetch = factors[subspace.innermost]
+            for triple, tiling in \
+                    groups[INNERMOST.index(subspace.innermost)].items():
                 dram = 0.0
-                for tensor, size, pinned in terms:
-                    dram += size if pinned else size * refetch[tensor]
-                if best is None or (dram, spad) < best[:2]:
-                    best = (dram, spad, tm, tn, tk)
+                for position, size, pinned in terms:
+                    dram += size if pinned else size * triple[position]
+                candidate = (dram,) + tiling
+                if best is None or candidate < best:
+                    best = candidate
             if best is None:
                 continue
-            dram, spad, tm, tn, tk = best
+            dram, spad, _, tm, tn, tk = best
             choice = TilingChoice(
                 tm=tm, tn=tn, tk=tk,
                 innermost=subspace.innermost,

@@ -217,17 +217,26 @@ def source_content_salt() -> str:
     On-disk caches of simulation outputs must not survive code changes:
     salting keys with this digest invalidates every entry whenever any
     ``repro`` source file changes, in either direction — maximally safe,
-    while identical trees still share warm caches across runs.
+    while identical trees still share warm caches across runs.  The
+    source files are the Python modules and the C batch stepper
+    (:func:`source_tree_digest`).
     """
     global _SOURCE_SALT
     if _SOURCE_SALT is None:
-        package_root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for source in sorted(package_root.rglob("*.py")):
-            digest.update(str(source.relative_to(package_root)).encode())
-            digest.update(source.read_bytes())
-        _SOURCE_SALT = digest.hexdigest()
+        _SOURCE_SALT = source_tree_digest(
+            Path(__file__).resolve().parent.parent)
     return _SOURCE_SALT
+
+
+def source_tree_digest(root: Path) -> str:
+    """SHA-256 over the path and bytes of every ``*.py`` and ``*.c``
+    file under ``root``, in sorted path order."""
+    digest = hashlib.sha256()
+    for source in sorted(path for path in root.rglob("*")
+                         if path.suffix in (".py", ".c")):
+        digest.update(str(source.relative_to(root)).encode())
+        digest.update(source.read_bytes())
+    return digest.hexdigest()
 
 
 def resolve_cache_dir(env_var: str, subdir: str) -> Optional[Path]:

@@ -190,50 +190,30 @@ def segment_into_blocks(
     if max_intermediate_bytes <= 0:
         raise ModelGraphError("max_intermediate_bytes must be positive")
 
+    # The footprint is measured *during* each layer's execution: the
+    # outputs of earlier in-block layers still read at or after layer
+    # ``i`` (which include layer ``i``'s direct input), ``live`` below,
+    # plus layer ``i``'s own output unless ``i`` is the block's tail
+    # (under LBM the tail's output streams to DRAM).  So the peak of
+    # layers [start, i] is the larger of ``running``, the maximum of
+    # output + live over the non-tail layers [start, i), and the tail
+    # layer's live: one pass per block.
     n = len(graph.layers)
     outputs = [layer.output_elems for layer in graph.layers]
     last_use = [graph.last_use(j) for j in range(n)]
     blocks: List[LayerBlock] = []
     start = 0
+    running = 0
+    peak = 0  # elements, of the block [start, i)
     for i in range(n):
-        peak = _block_peak(outputs, last_use, start, i + 1, dtype_bytes)
-        block_len = i - start + 1
-        if peak > max_intermediate_bytes and block_len > 1:
+        live = sum(outputs[j] for j in range(start, i) if last_use[j] >= i)
+        extended = max(running, live)
+        if extended * dtype_bytes > max_intermediate_bytes and i > start:
             # Close the block before this layer and restart.
-            prev_peak = _block_peak(outputs, last_use, start, i,
-                                    dtype_bytes)
-            blocks.append(LayerBlock(start, i, prev_peak // dtype_bytes))
+            blocks.append(LayerBlock(start, i, peak))
             start = i
-    blocks.append(
-        LayerBlock(start, n,
-                   _block_peak(outputs, last_use, start, n, dtype_bytes)
-                   // dtype_bytes)
-    )
+            running = live = extended = 0
+        running = max(running, outputs[i] + live)
+        peak = extended
+    blocks.append(LayerBlock(start, n, peak))
     return blocks
-
-
-def _block_peak(
-    outputs: Sequence[int],
-    last_use: Sequence[int],
-    start: int,
-    end: int,
-    dtype_bytes: int,
-) -> int:
-    """Peak live intermediate footprint (bytes) of layers [start, end).
-
-    ``outputs[j]`` is layer ``j``'s output size in elements and
-    ``last_use[j]`` its :meth:`ModelGraph.last_use`, computed once per
-    graph by the caller.  The footprint is measured *during* each
-    layer's execution: the outputs of earlier in-block layers still
-    needed at or after layer ``i`` (which includes layer ``i``'s direct
-    input) plus layer ``i``'s own output if it stays in-block (the tail
-    layer's output streams to DRAM under LBM).
-    """
-    peak = 0
-    for i in range(start, end):
-        live = outputs[i] if i < end - 1 else 0
-        for j in range(start, i):
-            if last_use[j] >= i:
-                live += outputs[j]
-        peak = max(peak, live * dtype_bytes)
-    return peak

@@ -139,6 +139,25 @@ class TestCheckBench:
             "baseline 1000"
         ]
 
+    def test_candidate_count_change_fails_mapper_row(self, bench_dirs):
+        # A mapper row that built other candidates mapped other work,
+        # whatever its rate.
+        current, baseline = bench_dirs
+        for directory, name, candidates, rate in (
+            (current, "BENCH_mapper.json", 1213, 5000.0),
+            (baseline, "BENCH_mapper.baseline.json", 1214, 3000.0),
+        ):
+            _write(directory / name, {"caches": {
+                "16MiB": {"layers": 587, "candidates": candidates,
+                          "layers_per_s": rate, "wall_s": 587 / rate},
+            }})
+        failures = check_regression.check_bench(
+            "mapper", 0.30, current_dir=current, baseline_dir=baseline
+        )
+        assert failures == [
+            "mapper/16MiB: built 1213 candidates, baseline 1214"
+        ]
+
     def test_rows_without_event_counts_check_rate_only(self, bench_dirs):
         current, baseline = bench_dirs
         for directory, name, ops in (
@@ -231,7 +250,7 @@ class TestBadInputs:
 class TestMain:
     def test_manifest_covers_all_benches(self):
         assert set(check_regression.MANIFEST) == \
-            {"engine", "scenario", "allocator", "fleet"}
+            {"engine", "scenario", "allocator", "fleet", "mapper"}
         for spec in check_regression.MANIFEST.values():
             baseline = (
                 Path(check_regression.BASELINE_DIR) / spec.baseline

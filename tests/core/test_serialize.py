@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -274,3 +275,38 @@ class TestStableContentHash:
 
         assert stable_content_hash({"a": 1.0}) != \
             stable_content_hash({"a": 1.0000000000000002})
+
+
+class TestSourceDigest:
+    """The salt of every on-disk cache key covers the C batch stepper: an
+    edit to it rebuilds the native module, so results computed by the
+    old module must not be served."""
+
+    def test_changed_c_file_changes_the_digest(self, tmp_path):
+        from repro.core.serialize import source_tree_digest
+
+        (tmp_path / "sim").mkdir()
+        (tmp_path / "engine.py").write_text("x = 1\n")
+        stepper = tmp_path / "sim" / "_batchstep.c"
+        stepper.write_text("int step(void) { return 1; }\n")
+        before = source_tree_digest(tmp_path)
+        assert source_tree_digest(tmp_path) == before
+        stepper.write_text("int step(void) { return 2; }\n")
+        assert source_tree_digest(tmp_path) != before
+
+    def test_other_files_do_not_count(self, tmp_path):
+        from repro.core.serialize import source_tree_digest
+
+        (tmp_path / "engine.py").write_text("x = 1\n")
+        before = source_tree_digest(tmp_path)
+        (tmp_path / "_batchstep.so").write_bytes(b"\x7fELF")
+        (tmp_path / "notes.txt").write_text("scratch\n")
+        assert source_tree_digest(tmp_path) == before
+
+    def test_package_salt_is_the_package_tree_digest(self):
+        from repro.core import serialize
+
+        package_root = Path(serialize.__file__).resolve().parent.parent
+        assert (package_root / "sim" / "_batchstep.c").exists()
+        assert serialize.source_content_salt() == \
+            serialize.source_tree_digest(package_root)

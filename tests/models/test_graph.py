@@ -131,7 +131,8 @@ def reference_segment_into_blocks(graph, max_intermediate_bytes,
                                   dtype_bytes=1):
     """Block segmentation as of version 1.7.0, verbatim: the equivalence
     oracle for :func:`segment_into_blocks`, which computes each layer's
-    last use once per graph instead of once per layer pair."""
+    last use once per graph instead of once per layer pair, and each
+    block's peak in one pass instead of once per layer."""
     blocks = []
     start = 0
     n = len(graph.layers)
@@ -161,7 +162,38 @@ def _reference_block_peak(graph, start, end, dtype_bytes):
     return peak
 
 
+@st.composite
+def skip_graphs(draw):
+    """Chains of matmul and element-wise layers of random output sizes,
+    with random forward skip edges (repeats allowed, as residual adds
+    re-read one producer)."""
+    n_layers = draw(st.integers(1, 14))
+    layers = []
+    for i in range(n_layers):
+        elems = draw(st.integers(1, 4000))
+        if draw(st.booleans()):
+            layers.append(matmul(f"l{i}", elems, draw(st.integers(1, 4)),
+                                 8))
+        else:
+            layers.append(elementwise(f"l{i}", elems))
+    edges = []
+    for _ in range(draw(st.integers(0, 6)) if n_layers > 1 else 0):
+        producer = draw(st.integers(0, n_layers - 2))
+        consumer = draw(st.integers(producer + 1, n_layers - 1))
+        edges.append(SkipEdge(producer, consumer))
+    return ModelGraph(
+        name="random", abbr="RN.", layers=tuple(layers),
+        skip_edges=tuple(edges),
+    )
+
+
 class TestSegmentationMatchesReference:
+    @given(graph=skip_graphs(), budget=st.integers(1, 40000),
+           dtype_bytes=st.sampled_from((1, 2)))
+    def test_random_graph(self, graph, budget, dtype_bytes):
+        assert segment_into_blocks(graph, budget, dtype_bytes) == \
+            reference_segment_into_blocks(graph, budget, dtype_bytes)
+
     @pytest.mark.parametrize("key", BENCHMARK_MODELS)
     def test_zoo_model(self, key):
         # Budgets from one block per layer to one block per model.

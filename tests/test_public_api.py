@@ -35,6 +35,40 @@ class TestPackageSurface:
         ).stdout
         assert out.strip() == "False"
 
+    def test_run_leaves_the_experiment_harnesses_unloaded(self):
+        """``repro.run`` imports only ``repro.experiments.common``: the
+        sweep (with its process pool and logging) and the figure
+        modules load when first named, as the package re-exports do."""
+        src = Path(repro.__file__).resolve().parents[1]
+        unloaded = [
+            "repro.experiments.sweep",
+            "repro.experiments.fig2_motivation",
+            "repro.experiments.fig3_reuse",
+            "repro.experiments.fig7_speedup",
+            "repro.experiments.fig8_scaling",
+            "repro.experiments.fig9_qos",
+            "repro.experiments.table3_area",
+            "multiprocessing",
+            "concurrent.futures.process",
+            "logging",
+        ]
+        script = "\n".join([
+            "import sys, repro",
+            "spec = repro.ScenarioSpec.closed_loop(['MB.'], inferences=1)",
+            "repro.run(spec, policy='camdn-full')",
+            f"print([m for m in {unloaded!r} if m in sys.modules])",
+            "from repro.experiments import run_fig7, sweep",
+            "print(run_fig7.__module__, sweep.__name__)",
+        ])
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "REPRO_MAPPING_CACHE_DIR": ""},
+            capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        assert out == [
+            "[]", "repro.experiments.fig7_speedup repro.experiments.sweep"]
+
     def test_error_hierarchy(self):
         from repro.errors import (
             ConfigError,
