@@ -85,7 +85,7 @@ from .sim import (
     scenario_names,
 )
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "KiB",

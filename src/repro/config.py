@@ -131,11 +131,6 @@ class CacheConfig:
         return self.total_bytes * self.npu_ways // self.num_ways
 
     @property
-    def cpu_subspace_bytes(self) -> int:
-        """Capacity left to general-purpose (CPU) traffic."""
-        return self.total_bytes - self.npu_subspace_bytes
-
-    @property
     def num_pages(self) -> int:
         """Total CaMDN pages available in the NPU subspace."""
         return self.npu_subspace_bytes // self.page_bytes
@@ -164,11 +159,6 @@ class DRAMConfig:
             raise ConfigError("DRAM must have at least one channel")
         if self.access_latency_s < 0:
             raise ConfigError("DRAM latency cannot be negative")
-
-    @property
-    def channel_bandwidth_bytes_per_s(self) -> float:
-        """Bandwidth of a single channel."""
-        return self.total_bandwidth_bytes_per_s / self.num_channels
 
 
 @dataclass(frozen=True)
@@ -215,15 +205,6 @@ class SoCConfig:
             cache=cache,
             dram=self.dram,
             dtype_bytes=self.dtype_bytes,
-        )
-
-    @property
-    def peak_macs_per_s(self) -> float:
-        """Aggregate peak MAC throughput of all NPU cores."""
-        return (
-            self.npu.macs_per_cycle
-            * self.npu.frequency_hz
-            * self.num_npu_cores
         )
 
 

@@ -165,19 +165,10 @@ def save_mapping_file(mapping_file: ModelMappingFile,
                       path: Union[str, Path]) -> Path:
     """Write a mapping file as JSON; returns the path written.
 
-    The write is atomic and durable (temp file + fsync + rename): a
-    writer killed at any instant leaves either the previous content or
-    the complete new content, never a torn file.
+    The write is atomic and durable (:func:`write_text_atomic`).
     """
     path = Path(path)
-    text = mapping_file_to_json(mapping_file)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    try:
-        _write_text_durable(tmp, text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_text_atomic(path, mapping_file_to_json(mapping_file))
     return path
 
 
@@ -254,29 +245,36 @@ def resolve_cache_dir(env_var: str, subdir: str) -> Optional[Path]:
     return root / "camdn-repro" / subdir
 
 
-def _write_text_durable(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` and fsync it (data on disk before the
-    caller publishes the file with a rename)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
+def write_text_atomic(path: Path, text: str) -> None:
+    """Atomic durable write: create the parent directory, write a temp
+    file, fsync it and rename it over ``path``.
+
+    The fsync-before-rename ordering means a writer killed at any
+    instant leaves either the previous content or the complete new
+    content, never a torn file.  On any exception the temp file is
+    removed and the exception re-raised.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(f".tmp.{os.getpid()}")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Best-effort atomic durable write (tmp + fsync + rename); never
-    raises OSError.
+    """Best-effort :func:`write_text_atomic`; never raises OSError.
 
     Persistent caches are optimizations — a failed write must not fail
-    the computation that produced the value.  The fsync-before-rename
-    ordering means a crash at any instant leaves either the old entry or
-    the complete new one, never a torn file.
+    the computation that produced the value.
     """
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        _write_text_durable(tmp, text)
-        os.replace(tmp, path)
+        write_text_atomic(path, text)
     except OSError:
         pass
 

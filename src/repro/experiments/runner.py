@@ -28,12 +28,12 @@ With ``--campaign JOURNAL`` the fleet is journaled and crash-safe;
 the population back up.
 
 ``--campaign FILE`` runs a scenario × policy cell grid under a
-crash-safe write-ahead journal (see
-:class:`~repro.experiments.sweep.CampaignJournal`): every cell start and
-completion is fsync'd to the journal and each result commits atomically,
-so a campaign killed at any instant — SIGKILL included — restarts with
-``--resume FILE``, skipping completed cells and re-running in-flight
-ones, and produces a result grid byte-identical to an uninterrupted run.
+crash-safe journal (see
+:class:`~repro.experiments.sweep.CampaignJournal`): the journal records
+the grid and each cell's result commits atomically and durably as it
+lands, so a campaign killed at any instant — SIGKILL included — restarts
+with ``--resume FILE``, skipping committed cells and re-running the
+rest, and produces a result grid byte-identical to an uninterrupted run.
 ``--deadline-s`` arms a per-cell wall-clock watchdog (a hung cell is
 killed and retried with jittered backoff).
 
@@ -472,8 +472,7 @@ def main(argv=None) -> int:
         metavar="FILE",
         default=None,
         help="run a scenario x policy grid under a crash-safe "
-             "write-ahead journal at FILE (with --fleet: the fleet's "
-             "journal)",
+             "journal at FILE (with --fleet: the fleet's journal)",
     )
     parser.add_argument(
         "--resume",

@@ -49,7 +49,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .. import __version__
 from ..config import SoCConfig
 from ..core.serialize import (
-    _write_text_durable,
     atomic_write_text,
     resolve_cache_dir,
     simulation_result_from_dict,
@@ -58,6 +57,7 @@ from ..core.serialize import (
     soc_config_to_dict,
     source_content_salt,
     stable_content_hash,
+    write_text_atomic,
 )
 from ..errors import WorkloadError
 from ..runconfig import RunConfig, check_seconds
@@ -366,8 +366,7 @@ def _submit_all(pool: ProcessPoolExecutor, fn: Callable,
     pool, and ``submit`` then raises ``BrokenProcessPool``.  That cell
     and every one after it get an already-failed future instead, so the
     caller's per-cell error handling and serial retry take them like any
-    other failed cell.  ``args`` is consumed lazily, one item per
-    submission.
+    other failed cell.
     """
     futures: List[Future] = []
     error: Optional[BrokenProcessPool] = None
@@ -424,18 +423,14 @@ def _execute(
             keys[i] = cell_cache_key(cell, soc)
             results[i] = _load_cached(cache_dir / f"{keys[i]}.json")
             if results[i] is not None and journal is not None:
-                # Hits are journaled like computed results, so the
-                # journal alone always describes the full grid.
-                journal.record_start(i, 0)
-                journal.record_done(i, results[i])
+                # Hits commit like computed results, so the journal's
+                # result files alone always describe the full grid.
+                journal.commit(i, results[i])
     pending = [i for i, r in enumerate(results) if r is None]
     failures: List[Dict[str, object]] = []
 
-    def attempt(i: int, n: int
-                ) -> Tuple[Optional[SimulationResult], Optional[str]]:
-        """Journal and run attempt ``n`` of cell ``i`` in-process."""
-        if journal is not None:
-            journal.record_start(i, n)
+    def attempt(i: int) -> Tuple[Optional[SimulationResult], Optional[str]]:
+        """Run cell ``i`` in-process: its result, or its error."""
         try:
             return _run_cell((cells[i], soc, deadline_s)), None
         except Exception as exc:
@@ -449,15 +444,13 @@ def _execute(
             _LOG.warning("cell %d (%s) failed: %s; retry %d/%d", i,
                          cells[i].policy, error, n, DEFAULT_CELL_RETRIES)
             time.sleep(_retry_backoff_s(i, n))
-            result, error = attempt(i, n)
+            result, error = attempt(i)
         if result is None:
-            if journal is not None:
-                journal.record_failed(i, error)
             failures.append({"index": i, "policy": cells[i].policy,
                              "error": error})
             return
         if journal is not None:
-            journal.record_done(i, result)
+            journal.commit(i, result)
         results[i] = result
         if i in keys:
             _store_cached(cache_dir / f"{keys[i]}.json", result)
@@ -467,30 +460,20 @@ def _execute(
         workers = min(len(pending), os.cpu_count() or 1)
     if workers <= 1 or len(pending) <= 1:
         for i in pending:
-            settle(i, *attempt(i, 0))
+            settle(i, *attempt(i))
     else:
         sharded = shard_size is not None and shard_size > 1
         step = shard_size if sharded else 1
         batches = [pending[k:k + step]
                    for k in range(0, len(pending), step)]
-
-        def submissions():
-            # The start record hits the disk before the attempt is
-            # submitted: a crash during the cell leaves it visibly in
-            # flight, so resume re-runs it.
-            for batch in batches:
-                for i in batch:
-                    if journal is not None:
-                        journal.record_start(i, 0)
-                shard = [cells[i] for i in batch]
-                yield (shard if sharded else shard[0]), soc, deadline_s
+        args = [([cells[i] for i in batch] if sharded else cells[batch[0]],
+                 soc, deadline_s) for batch in batches]
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # One future per cell or shard (not pool.map), so a raising
             # cell or a worker death fails only its own future.
             futures = dict(zip(_submit_all(
-                pool, _run_cell_shard if sharded else _run_cell,
-                submissions(),
+                pool, _run_cell_shard if sharded else _run_cell, args,
             ), batches))
             for future in as_completed(futures):
                 batch = futures[future]
@@ -570,10 +553,10 @@ def run_sweep(
 
 
 # ----------------------------------------------------------------------
-# Crash-safe campaign runner (write-ahead journal + resume)
+# Crash-safe campaign runner (journal + committed results + resume)
 # ----------------------------------------------------------------------
 
-#: Journal format version; bump on any record-shape change.
+#: Journal format version; bump on any change to the header's shape.
 CAMPAIGN_SCHEMA_VERSION = 1
 
 
@@ -607,25 +590,23 @@ def _cell_from_journal(data: dict) -> SweepCell:
 
 
 class CampaignJournal:
-    """Append-only, fsync'd write-ahead journal of one sweep campaign.
+    """Crash-safe record of one sweep campaign: a header file plus one
+    committed result file per finished cell.
 
-    The journal is a JSONL file.  The first record is the header — the
-    full cell grid and SoC, so a resume needs nothing but the journal.
-    Every later record is one of:
+    The journal file is one JSON line, the header: the full cell grid
+    and SoC, so a resume needs nothing but the journal.  A cell is done
+    exactly when its result file ``<stem>.cells/<index>.json`` exists.
+    :meth:`commit` writes it atomically and durably (temp file, fsync,
+    rename), the one durable write per cell, and :meth:`create` writes
+    the header the same way.
 
-    * ``start`` — appended (and fsync'd) *before* a cell attempt runs;
-    * ``done`` — appended *after* the cell's result file is durably
-      committed to the ``<stem>.cells/`` sidecar directory (write
-      temp + fsync + atomic rename), so a ``done`` record always points
-      at a complete result;
-    * ``failed`` — the cell exhausted its retries.
-
-    Crash consistency: records are append-only and individually fsync'd,
-    so a SIGKILL at any instant leaves a valid record prefix plus at
-    most one torn final line, which :meth:`read` tolerates.  A cell with
-    a ``start`` but no ``done`` was in flight at the crash and is simply
-    re-run on resume — cells are deterministic, so the merged grid is
-    byte-identical to an uninterrupted campaign.
+    Crash consistency: a SIGKILL at any instant leaves the header and
+    every committed result complete, and no partial result visible.  A
+    cell without a result file (in flight at the crash, or failed every
+    attempt) simply re-runs on resume — cells are deterministic, so the
+    merged grid is byte-identical to an uninterrupted campaign.
+    Journals written before 1.17 also carry ``start``, ``done`` and
+    ``failed`` records after the header; :meth:`read` ignores them.
     """
 
     def __init__(self, path) -> None:
@@ -636,69 +617,43 @@ class CampaignJournal:
         """Sidecar directory holding per-cell committed results."""
         return self.path.with_name(self.path.stem + ".cells")
 
-    def _append(self, record: dict) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def _open(self):
-        try:
-            return open(self.path, encoding="utf-8", errors="replace")
-        except OSError as exc:
-            raise WorkloadError(
-                f"cannot read campaign journal {self.path}: {exc}"
-            ) from exc
-
     @classmethod
     def create(cls, path, cells: Sequence[SweepCell],
                soc: SoCConfig) -> "CampaignJournal":
         """Start a new journal (refusing to clobber an existing one)."""
         journal = cls(path)
         journal.refuse_existing()
-        journal.path.parent.mkdir(parents=True, exist_ok=True)
-        journal._append({
+        write_text_atomic(journal.path, json.dumps({
             "kind": "header",
             "campaign_schema_version": CAMPAIGN_SCHEMA_VERSION,
             "repro_version": __version__,
             "soc": soc_config_to_dict(soc),
             "cells": [_cell_to_journal(cell) for cell in cells],
-        })
+        }, sort_keys=True) + "\n")
         return journal
 
     def refuse_existing(self) -> None:
-        """Raise :class:`WorkloadError` if the journal exists: a new
-        campaign never clobbers one that can still be resumed."""
+        """Raise :class:`WorkloadError` if the journal or its result
+        directory exists: a new campaign never clobbers one that can
+        still be resumed, and never takes results it did not compute
+        (a leftover ``<stem>.cells/`` would count as done cells)."""
         if self.path.exists():
             raise WorkloadError(
                 f"campaign journal {self.path} already exists; "
                 f"resume it (--resume) or remove it first"
             )
-
-    def record_start(self, index: int, attempt: int) -> None:
-        self._append({"kind": "start", "index": index,
-                      "attempt": attempt})
-
-    def record_done(self, index: int, result: SimulationResult) -> None:
-        # Write-ahead ordering: the result is durable on disk before the
-        # journal record that marks the cell complete.
-        self.result_dir.mkdir(parents=True, exist_ok=True)
-        path = self.result_dir / f"{index}.json"
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            _write_text_durable(
-                tmp,
-                json.dumps(simulation_result_to_dict(result),
-                           sort_keys=True),
+        if self.result_dir.exists():
+            raise WorkloadError(
+                f"campaign result directory {self.result_dir} already "
+                f"exists without its journal; remove it first"
             )
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        self._append({"kind": "done", "index": index})
 
-    def record_failed(self, index: int, error: str) -> None:
-        self._append({"kind": "failed", "index": index, "error": error})
+    def commit(self, index: int, result: SimulationResult) -> None:
+        """Durably commit one cell's result, which marks it done."""
+        write_text_atomic(
+            self.result_dir / f"{index}.json",
+            json.dumps(simulation_result_to_dict(result), sort_keys=True),
+        )
 
     def load_result(self, index: int) -> Optional[SimulationResult]:
         """The committed result of one cell, or ``None``."""
@@ -714,8 +669,13 @@ class CampaignJournal:
             WorkloadError: the file is unreadable, not a campaign
                 journal, or an unsupported schema version.
         """
-        with self._open() as fh:
-            first = fh.readline()
+        try:
+            with open(self.path, encoding="utf-8", errors="replace") as fh:
+                first = fh.readline()
+        except OSError as exc:
+            raise WorkloadError(
+                f"cannot read campaign journal {self.path}: {exc}"
+            ) from exc
         try:
             header = json.loads(first)
         except ValueError:
@@ -731,52 +691,25 @@ class CampaignJournal:
         return ([_cell_from_journal(d) for d in header["cells"]],
                 soc_config_from_dict(header["soc"]))
 
-    def read(self) -> tuple:
-        """Parse the journal: ``(cells, soc, done, failed, started)``.
+    def read(self) -> Tuple[List[SweepCell], SoCConfig,
+                            Dict[int, SimulationResult]]:
+        """``(cells, soc, done)``: the header's grid and SoC, and the
+        committed result of every done cell by index.
 
-        ``cells`` and ``soc`` come from :meth:`header`.  ``done`` maps
-        cell index to its reloaded result; ``failed`` maps index to the
-        last error string; ``started`` is every index with at least one
-        attempt on record.  A torn final line (crash mid-append) ends
-        the readable prefix and is ignored.
+        Each cell's result file is loaded once, so a resume costs
+        O(cells).  A result file that cannot be read counts as not done
+        (the cell re-runs).
 
         Raises:
             WorkloadError: as :meth:`header`.
         """
         cells, soc = self.header()
-        with self._open() as fh:
-            lines = fh.read().splitlines()[1:]
         done: Dict[int, SimulationResult] = {}
-        failed: Dict[int, str] = {}
-        started = set()
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                # Append-only file: everything before the torn tail is
-                # intact; the interrupted attempt simply re-runs.
-                break
-            kind = rec.get("kind")
-            index = rec.get("index")
-            if not isinstance(index, int) or not 0 <= index < len(cells):
-                continue
-            if kind == "start":
-                started.add(index)
-                failed.pop(index, None)
-            elif kind == "done":
-                # Dedupe: repeated resume cycles append a fresh ``done``
-                # per cell each time (cache hits re-journal).  Loading
-                # the result file once per *cell*, not once per record,
-                # keeps replay O(cells) however long the journal grows.
-                if index not in done:
-                    result = self.load_result(index)
-                    if result is not None:
-                        done[index] = result
-            elif kind == "failed":
-                failed[index] = str(rec.get("error", ""))
-        return cells, soc, done, failed, started
+        for index in range(len(cells)):
+            result = self.load_result(index)
+            if result is not None:
+                done[index] = result
+        return cells, soc, done
 
 
 def run_campaign(
@@ -787,31 +720,33 @@ def run_campaign(
     use_cache: bool = True,
     deadline_s: Optional[float] = None,
 ) -> List[Optional[SimulationResult]]:
-    """Run a cell grid under a crash-safe write-ahead journal.
+    """Run a cell grid under a crash-safe journal.
 
-    Semantically :func:`run_sweep` plus durability: every cell start and
-    completion is journaled (see :class:`CampaignJournal`), each result
-    is committed atomically as it lands, and a campaign killed at any
-    instant resumes from the journal with :func:`resume_campaign`,
-    skipping completed cells and re-running in-flight ones — producing a
+    Semantically :func:`run_sweep` plus durability: the journal header
+    records the grid, each result is committed atomically and durably
+    as it lands (see :class:`CampaignJournal`), and a campaign killed at
+    any instant resumes from the journal with :func:`resume_campaign`,
+    skipping committed cells and re-running the rest — producing a
     result grid byte-identical to an uninterrupted campaign.  Failed
     cells are retried and reported as in :func:`run_sweep`.
 
     Args:
         cells: the grid points to simulate.
-        journal_path: where to write the journal (must not exist yet);
-            results commit to the ``<stem>.cells/`` sidecar directory.
+        journal_path: where to write the journal; results commit to
+            the ``<stem>.cells/`` sidecar directory.  Neither may exist
+            yet.
         soc: base hardware configuration (defaults to paper Table II).
         max_workers: process count (as :func:`run_sweep`).
         use_cache: consult/populate the persistent cell cache; hits are
-            journaled like computed results.
+            committed like computed results.
         deadline_s: per-cell wall-clock watchdog — a cell exceeding it
             is killed (diagnostic engine error) and retried with
             jittered backoff like any other failure.
 
     Raises:
         WorkloadError: ``deadline_s`` is negative or NaN (before the
-            journal is created), or the journal already exists.
+            journal is created), or the journal or its result directory
+            already exists.
     """
     check_seconds("deadline_s", deadline_s)
     soc = soc or SoCConfig()
@@ -829,9 +764,10 @@ def resume_campaign(
 ) -> List[Optional[SimulationResult]]:
     """Resume a crashed (or previously failed) campaign from its journal.
 
-    Completed cells are served from their committed result files;
-    in-flight and failed cells re-run.  Cells are deterministic, so the
-    merged grid is byte-identical to an uninterrupted campaign.
+    Cells with a committed result file are served from it; every other
+    cell (in flight at a crash, or failed) re-runs.  Cells are
+    deterministic, so the merged grid is byte-identical to an
+    uninterrupted campaign.
 
     Raises:
         WorkloadError: ``deadline_s`` is negative or NaN (before the
@@ -840,6 +776,6 @@ def resume_campaign(
     """
     check_seconds("deadline_s", deadline_s)
     journal = CampaignJournal(journal_path)
-    cells, soc, done, _failed, _started = journal.read()
+    cells, soc, done = journal.read()
     return _execute(cells, soc, journal, done, max_workers, use_cache,
                     deadline_s, None)

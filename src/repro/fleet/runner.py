@@ -8,7 +8,7 @@ campaign cells and runs them through the existing sweep machinery:
   thousands of tiny device cells amortize worker dispatch.  Shards
   apply only here.
 * **Journaled fleets** go through the crash-safe campaign runner
-  (:func:`~repro.experiments.sweep.run_campaign`), which journals and
+  (:func:`~repro.experiments.sweep.run_campaign`), which commits and
   dispatches every cell on its own; a ``.fleet.json`` sidecar written
   next to the journal records the spec (plus its content hash), so
   :func:`resume_fleet` — or ``--resume`` on the CLI — picks a SIGKILLed
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..config import SoCConfig
-from ..core.serialize import atomic_write_text, fleet_spec_content_hash
+from ..core.serialize import fleet_spec_content_hash, write_text_atomic
 from ..errors import WorkloadError
 from ..experiments.sweep import (
     CampaignJournal,
@@ -53,13 +53,18 @@ def fleet_sidecar_path(journal_path) -> Path:
 
 
 def write_fleet_sidecar(journal_path, spec: FleetSpec) -> Path:
-    """Durably record the fleet spec next to its journal (atomic)."""
+    """Durably record the fleet spec next to its journal (atomic).
+
+    Raises:
+        OSError: the sidecar could not be written (no temp file is left
+            behind); a fleet without its sidecar cannot be resumed.
+    """
     sidecar = fleet_sidecar_path(journal_path)
     payload = {
         "fleet": spec.to_dict(),
         "content_hash": fleet_spec_content_hash(spec),
     }
-    atomic_write_text(sidecar, json.dumps(payload, sort_keys=True))
+    write_text_atomic(sidecar, json.dumps(payload, sort_keys=True))
     return sidecar
 
 

@@ -1,8 +1,7 @@
 """NPU substrate: systolic-array timing."""
 
-from .systolic import SystolicModel, compute_cycles
+from .systolic import SystolicModel
 
 __all__ = [
     "SystolicModel",
-    "compute_cycles",
 ]

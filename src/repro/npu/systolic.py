@@ -48,34 +48,3 @@ class SystolicModel:
             cycles = math.ceil(cycles / self.npu.dwconv_efficiency) \
                 if self.npu.dwconv_efficiency < 1.0 else cycles
         return max(cycles, 1)
-
-    def layer_time_s(self, layer: LayerSpec, num_cores: int = 1,
-                     parallel_efficiency: float = 0.85) -> float:
-        """Wall-clock compute time for ``layer`` on ``num_cores`` cores.
-
-        Multi-core execution tiles the output space across cores; scaling is
-        sub-linear (``parallel_efficiency`` per added core, matching the
-        diminishing returns AuRORA reports for core fission).
-        """
-        cycles = self.layer_cycles(layer)
-        if num_cores <= 1:
-            effective = float(cycles)
-        else:
-            speedup = 1.0 + parallel_efficiency * (num_cores - 1)
-            effective = cycles / speedup
-        return effective / self.npu.frequency_hz
-
-    def model_cycles(self, layers) -> int:
-        """Total single-core cycles for an iterable of layers."""
-        return sum(self.layer_cycles(layer) for layer in layers)
-
-    def utilization(self, layer: LayerSpec) -> float:
-        """Achieved MACs/cycle over peak MACs/cycle for ``layer``."""
-        cycles = self.layer_cycles(layer)
-        peak = self.npu.macs_per_cycle
-        return layer.macs / (cycles * peak)
-
-
-def compute_cycles(layer: LayerSpec, npu: NPUConfig | None = None) -> int:
-    """Convenience wrapper: cycles for ``layer`` under ``npu`` (or default)."""
-    return SystolicModel(npu or NPUConfig()).layer_cycles(layer)

@@ -451,14 +451,6 @@ class MultiTenantEngine:
 
         return EngineSnapshot.capture(self)
 
-    @classmethod
-    def resume(cls, snapshot, use_native: Optional[bool] = None
-               ) -> "MultiTenantEngine":
-        """Reconstruct a runnable engine from an
-        :class:`~repro.sim.snapshot.EngineSnapshot`; continue it with
-        :meth:`resume_run`."""
-        return snapshot.resume(use_native=use_native)
-
     def _setup_checkpoints(self, every_s: Optional[float],
                            directory: Optional[str],
                            at_events: Optional[int],

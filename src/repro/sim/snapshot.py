@@ -43,7 +43,6 @@ import base64
 import hashlib
 import io
 import json
-import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
@@ -211,17 +210,10 @@ class EngineSnapshot:
         """Write the envelope atomically and durably (tmp + fsync +
         rename): a crash mid-write leaves the previous checkpoint (or
         nothing), never a torn file."""
-        from ..core.serialize import _write_text_durable
+        from ..core.serialize import write_text_atomic
 
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            _write_text_durable(tmp, self.to_json())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        write_text_atomic(path, self.to_json())
         return path
 
     @classmethod

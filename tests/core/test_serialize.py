@@ -1,7 +1,9 @@
 """Tests for mapping-file JSON serialization."""
 
 import dataclasses
+import errno
 import json
+import os
 import re
 from pathlib import Path
 
@@ -12,11 +14,13 @@ from repro.core.mapper.layer_mapper import LayerMapper
 from repro.core.mct import CacheMapEntry, LoopLevel
 from repro.core.serialize import (
     SCHEMA_VERSION,
+    atomic_write_text,
     load_mapping_file,
     mapping_file_from_dict,
     mapping_file_to_dict,
     mapping_file_to_json,
     save_mapping_file,
+    write_text_atomic,
 )
 from repro.errors import MappingError
 from repro.models.zoo import build_model, load_benchmark_suite
@@ -310,3 +314,29 @@ class TestSourceDigest:
         assert (package_root / "sim" / "_batchstep.c").exists()
         assert serialize.source_content_salt() == \
             serialize.source_tree_digest(package_root)
+
+
+class TestAtomicWriters:
+    """One durable writer, temp file + fsync + rename: it raises when
+    the write fails, and the cache writer built on it swallows the
+    error; neither leaves its temp file behind."""
+
+    @pytest.fixture
+    def full_disk(self, monkeypatch):
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", no_space)
+
+    def test_failed_write_raises_and_keeps_the_old_file(self, tmp_path,
+                                                        full_disk):
+        target = tmp_path / "entry.json"
+        target.write_text("old")
+        with pytest.raises(OSError, match="No space"):
+            write_text_atomic(target, "new")
+        assert target.read_text() == "old"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_cache_writer_swallows_the_failure(self, tmp_path, full_disk):
+        atomic_write_text(tmp_path / "entry.json", "new")
+        assert list(tmp_path.iterdir()) == []

@@ -1,13 +1,14 @@
 """Crash-safe campaign runner: journal semantics, resume, SIGKILL.
 
 The campaign bar, stated as tests: a campaign killed at any instant —
-hard SIGKILL included — resumes from its append-only fsync'd journal
-with no duplicated and no lost cells, and the merged result grid is
-byte-identical to an uninterrupted campaign.  The journal tolerates a
-torn final line (a crash mid-append), refuses foreign files and
-unknown schema versions, and a writer killed between writing a result
-and publishing it never leaves a partial entry visible (atomic
-temp + fsync + rename everywhere).
+hard SIGKILL included — resumes from its journal with no duplicated
+and no lost cells, and the merged result grid is byte-identical to an
+uninterrupted campaign.  The journal is its header line; a cell is
+done when its result file is committed, the one durable write per
+cell.  The journal refuses foreign files and unknown schema versions,
+reads journals written by 1.14–1.16 (whose records it ignores), and a
+writer killed between writing a result and publishing it never leaves
+a partial entry visible (atomic temp + fsync + rename everywhere).
 """
 
 import json
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.serialize import simulation_result_to_dict
 from repro.errors import WorkloadError
 from repro.experiments import sweep
 from repro.experiments.sweep import (
@@ -80,6 +82,15 @@ def _always_fail(item):
     raise RuntimeError("cell should have been served, not simulated")
 
 
+def _journal_lines(path) -> int:
+    return len(Path(path).read_text().splitlines())
+
+
+def _committed(journal: CampaignJournal):
+    """Indices of the cells whose result file is committed."""
+    return sorted(int(p.stem) for p in journal.result_dir.glob("*.json"))
+
+
 class TestCampaignJournal:
     def test_create_refuses_clobber(self, tmp_path):
         path = tmp_path / "run.journal"
@@ -97,10 +108,11 @@ class TestCampaignJournal:
         ]
         soc = sweep.SoCConfig()
         journal = CampaignJournal.create(tmp_path / "j", cells, soc)
-        again, soc_again, done, failed, started = journal.read()
+        again, soc_again, done = journal.read()
         assert again == cells
         assert soc_again == soc
-        assert done == {} and failed == {} and started == set()
+        assert done == {}
+        assert _journal_lines(tmp_path / "j") == 1
 
     def test_not_a_journal_rejected(self, tmp_path):
         path = tmp_path / "garbage"
@@ -125,29 +137,99 @@ class TestCampaignJournal:
             journal.read()
 
     def test_torn_final_line_tolerated(self, tmp_path):
-        """A crash mid-append leaves a torn tail; the intact prefix
-        still reads, and the interrupted cell is simply in flight."""
+        """A crash mid-append to a pre-1.17 journal leaves a torn tail;
+        the header still reads and the torn record counts for
+        nothing."""
         path = tmp_path / "j"
         journal = CampaignJournal.create(path, _cells(),
                                          sweep.SoCConfig())
-        journal.record_start(0, 0)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"kind": "done", "ind')  # torn mid-record
-        cells, _soc, done, failed, started = journal.read()
-        assert len(cells) == 2
-        assert started == {0}
-        assert done == {} and failed == {}
-
-    def test_done_without_result_file_reruns(self, tmp_path):
-        """A done record whose result file is missing or corrupt does
-        not count as completed (the cell re-runs on resume)."""
-        path = tmp_path / "j"
-        journal = CampaignJournal.create(path, _cells(),
-                                         sweep.SoCConfig())
-        journal.record_start(0, 0)
-        journal._append({"kind": "done", "index": 0})
-        _cells_, _soc, done, _failed, _started = journal.read()
+        cells, _soc, done = journal.read()
+        assert cells == _cells()
         assert done == {}
+
+    def test_done_without_result_file_reruns(self, tmp_path,
+                                             monkeypatch):
+        """A done record whose result file is missing, or a result file
+        that cannot be parsed, does not count as completed: both cells
+        re-run on resume and the grid is the uninterrupted one."""
+        cells = _cells()
+        reference = run_sweep(cells, max_workers=1, use_cache=False)
+        path = tmp_path / "j"
+        journal = CampaignJournal.create(path, cells, sweep.SoCConfig())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"kind": "done", "index": 0}) + "\n")
+        journal.result_dir.mkdir()
+        (journal.result_dir / "1.json").write_text('{"policy": "mo')
+        _cells_, _soc, done = journal.read()
+        assert done == {}
+        ran = []
+
+        def recording_run_cell(item):
+            ran.append(item[0])
+            return _REAL_RUN_CELL(item)
+
+        monkeypatch.setattr(sweep, "_run_cell", recording_run_cell)
+        resumed = resume_campaign(path, max_workers=1, use_cache=False)
+        assert sorted(ran, key=cells.index) == cells
+        assert _grid(resumed) == _grid(reference)
+        assert _committed(journal) == [0, 1]
+
+    def test_leftover_result_dir_refused(self, tmp_path, monkeypatch):
+        """A result file marks its cell done, so a ``<stem>.cells/``
+        left behind by a removed journal is refused, not adopted as
+        this campaign's results."""
+        path = tmp_path / "j"
+        CampaignJournal(path).result_dir.mkdir()
+        monkeypatch.setattr(sweep, "_run_cell", _always_fail)
+        with pytest.raises(WorkloadError, match="already exists"):
+            run_campaign(_cells(), path, max_workers=1, use_cache=False)
+        assert not path.exists()
+
+    def test_journal_from_1_16_resumes(self, tmp_path, monkeypatch):
+        """A 1.16.0 journal carries start, done and failed records and
+        may end in a torn line.  Only result files count: a done record
+        whose file is missing re-runs its cell, a result file whose done
+        record was never appended is served, and the grid is the
+        uninterrupted one."""
+        cells = _cells(("baseline", "moca", "camdn-full"))
+        reference = run_sweep(cells, max_workers=1, use_cache=False)
+        path = tmp_path / "j"
+        journal = CampaignJournal.create(path, cells, sweep.SoCConfig())
+        journal.result_dir.mkdir()
+        for index in (0, 2):
+            (journal.result_dir / f"{index}.json").write_text(json.dumps(
+                simulation_result_to_dict(reference[index]),
+                sort_keys=True,
+            ))
+        records = [
+            {"kind": "start", "index": 0, "attempt": 0},
+            {"kind": "done", "index": 0},
+            {"kind": "start", "index": 1, "attempt": 0},
+            {"kind": "failed", "index": 1, "error": "RuntimeError: x"},
+            {"kind": "start", "index": 1, "attempt": 0},
+            {"kind": "done", "index": 1},  # its result file is missing
+            {"kind": "start", "index": 2, "attempt": 0},
+        ]
+        with open(path, "a", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write('{"kind": "done", "ind')  # torn mid-record
+
+        _cells_, _soc, done = journal.read()
+        assert sorted(done) == [0, 2]
+        ran = []
+
+        def recording_run_cell(item):
+            ran.append(item[0])
+            return _REAL_RUN_CELL(item)
+
+        monkeypatch.setattr(sweep, "_run_cell", recording_run_cell)
+        resumed = resume_campaign(path, max_workers=1, use_cache=False)
+        assert ran == [cells[1]]
+        assert _grid(resumed) == _grid(reference)
+        assert _committed(journal) == [0, 1, 2]
 
 
 class TestCampaignRun:
@@ -161,14 +243,15 @@ class TestCampaignRun:
         stats = last_sweep_stats()
         assert stats["failed_cells"] == 0.0
         assert stats["recovered_cells"] == 0.0
-        # Every cell is journaled done with a committed result file.
+        # Every cell is done through its committed result file, and the
+        # journal is its header alone.
         journal = CampaignJournal(tmp_path / "run.journal")
-        _c, _s, done, _f, started = journal.read()
+        _c, _s, done = journal.read()
         assert sorted(done) == [0, 1, 2]
-        assert started == {0, 1, 2}
         assert sorted(journal.result_dir.glob("*.json")) == [
             journal.result_dir / f"{i}.json" for i in range(3)
         ]
+        assert _journal_lines(journal.path) == 1
 
     def test_resume_serves_completed_cells_without_rerunning(
         self, tmp_path, monkeypatch
@@ -197,7 +280,7 @@ class TestCampaignRun:
 
     def test_failed_cell_recorded_then_resumed(self, tmp_path,
                                                monkeypatch):
-        """A cell that exhausts its retries is journaled failed (and
+        """A cell that exhausts its retries commits no result file (and
         exits the grid as None); a later resume re-runs just that cell
         and completes the grid byte-identically to a clean run."""
         cells = _cells(("baseline", "moca"))
@@ -207,9 +290,8 @@ class TestCampaignRun:
                                use_cache=False)
         assert results == [None, None]
         assert last_sweep_stats()["failed_cells"] == 2.0
-        _c, _s, _done, failed, _started = \
-            CampaignJournal(tmp_path / "j").read()
-        assert sorted(failed) == [0, 1]
+        assert _committed(CampaignJournal(tmp_path / "j")) == []
+        assert _journal_lines(tmp_path / "j") == 1
         monkeypatch.setattr(sweep, "_run_cell", _REAL_RUN_CELL)
         resumed = resume_campaign(tmp_path / "j", max_workers=1,
                                   use_cache=False)
@@ -261,8 +343,8 @@ class TestCampaignRun:
 
     def test_cache_hits_are_journaled_as_done(self, tmp_path,
                                               monkeypatch):
-        """A cell served from the persistent sweep cache is journaled
-        start+done like a computed one, so the journal alone always
+        """A cell served from the persistent sweep cache commits its
+        result file like a computed one, so the journal alone always
         describes the full grid."""
         monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR",
                            str(tmp_path / "cache"))
@@ -271,9 +353,51 @@ class TestCampaignRun:
         monkeypatch.setattr(sweep, "_run_cell", _always_fail)
         results = run_campaign(cells, tmp_path / "j", max_workers=1)
         assert _grid(results) == _grid(reference)
-        _c, _s, done, _f, _started = \
-            CampaignJournal(tmp_path / "j").read()
+        journal = CampaignJournal(tmp_path / "j")
+        _c, _s, done = journal.read()
         assert sorted(done) == [0]
+        assert _committed(journal) == [0]
+        assert _journal_lines(journal.path) == 1
+
+
+def _count_fsyncs(monkeypatch) -> list:
+    """Wrap ``os.fsync``; every call appends its descriptor to the list
+    returned."""
+    calls = []
+    real_fsync = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting)
+    return calls
+
+
+class TestOneDurableWritePerCell:
+    """A campaign fsyncs its header once and each cell's result file
+    once, whether the cell was computed or served from the cache.  The
+    sweeps run first warm the in-process mapping memo, so no
+    mapping-cache write lands inside a counted campaign."""
+
+    def test_computed_cells(self, tmp_path, monkeypatch):
+        cells = _cells(("baseline", "moca", "camdn-full"))
+        reference = run_sweep(cells, max_workers=1, use_cache=False)
+        fsyncs = _count_fsyncs(monkeypatch)
+        results = run_campaign(cells, tmp_path / "j", max_workers=1,
+                               use_cache=False)
+        assert _grid(results) == _grid(reference)
+        assert len(fsyncs) == 1 + 3  # the header, then each result
+
+    def test_cache_hit(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR",
+                           str(tmp_path / "cache"))
+        cells = _cells(("baseline",))
+        run_sweep(cells, max_workers=1)  # populates cache
+        fsyncs = _count_fsyncs(monkeypatch)
+        monkeypatch.setattr(sweep, "_run_cell", _always_fail)
+        run_campaign(cells, tmp_path / "j", max_workers=1)
+        assert len(fsyncs) == 1 + 1  # the header, then the hit's result
 
 
 class TestAtomicWriterKill:
@@ -353,12 +477,7 @@ class TestCampaignSigkillResume:
                 if line.startswith('{"cell"')]
 
     def _done_count(self, journal: Path) -> int:
-        if not journal.exists():
-            return 0
-        return sum(
-            1 for line in journal.read_text(errors="replace")
-            .splitlines() if '"kind": "done"' in line
-        )
+        return len(list(CampaignJournal(journal).result_dir.glob("*.json")))
 
     def test_sigkilled_campaign_resumes_byte_identically(
         self, tmp_path
@@ -406,9 +525,8 @@ class TestCampaignSigkillResume:
 
         # No lost or duplicated cells: every index committed exactly
         # once in the merged journal state.
-        _c, _s, done, failed, _started = CampaignJournal(journal).read()
+        _c, _s, done = CampaignJournal(journal).read()
         assert sorted(done) == list(range(self.NUM_CELLS))
-        assert failed == {}
 
 
 class TestRunnerExitCodes:

@@ -5,11 +5,12 @@ SIGKILL mid-population included — and resume to the byte-identical
 population summary.  The sidecar carrying the fleet spec is content-
 hashed, so a tampered or foreign journal is refused instead of
 silently aggregated wrong.  Resume must also stay O(cells) however
-bloated the journal gets (a long crash-resume-crash history appends
-hundreds of redundant records).
+bloated a journal written by 1.14–1.16 got (a long crash-resume-crash
+history appended hundreds of redundant records).
 """
 
 import dataclasses
+import errno
 import json
 import os
 import signal
@@ -139,7 +140,7 @@ class TestJournalCompaction:
             lambda self, index: loads.append(index)
             or real_load(self, index),
         )
-        _cells, _soc, done, _failed, _started = journal.read()
+        _cells, _soc, done = journal.read()
         assert sorted(done) == list(range(spec.num_cells))
         assert sorted(loads) == list(range(spec.num_cells))
 
@@ -187,12 +188,7 @@ class TestFleetSigkillResume:
         return line
 
     def _done_count(self, journal: Path) -> int:
-        if not journal.exists():
-            return 0
-        return sum(
-            1 for line in journal.read_text(errors="replace")
-            .splitlines() if '"kind": "done"' in line
-        )
+        return len(list(CampaignJournal(journal).result_dir.glob("*.json")))
 
     def _spec_file(self, tmp_path: Path) -> Path:
         spec_file = tmp_path / "fleet.json"
@@ -245,9 +241,8 @@ class TestFleetSigkillResume:
         assert self._fleet_line(res.stdout) == ref_line
 
         # Every device committed exactly once in the merged journal.
-        _c, _s, done, failed, _started = CampaignJournal(journal).read()
+        _c, _s, done = CampaignJournal(journal).read()
         assert sorted(done) == list(range(self.DEVICES))
-        assert failed == {}
 
 
 class TestResumeValidation:
@@ -297,6 +292,42 @@ class TestResumeValidation:
         assert read_fleet_sidecar(journal) == first
         assert resume_fleet(journal, max_workers=1,
                             use_cache=False).spec == first
+
+    def test_leftover_result_dir_refused_before_the_sidecar(
+        self, tmp_path, monkeypatch
+    ):
+        """A ``<stem>.cells/`` left without its journal would count as
+        committed devices, so a new fleet there is refused before it
+        writes its sidecar or journal, or runs a cell."""
+        journal = tmp_path / "f.journal"
+        CampaignJournal(journal).result_dir.mkdir()
+        calls = []
+        monkeypatch.setattr(sweep, "_run_cell", calls.append)
+        with pytest.raises(WorkloadError, match="already exists"):
+            run_fleet(tiny_fleet(devices=2), journal_path=journal,
+                      max_workers=1, use_cache=False)
+        assert calls == []
+        assert not journal.exists()
+        assert not fleet_sidecar_path(journal).exists()
+
+    def test_failed_sidecar_write_raises_before_any_cell_runs(
+        self, tmp_path, monkeypatch
+    ):
+        """The sidecar is the fleet's only record of its spec: when its
+        durable write fails, the fleet raises before any cell runs and
+        leaves no journal and no temp file behind."""
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", no_space)
+        calls = []
+        monkeypatch.setattr(sweep, "_run_cell", calls.append)
+        with pytest.raises(OSError, match="No space"):
+            run_fleet(tiny_fleet(devices=2),
+                      journal_path=tmp_path / "f.journal",
+                      max_workers=1, use_cache=False)
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_soc_passthrough(self, tmp_path):
         """A non-default base SoC flows into journaled cells and back

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import NPUConfig
-from repro.models.layers import conv2d, dwconv2d, elementwise, matmul
-from repro.npu.systolic import SystolicModel, compute_cycles
+from repro.models.layers import conv2d, dwconv2d, elementwise
+from repro.npu.systolic import SystolicModel
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +53,11 @@ class TestLayerCycles:
         dense = conv2d("c", 28, 28, 32, 32, kernel=3)
         dw = dwconv2d("d", 28, 28, 32, kernel=3)
         # Depth-wise achieves far fewer MACs/cycle than dense conv.
-        dense_util = model.utilization(dense)
-        dw_util = model.utilization(dw)
-        assert dw_util < dense_util
+        def utilization(layer):
+            return layer.macs / (model.layer_cycles(layer)
+                                 * model.npu.macs_per_cycle)
+
+        assert utilization(dw) < utilization(dense)
 
     def test_attention_groups_multiply(self, model):
         from repro.models.layers import attention_matmul
@@ -69,41 +71,18 @@ class TestLayerCycles:
         assert model.layer_cycles(layer) >= 1
 
 
-class TestLayerTime:
-    def test_multi_core_sublinear(self, model):
-        layer = matmul("m", 1024, 1024, 1024)
-        one = model.layer_time_s(layer, num_cores=1)
-        two = model.layer_time_s(layer, num_cores=2)
-        assert one / 2 < two < one
-
-    def test_frequency_scaling(self):
-        layer = matmul("m", 256, 256, 256)
-        slow = SystolicModel(NPUConfig(frequency_hz=5e8))
-        fast = SystolicModel(NPUConfig(frequency_hz=1e9))
-        assert slow.layer_time_s(layer) == \
-            pytest.approx(2 * fast.layer_time_s(layer))
-
-    def test_model_cycles_sums(self, model, mobilenet):
-        total = model.model_cycles(mobilenet.layers)
-        assert total == sum(
-            model.layer_cycles(layer) for layer in mobilenet.layers
-        )
-
-
-class TestConvenience:
-    def test_compute_cycles_default_config(self):
-        layer = matmul("m", 64, 64, 64)
-        assert compute_cycles(layer) == \
-            SystolicModel(NPUConfig()).layer_cycles(layer)
+def model_cycles(model, graph) -> int:
+    """Total single-core cycles of a model's layers."""
+    return sum(model.layer_cycles(layer) for layer in graph.layers)
 
 
 class TestPaperScaleSanity:
     """Single-core compute times must be commensurate with QoS targets."""
 
     def test_resnet_under_qos(self, model, resnet):
-        time_s = model.model_cycles(resnet.layers) / 1e9
+        time_s = model_cycles(model, resnet) / 1e9
         assert time_s < resnet.qos_target_ms * 1e-3
 
     def test_mobilenet_fast(self, model, mobilenet):
-        time_s = model.model_cycles(mobilenet.layers) / 1e9
+        time_s = model_cycles(model, mobilenet) / 1e9
         assert time_s < 2.8e-3

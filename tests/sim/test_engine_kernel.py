@@ -244,10 +244,6 @@ class TestRemovedStepPathPin:
                               ScenarioWorkload(spec),
                               **{self.PIN: "list"})
 
-    def test_engine_resume_rejects_pin(self, snapshot):
-        with pytest.raises(TypeError, match=self.PIN):
-            MultiTenantEngine.resume(snapshot, **{self.PIN: "list"})
-
     def test_snapshot_resume_rejects_pin(self, snapshot):
         with pytest.raises(TypeError, match=self.PIN):
             snapshot.resume(**{self.PIN: "list"})

@@ -398,7 +398,7 @@ class TestNativeSwitch:
                                    ScenarioWorkload(spec))
         snapshot = engine.run(snapshot_at_events=200).last_snapshot
         calls.update(batch=0, step=0)
-        MultiTenantEngine.resume(snapshot, use_native=False).resume_run()
+        snapshot.resume(use_native=False).resume_run()
         assert calls == {"batch": 0, "step": 0}
 
     @needs_native
@@ -610,7 +610,7 @@ class TestPythonPassesStartWithDeclines:
         whole = engine.run(snapshot_at_events=2000)
         firsts = _watch_python_passes(monkeypatch)
         clear_prepared_caches()
-        resumed = MultiTenantEngine.resume(whole.last_snapshot)
+        resumed = whole.last_snapshot.resume()
         assert _metrics_json(resumed.resume_run()) == _metrics_json(whole)
         assert "last" in firsts
         assert "granted" not in firsts

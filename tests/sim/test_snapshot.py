@@ -26,7 +26,6 @@ from repro.errors import SnapshotError
 from repro.experiments.common import run_scenario
 from repro.runconfig import RunConfig
 from repro.sim import native
-from repro.sim.engine import MultiTenantEngine
 from repro.sim.faults import get_fault_schedule
 from repro.sim.scenario import (
     ArrivalProcess,
@@ -164,9 +163,10 @@ class TestSnapshotSlackKernels:
 
 
 class TestEngineSnapshotAPI:
-    """The engine-level convenience hooks mirror the snapshot module."""
+    """A snapshot resumes into an engine whose ``resume_run`` finishes
+    the run."""
 
-    def test_engine_resume_classmethod(self):
+    def test_resume_on_the_default_path(self):
         spec = get_scenario("steady-quad").scaled(GRID_SCALE)
         clean = run_scenario(spec, policy="camdn-full")
         snapped = run_scenario(
@@ -174,7 +174,7 @@ class TestEngineSnapshotAPI:
             config=RunConfig(
                 snapshot_at_events=clean.events_processed // 2),
         )
-        engine = MultiTenantEngine.resume(snapped.last_snapshot)
+        engine = snapped.last_snapshot.resume()
         assert _summary(engine.resume_run()) == _summary(clean)
 
     def test_resume_forces_python_kernel_identically(self):

@@ -58,7 +58,6 @@ class TestCacheGeometry:
     def test_npu_subspace(self):
         cache = CacheConfig()
         assert cache.npu_subspace_bytes == 12 * MiB
-        assert cache.cpu_subspace_bytes == 4 * MiB
 
     def test_num_pages(self):
         # 12 MiB NPU subspace / 32 KiB pages = 384 pages.
@@ -101,11 +100,6 @@ class TestNPUConfig:
 
 
 class TestDRAMConfig:
-    def test_channel_bandwidth(self):
-        dram = DRAMConfig()
-        assert dram.channel_bandwidth_bytes_per_s == \
-            pytest.approx(102.4e9 / 4)
-
     def test_rejects_negative_latency(self):
         with pytest.raises(ConfigError):
             DRAMConfig(access_latency_s=-1e-9)
@@ -123,10 +117,6 @@ class TestSoCConfig:
         soc = SoCConfig().with_cache_bytes(64 * MiB)
         assert soc.npu == SoCConfig().npu
         assert soc.dram == SoCConfig().dram
-
-    def test_peak_macs(self):
-        soc = default_soc()
-        assert soc.peak_macs_per_s == pytest.approx(1024 * 1e9 * 16)
 
     def test_rejects_zero_cores(self):
         with pytest.raises(ConfigError):
