@@ -1,12 +1,11 @@
 """CaMDN core: the paper's primary contribution.
 
 Architecture (Section III-B): the page allocator over the NPU subspace
-(:mod:`~repro.core.pages`), per-NPU cache page tables
-(:mod:`~repro.core.cpt`) and model-exclusive regions
-(:mod:`~repro.core.region`).  The way mask is the
-``CacheConfig.npu_ways`` split, and the NPU-exclusive controllers enter as
-the traffic they move, through the analytical model of
-:mod:`~repro.core.mapper.dram_model`.
+(:mod:`~repro.core.pages`) and model-exclusive regions
+(:mod:`~repro.core.region`), whose page lists are the per-model cache
+page tables.  The way mask is the ``CacheConfig.npu_ways`` split, and
+the NPU-exclusive controllers enter as the traffic they move, through
+the analytical model of :mod:`~repro.core.mapper.dram_model`.
 
 Scheduling (Sections III-C/D): the cache-aware layer mapper
 (:mod:`~repro.core.mapper`), mapping candidate tables
@@ -18,8 +17,7 @@ Scheduling (Sections III-C/D): the cache-aware layer mapper
 :mod:`~repro.core.area` reproduces the Table III area breakdown.
 """
 
-from .pages import CachePageAllocator, PageRange
-from .cpt import CachePageTable
+from .pages import CachePageAllocator
 from .region import ModelRegion, RegionManager
 from .mct import (
     CacheMapEntry,
@@ -43,8 +41,6 @@ from .serialize import load_mapping_file, save_mapping_file
 
 __all__ = [
     "CachePageAllocator",
-    "PageRange",
-    "CachePageTable",
     "ModelRegion",
     "RegionManager",
     "CacheMapEntry",

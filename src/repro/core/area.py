@@ -45,8 +45,12 @@ TAG_ARRAY_UM2_PER_BIT = 2398e3 / (2048 * 16 * _TAG_BITS_PER_LINE)
 #: Area of one 8-bit MAC processing element with pipeline registers.
 PE_UM2 = 1302e3 / (32 * 32)
 
+#: Bytes of SRAM per CPT entry (pcpn + valid bit), per the paper: 1.5 KiB
+#: for the 512 pages of a 16 MiB cache.
+CPT_ENTRY_BYTES = 3
+
 #: CPT translation/indexing logic beyond its SRAM bits.
-CPT_LOGIC_UM2 = 73e3 - 512 * 3 * 8 * SPAD_UM2_PER_BIT
+CPT_LOGIC_UM2 = 73e3 - 512 * CPT_ENTRY_BYTES * 8 * SPAD_UM2_PER_BIT
 
 #: NEC control logic (request decoder, dual interface, state machines).
 NEC_LOGIC_UM2 = 66e3
@@ -74,11 +78,8 @@ class AreaModel:
         return self.soc.npu.pe_rows * self.soc.npu.pe_cols * PE_UM2
 
     def cpt_area(self) -> float:
-        """CPT SRAM (max_entries x 3 bytes) plus translation logic."""
-        from .cpt import CachePageTable
-
-        entries = self.soc.cache.num_pages
-        sram_bits = entries * CachePageTable.ENTRY_BYTES * 8
+        """CPT SRAM (one entry per cache page) plus translation logic."""
+        sram_bits = self.soc.cache.num_pages * CPT_ENTRY_BYTES * 8
         return sram_bits * SPAD_UM2_PER_BIT + CPT_LOGIC_UM2
 
     def npu_others_area(self) -> float:
@@ -116,22 +117,6 @@ class AreaModel:
             + self.nec_area()
             + self.slice_others_area()
         )
-
-    # -- Paper-facing overhead ratios ------------------------------------
-
-    def cpt_overhead_fraction(self) -> float:
-        """CPT share of total NPU area (paper: 0.9 %)."""
-        return self.cpt_area() / self.npu_total_area()
-
-    def nec_overhead_fraction(self) -> float:
-        """NEC share of total slice area (paper: 0.3 %)."""
-        return self.nec_area() / self.slice_total_area()
-
-    def cpt_sram_bytes(self) -> int:
-        """CPT SRAM footprint (paper: 1.5 KiB for a 16 MiB cache)."""
-        from .cpt import CachePageTable
-
-        return self.soc.cache.num_pages * CachePageTable.ENTRY_BYTES
 
 
 def area_breakdown_table(soc: SoCConfig | None = None

@@ -6,7 +6,8 @@ granular protocol the multi-tenant simulator drives:
 
 1. ``admit_task``   — register a task; run/reuse the offline mapping.
 2. ``begin_layer``  — Algorithm 1 selects a candidate; the system tries to
-   grant its pages (resizing the task's exclusive region and its CPT).
+   grant its pages (resizing the task's exclusive region, whose page
+   list is its CPT).
 3. ``retry_layer``  — after a timeout, downgrade to a smaller candidate.
 4. ``finish_layer`` — update the predictor arrays.
 5. ``retire_task``  — destroy the region, freeing every page.

@@ -1,45 +1,26 @@
 """Cache page allocator for the NPU subspace (Section III-B3).
 
 The NPU subspace is divided into pages of identical size (32 KiB for a
-16 MiB cache) and assigned to models.  This module owns the global free
-list; each model's page map lives in :mod:`~repro.core.cpt`.
+16 MiB cache) and assigned to models.  Physical cache pages are
+identified by *physical cache page number* (``pcpn``), numbered 0..N-1
+across the whole NPU subspace.
 
-Physical cache pages are identified by *physical cache page number*
-(``pcpn``), numbered 0..N-1 across the whole NPU subspace; the allocator
-only tracks ownership.
-
-Ownership is tracked twice, and the two views are kept consistent on
-every grant and free (``check_invariants`` asserts it):
-
-* per-owner **sorted pcpn lists** — grants take the lowest free pages
-  (already ascending) and merge in O(pages); frees splice sorted victim
-  runs back into the free list in O(pages) instead of re-sorting it;
-* a **pcpn -> owner reverse map** making :meth:`CachePageAllocator.owner_of`
-  O(1) instead of a scan over every owner's page set.
-
-Both views exist because the dynamic allocation algorithm resizes some
-region at nearly every layer of every task: this module's operations are
-on the per-layer critical path of the CaMDN policies.
+This module owns the free list and a **pcpn -> owner reverse map**
+(:meth:`CachePageAllocator.owner_of` is O(1)); which pages a model
+holds, and in what virtual order, is its region's page list
+(:mod:`~repro.core.region`), the one record of them.  The free list is
+kept ascending: grants take the lowest free pages, and frees splice
+sorted victim runs back in O(pages) instead of re-sorting it.  The
+dynamic allocation algorithm resizes some region at nearly every layer
+of every task, so these operations are on the per-layer critical path
+of the CaMDN policies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..errors import PageAllocationError
-
-
-@dataclass(frozen=True)
-class PageRange:
-    """A set of physical pages granted to one owner."""
-
-    owner: str
-    pcpns: tuple
-
-    @property
-    def num_pages(self) -> int:
-        return len(self.pcpns)
 
 
 def _merge_sorted(a: List[int], b: List[int]) -> List[int]:
@@ -76,9 +57,7 @@ class CachePageAllocator:
         #: Free pcpns, always ascending: grants pop from the front,
         #: frees merge sorted runs back in.
         self._free: List[int] = list(range(num_pages))
-        #: Per-owner held pcpns, always ascending.
-        self._owner_pages: Dict[str, List[int]] = {}
-        #: pcpn -> owning model (``None`` while free).
+        #: pcpn -> owning model (``None`` while free or retired).
         self._page_owner: List[Optional[str]] = [None] * num_pages
         #: ECC-retired pcpns: permanently out of circulation — never on
         #: the free list, never owned, never re-issued.
@@ -109,21 +88,14 @@ class CachePageAllocator:
         self._check_pcpn(pcpn)
         return pcpn in self._retired
 
-    def owners(self) -> List[str]:
-        """All owners currently holding at least one page."""
-        return sorted(o for o, pages in self._owner_pages.items() if pages)
-
-    def pages_of(self, owner: str) -> List[int]:
-        """Sorted pcpns held by ``owner`` (empty list if none)."""
-        return list(self._owner_pages.get(owner, ()))
-
     def owner_of(self, pcpn: int) -> Optional[str]:
         """Owner of page ``pcpn`` or ``None`` if free."""
         self._check_pcpn(pcpn)
         return self._page_owner[pcpn]
 
-    def allocate(self, owner: str, num_pages: int) -> PageRange:
-        """Grant ``num_pages`` free pages to ``owner``.
+    def allocate(self, owner: str, num_pages: int) -> List[int]:
+        """Grant ``num_pages`` free pages to ``owner``; returns them,
+        ascending, as a new list.
 
         Grants always take the lowest-numbered free pages, so grant order
         is a pure function of the preceding allocate/release sequence.
@@ -146,62 +118,35 @@ class CachePageAllocator:
         page_owner = self._page_owner
         for pcpn in granted:
             page_owner[pcpn] = owner
-        held = self._owner_pages.get(owner)
-        if held is None:
-            self._owner_pages[owner] = granted
-        elif not held or (granted and held[-1] < granted[0]):
-            held.extend(granted)
-        else:
-            self._owner_pages[owner] = _merge_sorted(held, granted)
-        return PageRange(owner=owner, pcpns=tuple(granted))
+        return granted
 
-    def release(self, owner: str, pcpns: Optional[List[int]] = None) -> int:
-        """Return pages to the free list.
-
-        Args:
-            owner: releasing model.
-            pcpns: specific pages to release, or ``None`` for all of the
-                owner's pages and the owner itself (a destroyed region;
-                a region shrunk to 0 pages keeps its empty entry, which
-                the native batch loop's resize reads).
+    def release(self, owner: str, pcpns: List[int]) -> int:
+        """Return ``owner``'s pages ``pcpns`` to the free list.
 
         Returns:
             Number of pages released.
 
         Raises:
-            PageAllocationError: a listed page is not owned by ``owner``.
+            PageAllocationError: a listed page is out of range, not
+                owned by ``owner``, or listed twice; nothing is freed.
         """
-        if pcpns is None:
-            held = self._owner_pages.pop(owner, None)
-            victims = list(held) if held else []
-        else:
-            held = self._owner_pages.get(owner)
-            page_owner = self._page_owner
-            for pcpn in pcpns:
-                self._check_pcpn(pcpn)
-                if page_owner[pcpn] != owner:
-                    raise PageAllocationError(
-                        f"{owner} does not own page {pcpn}"
-                    )
-            victims = sorted(set(pcpns))
-            if len(victims) != len(pcpns):
-                # A duplicate entry would double-free below.
-                raise PageAllocationError(
-                    f"{owner}: duplicate pages in release list"
-                )
-        if not victims:
-            return 0
         page_owner = self._page_owner
+        for pcpn in pcpns:
+            self._check_pcpn(pcpn)
+            if page_owner[pcpn] != owner:
+                raise PageAllocationError(
+                    f"{owner} does not own page {pcpn}"
+                )
+        victims = sorted(set(pcpns))
+        if len(victims) != len(pcpns):
+            # A duplicate entry would double-free below.
+            raise PageAllocationError(
+                f"{owner}: duplicate pages in release list"
+            )
         for pcpn in victims:
             page_owner[pcpn] = None
-        if len(victims) == len(held):
-            held.clear()
-        else:
-            victim_set = set(victims)
-            self._owner_pages[owner] = [
-                p for p in held if p not in victim_set
-            ]
-        self._free = _merge_sorted(self._free, victims)
+        if victims:
+            self._free = _merge_sorted(self._free, victims)
         return len(victims)
 
     def retire_free(self, pcpn: int) -> None:
@@ -232,8 +177,8 @@ class CachePageAllocator:
         When a free page exists, the lowest-numbered one is granted to
         ``owner`` as the replacement (deterministic, like
         :meth:`allocate`) and returned; with no free page the owner
-        simply shrinks by one and ``None`` is returned — the caller
-        (region manager) must drop a virtual page.
+        simply shrinks by one and ``None`` is returned.  Either way the
+        caller (region manager) edits the owner's page list.
 
         Raises:
             PageAllocationError: ``owner`` does not own ``pcpn``, or the
@@ -247,12 +192,10 @@ class CachePageAllocator:
                 f"{owner} does not own page {pcpn}"
             )
         self._page_owner[pcpn] = None
-        self._owner_pages[owner].remove(pcpn)
         self._retired.add(pcpn)
         if not self._free:
             return None
-        grant = self.allocate(owner, 1)
-        return grant.pcpns[0]
+        return self.allocate(owner, 1)[0]
 
     def _check_pcpn(self, pcpn: int) -> None:
         if not 0 <= pcpn < self.num_pages:
@@ -261,40 +204,23 @@ class CachePageAllocator:
             )
 
     def check_invariants(self) -> None:
-        """Assert exclusivity, conservation and reverse-map consistency;
-        used by property tests."""
-        seen = set(self._free)
-        if len(seen) != len(self._free):
+        """Assert that every page is exactly one of free, owned or
+        retired, and that the free list is ascending; used by property
+        tests."""
+        free = set(self._free)
+        if len(free) != len(self._free):
             raise PageAllocationError("duplicate pages in free list")
-        if self._free != sorted(seen):
+        if self._free != sorted(free):
             raise PageAllocationError("free list not sorted")
-        for pcpn in self._free:
-            if self._page_owner[pcpn] is not None:
-                raise PageAllocationError(
-                    f"free page {pcpn} has owner "
-                    f"{self._page_owner[pcpn]!r} in the reverse map"
-                )
-        for owner, pages in self._owner_pages.items():
-            overlap = seen.intersection(pages)
-            if overlap:
-                raise PageAllocationError(
-                    f"pages {sorted(overlap)} double-owned ({owner})"
-                )
-            if list(pages) != sorted(set(pages)):
-                raise PageAllocationError(
-                    f"{owner}: held pages not sorted/unique"
-                )
-            for pcpn in pages:
-                if self._page_owner[pcpn] != owner:
-                    raise PageAllocationError(
-                        f"page {pcpn} owned by {owner} but reverse map "
-                        f"says {self._page_owner[pcpn]!r}"
-                    )
-            seen |= set(pages)
-        if seen & self._retired:
-            raise PageAllocationError(
-                f"retired pages {sorted(seen & self._retired)} are "
-                "free or owned"
-            )
-        if seen | self._retired != set(range(self.num_pages)):
+        if len(self._page_owner) != self.num_pages or \
+                not free <= set(range(self.num_pages)):
             raise PageAllocationError("page conservation violated")
+        for pcpn, owner in enumerate(self._page_owner):
+            states = ((pcpn in free) + (pcpn in self._retired)
+                      + (owner is not None))
+            if states != 1:
+                raise PageAllocationError(
+                    f"page {pcpn} is free: {pcpn in free}, retired: "
+                    f"{pcpn in self._retired}, owned by {owner!r}; "
+                    "page conservation violated"
+                )

@@ -1,11 +1,15 @@
 """Model-exclusive region management (Section III-B3).
 
 A *region* is the set of physical cache pages a model currently owns,
-exposed to the model's NPU(s) as a contiguous virtual cache address space
-through the CPT.  The :class:`RegionManager` keeps the global page
-allocator and every model's CPT consistent: growing a region allocates
-pages and appends CPT entries; shrinking releases the highest virtual pages
-first.
+exposed to the model's NPU(s) as a contiguous virtual cache address
+space.  Its page list is the model's cache page table (CPT, Figure
+5(b)): virtual cache page ``vcpn`` is backed by physical page
+``pcpns[vcpn]``, so a model sees one contiguous cache region however its
+granted pages are scattered.  The list is the one record of a region's
+pages; the page allocator keeps only the free list and the pcpn -> owner
+reverse map.  The :class:`RegionManager` keeps the two consistent:
+growing a region allocates pages and appends them as new virtual pages;
+shrinking releases the highest virtual pages first.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from typing import Dict, List, Optional
 
 from ..config import CacheConfig
 from ..errors import PageAllocationError
-from .cpt import CachePageTable
 from .pages import CachePageAllocator
 
 
@@ -25,30 +28,24 @@ class ModelRegion:
 
     Attributes:
         task_id: owning model/task identifier.
-        cpt: the CPT exposing the region as virtual cache space.
-        pcpns: physical pages backing virtual pages 0..n-1, in vcpn order.
+        pcpns: the region's CPT: physical pages backing virtual pages
+            0..n-1, in vcpn order.
     """
 
     task_id: str
-    cpt: CachePageTable
     pcpns: List[int]
 
     @property
     def num_pages(self) -> int:
         return len(self.pcpns)
 
-    @property
-    def bytes(self) -> int:
-        return self.num_pages * self.cpt.cache.page_bytes
-
 
 class RegionManager:
-    """Keeps page ownership and CPT contents consistent across models."""
+    """Keeps page ownership and every region's page list consistent."""
 
-    def __init__(self, cache: CacheConfig,
-                 allocator: Optional[CachePageAllocator] = None) -> None:
+    def __init__(self, cache: CacheConfig) -> None:
         self.cache = cache
-        self.allocator = allocator or CachePageAllocator(cache.num_pages)
+        self.allocator = CachePageAllocator(cache.num_pages)
         self._regions: Dict[str, ModelRegion] = {}
 
     # ------------------------------------------------------------------
@@ -77,11 +74,8 @@ class RegionManager:
         """
         if task_id in self._regions:
             raise PageAllocationError(f"{task_id} already has a region")
-        grant = self.allocator.allocate(task_id, num_pages)
-        cpt = CachePageTable(self.cache)
-        cpt.remap_all(list(grant.pcpns))
-        region = ModelRegion(task_id=task_id, cpt=cpt,
-                             pcpns=list(grant.pcpns))
+        region = ModelRegion(task_id,
+                             self.allocator.allocate(task_id, num_pages))
         self._regions[task_id] = region
         return region
 
@@ -89,32 +83,27 @@ class RegionManager:
         """Grow/shrink ``region`` to ``target_pages`` pages.
 
         Returns the signed page delta.  The resize is delta-based: only
-        the page difference is granted or released, and only the affected
-        CPT entries change.  Growth appends new virtual pages (existing
-        vcpn->pcpn mappings — and therefore cached data — are preserved);
-        shrinkage drops the highest vcpns first.
+        the page difference is granted or released.  Growth appends new
+        virtual pages (existing vcpn->pcpn mappings — and therefore
+        cached data — are preserved); shrinkage drops the highest vcpns
+        first.
 
         Raises:
-            PageAllocationError: not enough free pages to grow (callers
-                treat this as a wait-and-retry condition); the region is
-                left unchanged.
+            PageAllocationError: a negative target, or not enough free
+                pages to grow (callers treat this as a wait-and-retry
+                condition); the region is left unchanged.
         """
+        if target_pages < 0:
+            raise PageAllocationError(
+                f"{region.task_id}: negative region size {target_pages}"
+            )
         pcpns = region.pcpns
-        current = len(pcpns)
-        delta = target_pages - current
+        delta = target_pages - len(pcpns)
         if delta > 0:
-            grant = self.allocator.allocate(region.task_id, delta)
-            cpt_map = region.cpt.map
-            for vcpn, pcpn in enumerate(grant.pcpns, start=current):
-                cpt_map(vcpn, pcpn)
-            pcpns.extend(grant.pcpns)
+            pcpns.extend(self.allocator.allocate(region.task_id, delta))
         elif delta < 0:
-            victims = pcpns[delta:]
-            cpt_unmap = region.cpt.unmap
-            for vcpn in range(target_pages, current):
-                cpt_unmap(vcpn)
+            self.allocator.release(region.task_id, pcpns[delta:])
             del pcpns[delta:]
-            self.allocator.release(region.task_id, victims)
         return delta
 
     def retire_owned(self, region: ModelRegion, pcpn: int) -> bool:
@@ -124,59 +113,59 @@ class RegionManager:
         (the virtual page keeps its vcpn; region size is preserved);
         with no free page the region shrinks by one page — the last
         virtual page's backing moves into the hole and the top vcpn
-        unmaps, so the region stays virtually contiguous.
+        goes, so the region stays virtually contiguous.
 
         Returns:
             True when the region shrank (the caller must sync any
             page-count bookkeeping), False on an in-place swap.
         """
-        vcpn = region.pcpns.index(pcpn)
+        pcpns = region.pcpns
+        vcpn = pcpns.index(pcpn)
         replacement = self.allocator.evacuate(region.task_id, pcpn)
-        cpt = region.cpt
         if replacement is not None:
-            cpt.unmap(vcpn)
-            cpt.map(vcpn, replacement)
-            region.pcpns[vcpn] = replacement
+            pcpns[vcpn] = replacement
             return False
-        last = region.num_pages - 1
-        if vcpn == last:
-            cpt.unmap(vcpn)
-            region.pcpns.pop()
-            return True
-        last_pcpn = region.pcpns[last]
-        cpt.unmap(last)
-        cpt.unmap(vcpn)
-        cpt.map(vcpn, last_pcpn)
-        region.pcpns[vcpn] = last_pcpn
-        region.pcpns.pop()
+        last = pcpns.pop()
+        if vcpn < len(pcpns):
+            pcpns[vcpn] = last
         return True
 
     def destroy_region(self, task_id: str) -> int:
         """Release every page of ``task_id``'s region; returns page count."""
-        region = self._regions.pop(task_id, None)
+        region = self._regions.get(task_id)
         if region is None:
             raise PageAllocationError(f"{task_id} has no region")
-        released = self.allocator.release(task_id)
+        released = self.allocator.release(task_id, region.pcpns)
+        del self._regions[task_id]
         return released
 
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Regions and allocator agree; CPTs are internally consistent."""
-        self.allocator.check_invariants()
+        """The allocator is consistent, and its reverse map names exactly
+        the regions' pages: each region's pages are owned by its task
+        and listed once, and no page is owned outside a region."""
+        alloc = self.allocator
+        alloc.check_invariants()
+        listed: List[Optional[str]] = [None] * alloc.num_pages
         for task_id, region in self._regions.items():
-            held = self.allocator.pages_of(task_id)
-            if sorted(region.pcpns) != held:
-                raise PageAllocationError(
-                    f"{task_id}: region pages {sorted(region.pcpns)} != "
-                    f"allocator view {held}"
-                )
-            for vcpn, pcpn in enumerate(region.pcpns):
-                if region.cpt.lookup(vcpn) != pcpn:
+            for pcpn in region.pcpns:
+                owner = alloc.owner_of(pcpn)
+                if listed[pcpn] is not None:
                     raise PageAllocationError(
-                        f"{task_id}: CPT entry {vcpn} inconsistent"
+                        f"page {pcpn} is listed twice (regions of "
+                        f"{listed[pcpn]} and {task_id})"
                     )
-            if region.cpt.num_mapped != region.num_pages:
+                if owner != task_id:
+                    raise PageAllocationError(
+                        f"{task_id}: region lists page {pcpn}, which "
+                        f"the reverse map gives to {owner!r}"
+                    )
+                listed[pcpn] = task_id
+        for pcpn in range(alloc.num_pages):
+            owner = alloc.owner_of(pcpn)
+            if owner is not None and listed[pcpn] is None:
                 raise PageAllocationError(
-                    f"{task_id}: CPT has stale entries"
+                    f"page {pcpn} is owned by {owner!r} outside any "
+                    "region"
                 )

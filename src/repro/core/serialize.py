@@ -173,19 +173,10 @@ def save_mapping_file(mapping_file: ModelMappingFile,
 
 
 def fleet_spec_content_hash(spec) -> str:
-    """Stable content hash of a fleet population.
-
-    Salted with the package version and source digest like the sweep
-    cell keys, so a fleet hash can key caches without ever serving
-    results across code changes.
-    """
-    from .. import __version__  # deferred: package root mid-import
-
-    return stable_content_hash({
-        "repro_version": __version__,
-        "source_salt": source_content_salt(),
-        "fleet": spec.to_dict(),
-    })
+    """Stable content hash of a fleet population: the spec alone, so a
+    fleet sidecar written by one source tree still verifies under an
+    edited one."""
+    return stable_content_hash({"fleet": spec.to_dict()})
 
 
 def stable_content_hash(payload: dict) -> str:

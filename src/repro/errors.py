@@ -21,10 +21,6 @@ class PageAllocationError(ReproError):
     """The cache page allocator could not satisfy a request."""
 
 
-class CPTError(ReproError):
-    """A cache page table operation is invalid (bad vcpn, double map, ...)."""
-
-
 class SimulationError(ReproError):
     """The discrete-event engine reached an inconsistent state."""
 

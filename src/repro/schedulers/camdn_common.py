@@ -120,11 +120,11 @@ class CaMDNSchedulerBase(SchedulerPolicy):
     # ------------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """The whole :class:`CaMDNSystem` (allocator SoA arrays, regions,
-        CPT, page reverse maps, task contexts) rides the payload by
-        reference — the ``_ctx`` tuples are the very objects pinned on
-        the instances' ``sched_ctx``, and one shared pickle keeps those
-        identities.  The completion memos are process-wide module
+        """The whole :class:`CaMDNSystem` (allocator SoA arrays, the
+        regions' page lists, the page reverse map, task contexts) rides
+        the payload by reference — the ``_ctx`` tuples are the very
+        objects pinned on the instances' ``sched_ctx``, and one shared
+        pickle keeps those identities.  The completion memos are process-wide module
         stores, so no payload carries them."""
         state = super().snapshot_state()
         state.update(

@@ -899,8 +899,7 @@ static PyObject *s_hit_bytes, *s_access_bytes, *s_dram_bytes_total;
 static PyObject *s_hit_bytes_total, *s_access_bytes_total;
 static PyObject *s_layers_executed, *s_sched_scratch;
 static PyObject *s_rem_compute_cycles, *s_rem_dram_bytes, *s_block_of;
-static PyObject *s_free, *s_page_owner, *s_owner_pages, *s_num_pages;
-static PyObject *s_task_id, *s_cpt, *s_table, *s_max_entries;
+static PyObject *s_free, *s_page_owner, *s_num_pages, *s_task_id;
 static PyObject *s_palloc_sum;
 
 #define HANDLED 0
@@ -1292,15 +1291,16 @@ works_completion(inst_view *v, double *c_i, double *d_i, double *prog_i)
 
 /* ------------------------------------------------------------------
  * Region resizes.  A grant whose footprint differs from the task's
- * region moves pages exactly as RegionManager.resize does, through
- * CachePageAllocator.allocate / release and CachePageTable.map /
- * unmap: in the same order, on the same objects, storing the region's
+ * region moves pages exactly as RegionManager.resize does: the
+ * region's page list (its CPT: vcpn i is backed by pcpns[i]) grows by
+ * CachePageAllocator.allocate or shrinks by releasing its top vcpns'
+ * pages, in the same order, on the same objects, storing the region's
  * own task_id object as the owner (pickle memoizes strings by
  * identity, so an equal but distinct string would change snapshot
- * bytes).  Each move first checks what Python checks (page and vcpn
- * ranges, ownership, duplicates, already-mapped and unmapped entries)
- * plus the types C relies on; a failed check declines with nothing
- * changed, so the Python chain meets the same condition.
+ * bytes).  Each move first checks what Python checks (free-page count,
+ * page ranges, ownership, duplicates) plus the types C relies on; a
+ * failed check declines with nothing changed, so the Python chain
+ * meets the same condition.
  * ------------------------------------------------------------------ */
 
 /* pages._merge_sorted(a, b) as a new list in *out: 0, DECLINE when an
@@ -1336,13 +1336,12 @@ merge_sorted(PyObject *a, PyObject *b, PyObject **out)
     return *out == NULL ? -1 : 0;
 }
 
-/* The objects a resize touches: the page allocator, its free list,
- * reverse map and held lists, the region's owner and CPT dict. */
+/* The objects a resize touches: the page allocator, its free list and
+ * reverse map, and the region's owner. */
 typedef struct {
     PyObject *pages;                    /* borrowed from the table */
-    PyObject *free, *page_owner, *owner_pages, *owner, *cpt, *table;
-    PyObject *held;
-    long num_pages, max_entries;
+    PyObject *free, *page_owner, *owner;
+    long num_pages;
 } resize_ctx;
 
 static void
@@ -1350,11 +1349,7 @@ release_resize(resize_ctx *r)
 {
     Py_CLEAR(r->free);
     Py_CLEAR(r->page_owner);
-    Py_CLEAR(r->owner_pages);
     Py_CLEAR(r->owner);
-    Py_CLEAR(r->cpt);
-    Py_CLEAR(r->table);
-    Py_CLEAR(r->held);
 }
 
 /* Fill ``r`` from the page allocator and the region (``_free`` is read
@@ -1366,116 +1361,48 @@ load_resize(PyObject *pages, PyObject *region, resize_ctx *r)
     r->pages = pages;
     r->free = get_attr(pages, s_free);
     r->page_owner = get_attr(pages, s_page_owner);
-    r->owner_pages = get_attr(pages, s_owner_pages);
     r->owner = get_attr(region, s_task_id);
-    r->cpt = get_attr(region, s_cpt);
-    r->table = r->cpt != NULL ? get_attr(r->cpt, s_table) : NULL;
     if (r->free == NULL || !PyList_CheckExact(r->free) ||
         r->page_owner == NULL || !PyList_CheckExact(r->page_owner) ||
-        r->owner_pages == NULL || !PyDict_CheckExact(r->owner_pages) ||
-        r->owner == NULL || r->table == NULL ||
-        !PyDict_CheckExact(r->table) ||
-        attr_long(pages, s_num_pages, &r->num_pages) < 0 ||
-        attr_long(r->cpt, s_max_entries, &r->max_entries) < 0) {
+        r->owner == NULL ||
+        attr_long(pages, s_num_pages, &r->num_pages) < 0) {
         return DECLINE;
     }
-    r->held = PyDict_GetItemWithError(r->owner_pages, r->owner);
-    if (r->held == NULL) {
-        return PyErr_Occurred() ? -1 : DECLINE;
-    }
-    /* Owned: a merge or filter replaces the dict's list. */
-    Py_INCREF(r->held);
-    return PyList_CheckExact(r->held) ? 0 : DECLINE;
-}
-
-/* Is ``vcpn`` a key of the CPT dict?  1, 0, or -1. */
-static int
-cpt_has(PyObject *table, long vcpn)
-{
-    PyObject *key = PyLong_FromLong(vcpn);
-    int has;
-    if (key == NULL) {
-        return -1;
-    }
-    has = PyDict_Contains(table, key);
-    Py_DECREF(key);
-    return has;
+    return 0;
 }
 
 /* Grow ``pcpns`` from ``current`` to ``target`` pages: allocate (take
- * the lowest free pages, own them, extend or merge the held list), map
- * the new vcpns in order, extend the region.  0, DECLINE, or -1. */
+ * the lowest free pages and own them in the reverse map), then extend
+ * the region.  0, DECLINE, or -1. */
 static int
 region_grow(resize_ctx *r, PyObject *pcpns, long current, long target)
 {
     Py_ssize_t delta = target - current, j;
-    Py_ssize_t n_held = PyList_GET_SIZE(r->held);
-    PyObject *granted = NULL, *merged = NULL;
+    PyObject *granted;
     long p;
-    int rc;
+    int rc = -1;
 
     if (delta > PyList_GET_SIZE(r->free)) {
         return DECLINE;  /* allocate: not enough free pages */
     }
-    /* CachePageTable.map's checks (and the reverse map's bounds). */
     for (j = 0; j < delta; j++) {
         if (list_long(r->free, j, &p) < 0 || p < 0 ||
-            p >= r->max_entries || p >= PyList_GET_SIZE(r->page_owner) ||
-            current + j >= r->max_entries) {
-            return DECLINE;
-        }
-        rc = cpt_has(r->table, current + j);
-        if (rc != 0) {
-            return rc < 0 ? -1 : DECLINE;  /* vcpn already mapped */
+            p >= PyList_GET_SIZE(r->page_owner)) {
+            return DECLINE;  /* not a reverse-map index */
         }
     }
     granted = PyList_GetSlice(r->free, 0, delta);
     if (granted == NULL) {
         return -1;
     }
-    /* allocate's held list: extend when the grant lies above it, else
-     * the sorted merge replaces it. */
-    if (n_held > 0) {
-        long last, first;
-        if (list_long(r->held, n_held - 1, &last) < 0) {
-            Py_DECREF(granted);
-            return DECLINE;
-        }
-        (void)list_long(granted, 0, &first);
-        if (!(last < first)) {
-            rc = merge_sorted(r->held, granted, &merged);
-            if (rc != 0) {
-                Py_DECREF(granted);
-                return rc;
-            }
-        }
-    }
 
-    /* --- apply: allocate, the CPT entries, the region's list --- */
-    rc = -1;
+    /* --- apply: allocate, then the region's list --- */
     if (PyList_SetSlice(r->free, 0, delta, NULL) < 0) {
         goto out;
     }
     for (j = 0; j < delta; j++) {
         (void)list_long(granted, j, &p);
         if (PyList_SetItem(r->page_owner, p, Py_NewRef(r->owner)) < 0) {
-            goto out;
-        }
-    }
-    if (merged != NULL) {
-        if (PyDict_SetItem(r->owner_pages, r->owner, merged) < 0) {
-            goto out;
-        }
-    }
-    else if (PyList_SetSlice(r->held, n_held, n_held, granted) < 0) {
-        goto out;
-    }
-    for (j = 0; j < delta; j++) {
-        PyObject *key = PyLong_FromLong(current + j);
-        int bad = key == NULL ||
-            PyDict_SetItem(r->table, key, PyList_GET_ITEM(granted, j)) < 0;
-        Py_XDECREF(key);
-        if (bad) {
             goto out;
         }
     }
@@ -1486,66 +1413,32 @@ region_grow(resize_ctx *r, PyObject *pcpns, long current, long target)
 
 out:
     Py_DECREF(granted);
-    Py_XDECREF(merged);
     return rc;
 }
 
-/* Is ``x`` in the ascending exact-int list ``sorted``? */
-static int
-sorted_has(PyObject *sorted, long x)
-{
-    Py_ssize_t lo = 0, hi = PyList_GET_SIZE(sorted);
-    while (lo < hi) {
-        Py_ssize_t mid = (lo + hi) / 2;
-        long v;
-        (void)list_long(sorted, mid, &v);
-        if (v == x) {
-            return 1;
-        }
-        if (v < x) {
-            lo = mid + 1;
-        }
-        else {
-            hi = mid;
-        }
-    }
-    return 0;
-}
-
-/* Shrink ``pcpns`` from ``current`` to ``target`` pages: unmap the top
- * vcpns, truncate the region, release the victims (free them in the
- * reverse map, clear or filter the held list, merge them into a new
- * free list).  0, DECLINE, or -1. */
+/* Shrink ``pcpns`` from ``current`` to ``target`` pages: release the
+ * top vcpns' pages (free them in the reverse map, merge them into a new
+ * free list), then truncate the region.  0, DECLINE, or -1. */
 static int
 region_shrink(resize_ctx *r, PyObject *pcpns, long current, long target)
 {
     Py_ssize_t k = current - target, j;
-    Py_ssize_t n_held = PyList_GET_SIZE(r->held);
-    PyObject *victims = NULL, *sorted = NULL, *kept = NULL;
-    PyObject *new_free = NULL;
+    PyObject *sorted, *new_free = NULL;
     long p, prev = 0;
     int rc = DECLINE;
 
-    /* CachePageTable.unmap's checks. */
-    for (j = target; j < current; j++) {
-        int has;
-        if (j >= r->max_entries) {
-            return DECLINE;
-        }
-        has = cpt_has(r->table, j);
-        if (has <= 0) {
-            return has < 0 ? -1 : DECLINE;  /* vcpn not mapped */
-        }
+    if (target < 0) {
+        return DECLINE;  /* resize: a negative size */
     }
-    victims = PyList_GetSlice(pcpns, target, current);
-    if (victims == NULL) {
+    sorted = PyList_GetSlice(pcpns, target, current);
+    if (sorted == NULL) {
         return -1;
     }
     /* release's checks: range, ownership, then duplicates. */
     for (j = 0; j < k; j++) {
         PyObject *po;
         int same;
-        if (list_long(victims, j, &p) < 0 || p < 0 || p >= r->num_pages ||
+        if (list_long(sorted, j, &p) < 0 || p < 0 || p >= r->num_pages ||
             p >= PyList_GET_SIZE(r->page_owner)) {
             goto out;
         }
@@ -1557,8 +1450,7 @@ region_shrink(resize_ctx *r, PyObject *pcpns, long current, long target)
             goto out;
         }
     }
-    sorted = PyList_GetSlice(victims, 0, k);
-    if (sorted == NULL || PyList_Sort(sorted) < 0) {
+    if (PyList_Sort(sorted) < 0) {
         rc = -1;
         goto out;
     }
@@ -1569,67 +1461,30 @@ region_shrink(resize_ctx *r, PyObject *pcpns, long current, long target)
         }
         prev = p;
     }
-    /* release's held list: cleared when every page goes, else
-     * replaced by the survivors. */
-    if (k != n_held) {
-        kept = PyList_New(0);
-        if (kept == NULL) {
-            rc = -1;
-            goto out;
-        }
-        for (j = 0; j < n_held; j++) {
-            PyObject *item = PyList_GET_ITEM(r->held, j);
-            if (list_long(r->held, j, &p) < 0) {
-                goto out;
-            }
-            if (!sorted_has(sorted, p) && PyList_Append(kept, item) < 0) {
-                rc = -1;
-                goto out;
-            }
-        }
-    }
     rc = merge_sorted(r->free, sorted, &new_free);
     if (rc != 0) {
         goto out;
     }
 
-    /* --- apply: the CPT entries, the region's list, release --- */
+    /* --- apply: release, then truncate the region --- */
     rc = -1;
-    for (j = target; j < current; j++) {
-        PyObject *key = PyLong_FromLong(j);
-        int bad = key == NULL || PyDict_DelItem(r->table, key) < 0;
-        Py_XDECREF(key);
-        if (bad) {
-            goto out;
-        }
-    }
-    if (PyList_SetSlice(pcpns, target, current, NULL) < 0) {
-        goto out;
-    }
     for (j = 0; j < k; j++) {
         (void)list_long(sorted, j, &p);
         if (PyList_SetItem(r->page_owner, p, Py_NewRef(Py_None)) < 0) {
             goto out;
         }
     }
-    if (kept == NULL) {
-        if (PyList_SetSlice(r->held, 0, n_held, NULL) < 0) {
-            goto out;
-        }
-    }
-    else if (PyDict_SetItem(r->owner_pages, r->owner, kept) < 0) {
-        goto out;
-    }
     /* ``self._free = _merge_sorted(self._free, victims)`` */
     if (PyObject_SetAttr(r->pages, s_free, new_free) < 0) {
+        goto out;
+    }
+    if (PyList_SetSlice(pcpns, target, current, NULL) < 0) {
         goto out;
     }
     rc = 0;
 
 out:
-    Py_XDECREF(victims);
-    Py_XDECREF(sorted);
-    Py_XDECREF(kept);
+    Py_DECREF(sorted);
     Py_XDECREF(new_free);
     return rc;
 }
@@ -2210,12 +2065,8 @@ intern_names(void)
         {&s_block_of, "block_of"},
         {&s_free, "_free"},
         {&s_page_owner, "_page_owner"},
-        {&s_owner_pages, "_owner_pages"},
         {&s_num_pages, "num_pages"},
         {&s_task_id, "task_id"},
-        {&s_cpt, "cpt"},
-        {&s_table, "_table"},
-        {&s_max_entries, "max_entries"},
         {&s_palloc_sum, "_palloc_sum"},
     };
     size_t i;

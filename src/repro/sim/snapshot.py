@@ -7,7 +7,8 @@ per-stream backlogs, stall state and arrival-RNG draw positions, the
 fault-schedule cursor and active throttle/outage windows, the metrics
 accumulators, and the policy's own state through the
 ``SchedulerPolicy.snapshot_state()`` / ``restore_state()`` hooks (for
-CaMDN: the allocator SoA arrays, regions, CPT and page reverse maps).
+CaMDN: the allocator SoA arrays, the regions' page lists and the page
+reverse map).
 
 Resume is **byte-identical**: running a snapshot to completion produces
 the same ``metric_summary()`` as the uninterrupted run, for every
@@ -56,7 +57,7 @@ if TYPE_CHECKING:
     from .engine import MultiTenantEngine
 
 #: Snapshot format version; bump on any payload/envelope shape change.
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
 
 #: Fixed pickle protocol so snapshots are portable across the Python
 #: versions the CI matrix covers (protocol 4 is universal on 3.8+).

@@ -3,12 +3,18 @@
 import pytest
 
 from repro.config import KiB, MiB, NPUConfig, SoCConfig
-from repro.core.area import AreaModel, area_breakdown_table
+from repro.core.area import CPT_ENTRY_BYTES, AreaModel, area_breakdown_table
 
 
 @pytest.fixture(scope="module")
 def model():
     return AreaModel(SoCConfig())
+
+
+def _percent(soc, side, component):
+    """A component's share of its side in the Table III breakdown."""
+    rows = area_breakdown_table(soc)[side]
+    return next(pct for name, _, pct in rows if name == component)
 
 
 class TestPaperNumbers:
@@ -37,19 +43,21 @@ class TestPaperNumbers:
     def test_slice_total(self, model):
         assert model.slice_total_area() == pytest.approx(24676e3, rel=0.01)
 
-    def test_cpt_overhead_fraction(self, model):
+    def test_cpt_overhead_fraction(self):
         # Paper: 0.9 % of NPU area.
-        assert model.cpt_overhead_fraction() == pytest.approx(0.009,
-                                                              abs=0.002)
+        assert _percent(SoCConfig(), "NPU", "CPT") == pytest.approx(
+            0.9, abs=0.2)
 
-    def test_nec_overhead_fraction(self, model):
+    def test_nec_overhead_fraction(self):
         # Paper: 0.3 % of slice area.
-        assert model.nec_overhead_fraction() == pytest.approx(0.003,
-                                                              abs=0.001)
+        assert _percent(SoCConfig(), "Cache Slice", "NEC") == \
+            pytest.approx(0.3, abs=0.1)
 
     def test_cpt_sram_budget(self, model):
         # Paper: at most 1.5 KiB; 384 pages x 3 B = 1.125 KiB here.
-        assert model.cpt_sram_bytes() <= int(1.5 * KiB)
+        num_pages = model.soc.cache.num_pages
+        assert num_pages == 384
+        assert num_pages * CPT_ENTRY_BYTES <= int(1.5 * KiB)
 
 
 class TestScaling:
@@ -71,9 +79,9 @@ class TestScaling:
         # (~1 % at 4 MiB); the CPT grows with page count (~1.8 % at
         # 64 MiB).  Both stay far below the 5 % "lightweight" bar.
         for cache_mb in (4, 8, 16, 32, 64):
-            model = AreaModel(SoCConfig().with_cache_bytes(cache_mb * MiB))
-            assert model.cpt_overhead_fraction() < 0.02
-            assert model.nec_overhead_fraction() < 0.015
+            soc = SoCConfig().with_cache_bytes(cache_mb * MiB)
+            assert _percent(soc, "NPU", "CPT") < 2.0
+            assert _percent(soc, "Cache Slice", "NEC") < 1.5
 
 
 class TestBreakdownTable:

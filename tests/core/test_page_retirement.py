@@ -18,6 +18,12 @@ from repro.models.zoo import build_model
 
 NUM_PAGES = 16
 
+
+def _owned(alloc, owner):
+    """The pages the reverse map gives to ``owner``, ascending."""
+    return [p for p in range(alloc.num_pages)
+            if alloc.owner_of(p) == owner]
+
 #: One allocator step: (op code, owner index, magnitude seed).
 _ops = st.lists(
     st.tuples(
@@ -38,27 +44,36 @@ class TestAllocatorRetirementProperties:
         re-issue a retired page, and conservation holds throughout."""
         alloc = CachePageAllocator(NUM_PAGES)
         retired = set()
+        held = {f"task-{i}": [] for i in range(3)}
         for op, owner_idx, magnitude in ops:
             owner = f"task-{owner_idx}"
+            pages = held[owner]
             if op == "alloc":
                 count = magnitude % (alloc.free_pages + 1)
                 grant = alloc.allocate(owner, count)
-                assert not retired.intersection(grant.pcpns)
+                assert not retired.intersection(grant)
+                pages += grant
             elif op == "release":
-                alloc.release(owner)
+                alloc.release(owner, pages)
+                pages.clear()
             elif op == "retire_free":
                 if alloc.free_pages:
                     pcpn = alloc._free[magnitude % alloc.free_pages]
                     alloc.retire_free(pcpn)
                     retired.add(pcpn)
             else:  # evacuate
-                held = alloc.pages_of(owner)
-                if held:
-                    pcpn = held[magnitude % len(held)]
-                    replacement = alloc.evacuate(owner, pcpn)
-                    retired.add(pcpn)
+                if pages:
+                    i = magnitude % len(pages)
+                    replacement = alloc.evacuate(owner, pages[i])
+                    retired.add(pages[i])
                     assert replacement not in retired
+                    if replacement is None:
+                        pages.pop(i)
+                    else:
+                        pages[i] = replacement
             alloc.check_invariants()
+            for name, pages in held.items():
+                assert _owned(alloc, name) == sorted(pages)
             assert alloc.retired_pages == len(retired)
             assert not retired.intersection(alloc._free)
             for pcpn in retired:
@@ -71,7 +86,7 @@ class TestAllocatorRetirementProperties:
         assert alloc.is_retired(2)
         assert alloc.usable_pages == 3
         grant = alloc.allocate("a", 3)
-        assert 2 not in grant.pcpns
+        assert 2 not in grant
         with pytest.raises(PageAllocationError):
             alloc.allocate("a", 1)
 
@@ -89,14 +104,14 @@ class TestAllocatorRetirementProperties:
         alloc.allocate("a", 3)  # pages 0,1,2
         replacement = alloc.evacuate("a", 1)
         assert replacement == 3  # lowest free page
-        assert alloc.pages_of("a") == [0, 2, 3]
+        assert _owned(alloc, "a") == [0, 2, 3]
         assert alloc.is_retired(1)
 
     def test_evacuate_without_free_page_shrinks_owner(self):
         alloc = CachePageAllocator(4)
         alloc.allocate("a", 4)
         assert alloc.evacuate("a", 2) is None
-        assert alloc.pages_of("a") == [0, 1, 3]
+        assert _owned(alloc, "a") == [0, 1, 3]
         assert alloc.usable_pages == 3
 
 
@@ -111,9 +126,9 @@ class TestRegionRetirement:
         shrank = manager.retire_owned(region, victim)
         assert shrank is False
         assert region.num_pages == 4
-        # vcpn 1 keeps a live translation to the replacement page.
-        assert region.cpt.lookup(1) == region.pcpns[1]
+        # vcpn 1 is backed by the replacement page, the region's own.
         assert region.pcpns[1] != victim
+        assert manager.allocator.owner_of(region.pcpns[1]) == "A"
         manager.check_invariants()
 
     def test_retire_owned_shrinks_when_pool_exhausted(self, manager):
@@ -126,17 +141,17 @@ class TestRegionRetirement:
         assert region.num_pages == total - 1
         # The last virtual page's backing moved into the hole.
         assert region.pcpns[1] == last_backing
-        assert region.cpt.lookup(1) == last_backing
-        assert region.cpt.lookup(total - 1) is None
+        assert region.pcpns.count(last_backing) == 1
+        assert victim not in region.pcpns
         manager.check_invariants()
 
     def test_retire_owned_last_vcpn_just_pops(self, manager):
         total = manager.allocator.num_pages
         region = manager.create_region("A", total)
         victim = region.pcpns[-1]
+        before = list(region.pcpns)
         assert manager.retire_owned(region, victim) is True
-        assert region.num_pages == total - 1
-        assert region.cpt.lookup(total - 1) is None
+        assert region.pcpns == before[:-1]
         manager.check_invariants()
 
 

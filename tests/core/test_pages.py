@@ -20,13 +20,13 @@ class TestAllocate:
     def test_allocate_grants_exact_count(self):
         alloc = CachePageAllocator(16)
         grant = alloc.allocate("A", 5)
-        assert grant.num_pages == 5
+        assert grant == [0, 1, 2, 3, 4]
         assert alloc.free_pages == 11
 
     def test_exclusivity(self):
         alloc = CachePageAllocator(16)
-        a = set(alloc.allocate("A", 8).pcpns)
-        b = set(alloc.allocate("B", 8).pcpns)
+        a = set(alloc.allocate("A", 8))
+        b = set(alloc.allocate("B", 8))
         assert a & b == set()
 
     def test_over_allocation_raises(self):
@@ -37,8 +37,7 @@ class TestAllocate:
 
     def test_zero_allocation_ok(self):
         alloc = CachePageAllocator(4)
-        grant = alloc.allocate("A", 0)
-        assert grant.num_pages == 0
+        assert alloc.allocate("A", 0) == []
 
     def test_negative_allocation_raises(self):
         with pytest.raises(PageAllocationError):
@@ -47,10 +46,10 @@ class TestAllocate:
     def test_owner_of(self):
         alloc = CachePageAllocator(8)
         grant = alloc.allocate("A", 2)
-        for pcpn in grant.pcpns:
+        for pcpn in grant:
             assert alloc.owner_of(pcpn) == "A"
         free = next(
-            p for p in range(8) if p not in grant.pcpns
+            p for p in range(8) if p not in grant
         )
         assert alloc.owner_of(free) is None
 
@@ -64,78 +63,69 @@ class TestAllocate:
         alloc.allocate("A", 3)
         alloc.allocate("B", 2)
         alloc.release("A", [1])
-        assert alloc.allocate("C", 2).pcpns == (1, 5)
-
-    def test_owners_lists_only_holders(self):
-        alloc = CachePageAllocator(8)
-        alloc.allocate("B", 2)
-        alloc.allocate("A", 1)
-        alloc.allocate("C", 0)
-        assert alloc.owners() == ["A", "B"]
-        alloc.release("B")
-        assert alloc.owners() == ["A"]
-        assert alloc.pages_of("B") == []
-        assert alloc.pages_of("nobody") == []
+        assert alloc.allocate("C", 2) == [1, 5]
 
 
 class TestRelease:
     def test_release_all(self):
         alloc = CachePageAllocator(8)
-        alloc.allocate("A", 5)
-        released = alloc.release("A")
+        grant = alloc.allocate("A", 5)
+        released = alloc.release("A", grant)
         assert released == 5
         assert alloc.free_pages == 8
 
     def test_release_specific(self):
         alloc = CachePageAllocator(8)
         grant = alloc.allocate("A", 4)
-        alloc.release("A", list(grant.pcpns[:2]))
-        assert len(alloc.pages_of("A")) == 2
+        alloc.release("A", grant[:2])
+        assert [alloc.owner_of(p) for p in grant] == [None, None, "A", "A"]
+        assert alloc.allocate("B", 1) == [0]
 
     def test_release_foreign_page_raises(self):
         alloc = CachePageAllocator(8)
         alloc.allocate("A", 2)
         grant_b = alloc.allocate("B", 2)
         with pytest.raises(PageAllocationError):
-            alloc.release("A", list(grant_b.pcpns))
+            alloc.release("A", grant_b)
+        assert [alloc.owner_of(p) for p in grant_b] == ["B", "B"]
 
     def test_duplicate_pages_in_release_raise(self):
         alloc = CachePageAllocator(8)
         grant = alloc.allocate("A", 2)
         with pytest.raises(PageAllocationError, match="duplicate"):
-            alloc.release("A", [grant.pcpns[0], grant.pcpns[0]])
-        assert alloc.pages_of("A") == list(grant.pcpns)
+            alloc.release("A", [grant[0], grant[0]])
+        assert [alloc.owner_of(p) for p in grant] == ["A", "A"]
+        alloc.check_invariants()
+
+    @pytest.mark.parametrize("pcpn", [-1, 8])
+    def test_out_of_range_page_in_release_raises(self, pcpn):
+        alloc = CachePageAllocator(8)
+        grant = alloc.allocate("A", 2)
+        with pytest.raises(PageAllocationError, match="out of range"):
+            alloc.release("A", [grant[0], pcpn])
+        assert alloc.free_pages == 6
         alloc.check_invariants()
 
     def test_release_of_nothing_returns_zero(self):
         alloc = CachePageAllocator(8)
-        assert alloc.release("A") == 0
+        assert alloc.release("A", []) == 0
         alloc.allocate("A", 2)
         assert alloc.release("A", []) == 0
         assert alloc.free_pages == 6
 
     def test_release_all_forgets_the_owner(self):
         alloc = CachePageAllocator(8)
-        alloc.allocate("A", 3)
-        alloc.allocate("B", 0)
-        alloc.release("A")
-        alloc.release("B")
-        assert alloc._owner_pages == {}
+        grant_a = alloc.allocate("A", 3)
+        grant_b = alloc.allocate("B", 0)
+        alloc.release("A", grant_a)
+        alloc.release("B", grant_b)
+        assert [alloc.owner_of(p) for p in range(8)] == [None] * 8
         alloc.check_invariants()
-
-    def test_release_of_every_listed_page_keeps_the_owner(self):
-        """A region shrunk to 0 pages keeps its (empty) entry: the
-        native batch loop's resize reads it to grow the region again."""
-        alloc = CachePageAllocator(8)
-        grant = alloc.allocate("A", 3)
-        alloc.release("A", list(grant.pcpns))
-        assert alloc._owner_pages == {"A": []}
 
     def test_released_pages_are_reusable(self):
         alloc = CachePageAllocator(4)
-        alloc.allocate("A", 4)
-        alloc.release("A")
-        assert alloc.allocate("B", 4).num_pages == 4
+        alloc.release("A", alloc.allocate("A", 4))
+        assert len(alloc.allocate("B", 4)) == 4
 
 
 class TestMergeSorted:
@@ -176,16 +166,23 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     def test_random_op_sequences_conserve_pages(self, ops):
         alloc = CachePageAllocator(24)
+        held = {"A": [], "B": [], "C": []}
         for op, owner, count in ops:
             try:
                 if op == "alloc":
-                    alloc.allocate(owner, count)
+                    held[owner] += alloc.allocate(owner, count)
                 elif op == "free":
-                    alloc.release(owner)
+                    alloc.release(owner, held[owner])
+                    held[owner] = []
                 else:
                     # Partial release: the owner's ``count`` lowest pages.
-                    alloc.release(owner, alloc.pages_of(owner)[:count])
+                    victims = sorted(held[owner])[:count]
+                    alloc.release(owner, victims)
+                    held[owner] = [p for p in held[owner]
+                                   if p not in victims]
             except PageAllocationError:
-                pass  # over-allocation / double-release are legal rejections
+                pass  # over-allocation is a legal rejection
             alloc.check_invariants()
             assert alloc.free_pages + alloc.used_pages == 24
+            for name, pages in held.items():
+                assert all(alloc.owner_of(p) == name for p in pages)

@@ -21,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import SoCConfig
+from repro.core import serialize
 from repro.errors import WorkloadError
 from repro.experiments import sweep
 from repro.experiments.sweep import CampaignJournal
@@ -74,6 +76,24 @@ class TestSidecar:
         sidecar = write_fleet_sidecar(journal, tiny_fleet())
         payload = json.loads(sidecar.read_text())
         payload["fleet"]["seed"] += 1  # edit without re-hashing
+        sidecar.write_text(json.dumps(payload))
+        with pytest.raises(WorkloadError, match="hash"):
+            read_fleet_sidecar(journal)
+
+    def test_sidecar_verifies_under_an_edited_source_tree(
+        self, tmp_path, monkeypatch
+    ):
+        """The sidecar hash covers the spec alone: a journaled fleet
+        resumes after a source edit or a version bump, as a campaign
+        journal does, while an edited spec is still refused."""
+        journal = tmp_path / "f.journal"
+        spec = tiny_fleet()
+        sidecar = write_fleet_sidecar(journal, spec)
+        monkeypatch.setattr(serialize, "_SOURCE_SALT", "0" * 64)
+        monkeypatch.setattr(repro, "__version__", "0.0.0")
+        assert read_fleet_sidecar(journal) == spec
+        payload = json.loads(sidecar.read_text())
+        payload["fleet"]["devices"] += 1
         sidecar.write_text(json.dumps(payload))
         with pytest.raises(WorkloadError, match="hash"):
             read_fleet_sidecar(journal)

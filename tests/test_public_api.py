@@ -72,7 +72,6 @@ class TestPackageSurface:
     def test_error_hierarchy(self):
         from repro.errors import (
             ConfigError,
-            CPTError,
             MappingError,
             ModelGraphError,
             PageAllocationError,
@@ -81,8 +80,7 @@ class TestPackageSurface:
         )
 
         for exc in (ConfigError, MappingError, PageAllocationError,
-                    CPTError, SimulationError, WorkloadError,
-                    ModelGraphError):
+                    SimulationError, WorkloadError, ModelGraphError):
             assert issubclass(exc, ReproError)
 
 
