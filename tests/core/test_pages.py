@@ -39,6 +39,16 @@ class TestAllocate:
         alloc = CachePageAllocator(4)
         assert alloc.allocate("A", 0) == []
 
+    def test_grant_is_a_new_list(self):
+        """A region keeps the granted list as its page list, so editing
+        it must not reach the allocator's free list."""
+        alloc = CachePageAllocator(4)
+        grant = alloc.allocate("A", 2)
+        grant.append(9)
+        grant[0] = 7
+        assert alloc.allocate("B", 2) == [2, 3]
+        alloc.check_invariants()
+
     def test_negative_allocation_raises(self):
         with pytest.raises(PageAllocationError):
             CachePageAllocator(4).allocate("A", -1)

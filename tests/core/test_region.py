@@ -110,6 +110,17 @@ class TestResize:
         assert manager.region_of("A").num_pages == 0
         assert manager.free_pages == 384
 
+    def test_region_shrunk_to_zero_grows_again(self, manager):
+        """A region resized to no pages stays registered with an empty
+        page list, which a later grow extends."""
+        manager.create_region("B", 2)
+        region = manager.create_region("A", 3)
+        manager.resize(region, 0)
+        assert manager.region_of("A") is region
+        assert manager.resize(region, 4) == 4
+        assert region.pcpns == [2, 3, 4, 5]
+        manager.check_invariants()
+
     def test_negative_size_raises(self, manager):
         region = manager.create_region("A", 3)
         with pytest.raises(PageAllocationError, match="negative"):
